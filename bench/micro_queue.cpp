@@ -1,9 +1,9 @@
-// Microbenchmarks of the buffer substrate: ring buffer, bounded buffer,
-// elastic buffer push/pop and pool resize traffic, plus the hand-off
-// backend sweep (mutex vs SPSC ring vs MPSC segments across producer
-// counts).  These are the per-item hot paths of every implementation; the
-// PBPL decision logic must stay cheap relative to them (the paper picks a
-// moving average precisely for its low overhead).
+// Microbenchmarks of the buffer substrate: ring buffers, pool resize
+// traffic between hand-offs, plus the hand-off backend sweep (mutex vs
+// SPSC ring vs MPSC segments across producer counts).  These are the
+// per-item hot paths of every implementation; the PBPL decision logic
+// must stay cheap relative to them (the paper picks a moving average
+// precisely for its low overhead).
 #include <benchmark/benchmark.h>
 
 #include <mutex>
@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "pcpc/common/ring_buffer.hpp"
-#include "pcpc/queue/bounded_buffer.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
 #include "pcpc/queue/handoff.hpp"
 #include "pcpc/queue/mpsc_queue.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
@@ -21,11 +19,11 @@ namespace {
 
 using pcpc::RingBuffer;
 using pcpc::queue::BackendKind;
-using pcpc::queue::BoundedBuffer;
 using pcpc::queue::BufferPool;
 using pcpc::queue::MpscSegQueue;
 using pcpc::queue::SpscRing;
 using pcpc::queue::make_handoff;
+using pcpc::queue::make_pool_handoff;
 
 void BM_RingBufferPushPop(benchmark::State& state) {
   RingBuffer<std::int64_t> ring(static_cast<std::size_t>(state.range(0)));
@@ -38,45 +36,21 @@ void BM_RingBufferPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_RingBufferPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
-void BM_BoundedBufferBatch(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  BoundedBuffer<std::int64_t> buffer(batch);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) buffer.push(static_cast<std::int64_t>(i));
-    while (auto item = buffer.pop()) benchmark::DoNotOptimize(*item);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_BoundedBufferBatch)->Arg(25)->Arg(50)->Arg(100);
-
-void BM_ElasticBufferPushPop(benchmark::State& state) {
-  BufferPool<std::int64_t> pool(/*consumers=*/1, /*base_capacity=*/256);
-  auto buffer = pool.make_buffer();
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    buffer.push(i++);
-    benchmark::DoNotOptimize(buffer.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ElasticBufferPushPop);
-
-void BM_ElasticBufferResize(benchmark::State& state) {
-  // Two buffers trading capacity through the pool — the steady-state
+void BM_PoolResize(benchmark::State& state) {
+  // Two hand-offs trading capacity through the pool — the steady-state
   // pattern of PBPL's per-invocation downsize/upsize.
   BufferPool<std::int64_t> pool(/*consumers=*/2, /*base_capacity=*/100);
-  auto a = pool.make_buffer();
-  auto b = pool.make_buffer();
+  auto a = make_pool_handoff<std::int64_t>(BackendKind::Mutex, pool, 0);
+  auto b = make_pool_handoff<std::int64_t>(BackendKind::Mutex, pool, 1);
   bool flip = false;
   for (auto _ : state) {
-    a.resize(flip ? 150 : 50);
-    b.resize(flip ? 50 : 150);
+    a->resize(flip ? 150 : 50);
+    b->resize(flip ? 50 : 150);
     flip = !flip;
     benchmark::DoNotOptimize(pool.free_slots());
   }
 }
-BENCHMARK(BM_ElasticBufferResize);
+BENCHMARK(BM_PoolResize);
 
 void BM_SpscRingPushPop(benchmark::State& state) {
   SpscRing<std::int64_t> ring(static_cast<std::size_t>(state.range(0)));

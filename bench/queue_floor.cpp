@@ -2,9 +2,9 @@
 //
 // The lock-free backends exist to make the hand-off cheaper, so the build
 // gate is the obvious one: on the single-producer shape the SPSC ring
-// must not be slower than the seed's mutex-guarded buffer, and with four
-// producers the MPSC queue must beat the mutex buffer outright (the
-// contended lock is exactly the cost it removes).  Medians over repeated
+// must not be slower than the mutex kind (the same ring driven under a
+// lock), and with four producers the MPSC queue must beat the mutex kind
+// outright (the contended lock is exactly the cost it removes).  Medians over repeated
 // trials keep one noisy scheduler decision from failing a build.
 //
 // Usage: queue_floor [--items=N] [--trials=N]

@@ -21,8 +21,10 @@
 # host stays exercised.
 #
 # Every gate appends one JSON line to BENCH_<gate>.json at the repo
-# root — timestamp, git sha, and the gate's headline numbers — so the
-# benches keep a trajectory across commits instead of only gating.
+# root — timestamp, git sha, the gate's headline numbers and its computed
+# `pass` — so the benches keep a trajectory across commits instead of
+# only gating.  A failing gate is recorded too, and the script goes on to
+# the next one; it exits nonzero at the end if any gate failed.
 #
 # Usage: ci/bench_smoke.sh [build-dir]     (default: build)
 set -euo pipefail
@@ -39,129 +41,122 @@ record() {
   printf '{"utc":"%s","git":"%s",%s}\n' "${stamp}" "${sha}" "$2" >> "BENCH_$1.json"
 }
 
-if [[ ! -x "${build}/bench/obs_overhead" ]]; then
-  echo "bench_smoke: ${build}/bench/obs_overhead not built" >&2
-  echo "bench_smoke: run 'cmake --build ${build} --target obs_overhead chaos_overload'" >&2
-  exit 2
-fi
+failed_gates=()
+# fail <gate>: marks the current gate failed.
+fail() {
+  pass=false
+  failed_gates+=("$1")
+}
 
+# gate <name> <attempts> <command...>: runs the command (output teed to
+# ${out}/<name>.txt) until it exits 0, at most <attempts> times, and sets
+# `pass` from its exit status.
+gate() {
+  local name="$1" attempts="$2" attempt
+  shift 2
+  pass=true
+  for ((attempt = 1; attempt <= attempts; ++attempt)); do
+    if "$@" | tee "${out}/${name}.txt"; then return; fi
+    echo "bench_smoke: ${name} attempt ${attempt} failed" >&2
+  done
+  fail "${name}"
+}
+
+# record_json <gate> <json-file>: folds the bench's own JSON record into
+# the trajectory with the computed `pass`; a run that died before writing
+# its record still leaves a line.
+record_json() {
+  local fields="\"bench\":\"$1\""
+  if [[ "$(head -c1 "$2" 2>/dev/null)" == "{" ]]; then
+    fields="$(sed 's/^{//;s/}$//;s/,"pass":[a-z]*//' "$2")"
+  fi
+  record "$1" "${fields},\"pass\":${pass}"
+}
+
+# require <binary>: a gate binary that was not built is a setup error.
+require() {
+  if [[ ! -x "${build}/bench/$1" ]]; then
+    echo "bench_smoke: ${build}/bench/$1 not built" >&2
+    echo "bench_smoke: run 'cmake --build ${build} --target $1'" >&2
+    exit 2
+  fi
+}
+
+require obs_overhead
 echo "=== obs_overhead: 5% telemetry gate (spans armed too) ==="
 # This is a cost *measurement* on a possibly-shared host: neighbour
 # contention can only inflate the estimate, never push it below the true
 # cost, so any clean attempt certifies the bound.  Retry a stomped run
 # before declaring a regression.
-obs_ok=false
-for attempt in 1 2 3; do
-  if "${build}/bench/obs_overhead" \
-      --metrics-out="${out}/metrics.json" \
-      --max-overhead=1.05 \
-      --repeats=9 --seconds=30 --pairs=8 --span-every=64 | tee "${out}/obs_overhead.txt"; then
-    obs_ok=true
-    break
-  fi
-  echo "bench_smoke: obs_overhead attempt ${attempt} over the gate; retrying" >&2
-done
-if ! ${obs_ok}; then
-  echo "bench_smoke: obs_overhead failed all 3 attempts" >&2
-  exit 1
+gate obs_overhead 3 "${build}/bench/obs_overhead" \
+  --metrics-out="${out}/metrics.json" \
+  --max-overhead=1.05 \
+  --repeats=9 --seconds=30 --pairs=8 --span-every=64
+if [[ ! -s "${out}/metrics.json" ]] || ! grep -q '"wakeups"' "${out}/metrics.json"; then
+  echo "bench_smoke: ${out}/metrics.json missing, empty or without a wakeup ledger" >&2
+  fail obs_overhead
 fi
-overhead_pct="$(grep -oE 'paired ratios\): -?[0-9.]+' "${out}/obs_overhead.txt" | grep -oE '\-?[0-9.]+$' || echo null)"
-span_overhead_pct="$(grep -oE 'span ratios\): -?[0-9.]+' "${out}/obs_overhead.txt" | grep -oE '\-?[0-9.]+$' || echo null)"
-record obs_overhead "\"overhead_pct\":${overhead_pct},\"span_overhead_pct\":${span_overhead_pct},\"gate_pct\":5.0,\"pass\":true"
+overhead_pct="$(grep -oE 'paired ratios\): -?[0-9.]+' "${out}/obs_overhead.txt" | grep -oE '\-?[0-9.]+$' || true)"
+span_overhead_pct="$(grep -oE 'span ratios\): -?[0-9.]+' "${out}/obs_overhead.txt" | grep -oE '\-?[0-9.]+$' || true)"
+record obs_overhead "\"overhead_pct\":${overhead_pct:-null},\"span_overhead_pct\":${span_overhead_pct:-null},\"gate_pct\":5.0,\"pass\":${pass}"
 
-if [[ ! -s "${out}/metrics.json" ]]; then
-  echo "bench_smoke: ${out}/metrics.json missing or empty" >&2
-  exit 1
-fi
-grep -q '"wakeups"' "${out}/metrics.json" || {
-  echo "bench_smoke: metrics.json has no wakeup ledger" >&2
-  exit 1
-}
-
+require queue_floor
 echo "=== queue_floor: backend throughput gate ==="
-if [[ ! -x "${build}/bench/queue_floor" ]]; then
-  echo "bench_smoke: ${build}/bench/queue_floor not built" >&2
-  echo "bench_smoke: run 'cmake --build ${build} --target queue_floor'" >&2
-  exit 2
-fi
-"${build}/bench/queue_floor" | tee "${out}/queue_floor.txt"
-spsc_x="$(grep -oE '\([0-9.]+x\)' "${out}/queue_floor.txt" | head -1 | tr -d '()x')"
-mpsc_x="$(grep -oE '\([0-9.]+x\)' "${out}/queue_floor.txt" | tail -1 | tr -d '()x')"
-record queue_floor "\"spsc_vs_mutex_1p\":${spsc_x:-null},\"mpsc_vs_mutex_4p\":${mpsc_x:-null},\"pass\":true"
+gate queue_floor 1 "${build}/bench/queue_floor"
+spsc_x="$(grep -oE '\([0-9.]+x\)' "${out}/queue_floor.txt" | head -1 | tr -d '()x' || true)"
+mpsc_x="$(grep -oE '\([0-9.]+x\)' "${out}/queue_floor.txt" | tail -1 | tr -d '()x' || true)"
+record queue_floor "\"spsc_vs_mutex_1p\":${spsc_x:-null},\"mpsc_vs_mutex_4p\":${mpsc_x:-null},\"pass\":${pass}"
 
+require shard_scaling
 echo "=== shard_scaling: per-core runtime scaling gate ==="
-if [[ ! -x "${build}/bench/shard_scaling" ]]; then
-  echo "bench_smoke: ${build}/bench/shard_scaling not built" >&2
-  echo "bench_smoke: run 'cmake --build ${build} --target shard_scaling'" >&2
-  exit 2
-fi
-"${build}/bench/shard_scaling" --items=2000 --trials=3 | tee "${out}/shard_scaling.txt"
-scaling_x="$(grep -oE 'throughput: [0-9.]+x' "${out}/shard_scaling.txt" | grep -oE '[0-9.]+')"
-record shard_scaling "\"four_core_vs_one\":${scaling_x:-null},\"gate\":1.8,\"pass\":true"
+gate shard_scaling 1 "${build}/bench/shard_scaling" --items=2000 --trials=3
+scaling_x="$(grep -oE 'throughput: [0-9.]+x' "${out}/shard_scaling.txt" | grep -oE '[0-9.]+' || true)"
+record shard_scaling "\"four_core_vs_one\":${scaling_x:-null},\"gate\":1.8,\"pass\":${pass}"
 
+require varlen_floor
 echo "=== varlen_floor: zero-copy record plane gate ==="
-if [[ ! -x "${build}/bench/varlen_floor" ]]; then
-  echo "bench_smoke: ${build}/bench/varlen_floor not built" >&2
-  echo "bench_smoke: run 'cmake --build ${build} --target varlen_floor'" >&2
-  exit 2
-fi
 # In-ring reserve/commit + in-place drain vs the staging-copy path:
 # >= 1.5x at 4 KiB SPSC, >= 1.2x with 4 MPSC producers.  Bandwidth
 # ratios on one box are stable, but a noisy neighbour can stomp either
 # side of a pair; retry a stomped run before declaring a regression.
-varlen_ok=false
-for attempt in 1 2 3; do
-  if "${build}/bench/varlen_floor" --bytes=$((16 << 20)) --trials=3 \
-      --json-out="${out}/varlen_floor.json" | tee "${out}/varlen_floor.txt"; then
-    varlen_ok=true
-    break
-  fi
-  echo "bench_smoke: varlen_floor attempt ${attempt} under the floor; retrying" >&2
-done
-if ! ${varlen_ok}; then
-  echo "bench_smoke: varlen_floor failed all 3 attempts" >&2
-  exit 1
-fi
-# The bench already emits its record as JSON; fold it into the trajectory.
-record varlen_floor "$(sed 's/^{//;s/}$//' "${out}/varlen_floor.json")"
+rm -f "${out}/varlen_floor.json"
+gate varlen_floor 3 "${build}/bench/varlen_floor" --bytes=$((16 << 20)) --trials=3 \
+  --json-out="${out}/varlen_floor.json"
+record_json varlen_floor "${out}/varlen_floor.json"
 
+require ipc_floor
 echo "=== ipc_floor: cross-process host gate ==="
-if [[ ! -x "${build}/bench/ipc_floor" ]]; then
-  echo "bench_smoke: ${build}/bench/ipc_floor not built" >&2
-  echo "bench_smoke: run 'cmake --build ${build} --target ipc_floor'" >&2
-  exit 2
-fi
-"${build}/bench/ipc_floor" --json-out="${out}/ipc_floor.json" | tee "${out}/ipc_floor.txt"
-# The bench already emits its record as JSON; fold it into the trajectory.
-record ipc_floor "$(sed 's/^{//;s/}$//' "${out}/ipc_floor.json")"
+rm -f "${out}/ipc_floor.json"
+gate ipc_floor 1 "${build}/bench/ipc_floor" --json-out="${out}/ipc_floor.json"
+record_json ipc_floor "${out}/ipc_floor.json"
 
+require fleet_parking
 echo "=== fleet_parking: elastic autoscaler gate ==="
-if [[ ! -x "${build}/bench/fleet_parking" ]]; then
-  echo "bench_smoke: ${build}/bench/fleet_parking not built" >&2
-  echo "bench_smoke: run 'cmake --build ${build} --target fleet_parking'" >&2
-  exit 2
-fi
 # At the ~10% utilization point the elastic controller must cut paid
 # wakeups >= 30% and joules/item vs the static placement with zero Δ-SLO
 # violations.  Deterministic sim replay: no retry needed.
-"${build}/bench/fleet_parking" | tee "${out}/fleet_parking.txt"
-# The bench's last line is its JSON record; fold it into the trajectory.
-record fleet_parking "$(tail -1 "${out}/fleet_parking.txt" | sed 's/^{//;s/}$//')"
+gate fleet_parking 1 "${build}/bench/fleet_parking"
+# The bench's last line is its JSON record.
+tail -1 "${out}/fleet_parking.txt" > "${out}/fleet_parking.json"
+record_json fleet_parking "${out}/fleet_parking.json"
 
 echo "=== chaos_overload: exporter smoke (thread host) ==="
-"${build}/bench/chaos_overload" "${out}/chaos.csv" \
-  --trace-out="${out}/chaos_trace.json" \
-  --metrics-out="${out}/chaos_metrics.json" > /dev/null
-for f in chaos.csv chaos_trace.json chaos_metrics.json; do
-  [[ -s "${out}/${f}" ]] || { echo "bench_smoke: ${out}/${f} missing" >&2; exit 1; }
-done
+if "${build}/bench/chaos_overload" "${out}/chaos.csv" \
+    --trace-out="${out}/chaos_trace.json" \
+    --metrics-out="${out}/chaos_metrics.json" > /dev/null; then
+  for f in chaos.csv chaos_trace.json chaos_metrics.json; do
+    [[ -s "${out}/${f}" ]] || { echo "bench_smoke: ${out}/${f} missing" >&2; fail chaos_overload; }
+  done
+else
+  fail chaos_overload
+fi
 
 echo "=== trajectory files: every BENCH_*.json line must parse ==="
 # Malformed lines (a gate interpolating an empty capture, a half-written
 # record from a crashed run) silently poison the trajectory history, so
 # validate every line of every trajectory file: it must parse as one
 # JSON object carrying at least utc/git/pass keys.
-python3 - BENCH_*.json <<'PY'
+python3 - BENCH_*.json <<'PY' || fail trajectory_files
 import json, sys
 
 bad = 0
@@ -189,4 +184,8 @@ for path in sys.argv[1:]:
 sys.exit(1 if bad else 0)
 PY
 
+if ((${#failed_gates[@]} > 0)); then
+  echo "bench_smoke: failed gates: ${failed_gates[*]} (artifacts in ${out}/)" >&2
+  exit 1
+fi
 echo "bench_smoke: all gates clean (artifacts in ${out}/)"

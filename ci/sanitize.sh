@@ -2,10 +2,11 @@
 # Sanitizer gate for the concurrency-heavy suites.
 #
 # Builds the tree twice — once under ThreadSanitizer, once under
-# AddressSanitizer+UBSan — and runs the chaos/runtime/fuzz suites under
-# each.  These are the tests that exercise real threads, the overflow
-# drain paths, the watchdog and the stop() races, i.e. exactly the code
-# where a data race or lifetime bug would hide from the regular build.
+# AddressSanitizer+UBSan, both with warnings as errors — and runs the
+# chaos/runtime/fuzz suites under each.  These are the tests that
+# exercise real threads, the overflow drain paths, the watchdog and the
+# stop() races, i.e. exactly the code where a data race or lifetime bug
+# would hide from the regular build.
 #
 # Usage: ci/sanitize.sh [build-dir-prefix]     (default: build-san)
 set -euo pipefail
@@ -23,13 +24,13 @@ run_pass() {
   local name="$1" sanitize="$2"
   local dir="${prefix}-${name}"
   echo "=== ${name}: configure (${sanitize}) ==="
-  cmake -B "${dir}" -S . -DPCPC_SANITIZE="${sanitize}" \
+  cmake -B "${dir}" -S . -DPCPC_SANITIZE="${sanitize}" -DPCPC_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   echo "=== ${name}: build ==="
   cmake --build "${dir}" -j "$(nproc)" \
     --target test_chaos_runtime test_fault_injection test_runtime \
              test_runtime_sharding test_fleet \
-             test_fuzz_pbpl test_elastic_buffer test_obs test_obs_ledger \
+             test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger \
              test_queue_differential test_queue_fuzz test_ipc_crash \
              test_obs_ipc chaos_demo live_threads
   echo "=== ${name}: test ==="

@@ -86,8 +86,8 @@ struct PbplConfig {
   OverflowPolicy overflow_policy = OverflowPolicy::Block;
 
   /// Which concurrent queue carries the producer→consumer hand-off in
-  /// both hosts: the seed's mutex-guarded elastic buffer, the Torquati
-  /// SPSC ring, or the Jiffy-style MPSC segment queue (see
+  /// both hosts: the Torquati SPSC ring under the host's lock (mutex) or
+  /// lock-free (spsc), or the Jiffy-style MPSC segment queue (see
   /// pcpc/queue/backend.hpp for the contracts).
   queue::BackendKind queue_backend = queue::BackendKind::Mutex;
 

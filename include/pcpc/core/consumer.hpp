@@ -9,16 +9,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "pcpc/common/latency_recorder.hpp"
 #include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/core_manager.hpp"
-#include "pcpc/core/latency_guard.hpp"
-#include "pcpc/core/rate_predictor.hpp"
+#include "pcpc/core/reservation_planner.hpp"
 #include "pcpc/fault/fault_injector.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::core {
@@ -60,10 +57,7 @@ class PbplConsumer final : public Invocable {
   ConsumerId id() const { return id_; }
   const ConsumerStats& stats() const { return stats_; }
   const queue::Handoff<SimTime>& buffer() const { return *buffer_; }
-  const RatePredictor& predictor() const { return *predictor_; }
-
-  /// The adaptive latency guard; present only when config.latency_guard.
-  const LatencyGuard* guard() const { return guard_ ? &*guard_ : nullptr; }
+  const RatePredictor& predictor() const { return planner_.predictor(); }
 
   /// Chaos harness hook: slow-handler faults inflate this consumer's
   /// virtual service time.  Null (the default) disables injection; the
@@ -92,11 +86,8 @@ class PbplConsumer final : public Invocable {
   queue::BufferPool<SimTime>& pool_;
   const PbplConfig& config_;
   std::unique_ptr<queue::Handoff<SimTime>> buffer_;
-  std::unique_ptr<RatePredictor> predictor_;
-  std::optional<LatencyGuard> guard_;
+  ReservationPlanner planner_;
   fault::FaultInjector* injector_ = nullptr;
-  SimTime last_invocation_ = 0;
-  std::size_t last_batch_ = 1;
   ConsumerStats stats_;
   /// Positional 1-in-N span sampling (the buffer carries timestamps
   /// only): admissions counted on produce, drained positions on invoke.

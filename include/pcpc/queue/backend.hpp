@@ -16,8 +16,9 @@ namespace pcpc::queue {
 
 /// Which concurrent queue carries items from producers to a consumer.
 enum class BackendKind : std::uint8_t {
-  /// The seed behaviour: an ElasticBuffer / BoundedBuffer guarded by the
-  /// host's own mutex.  Producers and the consumer serialize per item.
+  /// The SPSC ring below driven under the host's own mutex (any number of
+  /// producers, since the lock serializes them).  Producers and the
+  /// consumer serialize per item.
   Mutex = 0,
   /// Cache-line-padded wait-free SPSC ring with cached head/tail indices
   /// and optional batched index publication (Torquati).  One producer

@@ -2,30 +2,35 @@
 //
 // Both hosts (sim and thread) move items from producers to one consumer
 // through exactly one object per consumer.  Handoff is the small virtual
-// interface that lets that object be the seed's mutex-guarded
-// ElasticBuffer, the Torquati SPSC ring or the Jiffy-style MPSC queue
-// without the hosts caring which — while keeping the three behaviours the
-// paper's evaluation depends on:
+// interface that lets that object run any backend kind without the hosts
+// caring which — while keeping the three behaviours the paper's
+// evaluation depends on:
 //
 //   - *elastic capacity*: resize() moves whole pool segments between
-//     consumers (Section V-C), also for the lock-free backends, where the
-//     storage is fixed and only the logical admission bound moves;
+//     consumers (Section V-C); the storage is preallocated and only the
+//     logical admission bound moves;
 //   - *drop accounting*: every rejected push is counted, so the hosts'
 //     produced == consumed + dropped identities keep holding exactly;
 //   - *observability*: capacity changes emit obs::kQueueResize and feed
 //     the capacity_samples() average the figures report.
 //
+// One engine, RingHandoff, serves every kind: the Mutex kind is the
+// Torquati SPSC ring driven under the host's lock, SpscRing is the same
+// ring on its native one-producer contract, and MpscSeg is the
+// Jiffy-style segment queue.  Every kind therefore preallocates storage
+// for its max capacity up front — Bg on the pool path, so the ring kinds
+// hold pow2(Bg) slots per consumer.
+//
 // Locking contract: the interface itself is lock-agnostic.  For
-// BackendKind::Mutex the host must hold its own lock around every call
-// (the seed behaviour).  For the lock-free backends, try_push and
-// try_push_bulk are safe from producer threads without any lock (one
-// producer for SpscRing, any number for MpscSeg), while
-// try_pop/pop_bulk/resize/flush remain single-consumer operations the
-// host already serializes on its manager lock.  The
-// accessors (size/capacity/overflows/high_water) are safe anywhere but
-// only approximate while producers are live.  Pool segment accounting
-// inside resize() is NOT thread-safe — both hosts call resize() on the
-// same control path that already guards the pool.
+// BackendKind::Mutex the host must hold its own lock around every call.
+// For the lock-free backends, try_push and try_push_bulk are safe from
+// producer threads without any lock (one producer for SpscRing, any
+// number for MpscSeg), while try_pop/pop_bulk/resize remain
+// single-consumer operations the host already serializes on its manager
+// lock.  The accessors (size/capacity/overflows/high_water) are safe
+// anywhere but only approximate while producers are live.  Pool segment
+// accounting inside resize() is NOT thread-safe — both hosts call
+// resize() on the same control path that already guards the pool.
 #pragma once
 
 #include <algorithm>
@@ -36,12 +41,10 @@
 #include <span>
 #include <utility>
 
-#include "pcpc/common/assert.hpp"
 #include "pcpc/common/stats.hpp"
 #include "pcpc/obs/obs.hpp"
 #include "pcpc/queue/backend.hpp"
-#include "pcpc/queue/bounded_buffer.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
+#include "pcpc/queue/buffer_pool.hpp"
 #include "pcpc/queue/mpsc_queue.hpp"
 #include "pcpc/queue/placement.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
@@ -69,42 +72,19 @@ class Handoff {
 
   /// Producer side, volley form: accepts the longest prefix of `items`
   /// that fits and returns its length.  Each rejected item counts one
-  /// overflow, like `items.size() - n` single pushes would.  The lock-free
-  /// backends take the whole volley with O(1) shared-state updates (one
-  /// tail publication / one admission claim) instead of per-item ones.
-  virtual std::size_t try_push_bulk(std::span<const T> items) {
-    // Per-item fallback: every leftover item is still offered (and its
-    // reject counted) so the overflow accounting matches what
-    // items.size() single pushes would have recorded.  Capacity cannot
-    // grow mid-call, so acceptance stays a prefix.  The failing push
-    // that ended the prefix already counted item n's reject; offer the
-    // items after it so each of their rejects is counted exactly once.
-    std::size_t n = 0;
-    while (n < items.size() && try_push(items[n])) ++n;
-    for (std::size_t i = n + 1; i < items.size(); ++i) {
-      const bool stored = try_push(items[i]);
-      PCPC_ASSERT_MSG(!stored, "bulk push accepted out of prefix order");
-    }
-    return n;
-  }
+  /// overflow, like `items.size() - n` single pushes would, and the whole
+  /// volley costs O(1) shared-state updates (one tail publication / one
+  /// admission claim) instead of per-item ones.
+  virtual std::size_t try_push_bulk(std::span<const T> items) = 0;
 
   /// Consumer side; nullopt when nothing is visible.
   virtual std::optional<T> try_pop() = 0;
 
   /// Consumer side, bulk form: removes up to `out.size()` items in FIFO
   /// order and returns the count — the same item sequence repeated
-  /// try_pop would yield, minus the per-item virtual dispatch (and, on
-  /// the lock-free backends, with one shared-index publication per chunk
-  /// instead of per item).
-  virtual std::size_t pop_bulk(std::span<T> out) {
-    std::size_t n = 0;
-    while (n < out.size()) {
-      auto item = try_pop();
-      if (!item.has_value()) break;
-      out[n++] = std::move(*item);
-    }
-    return n;
-  }
+  /// try_pop would yield, with one shared-index publication per chunk
+  /// instead of per item.
+  virtual std::size_t pop_bulk(std::span<T> out) = 0;
 
   /// Consumer side: drains everything currently visible through `fn`
   /// (called once per item, FIFO order), chunking pop_bulk through a
@@ -121,10 +101,6 @@ class Handoff {
     }
   }
 
-  /// Consumer side: publish any batched pushes (SPSC publication
-  /// batching); no-op elsewhere.
-  virtual void flush() {}
-
   /// Consumer side: elastic resize toward `target` slots, clamped by the
   /// pool's free space (growth), the live fill level (shrink) and the
   /// backend's physical bound.  Returns the capacity actually set.
@@ -140,71 +116,40 @@ class Handoff {
   bool full() const { return size() >= capacity(); }
 };
 
-/// The seed path: an ElasticBuffer under the host's own lock.
-template <typename T>
-class ElasticHandoff final : public Handoff<T> {
- public:
-  ElasticHandoff(BufferPool<T>& pool, std::uint32_t consumer)
-      : consumer_(consumer), buffer_(pool.make_buffer()) {}
-
-  BackendKind kind() const override { return BackendKind::Mutex; }
-  bool lock_free() const override { return false; }
-
-  bool try_push(T value) override { return buffer_.push(std::move(value)); }
-  std::optional<T> try_pop() override { return buffer_.pop(); }
-
-  /// Devirtualized bulk pop: one virtual call per chunk, direct
-  /// ElasticBuffer::pop inside.
-  std::size_t pop_bulk(std::span<T> out) override {
-    std::size_t n = 0;
-    while (n < out.size()) {
-      auto item = buffer_.pop();
-      if (!item.has_value()) break;
-      out[n++] = std::move(*item);
-    }
-    return n;
-  }
-
-  std::size_t resize(std::size_t target) override {
-    const std::size_t old_cap = buffer_.capacity();
-    const std::size_t new_cap = buffer_.resize(target);
-    if (new_cap != old_cap) obs::note_queue_resize(consumer_, old_cap, new_cap);
-    return new_cap;
-  }
-
-  std::size_t size() const override { return buffer_.size(); }
-  std::size_t capacity() const override { return buffer_.capacity(); }
-  std::uint64_t overflows() const override { return buffer_.overflows(); }
-  std::size_t high_water() const override { return buffer_.high_water(); }
-  const OnlineStats& capacity_samples() const override {
-    return buffer_.capacity_samples();
-  }
-
- private:
-  std::uint32_t consumer_;
-  ElasticBuffer<T> buffer_;
-};
-
-/// Shared scaffolding of the two lock-free adapters: pool segment
-/// accounting (mirroring ElasticBuffer::resize's clamping), atomic
+/// The typed storage engine of every backend kind: `Queue` (SpscRing<T>
+/// or MpscSegQueue<T>) with pool segment accounting, atomic
 /// overflow/high-water tracking from concurrent producers, and the
-/// resize obs event.  `Queue` is SpscRing<T> or MpscSegQueue<T>.
-template <typename T, typename Queue>
-class LockFreeHandoff : public Handoff<T> {
+/// resize obs event.  Only the Mutex kind needs a host lock: its host
+/// drives the SPSC ring under that lock, producers included.
+template <typename T, typename Queue, BackendKind kKind>
+class RingHandoff final : public Handoff<T> {
  public:
-  bool lock_free() const override { return true; }
+  /// Pool-backed: starts at the consumer's B0 share, max capacity Bg.
+  /// `placement` selects where the queue's slot array lives (heap by
+  /// default; an OffsetSlots queue type takes a caller-placed region).
+  RingHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
+      : RingHandoff(pool, consumer, pool.grant_base_segments(), placement) {}
+
+  /// Standalone fixed-capacity (baseline host): no pool accounting.
+  RingHandoff(std::size_t capacity, std::uint32_t consumer)
+      : queue_(capacity, capacity, Placement{}), pool_(nullptr), consumer_(consumer) {}
+
+  ~RingHandoff() override {
+    if (pool_ != nullptr) pool_->return_segments(segments_);
+  }
+
+  RingHandoff(const RingHandoff&) = delete;
+  RingHandoff& operator=(const RingHandoff&) = delete;
+
+  BackendKind kind() const override { return kKind; }
+  bool lock_free() const override { return kKind != BackendKind::Mutex; }
 
   bool try_push(T value) override {
     if (!queue_.try_push(std::move(value))) {
       overflows_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    // Approximate high-water mark: size() sampled right after our push.
-    const std::size_t s = queue_.size();
-    std::size_t hw = high_water_.load(std::memory_order_relaxed);
-    while (s > hw &&
-           !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
-    }
+    note_fill();
     return true;
   }
 
@@ -213,13 +158,7 @@ class LockFreeHandoff : public Handoff<T> {
     if (n < items.size()) {
       overflows_.fetch_add(items.size() - n, std::memory_order_relaxed);
     }
-    if (n > 0) {
-      const std::size_t s = queue_.size();
-      std::size_t hw = high_water_.load(std::memory_order_relaxed);
-      while (s > hw &&
-             !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
-      }
-    }
+    if (n > 0) note_fill();
     return n;
   }
 
@@ -231,9 +170,13 @@ class LockFreeHandoff : public Handoff<T> {
     const std::size_t old_cap = queue_.capacity();
     std::size_t new_cap;
     if (pool_ != nullptr) {
-      // Same clamping as ElasticBuffer::resize, against a single size
-      // snapshot (producers may push concurrently; a snapshot taken once
-      // cannot strand capacity below what we decided to keep).
+      // Growth is limited by the pool's free space, shrinkage by the live
+      // items — both against ONE size snapshot (producers may push
+      // concurrently; a snapshot taken once cannot strand capacity below
+      // what we decided to keep).  This is the paper's
+      //   B_i = min(Bg − ΣB_q , r̂·Δt)  (upsizing)
+      //   B_i = r̂·Δt                   (downsizing)
+      // with both directions clamped to whole segments.
       const std::size_t seg = pool_->segment_size();
       const std::size_t live = queue_.size();
       const std::size_t min_slots = std::max<std::size_t>(live, 1);
@@ -267,16 +210,9 @@ class LockFreeHandoff : public Handoff<T> {
   }
   const OnlineStats& capacity_samples() const override { return capacity_samples_; }
 
-  ~LockFreeHandoff() override {
-    if (pool_ != nullptr) pool_->return_segments(segments_);
-  }
-
- protected:
-  /// Pool-backed: starts at the consumer's B0 share, max capacity Bg.
-  /// `placement` selects where the queue's slot array lives (heap by
-  /// default; an OffsetSlots queue type takes a caller-placed region).
-  LockFreeHandoff(BufferPool<T>& pool, std::uint32_t consumer,
-                  std::size_t base_segments, Placement placement = {})
+ private:
+  RingHandoff(BufferPool<T>& pool, std::uint32_t consumer, std::size_t base_segments,
+              Placement placement)
       : queue_(base_segments * pool.segment_size(),
                std::max(pool.total_slots(), base_segments * pool.segment_size()),
                placement),
@@ -284,13 +220,16 @@ class LockFreeHandoff : public Handoff<T> {
         consumer_(consumer),
         segments_(base_segments) {}
 
-  /// Standalone fixed-capacity (baseline host): no pool accounting.
-  LockFreeHandoff(std::size_t capacity, std::uint32_t consumer)
-      : queue_(capacity, capacity, Placement{}), pool_(nullptr), consumer_(consumer) {}
+  /// High-water mark: size() sampled right after an accepted push (exact
+  /// under the Mutex kind's host lock, approximate otherwise).
+  void note_fill() {
+    const std::size_t s = queue_.size();
+    std::size_t hw = high_water_.load(std::memory_order_relaxed);
+    while (s > hw && !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
+    }
+  }
 
   Queue queue_;
-
- private:
   BufferPool<T>* pool_;
   std::uint32_t consumer_;
   std::size_t segments_ = 0;
@@ -299,82 +238,33 @@ class LockFreeHandoff : public Handoff<T> {
   OnlineStats capacity_samples_;
 };
 
-template <typename T, template <typename> class SlotsTmpl = HeapSlots>
-class SpscHandoff final : public LockFreeHandoff<T, SpscRing<T, SlotsTmpl>> {
-  using Base = LockFreeHandoff<T, SpscRing<T, SlotsTmpl>>;
+template <typename T, template <typename> class Slots = HeapSlots>
+using MutexHandoff = RingHandoff<T, SpscRing<T, Slots>, BackendKind::Mutex>;
+template <typename T, template <typename> class Slots = HeapSlots>
+using SpscHandoff = RingHandoff<T, SpscRing<T, Slots>, BackendKind::SpscRing>;
+template <typename T, template <typename> class Slots = HeapSlots>
+using MpscHandoff = RingHandoff<T, MpscSegQueue<T, 64, Slots>, BackendKind::MpscSeg>;
 
- public:
-  SpscHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
-      : Base(pool, consumer, pool.grant_base_segments(), placement) {}
-  SpscHandoff(std::size_t capacity, std::uint32_t consumer)
-      : Base(capacity, consumer) {}
-
-  BackendKind kind() const override { return BackendKind::SpscRing; }
-  void flush() override { this->queue_.flush(); }
-};
-
-template <typename T, template <typename> class SlotsTmpl = HeapSlots>
-class MpscHandoff final
-    : public LockFreeHandoff<T, MpscSegQueue<T, 64, SlotsTmpl>> {
-  using Base = LockFreeHandoff<T, MpscSegQueue<T, 64, SlotsTmpl>>;
-
- public:
-  MpscHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
-      : Base(pool, consumer, pool.grant_base_segments(), placement) {}
-  MpscHandoff(std::size_t capacity, std::uint32_t consumer)
-      : Base(capacity, consumer) {}
-
-  BackendKind kind() const override { return BackendKind::MpscSeg; }
-};
-
-/// Standalone mutex-backend hand-off for hosts without a pool (the
-/// baselines): a fixed-capacity BoundedBuffer under the host's lock.
-template <typename T>
-class BoundedHandoff final : public Handoff<T> {
- public:
-  explicit BoundedHandoff(std::size_t capacity) : buffer_(capacity) {}
-
-  BackendKind kind() const override { return BackendKind::Mutex; }
-  bool lock_free() const override { return false; }
-
-  bool try_push(T value) override { return buffer_.push(std::move(value)); }
-  std::optional<T> try_pop() override { return buffer_.pop(); }
-
-  /// Devirtualized bulk pop over the ring (see ElasticHandoff).
-  std::size_t pop_bulk(std::span<T> out) override {
-    std::size_t n = 0;
-    while (n < out.size()) {
-      auto item = buffer_.pop();
-      if (!item.has_value()) break;
-      out[n++] = std::move(*item);
-    }
-    return n;
+/// Builds the `kind` hand-off over `Slots` storage from RingHandoff
+/// constructor arguments.
+template <typename T, template <typename> class Slots, typename... Args>
+std::unique_ptr<Handoff<T>> make_ring_handoff(BackendKind kind, Args&&... args) {
+  switch (kind) {
+    case BackendKind::Mutex:
+      return std::make_unique<MutexHandoff<T, Slots>>(std::forward<Args>(args)...);
+    case BackendKind::SpscRing:
+      return std::make_unique<SpscHandoff<T, Slots>>(std::forward<Args>(args)...);
+    case BackendKind::MpscSeg:
+      return std::make_unique<MpscHandoff<T, Slots>>(std::forward<Args>(args)...);
   }
-
-  /// Fixed capacity: resize is a no-op reporting the unchanged bound.
-  std::size_t resize(std::size_t) override { return buffer_.capacity(); }
-
-  std::size_t size() const override { return buffer_.size(); }
-  std::size_t capacity() const override { return buffer_.capacity(); }
-  std::uint64_t overflows() const override { return buffer_.overflows(); }
-  std::size_t high_water() const override { return buffer_.high_water(); }
-  const OnlineStats& capacity_samples() const override { return capacity_samples_; }
-
- private:
-  BoundedBuffer<T> buffer_;
-  OnlineStats capacity_samples_;  ///< stays empty; capacity never moves
-};
+  return nullptr;
+}
 
 /// Pool-backed hand-off for the elastic hosts (PBPL sim + thread).
 template <typename T>
 std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool<T>& pool,
                                               std::uint32_t consumer) {
-  switch (kind) {
-    case BackendKind::Mutex: return std::make_unique<ElasticHandoff<T>>(pool, consumer);
-    case BackendKind::SpscRing: return std::make_unique<SpscHandoff<T>>(pool, consumer);
-    case BackendKind::MpscSeg: return std::make_unique<MpscHandoff<T>>(pool, consumer);
-  }
-  return nullptr;
+  return make_ring_handoff<T, HeapSlots>(kind, pool, consumer);
 }
 
 /// Worst-case slot-array bytes a placed pool hand-off may need for this
@@ -383,46 +273,26 @@ std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool<T>& p
 template <typename T>
 std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool<T>& pool) {
   const std::size_t max_cap = pool.total_slots() + pool.segment_size();
-  switch (kind) {
-    case BackendKind::Mutex: return 0;  // deque storage cannot be placed
-    case BackendKind::SpscRing: return SpscRing<T>::placement_bytes(max_cap);
-    case BackendKind::MpscSeg: return MpscSegQueue<T>::placement_bytes(max_cap);
-  }
-  return 0;
+  return kind == BackendKind::MpscSeg ? MpscSegQueue<T>::placement_bytes(max_cap)
+                                      : SpscRing<T>::placement_bytes(max_cap);
 }
 
 /// Pool-backed hand-off whose slot array lives in a caller-placed region
-/// (e.g. a shared-memory mapping) instead of the heap — the placement-
-/// agnostic face of the lock-free backends.  Size the region with
-/// placed_handoff_bytes().  Mutex has no placed variant (deque storage);
-/// callers get nullptr and should fall back to make_pool_handoff.
+/// (e.g. a shared-memory mapping) instead of the heap.  Size the region
+/// with placed_handoff_bytes().
 template <typename T>
 std::unique_ptr<Handoff<T>> make_placed_pool_handoff(BackendKind kind,
                                                      BufferPool<T>& pool,
                                                      std::uint32_t consumer,
                                                      Placement placement) {
-  switch (kind) {
-    case BackendKind::Mutex: return nullptr;
-    case BackendKind::SpscRing:
-      return std::make_unique<SpscHandoff<T, OffsetSlots>>(pool, consumer, placement);
-    case BackendKind::MpscSeg:
-      return std::make_unique<MpscHandoff<T, OffsetSlots>>(pool, consumer, placement);
-  }
-  return nullptr;
+  return make_ring_handoff<T, OffsetSlots>(kind, pool, consumer, placement);
 }
 
 /// Fixed-capacity hand-off for the baseline host.
 template <typename T>
 std::unique_ptr<Handoff<T>> make_handoff(BackendKind kind, std::size_t capacity,
                                          std::uint32_t consumer = 0) {
-  switch (kind) {
-    case BackendKind::Mutex: return std::make_unique<BoundedHandoff<T>>(capacity);
-    case BackendKind::SpscRing:
-      return std::make_unique<SpscHandoff<T>>(capacity, consumer);
-    case BackendKind::MpscSeg:
-      return std::make_unique<MpscHandoff<T>>(capacity, consumer);
-  }
-  return nullptr;
+  return make_ring_handoff<T, HeapSlots>(kind, capacity, consumer);
 }
 
 // ---------------------------------------------------------------------------

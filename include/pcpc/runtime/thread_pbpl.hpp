@@ -8,12 +8,16 @@
 // push from their own threads; a full buffer first borrows pool segments
 // and only then falls back to the configured overflow policy.
 //
-// The decision logic (SlotTrack, ReservationTable, choose_slot, the
-// predictors, the elastic pool) is byte-for-byte the same code the
-// simulation host runs — this file only supplies the threading shell,
-// plus the overload hardening the simulation host cannot exercise:
-// configurable overflow policies, a per-core deadline watchdog, the
-// live LatencyGuard, and pcpc::fault injection hooks.
+// The decision logic is the same object the simulation host runs: each
+// consumer holds one core::ReservationPlanner (predictor, latency guard,
+// slot choice, resize target) over the shared SlotTrack, ReservationTable
+// and buffer pool.  This file only supplies the threading shell — the
+// capacity the planner may plan for, the resize grant, the booking and
+// the manager wake — plus the overload hardening the simulation host
+// cannot exercise: configurable overflow policies, a per-core deadline
+// watchdog, and pcpc::fault injection hooks.  Every backend kind stores
+// items in a preallocated ring (queue/handoff.hpp); the mutex kind is
+// the SPSC ring driven under the owning core's lock.
 //
 // Sharding (Section V-B: one core manager per core, disjoint consumer
 // sets): every Core owns its mutex, its condition variables, its
@@ -45,13 +49,11 @@
 #include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/cost.hpp"
-#include "pcpc/core/latency_guard.hpp"
-#include "pcpc/core/rate_predictor.hpp"
 #include "pcpc/core/reservation.hpp"
+#include "pcpc/core/reservation_planner.hpp"
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/fault/fault_injector.hpp"
 #include "pcpc/fleet/controller.hpp"
-#include "pcpc/queue/elastic_buffer.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::runtime {
@@ -253,6 +255,8 @@ class ThreadPbpl {
   struct Core;
 
   struct Consumer {
+    explicit Consumer(const core::PbplConfig& config) : planner(config) {}
+
     std::size_t index = 0;
     /// Owning core.  Atomic because fleet migration retargets it while
     /// producers read it lock-free: a producer entering the slow path
@@ -270,10 +274,9 @@ class ThreadPbpl {
     /// views pin the ring's released cursor, and release must stay on
     /// the manager that claimed them).
     bool var_inflight = false;
-    std::unique_ptr<core::RatePredictor> predictor;
-    std::optional<core::LatencyGuard> guard;  // live latency feedback
-    SimTime last_invocation = 0;
-    std::size_t last_batch = 1;
+    /// Predictor, live latency guard and resize floor (guarded by the
+    /// owning core's lock, like everything the manager touches).
+    core::ReservationPlanner planner;
     std::uint64_t overflow_requests = 0;  // pending forced drains (0 or 1)
     /// Sampled item-lifecycle spans (positional 1-in-N): producers claim
     /// admission sequence numbers here; the manager counts drained

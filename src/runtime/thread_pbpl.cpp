@@ -1,7 +1,6 @@
 #include "pcpc/runtime/thread_pbpl.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -73,7 +72,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
   record_budget_ = static_cast<std::size_t>(
       queue::var_record_bytes(config.payload_max_bytes + kStampBytes));
   for (std::size_t i = 0; i < consumers; ++i) {
-    auto consumer = std::make_unique<Consumer>();
+    auto consumer = std::make_unique<Consumer>(config_);
     consumer->index = i;
     Core* home = cores_[i % cores_.size()].get();
     consumer->core.store(home, std::memory_order_relaxed);
@@ -92,8 +91,6 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
           config.queue_backend, base, base * consumers,
           static_cast<std::uint32_t>(config.payload_max_bytes + kStampBytes));
     }
-    consumer->predictor = core::make_predictor(config.predictor, config.predictor_window);
-    if (config.latency_guard) consumer->guard.emplace(config.max_latency);
     home->consumers.push_back(consumer.get());
     consumers_.push_back(std::move(consumer));
   }
@@ -118,7 +115,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
     std::unique_lock lock(core->mutex);
     const SimTime now = now_ns();
     for (Consumer* consumer : core->consumers) {
-      consumer->last_invocation = now;
+      consumer->planner.start(now);
       make_reservation_locked(*core, *consumer, now);
     }
   }
@@ -926,8 +923,7 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
                    static_cast<std::uint32_t>(consumer.index), slot, paid, scheduled,
                    now);
   const auto drained_at = Clock::now();
-  const std::uint64_t violations_before =
-      consumer.guard ? consumer.guard->violations() : 0;
+  const std::uint64_t violations_before = consumer.planner.latency_violations();
   // Positional span sampling, consumer side: count drained positions and
   // reconstruct the sampled producer ids.  The drain-start stamp shares
   // `now` with the note_wakeup above, so the fold's wake join (inclusive
@@ -939,10 +935,8 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
   const std::size_t batch = consumer.buffer->drain([&](Clock::time_point stamp) {
     const auto latency = drained_at - stamp;
     core.stats.latency_s.add(std::chrono::duration<double>(latency).count());
-    if (consumer.guard) {
-      consumer.guard->observe(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
-    }
+    consumer.planner.observe_latency(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
     if (span_every != 0) {
       const std::uint64_t seq = consumer.span_drain_seq++;
       if (seq % span_every == 0) {
@@ -962,10 +956,8 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
       PCPC_ASSERT_MSG(view->size >= kStampBytes, "runtime record below stamp size");
       const auto latency = drained_at - record_stamp(view->data);
       core.stats.latency_s.add(std::chrono::duration<double>(latency).count());
-      if (consumer.guard) {
-        consumer.guard->observe(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
-      }
+      consumer.planner.observe_latency(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
       if (span_every != 0) {
         const std::uint64_t seq = consumer.span_drain_seq++;
         if (seq % span_every == 0) {
@@ -984,23 +976,14 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
                          static_cast<std::uint16_t>(core.index), id,
                          obs::ItemStage::kDrainStart, now);
   }
-  if (consumer.guard) {
-    consumer.guard->end_batch();
-    core.stats.latency_violations += consumer.guard->violations() - violations_before;
-  }
+  consumer.planner.observe_batch(now, total);
+  core.stats.latency_violations += consumer.planner.latency_violations() - violations_before;
   core.stats.items += total;
   core.stats.consumed_bytes += record_payload;
   core.stats.batch_sizes.add(static_cast<double>(total));
   ++core.stats.invocations;
-  if (total > 0) consumer.last_batch = total;
   // Lock-free view for the fleet thread's rate measurement.
   consumer.drained_items.fetch_add(total, std::memory_order_relaxed);
-
-  if (now > consumer.last_invocation) {
-    consumer.predictor->observe(static_cast<double>(total) /
-                                to_seconds(now - consumer.last_invocation));
-    consumer.last_invocation = now;
-  }
 
   make_reservation_locked(core, consumer, now);
   core.pending.push_back({&consumer, total, slot, now, drained_at, std::move(sampled),
@@ -1063,7 +1046,6 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
 }
 
 void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime now) {
-  const double rate = consumer.predictor->predict();
   // With the varlen plane armed, records ARE the items the control
   // plane schedules around: translate the ring's byte capacity into
   // worst-case records (the budget covers payload_max plus the stamp).
@@ -1074,43 +1056,18 @@ void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime
     capacity = consumer.buffer->capacity();
     if (config_.dynamic_resize) capacity += pool_.free_slots();
   }
-  capacity = std::max<std::size_t>(capacity, 1);
-
-  core::SlotQuery query{now, rate, capacity, config_.max_latency,
-                        config_.fill_tolerance};
-  if (consumer.guard) {
-    // Live latency feedback (mirrors the simulation host): a violated
-    // batch shrinks both the fill horizon and the zero-rate poll horizon
-    // so overload tightens reservations instead of breaking the bound.
-    const double scale = consumer.guard->horizon_scale();
-    query.fill_tolerance *= scale;
-    query.max_latency = std::max<SimDuration>(
-        config_.resolved_slot_size(),
-        static_cast<SimDuration>(static_cast<double>(config_.max_latency) * scale));
-  }
-  core::SlotChoice choice =
-      config_.latching ? core::choose_slot(track_, core.reservations, query, config_.costs)
-                       : core::fill_slot(track_, query, config_.costs);
-
-  if (config_.dynamic_resize && choice.expected_items > 0.0) {
-    const auto target = static_cast<std::size_t>(
-        std::ceil(choice.expected_items * config_.resize_headroom));
-    const std::size_t want = std::max<std::size_t>(target, consumer.last_batch);
-    const std::size_t granted =
-        consumer.var != nullptr
-            ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
-            : consumer.buffer->resize(want);
-    if (static_cast<double>(granted) < choice.expected_items) {
-      query.buffer_capacity = granted;
-      choice = config_.latching
-                   ? core::choose_slot(track_, core.reservations, query, config_.costs)
-                   : core::fill_slot(track_, query, config_.costs);
-    }
-  }
-
+  const core::SlotChoice choice = consumer.planner.plan(
+      now, track_, core.reservations, capacity, [&](std::size_t want) {
+        return consumer.var != nullptr
+                   ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
+                   : consumer.buffer->resize(want);
+      });
   core.reservations.reserve(static_cast<core::ConsumerId>(consumer.index), choice.slot);
   ++core.stats.reservations;
   if (choice.latched) ++core.stats.latched_reservations;
+  obs::note_reservation(static_cast<std::uint16_t>(core.index),
+                        static_cast<std::uint32_t>(consumer.index), choice.slot,
+                        choice.latched, now);
   // A new earliest reservation must re-target the manager's wait.
   core.cv.notify_all();
 }

@@ -2,8 +2,15 @@
 // dynamic resizing and the overflow path (Section V-C).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "pcpc/core/consumer.hpp"
 #include "pcpc/core/pbpl_system.hpp"
+#include "pcpc/obs/obs.hpp"
+#include "pcpc/sim/replay.hpp"
+#include "pcpc/trace/webserver_log.hpp"
 
 namespace pcpc::core {
 namespace {
@@ -151,6 +158,122 @@ TEST_F(ConsumerFixture, TwoConsumersOnOneCoreLatch) {
   EXPECT_EQ(result.items, 4000u);
   // Latching means fewer core activations than total invocations.
   EXPECT_LT(result.scheduled_wakeups, result.invocations);
+}
+
+/// FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (word >> (8 * byte)) & 0xffu;
+      value *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Replays five phase-shifted seeded web traces through the sim host
+/// under an obs session and folds every reservation (consumer, slot,
+/// latched, ts) and every queue resize (consumer, old and new capacity)
+/// into one digest, in the order the decisions were made.
+std::uint64_t decision_digest(bool latching, bool dynamic_resize, bool latency_guard,
+                              queue::BackendKind backend) {
+  PbplConfig config;
+  config.cores = 2;
+  config.slot_size = milliseconds(5);
+  config.max_latency = milliseconds(20);
+  config.base_buffer = 16;
+  config.pool_segment = 4;
+  config.latching = latching;
+  config.dynamic_resize = dynamic_resize;
+  config.latency_guard = latency_guard;
+  config.queue_backend = backend;
+
+  trace::WebWorkloadParams workload;
+  workload.duration = seconds(3);
+  workload.base_rate_hz = 1500.0;
+  workload.diurnal_period = seconds(2);
+  workload.bursts_per_minute = 30.0;
+  workload.mean_burst_duration = milliseconds(200);
+  workload.seed = 0xdec1de;
+  const auto traces = trace::make_shifted_workloads(workload, 5);
+
+  sim::Simulator simulator;
+  obs::SessionOptions options;
+  options.ring_capacity = 1u << 18;
+  obs::Session session(options);
+  // Resize events take the session clock: pin it to virtual time so the
+  // fold order is the decision order, not a wall-clock interleaving.
+  session.set_clock([&simulator] { return simulator.now(); });
+  PbplSystem system(simulator, traces.size(), config);
+  system.start();
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    PbplConsumer& consumer = system.consumer(i);
+    sim::replay(simulator, traces[i].timestamps(), workload.duration,
+                [&consumer](SimTime t) { consumer.produce(t); });
+  }
+  simulator.run_until(workload.duration);
+  (void)system.finish(workload.duration);
+
+  EXPECT_EQ(session.ring_dropped(), 0u);
+  Digest digest;
+  std::uint64_t reservations = 0;
+  std::uint64_t resizes = 0;
+  for (const obs::Event& event : session.events()) {
+    if (event.kind == obs::EventKind::kReservation) {
+      ++reservations;
+      digest.add(event.consumer);
+      digest.add(static_cast<std::uint64_t>(event.arg0));
+      digest.add(static_cast<std::uint64_t>(event.arg1));
+      digest.add(static_cast<std::uint64_t>(event.ts_ns));
+    } else if (event.kind == obs::EventKind::kQueueResize) {
+      ++resizes;
+      digest.add(event.consumer);
+      digest.add(static_cast<std::uint64_t>(event.arg0));
+      digest.add(static_cast<std::uint64_t>(event.arg1));
+    }
+  }
+  EXPECT_GT(reservations, 0u);
+  // Bg = B0·M is fully lent out at start, so capacity only moves once
+  // dynamic resizing frees pool space.
+  if (dynamic_resize) {
+    EXPECT_GT(resizes, 0u);
+  }
+  return digest.value;
+}
+
+TEST(DecisionTrajectory, SimHostReplaysTheRecordedDecisions) {
+  // The reservation and resize trajectory of the sim host, pinned for
+  // every latching × dynamic_resize × latency_guard combination.  The
+  // digests were recorded from the two per-host copies of the decision
+  // that preceded core::ReservationPlanner; every backend kind must
+  // reproduce them, since the sim host's decisions never depend on the
+  // queue engine.
+  struct Case {
+    bool latching;
+    bool dynamic_resize;
+    bool latency_guard;
+    std::uint64_t digest;
+  };
+  const Case kCases[] = {
+      {false, false, false, 0x1b353e5a13ee5e7eull},
+      {false, false, true, 0x155bf1a3afd1fa03ull},
+      {false, true, false, 0x5118c8454e124e90ull},
+      {false, true, true, 0x915594da1057cdb5ull},
+      {true, false, false, 0x1d64c66784d902d5ull},
+      {true, false, true, 0xd605a62caa80461dull},
+      {true, true, false, 0x4f63c58c0ff9506cull},
+      {true, true, true, 0x7ec8cd8075f86736ull},
+  };
+  for (const Case& c : kCases) {
+    for (const auto backend : queue::kAllBackends) {
+      SCOPED_TRACE(std::string("latching=") + (c.latching ? "1" : "0") +
+                   " dynamic_resize=" + (c.dynamic_resize ? "1" : "0") +
+                   " latency_guard=" + (c.latency_guard ? "1" : "0") + " backend=" +
+                   queue::backend_name(backend));
+      EXPECT_EQ(decision_digest(c.latching, c.dynamic_resize, c.latency_guard, backend),
+                c.digest);
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Tests for RingBuffer, MovingAverage, BoundedBuffer and the report
-// formatting utilities (Table / CsvWriter).
+// Tests for RingBuffer, MovingAverage, the fixed-capacity Mutex hand-off
+// the thread baselines buffer through, and the report formatting
+// utilities (Table / CsvWriter).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +13,7 @@
 #include "pcpc/common/ring_buffer.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/common/table.hpp"
-#include "pcpc/queue/bounded_buffer.hpp"
+#include "pcpc/queue/handoff.hpp"
 
 namespace pcpc {
 namespace {
@@ -118,25 +119,25 @@ TEST(MovingAverage, Reset) {
 }
 
 TEST(BoundedBuffer, CountsOverflows) {
-  queue::BoundedBuffer<int> buffer(2);
-  EXPECT_TRUE(buffer.push(1));
-  EXPECT_TRUE(buffer.push(2));
-  EXPECT_FALSE(buffer.push(3));
-  EXPECT_FALSE(buffer.push(4));
-  EXPECT_EQ(buffer.overflows(), 2u);
-  EXPECT_EQ(buffer.size(), 2u);
+  auto buffer = queue::make_handoff<int>(queue::BackendKind::Mutex, 2);
+  EXPECT_TRUE(buffer->try_push(1));
+  EXPECT_TRUE(buffer->try_push(2));
+  EXPECT_FALSE(buffer->try_push(3));
+  EXPECT_FALSE(buffer->try_push(4));
+  EXPECT_EQ(buffer->overflows(), 2u);
+  EXPECT_EQ(buffer->size(), 2u);
 }
 
 TEST(BoundedBuffer, HighWaterMark) {
-  queue::BoundedBuffer<int> buffer(8);
-  buffer.push(1);
-  buffer.push(2);
-  buffer.push(3);
-  buffer.pop();
-  buffer.pop();
-  EXPECT_EQ(buffer.high_water(), 3u);
-  buffer.push(4);
-  EXPECT_EQ(buffer.high_water(), 3u);
+  auto buffer = queue::make_handoff<int>(queue::BackendKind::Mutex, 8);
+  buffer->try_push(1);
+  buffer->try_push(2);
+  buffer->try_push(3);
+  buffer->try_pop();
+  buffer->try_pop();
+  EXPECT_EQ(buffer->high_water(), 3u);
+  buffer->try_push(4);
+  EXPECT_EQ(buffer->high_water(), 3u);
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -123,7 +123,7 @@ TEST(WakeupLedger, WakeGroupsCarryAtMostOnePaidInvocation) {
   for (const auto& event : session.events()) {
     if (event.kind != obs::EventKind::kWakeup) continue;
     ++wakeup_events;
-    paid_per_group[{event.core, event.ts_ns}] += event.paid() ? 1 : 0;
+    paid_per_group[{event.core, event.ts_ns}] += event.paid() ? 1u : 0u;
   }
   ASSERT_GT(wakeup_events, 0u);
   // No ring drops: every wakeup made it into the trace, so the group
@@ -203,6 +203,29 @@ TEST(WakeupLedger, ThreadHostAttributionIsConsistent) {
   // Each ledger record is one consumer invocation; the stop()-drain of
   // leftovers is the only invocation path outside a manager wakeup.
   EXPECT_LE(paid + free, stats.invocations);
+}
+
+TEST(WakeupLedger, ThreadHostRecordsEveryReservation) {
+  // Both hosts emit a reservation event per booking, so the registry's
+  // reservation counters must match the thread host's own stats exactly,
+  // latched ones included.
+  obs::Session session;
+  runtime::ThreadPbplStats stats;
+  {
+    runtime::ThreadPbpl runtime(4, small_config());
+    for (int round = 0; round < 100; ++round) {
+      for (std::size_t consumer = 0; consumer < 4; ++consumer) runtime.produce(consumer);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    runtime.stop();
+    stats = runtime.stats();
+  }
+  EXPECT_GT(stats.reservations, 0u);
+  const auto snapshot = session.registry().collect();
+  EXPECT_EQ(snapshot.counter_value("consumer.reservations"), stats.reservations);
+  EXPECT_EQ(snapshot.counter_value("consumer.latched_reservations"),
+            stats.latched_reservations);
 }
 
 TEST(WakeupLedger, BaselinesPayEveryWakeup) {

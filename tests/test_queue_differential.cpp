@@ -5,7 +5,10 @@
 // Handoff interface: same admission decisions, same elastic-capacity
 // clamping against the pool, same drop accounting.  So the strongest test
 // is differential — drive every backend through an identical seeded
-// workload and demand bit-identical outcomes, not merely plausible ones:
+// workload and demand outcomes bit-identical to an independent reference
+// (ReferenceHandoff below: a deque behind whole pool segments, the
+// paper's elastic buffer stated as plainly as possible), not merely
+// plausible ones:
 //
 //   - the consumed item sequence (FIFO order, not just the multiset),
 //   - the sequence of dropped item values, per overflow policy,
@@ -20,7 +23,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -55,6 +60,85 @@ const char* policy_name(OverflowPolicy policy) {
   }
   return "?";
 }
+
+/// The reference semantics all three kinds are diffed against: items in a
+/// deque, capacity a whole number of pool segments (Section V-C), growth
+/// limited by the pool's free space and shrinkage by the live items.  No
+/// ring, no atomics and no physical bound — nothing the backends share.
+class ReferenceHandoff final : public Handoff<std::uint64_t> {
+ public:
+  explicit ReferenceHandoff(BufferPool<std::uint64_t>& pool)
+      : pool_(pool), segments_(pool.grant_base_segments()) {}
+  ~ReferenceHandoff() override { pool_.return_segments(segments_); }
+
+  ReferenceHandoff(const ReferenceHandoff&) = delete;
+  ReferenceHandoff& operator=(const ReferenceHandoff&) = delete;
+
+  BackendKind kind() const override { return BackendKind::Mutex; }
+  bool lock_free() const override { return false; }
+
+  bool try_push(std::uint64_t value) override {
+    if (items_.size() >= capacity()) {
+      ++overflows_;
+      return false;
+    }
+    items_.push_back(value);
+    high_water_ = std::max(high_water_, items_.size());
+    return true;
+  }
+
+  std::size_t try_push_bulk(std::span<const std::uint64_t> items) override {
+    std::size_t n = 0;
+    for (const std::uint64_t item : items) n += try_push(item) ? 1u : 0u;
+    return n;
+  }
+
+  std::optional<std::uint64_t> try_pop() override {
+    if (items_.empty()) return std::nullopt;
+    const std::uint64_t value = items_.front();
+    items_.pop_front();
+    return value;
+  }
+
+  std::size_t pop_bulk(std::span<std::uint64_t> out) override {
+    std::size_t n = 0;
+    while (n < out.size()) {
+      auto item = try_pop();
+      if (!item) break;
+      out[n++] = *item;
+    }
+    return n;
+  }
+
+  std::size_t resize(std::size_t target) override {
+    const std::size_t seg = pool_.segment_size();
+    const std::size_t want_slots =
+        std::max({target, items_.size(), static_cast<std::size_t>(1)});
+    const std::size_t want_segments = (want_slots + seg - 1) / seg;
+    if (want_segments > segments_) {
+      segments_ += pool_.grant_segments(want_segments - segments_);
+    } else if (want_segments < segments_) {
+      pool_.return_segments(segments_ - want_segments);
+      segments_ = want_segments;
+    }
+    capacity_samples_.add(static_cast<double>(capacity()));
+    return capacity();
+  }
+
+  std::size_t size() const override { return items_.size(); }
+  std::size_t capacity() const override { return segments_ * pool_.segment_size(); }
+  std::uint64_t overflows() const override { return overflows_; }
+  std::size_t high_water() const override { return high_water_; }
+  const OnlineStats& capacity_samples() const override { return capacity_samples_; }
+
+ private:
+  BufferPool<std::uint64_t>& pool_;
+  std::size_t segments_;
+  std::deque<std::uint64_t> items_;
+  std::uint64_t overflows_ = 0;
+  std::size_t high_water_ = 0;
+  OnlineStats capacity_samples_;
+};
 
 /// Everything observable about one driver run; two backends agree iff
 /// these compare equal field by field.
@@ -136,7 +220,9 @@ void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
       queue->resize(1 + static_cast<std::size_t>(rng.next_below(64)));
       out.capacities.push_back(queue->capacity());
     } else {
-      queue->flush();  // SPSC publication batching; no-op elsewhere
+      // Every shrink is clamped at the live items, so no kind may ever
+      // hold more than its capacity.
+      ASSERT_LE(queue->size(), queue->capacity());
     }
   }
 
@@ -144,15 +230,29 @@ void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
   EXPECT_EQ(queue->overflows(), out.rejected_pushes);
 }
 
-/// Heap-placed run: two consumers' worth of pool so there is headroom to
-/// borrow, but only one hand-off — the second share is the free pool the
-/// elastic wall moves against.
+/// Two consumers' worth of pool so there is headroom to borrow, but only
+/// one hand-off — the second share is the free pool the elastic wall
+/// moves against.
+BufferPool<std::uint64_t> driver_pool() {
+  return BufferPool<std::uint64_t>(/*consumers=*/2, /*base_capacity=*/24,
+                                   /*segment_size=*/8);
+}
+
+/// Heap-placed run of one backend kind.
 Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
-  BufferPool<std::uint64_t> pool(/*consumers=*/2, /*base_capacity=*/24,
-                                 /*segment_size=*/8);
+  BufferPool<std::uint64_t> pool = driver_pool();
   auto queue = make_pool_handoff<std::uint64_t>(kind, pool, /*consumer=*/0);
   Outcome out;
   drive_handoff(*queue, policy, seed, out);
+  return out;
+}
+
+/// The same run against the reference semantics.
+Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
+  BufferPool<std::uint64_t> pool = driver_pool();
+  ReferenceHandoff queue(pool);
+  Outcome out;
+  drive_handoff(queue, policy, seed, out);
   return out;
 }
 
@@ -161,8 +261,7 @@ Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
 /// storage the pcpc::ipc host uses.  Placement must be semantically
 /// invisible: heap and shm runs must produce bit-identical outcomes.
 Outcome drive_in_shm(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
-  BufferPool<std::uint64_t> pool(/*consumers=*/2, /*base_capacity=*/24,
-                                 /*segment_size=*/8);
+  BufferPool<std::uint64_t> pool = driver_pool();
   const std::size_t bytes = placed_handoff_bytes(kind, pool);
   const std::string name =
       "/pcpc_diff_" + std::to_string(::getpid()) + "_" + std::to_string(seed);
@@ -195,15 +294,14 @@ TEST(QueueDifferential, BackendsAgreeUnderEveryPolicy) {
   const std::uint64_t kSeeds[] = {1, 42, 0xdecafbadULL, 987654321};
   for (const auto policy : kPolicies) {
     for (const std::uint64_t seed : kSeeds) {
-      const Outcome reference = drive(BackendKind::Mutex, policy, seed);
+      const Outcome reference = drive_reference(policy, seed);
       // Conservation holds on the reference run itself.
       EXPECT_EQ(reference.produced, reference.consumed.size() +
                                         reference.dropped.size() +
                                         reference.residue.size());
       for (const auto kind : kBackends) {
-        if (kind == BackendKind::Mutex) continue;
         std::ostringstream label;
-        label << backend_name(kind) << " vs mutex, " << policy_name(policy)
+        label << backend_name(kind) << " vs reference, " << policy_name(policy)
               << ", seed " << seed;
         expect_same(reference, drive(kind, policy, seed), label.str());
       }
@@ -212,9 +310,8 @@ TEST(QueueDifferential, BackendsAgreeUnderEveryPolicy) {
 }
 
 TEST(QueueDifferential, HeapAndShmPlacementsAgreeBitForBit) {
-  // Mutex is excluded by design: deque storage has no placed variant.
   const std::uint64_t kSeeds[] = {3, 0xfeedULL, 271828};
-  for (const auto kind : {BackendKind::SpscRing, BackendKind::MpscSeg}) {
+  for (const auto kind : kBackends) {
     for (const auto policy : kPolicies) {
       for (const std::uint64_t seed : kSeeds) {
         std::ostringstream label;
