@@ -3,15 +3,14 @@
 // Forks real producer processes against an in-process consumer on one
 // pcpc::ipc channel and gates three properties per run:
 //
-//   - throughput floor: the shm ring + futex doorbell must move at least
+//   - throughput floor: the shm lanes + futex doorbell must move at least
 //     kFloorItemsPerSec end to end (a deliberately conservative absolute
 //     bound — an order of magnitude under typical, so only a pathological
 //     regression like accidental syscall-per-item trips it);
 //   - wake frugality: paid futex wakes must average well under one per
 //     item (the threshold doorbell exists so a saturated consumer is
 //     never syscall-woken per item);
-//   - conservation: every admitted ticket consumed, nothing reclaimed —
-//     this is the no-fault path, so the crash machinery must be silent.
+//   - conservation: every admitted item consumed.
 //
 // Usage: ipc_floor [--items=N] [--producers=N] [--trials=N] [--json-out=F]
 #include <sys/wait.h>
@@ -70,7 +69,7 @@ TrialResult run_trial(const Options& options, std::size_t trial) {
     if (pid == 0) {
       ProducerConfig pcfg;
       pcfg.attach.attempts = 100;
-      auto producer = Producer::attach(name);
+      auto producer = Producer::attach(name, pcfg);
       if (!producer.has_value()) _exit(2);
       for (std::uint64_t i = 0; i < options.items; ++i) {
         while (producer->push(i) != PushResult::kOk) {
@@ -153,9 +152,8 @@ int main(int argc, char** argv) {
   std::printf("  paid wakes : %llu (%.4f per item, bound %.2f)\n",
               static_cast<unsigned long long>(median.report.futex_wakes),
               wakes_per_item, kMaxWakesPerItem);
-  std::printf("  consumed %llu reclaimed %llu admitted %llu\n",
+  std::printf("  consumed %llu admitted %llu\n",
               static_cast<unsigned long long>(median.report.consumed),
-              static_cast<unsigned long long>(median.report.reclaimed),
               static_cast<unsigned long long>(median.report.admitted));
 
   int failures = 0;
@@ -167,8 +165,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ipc_floor: FAIL — futex wakes not frugal\n");
     ++failures;
   }
-  if (median.report.consumed != total || median.report.reclaimed != 0 ||
-      median.report.admitted != median.report.consumed) {
+  if (median.report.consumed != total || median.report.admitted != median.report.consumed) {
     std::fprintf(stderr, "ipc_floor: FAIL — conservation broken on the no-fault path\n");
     ++failures;
   }
@@ -179,15 +176,13 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "{\"bench\":\"ipc_floor\",\"producers\":%zu,\"items\":%llu,"
                    "\"items_per_sec\":%.1f,\"futex_wakes\":%llu,"
-                   "\"wakes_per_item\":%.6f,\"consumed\":%llu,"
-                   "\"reclaimed\":%llu,\"pass\":%s}\n",
+                   "\"wakes_per_item\":%.6f,\"consumed\":%llu,\"pass\":%s}\n",
                    options.producers,
                    static_cast<unsigned long long>(options.items),
                    median.items_per_sec,
                    static_cast<unsigned long long>(median.report.futex_wakes),
                    wakes_per_item,
                    static_cast<unsigned long long>(median.report.consumed),
-                   static_cast<unsigned long long>(median.report.reclaimed),
                    failures == 0 ? "true" : "false");
       std::fclose(f);
     }

@@ -39,7 +39,7 @@ BENCHMARK(BM_RingBufferPushPop)->Arg(16)->Arg(256)->Arg(4096);
 void BM_PoolResize(benchmark::State& state) {
   // Two hand-offs trading capacity through the pool — the steady-state
   // pattern of PBPL's per-invocation downsize/upsize.
-  BufferPool<std::int64_t> pool(/*consumers=*/2, /*base_capacity=*/100);
+  BufferPool pool(/*consumers=*/2, /*base_capacity=*/100);
   auto a = make_pool_handoff<std::int64_t>(BackendKind::Mutex, pool, 0);
   auto b = make_pool_handoff<std::int64_t>(BackendKind::Mutex, pool, 1);
   bool flip = false;

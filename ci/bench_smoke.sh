@@ -21,9 +21,9 @@
 # host stays exercised.
 #
 # Every gate appends one JSON line to BENCH_<gate>.json at the repo
-# root — timestamp, git sha, the gate's headline numbers and its computed
-# `pass` — so the benches keep a trajectory across commits instead of
-# only gating.  A failing gate is recorded too, and the script goes on to
+# root — timestamp, git sha, the host's CPU count and 1-minute load
+# average, the gate's headline numbers and its computed `pass` — so the
+# benches keep a trajectory across commits instead of only gating.  A failing gate is recorded too, and the script goes on to
 # the next one; it exits nonzero at the end if any gate failed.
 #
 # Usage: ci/bench_smoke.sh [build-dir]     (default: build)
@@ -36,9 +36,14 @@ mkdir -p "${out}"
 
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-# record <gate> <json-fields>: append one trajectory line for this run.
+cpus="$(nproc 2>/dev/null || echo null)"
+# record <gate> <json-fields>: append one trajectory line for this run,
+# stamped with the load average as the gate finished.
 record() {
-  printf '{"utc":"%s","git":"%s",%s}\n' "${stamp}" "${sha}" "$2" >> "BENCH_$1.json"
+  local load
+  load="$(cut -d' ' -f1 /proc/loadavg 2>/dev/null || true)"
+  printf '{"utc":"%s","git":"%s","nproc":%s,"loadavg_1m":%s,%s}\n' \
+    "${stamp}" "${sha}" "${cpus}" "${load:-null}" "$2" >> "BENCH_$1.json"
 }
 
 failed_gates=()

@@ -576,24 +576,23 @@ int run_ipc(const CliOptions& options) {
   const ipc::ConservationReport rep = consumer->report();
   std::printf(
       "[pcpc ipc] drained %llu items in %.2f s (%.2f Mitems/s): "
-      "%llu reclaimed, %llu peers reaped, %llu paid wakes (%.4f/item)\n",
+      "%llu peers reaped, %llu paid wakes (%.4f/item)\n",
       ull(consumed_items), elapsed,
-      static_cast<double>(consumed_items) / elapsed / 1e6, ull(rep.reclaimed),
+      static_cast<double>(consumed_items) / elapsed / 1e6,
       ull(rep.peers_reaped), ull(rep.futex_wakes),
       consumed_items > 0
           ? static_cast<double>(rep.futex_wakes) / static_cast<double>(consumed_items)
           : 0.0);
-  if (rep.admitted != rep.consumed + rep.reclaimed + rep.residue) {
+  if (rep.admitted != rep.consumed + rep.residue) {
     std::fprintf(stderr, "[pcpc ipc] conservation identity broken\n");
     return 1;
   }
   if (options.payload_max > 0) {
     std::printf("[pcpc ipc] payload: %llu records, %.2f MB at %.2f MB/s\n",
-                ull(rep.var_delivered_records),
-                static_cast<double>(consumed_bytes) / 1e6,
+                ull(rep.consumed), static_cast<double>(consumed_bytes) / 1e6,
                 static_cast<double>(consumed_bytes) / elapsed / 1e6);
-    if (rep.var_admitted_bytes != rep.var_consumed_bytes + rep.var_reclaimed_bytes +
-                                      rep.var_padding_bytes + rep.var_residue_bytes) {
+    if (rep.var_admitted_bytes !=
+        rep.var_consumed_bytes + rep.var_padding_bytes + rep.var_residue_bytes) {
       std::fprintf(stderr, "[pcpc ipc] varlen byte conservation broken\n");
       return 1;
     }

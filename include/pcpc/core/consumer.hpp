@@ -39,7 +39,7 @@ class PbplConsumer final : public Invocable {
   /// Registers itself with `manager` and takes a B0-sized hand-off queue
   /// (backend per config.queue_backend) from `pool`.  `config` must
   /// outlive the consumer.
-  PbplConsumer(ConsumerId id, CoreManager& manager, queue::BufferPool<SimTime>& pool,
+  PbplConsumer(ConsumerId id, CoreManager& manager, queue::BufferPool& pool,
                const PbplConfig& config);
 
   /// Makes the initial reservation; call once at experiment start.
@@ -83,7 +83,7 @@ class PbplConsumer final : public Invocable {
 
   ConsumerId id_;
   CoreManager* manager_;
-  queue::BufferPool<SimTime>& pool_;
+  queue::BufferPool& pool_;
   const PbplConfig& config_;
   std::unique_ptr<queue::Handoff<SimTime>> buffer_;
   ReservationPlanner planner_;

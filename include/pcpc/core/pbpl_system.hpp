@@ -64,7 +64,7 @@ class PbplSystem {
 
   /// The shared global pool Bg; exposed so the chaos harness can apply
   /// pool pressure (seize_segments) before a run.
-  queue::BufferPool<SimTime>& pool() { return pool_; }
+  queue::BufferPool& pool() { return pool_; }
 
   /// Current core of every pair (index i → core hosting consumer i).
   const std::vector<std::size_t>& placement() const { return mapping_; }
@@ -85,7 +85,7 @@ class PbplSystem {
  private:
   sim::Simulator& simulator_;
   const PbplConfig config_;
-  queue::BufferPool<SimTime> pool_;
+  queue::BufferPool pool_;
   std::vector<std::unique_ptr<SimCore>> cores_;
   std::vector<std::unique_ptr<CoreManager>> managers_;
   std::vector<std::unique_ptr<PbplConsumer>> consumers_;

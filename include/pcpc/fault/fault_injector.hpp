@@ -67,14 +67,14 @@ struct FaultConfig {
 
   /// Process kill (pcpc::ipc hosts): with `kill_probability` per push
   /// opportunity, the producer process SIGKILLs itself at a crash point
-  /// drawn uniformly from the slot protocol's steps (after-claim,
-  /// mid-publish, after-publish) — the harness wires the decision into
+  /// drawn uniformly from the lane protocol's steps (before-publish,
+  /// after-publish) — the harness wires the decision into
   /// Producer::set_crash_hook.  In-process hosts ignore it.
   double kill_probability = 0.0;
 
   /// Process suspend: with `stop_probability` per push opportunity, the
   /// producer is SIGSTOPped for `stop_duration`, then SIGCONTed — alive
-  /// the whole time, so its leases must survive (no reclaim).
+  /// the whole time, so nothing of it may be reclaimed.
   double stop_probability = 0.0;
   SimDuration stop_duration = milliseconds(20);
 
@@ -204,15 +204,16 @@ class FaultInjector {
     }
   }
 
-  /// Crash point for this push opportunity: -1 = none, else 0..2 mapping
-  /// onto pcpc::ipc::CrashPoint (after-claim, mid-publish,
-  /// after-publish).  The caller (a forked producer) SIGKILLs itself
-  /// when its push reaches that point.
-  int process_crash_point() {
+  /// Crash point for this push opportunity: -1 = none, else one of the
+  /// protocol's `points` steps (pcpc::ipc::CrashPoint, drawn uniformly).
+  /// The caller (a forked producer) SIGKILLs itself when its push
+  /// reaches that point.
+  int process_crash_point(int points) {
     if (config_.kill_probability <= 0.0) return -1;
     std::scoped_lock lock(mutex_);
     if (!kill_rng_.bernoulli(config_.kill_probability)) return -1;
-    const int point = static_cast<int>(kill_rng_.next_below(3));
+    const int point =
+        static_cast<int>(kill_rng_.next_below(static_cast<std::uint64_t>(points)));
     ++stats_.process_kills;
     obs::note_fault(obs::FaultKind::kProcKill, point);
     return point;

@@ -1,12 +1,12 @@
 // Crash-safe cross-process MPSC channel over one shm segment.
 //
 // Endpoint objects (one Consumer, up to kMaxProducers Producers, each in
-// its own process) wrap the shared layout from layout.hpp.  The slot
-// protocol — claim/lease/publish/reclaim — is documented there; this
-// header adds the process-facing machinery:
+// its own process) wrap the shared layout from layout.hpp.  The lanes —
+// one single-writer ring per producer, published at commit — are
+// documented there; this header adds the process-facing machinery:
 //
 //   - registry join/leave with per-peer heartbeats,
-//   - the reaper (dead-peer detection + whole-ring lease sweep),
+//   - the reaper (dead-peer detection, counter folds, slot reuse),
 //   - the futex doorbell with *exact* paid-wakeup accounting: a producer
 //     pays a futex_wake only after winning the kConsumerSleeping ->
 //     kConsumerWoken CAS, so every increment of ChannelHeader::futex_wakes
@@ -16,16 +16,18 @@
 //     wake counter identically, not statistically.
 //
 // Failure semantics (the contract the kill-chaos harness checks):
-//   - SIGKILLed producer: consumer detects it (heartbeat stale + pid
-//     probe), reclaims its in-flight lease and any hole it left, and
-//     keeps draining — never wedges.
-//   - SIGSTOPped producer: alive by definition; its lease is honored and
-//     the consumer stalls on that slot until SIGCONT (strict order is
-//     part of the differential contract, not negotiable under stop).
+//   - SIGKILLed producer: everything it published is delivered, nothing
+//     it had not published is ever visible; the consumer keeps draining
+//     and never wedges.  The reaper folds its counters and frees its
+//     registry slot; the next producer there resumes at the lane's
+//     published cursors.
+//   - SIGSTOPped producer: alive by definition; it stalls only its own
+//     lane, and its write completes after SIGCONT.
 //   - Dead consumer: producers observe it via the registry and fail
 //     pushes with PushResult::kConsumerDead after bounded retry/backoff.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include <span>
 #include <string>
 
+#include "pcpc/common/assert.hpp"
 #include "pcpc/ipc/futex.hpp"
 #include "pcpc/ipc/layout.hpp"
 #include "pcpc/ipc/shm.hpp"
@@ -42,35 +45,36 @@
 
 namespace pcpc::ipc {
 
-/// CLOCK_MONOTONIC in nanoseconds (shared timebase for heartbeats/leases).
+/// CLOCK_MONOTONIC in nanoseconds (shared timebase for heartbeats/spans).
 std::int64_t now_ns();
 
 /// Liveness probe: false when `pid` is gone OR a zombie (SIGKILLed
-/// children stay zombies until the parent reaps them; for lease purposes
-/// a zombie is dead — it will never publish again).
+/// children stay zombies until the parent reaps them; for the reaper a
+/// zombie is dead — it will never publish again).
 bool pid_alive(std::int32_t pid);
 
 /// Channel geometry + protocol timing, fixed at creation.
 struct ChannelConfig {
-  std::size_t capacity = 1024;            ///< logical admission bound
-  std::int64_t lease_ns = 5'000'000;      ///< free-hole reclaim age (5 ms)
+  std::size_t capacity = 1024;  ///< admission bound on the total fill of the lanes
+  /// No effect: lanes never reclaim a slot, so nothing is aged.  Kept so
+  /// callers that set it still compile.
+  std::int64_t lease_ns = 5'000'000;
   std::int64_t heartbeat_period_ns = 1'000'000;  ///< peer refresh Delta
   std::int64_t heartbeat_timeout_ns = 0;  ///< staleness bound; 0 = 8 * period
   std::uint64_t wake_threshold = 0;       ///< doorbell at fill >= this; 0 = cap/2
-  /// 1-in-N item-lifecycle sampling, shared by every peer (the ticket is
-  /// the sample key, so both sides agree without tagging payloads).
-  /// 0 disarms spans on this channel.
+  /// 1-in-N item-lifecycle sampling, shared by every peer (the lane
+  /// position is the sample key, so both sides agree without tagging
+  /// payloads).  0 disarms spans on this channel.
   std::uint64_t span_sample_every = 0;
-  /// Varlen payload plane: logical capacity (record footprint bytes) of
-  /// each producer's in-segment byte ring.  0 = no plane (v2-equivalent
-  /// segment; push_record/drain_records are unusable).  A channel with a
-  /// payload plane carries records exclusively: every control value is an
-  /// announcement, so plain push() must not be mixed in.
+  /// Record channel: logical capacity (record footprint bytes) of each
+  /// producer's record lane.  0 = item channel.  A channel carries one
+  /// kind only: items (push/drain) or records (push_record/drain_records),
+  /// and its capacity and fill count that kind.
   std::size_t payload_ring_bytes = 0;
   std::uint32_t payload_max_record = 16u << 10;  ///< max payload bytes per record
 };
 
-/// Producer-side retry policy for a full ring / slow consumer.
+/// Producer-side retry policy for a full lane / slow consumer.
 struct ProducerConfig {
   int full_retries = 64;
   std::int64_t initial_backoff_ns = 2'000;
@@ -82,7 +86,6 @@ enum class PushResult : std::uint8_t {
   kOk = 0,
   kFull = 1,          ///< still full after bounded retry/backoff
   kConsumerDead = 2,  ///< registry says nobody will ever drain this
-  kLeaseLost = 3,     ///< consumer reclaimed our slot mid-publish
 };
 
 const char* push_result_name(PushResult r);
@@ -91,43 +94,45 @@ const char* push_result_name(PushResult r);
 /// between protocol steps so a test child can raise(SIGKILL) exactly
 /// there.  Production code never sets it.
 enum class CrashPoint : std::uint8_t {
-  kAfterClaim = 0,   ///< ticket claimed, lease not yet taken (leaves a hole)
-  kMidPublish = 1,   ///< lease taken, value not yet published (leaves a lock)
-  kAfterPublish = 2, ///< value published, counters not yet bumped
-  // Varlen (push_record) protocol steps, before the control push above:
-  kAfterReserve = 3, ///< record bytes claimed in the var ring (kReserved header)
-  kAfterCommit = 4,  ///< record committed, announcement not yet pushed
+  kBeforePublish = 0,  ///< item/record written into the lane, tail not yet moved
+  kAfterPublish = 1,   ///< tail moved (visible to the consumer), not yet counted
 };
+inline constexpr int kCrashPointCount = 2;
 
-/// Everything the conservation harness asserts on, read from shm.
+/// Span item id of the item (record) at position `pos` of lane `lane`:
+/// producer and consumer derive it independently, without tagging
+/// payloads.
+inline constexpr std::uint64_t span_item_id(std::size_t lane, std::uint64_t pos) {
+  return (static_cast<std::uint64_t>(lane) << 48) | (pos & ((std::uint64_t{1} << 48) - 1));
+}
+
+/// Everything the conservation harness asserts on, read from shm.  The
+/// item fields count items on an item channel and records on a record
+/// channel; they are sums of lane cursors, so
+///   admitted == consumed + residue
+/// holds at every point, SIGKILL included.
 struct ConservationReport {
-  std::uint64_t admitted = 0;   ///< tail_ticket: tickets handed out
-  std::uint64_t consumed = 0;
-  std::uint64_t reclaimed = 0;
-  std::uint64_t residue = 0;    ///< admitted - consumed - reclaimed (in flight)
+  std::uint64_t admitted = 0;   ///< published into the lanes
+  std::uint64_t consumed = 0;   ///< drained out of the lanes
+  std::uint64_t reclaimed = 0;  ///< always 0: lanes never reclaim (kept for callers that check it)
+  std::uint64_t residue = 0;    ///< admitted - consumed: published, not yet drained
   std::uint64_t acked_pushes = 0;  ///< producer-counted successful publishes
   std::uint64_t dropped = 0;       ///< producer-counted rejects (full / dead)
-  std::uint64_t lease_lost = 0;
   std::uint64_t futex_wakes = 0;   ///< paid wakes (producer-side count)
   std::uint64_t doorbell = 0;
   std::uint64_t peers_reaped = 0;
-  // Varlen payload plane, byte-granular (all zero when the plane is
-  // absent).  The byte conservation identity mirrors the ticket one:
-  //   var_admitted_bytes == var_consumed_bytes + var_reclaimed_bytes
-  //                         + var_padding_bytes + var_residue_bytes
-  // where admitted = the rings' claim cursors (every byte a producer ever
-  // claimed, wrap padding included), consumed/reclaimed = released record
-  // footprints by fate, and residue = claimed-not-yet-released.  Exact at
-  // every quiescent point, SIGKILL included, because each ring's cursors
-  // and tallies are shm state swept by the reaper.
+  // Record channel, byte-granular (all zero on an item channel):
+  //   var_admitted_bytes == var_consumed_bytes + var_padding_bytes
+  //                         + var_residue_bytes
+  // where admitted = the lanes' published tails (every byte a producer
+  // published, wrap padding included), consumed/padding = released
+  // record footprints and wrap pads, residue = published, not yet
+  // released.  Exact at every point for the same reason as above.
   std::uint64_t var_admitted_bytes = 0;
-  std::uint64_t var_consumed_bytes = 0;   ///< released footprints, consumed fate
-  std::uint64_t var_reclaimed_bytes = 0;  ///< released footprints, reclaimed fate
+  std::uint64_t var_consumed_bytes = 0;   ///< released record footprints
   std::uint64_t var_padding_bytes = 0;    ///< released wrap padding
-  std::uint64_t var_residue_bytes = 0;    ///< claimed, not yet released
-  std::uint64_t var_delivered_records = 0;  ///< records handed to drain_records
-  std::uint64_t var_delivered_bytes = 0;    ///< payload bytes handed out
-  std::uint64_t var_lost_records = 0;  ///< announcements of crash-reclaimed records
+  std::uint64_t var_residue_bytes = 0;    ///< published, not yet released
+  std::uint64_t var_delivered_bytes = 0;  ///< payload bytes handed to drain_records
 };
 
 /// Reads the report off any mapped channel segment.
@@ -155,108 +160,61 @@ class Consumer {
                                         const ChannelConfig& config,
                                         std::string* error = nullptr);
 
-  /// Pops published items in strict ticket order, invoking `fn(value)`
-  /// per item, until the ring is empty, a hole/lease blocks the head, or
-  /// `max_items` is reached.  Performs inline recovery: expired free
-  /// holes and leases of provably dead owners are reclaimed as they
-  /// arrive at the head.  Returns items consumed (reclaims excluded).
+  /// Pops published items lane by lane, round-robin and in bulk per lane,
+  /// invoking `fn(value)` per item, until every lane is empty or
+  /// `max_items` is reached.  Items arrive in FIFO order per producer; a
+  /// dead producer's published items are delivered like any others.
+  /// Returns items consumed.  Only meaningful on an item channel.
   template <typename Fn>
   std::size_t drain(Fn&& fn, std::size_t max_items = SIZE_MAX) {
-    maybe_heartbeat();
-    std::size_t n = 0;
-    while (n < max_items) {
-      const std::uint64_t h = hdr_->head.load(std::memory_order_relaxed);
-      if (h == hdr_->tail_ticket.load(std::memory_order_acquire)) break;
-      IpcSlot& slot = slots_[h % hdr_->n_slots];
-      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      if (seq == h + 1) {  // published
-        const std::uint64_t value = slot.value;
-        slot.seq.store(h + hdr_->n_slots, std::memory_order_release);
-        hdr_->head.store(h + 1, std::memory_order_release);
-        hdr_->consumed.fetch_add(1, std::memory_order_relaxed);
-        hole_ticket_ = UINT64_MAX;
-        // Lifecycle sampling keys on the ticket (h), the same rule the
-        // producer used for the produce/enqueue stages of this item.
-        if (span_every_ != 0 && h % span_every_ == 0 && obs::enabled()) {
-          const std::int64_t t0 = now_ns() - hdr_->epoch_mono_ns;
-          fn(value);
-          obs::note_item_stage(obs::kNoConsumer, 0, h, obs::ItemStage::kDrainStart,
-                               t0);
-          obs::note_item_stage(obs::kNoConsumer, 0, h, obs::ItemStage::kHandlerDone,
-                               now_ns() - hdr_->epoch_mono_ns);
-        } else {
-          fn(value);
-        }
-        ++n;
-      } else if (seq == h + hdr_->n_slots) {  // swept out-of-band by the reaper
-        hdr_->head.store(h + 1, std::memory_order_release);
-        hole_ticket_ = UINT64_MAX;
-      } else if (!try_recover_head(h, slot, seq)) {
-        break;  // head blocked on a live lease / young hole; caller re-enters
-      }
-    }
-    return n;
+    PCPC_ASSERT_MSG(item_lanes_[0] != nullptr, "drain() on a record channel");
+    return drain_lanes(item_lanes_, max_items,
+                       [&](ItemLane& lane, std::size_t idx, std::size_t budget) {
+                         std::uint64_t batch[kDrainBatch];
+                         const std::uint64_t first = lane.head_index();
+                         const std::size_t got = lane.pop_bulk(
+                             std::span<std::uint64_t>(batch, std::min(budget, kDrainBatch)));
+                         for (std::size_t i = 0; i < got; ++i) {
+                           deliver(idx, first + i, [&] { fn(batch[i]); });
+                         }
+                         return got;
+                       });
   }
 
-  /// Varlen drain: pops announcements in strict ticket order and resolves
-  /// each against its producer's byte ring.  The matching committed
-  /// record is handed to `fn(payload)` as a zero-copy in-segment span
-  /// (valid only during the call); a mismatch — the announced offset is
-  /// not the ring's oldest committed record — means the record was
-  /// reclaimed after its producer died and is counted var_lost_records
-  /// instead of delivered.  Every touched ring's claimed bytes are
-  /// released once at the end (one cursor publication per ring per
-  /// drain).  Returns records delivered (losses and reclaims excluded).
-  /// Only meaningful on a channel created with payload_ring_bytes > 0.
+  /// Varlen drain: the same round-robin over the record lanes.  Each
+  /// committed record is handed to `fn(payload)` as a zero-copy
+  /// in-segment span (valid only during the call); every lane's drained
+  /// bytes are released once per bulk (one cursor publication).  Returns
+  /// records delivered.  Only meaningful on a record channel.
   template <typename Fn>
   std::size_t drain_records(Fn&& fn, std::size_t max_records = SIZE_MAX) {
-    std::size_t delivered = 0;
-    std::uint32_t touched = 0;
-    drain(
-        [&](std::uint64_t value) {
-          const std::size_t idx = var_announce_owner(value);
-          const std::uint64_t off = var_announce_offset(value);
-          if (idx >= kMaxProducers || var_rings_[idx] == nullptr) {
-            hdr_->var_lost_records.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          VarIpcRing& ring = *var_rings_[idx];
-          touched |= 1u << idx;
-          auto view = ring.peek_front();
-          if (view.has_value() && (view->offset & kVarValueOffsetMask) == off) {
-            fn(std::span<const std::byte>(view->data, view->size));
-            hdr_->var_delivered_records.fetch_add(1, std::memory_order_relaxed);
-            hdr_->var_delivered_bytes.fetch_add(view->size,
-                                                std::memory_order_relaxed);
-            ring.claim_front();  // move past the delivered record
-            ++delivered;
-          } else {
-            // The announced record is gone: its producer died after the
-            // announcement and the reaper resolved the ring.  peek_front
-            // already skipped it (reclaimed) — nothing to put back.
-            hdr_->var_lost_records.fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        max_records);
-    for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
-      if ((touched & (1u << idx)) != 0) {
-        var_rings_[idx]->release_until(var_rings_[idx]->claim_offset());
-      }
-    }
-    return delivered;
+    PCPC_ASSERT_MSG(record_lanes_[0] != nullptr, "drain_records() on an item channel");
+    return drain_lanes(record_lanes_, max_records,
+                       [&](RecordLane& lane, std::size_t idx, std::size_t budget) {
+                         // Every claimed record is released before drain()
+                         // returns, so the released count is the next
+                         // record's position.
+                         std::uint64_t pos = lane.released_records();
+                         return lane.drain(
+                             [&](std::span<const std::byte> payload) {
+                               deliver(idx, pos++, [&] { fn(payload); });
+                             },
+                             std::min(budget, kDrainBatch));
+                       });
   }
 
-  /// Parks on the futex doorbell for up to `timeout_ns` once the ring
-  /// looks empty, attributing the wake through pcpc::obs (paid when a
+  /// Parks on the futex doorbell for up to `timeout_ns` once the lanes
+  /// look empty, attributing the wake through pcpc::obs (paid when a
   /// producer futex_wake'd us, free/scheduled on timeout).  Returns
   /// immediately with kPoll when work is already visible.
   WakeKind wait(std::int64_t timeout_ns);
 
-  /// Dead-peer detection: marks producers with stale heartbeats whose
-  /// pid is gone as dead, drains their telemetry rings, sweeps the whole
-  /// ring for their leases (reclaiming each), folds their counters
-  /// (including telemetry cells) into the retired tallies, and frees
-  /// their registry slots for reuse.  Returns the number of peers reaped.
+  /// Dead-peer detection: producers with stale heartbeats whose pid is
+  /// gone are marked dead, their telemetry rings drained, their counters
+  /// (including telemetry cells) folded into the retired tallies, and
+  /// their registry slots freed for reuse.  Their lanes need nothing:
+  /// what they published is still delivered, what they had not published
+  /// was never visible.  Returns the number of peers reaped.
   std::size_t reap();
 
   /// Drains every producer's shm trace ring into the local obs::Session
@@ -274,28 +232,66 @@ class Consumer {
   const std::string& shm_name() const { return segment_.name(); }
   bool valid() const { return hdr_ != nullptr; }
 
-  /// True when the head slot has a published item ready to pop.
+  /// True when any lane holds a published item (record) not yet drained.
   bool has_visible_work() const;
 
  private:
-  bool try_recover_head(std::uint64_t h, IpcSlot& slot, std::uint64_t seq);
+  static constexpr std::size_t kDrainBatch = 64;  ///< items per lane per turn
+
+  /// Visits the lanes in use round-robin, resuming where the last call
+  /// stopped, until a whole round finds every lane empty or `max` items
+  /// were taken.  `pop(lane, idx, budget)` takes at most `budget` items
+  /// from one lane and returns how many.
+  template <typename Lane, typename Pop>
+  std::size_t drain_lanes(const std::array<Lane*, kMaxProducers>& lanes, std::size_t max,
+                          Pop&& pop) {
+    maybe_heartbeat();
+    const std::size_t in_use = hdr_->lanes_in_use.load(std::memory_order_acquire);
+    std::size_t n = 0;
+    for (std::size_t idle = 0; idle < in_use && n < max;) {
+      const std::size_t idx = next_lane_ < in_use ? next_lane_ : 0;
+      next_lane_ = idx + 1;
+      const std::size_t got = pop(*lanes[idx], idx, max - n);
+      idle = got == 0 ? idle + 1 : 0;
+      n += got;
+    }
+    return n;
+  }
+
+  /// Runs `handle` for the item at position `pos` of lane `lane`,
+  /// stamping its drain-start / handler-done stages when the position is
+  /// sampled (the rule the producer used for its produce/enqueue stages).
+  template <typename Handle>
+  void deliver(std::size_t lane, std::uint64_t pos, Handle&& handle) {
+    if (span_every_ != 0 && pos % span_every_ == 0 && obs::enabled()) {
+      const std::int64_t t0 = now_ns() - hdr_->epoch_mono_ns;
+      handle();
+      const std::uint64_t id = span_item_id(lane, pos);
+      obs::note_item_stage(obs::kNoConsumer, 0, id, obs::ItemStage::kDrainStart, t0);
+      obs::note_item_stage(obs::kNoConsumer, 0, id, obs::ItemStage::kHandlerDone,
+                           now_ns() - hdr_->epoch_mono_ns);
+    } else {
+      handle();
+    }
+  }
+
   std::size_t drain_peer_telemetry(std::size_t idx);
   void maybe_heartbeat();
 
   ShmSegment segment_;
   ChannelHeader* hdr_ = nullptr;
-  IpcSlot* slots_ = nullptr;
-  /// Local addresses of the per-producer payload rings (all nullptr when
-  /// the plane is absent).
-  std::array<VarIpcRing*, kMaxProducers> var_rings_{};
-  std::uint64_t hole_ticket_ = UINT64_MAX;  ///< head hole being aged
-  std::int64_t hole_since_ns_ = 0;
+  /// Local addresses of the lanes; only the array of the channel's kind
+  /// is filled.
+  std::array<ItemLane*, kMaxProducers> item_lanes_{};
+  std::array<RecordLane*, kMaxProducers> record_lanes_{};
+  std::size_t next_lane_ = 0;  ///< round-robin cursor of drain_lanes
   std::int64_t last_heartbeat_ns_ = 0;
   std::uint64_t span_every_ = 0;  ///< cached hdr_->span_sample_every
 };
 
 /// One producing endpoint.  Attaches to an existing channel (with the
-/// shm-level retry/backoff) and joins the registry.  Single-threaded.
+/// shm-level retry/backoff), joins the registry and takes over its slot's
+/// lane.  Single-threaded.
 class Producer {
  public:
   Producer() = default;
@@ -309,21 +305,18 @@ class Producer {
                                         const ProducerConfig& config = {},
                                         std::string* error = nullptr);
 
-  /// Publishes one value.  Retries a full ring `full_retries` times with
-  /// exponential backoff before giving up with kFull; checks consumer
-  /// liveness on every retry and fails fast with kConsumerDead.  kFull
-  /// and kConsumerDead are counted as drops (the overflow policy of this
-  /// host is DropNewest — the caller keeps the value and may re-offer).
+  /// Publishes one value into this producer's lane.  Retries a full
+  /// channel `full_retries` times with exponential backoff before giving
+  /// up with kFull; checks consumer liveness on every retry and fails
+  /// fast with kConsumerDead.  kFull and kConsumerDead are counted as
+  /// drops (the overflow policy of this host is DropNewest — the caller
+  /// keeps the value and may re-offer).  Requires an item channel.
   PushResult push(std::uint64_t value);
 
   /// Zero-copy varlen publish: reserves `payload.size()` bytes in this
-  /// producer's in-segment byte ring, copies the payload in (the only
-  /// copy on the whole cross-process path), commits, and announces the
-  /// record to the consumer via one control push.  The full lease
-  /// protocol covers the record: a reaper that declared us dead wins the
-  /// commit CAS race (kLeaseLost), and a record whose announcement could
-  /// not be published is withdrawn so the consumer's record<->control
-  /// correspondence stays exact.  Requires payload_ring_bytes > 0.
+  /// producer's record lane, copies the payload in (the only copy on the
+  /// whole cross-process path) and commits, which publishes it.  Same
+  /// retry policy and results as push().  Requires a record channel.
   PushResult push_record(std::span<const std::byte> payload);
 
   void heartbeat();
@@ -344,13 +337,24 @@ class Producer {
   void detach();
 
  private:
+  /// Admission with the retry policy: succeeds once the channel's total
+  /// fill is under capacity and `try_put()` (the lane's own full check)
+  /// accepts.
+  template <typename TryPut>
+  PushResult admit(TryPut&& try_put);
+  /// After the lane published the item at lane position `pos`: counts
+  /// it, stamps sampled span stages, rings the doorbell.
+  PushResult published(std::uint64_t pos, std::int64_t enter_ns);
+  void crash_point(CrashPoint point) {
+    if (crash_hook_) crash_hook_(point);
+  }
   void maybe_heartbeat();
   void ring_doorbell();
 
   ShmSegment segment_;
   ChannelHeader* hdr_ = nullptr;
-  IpcSlot* slots_ = nullptr;
-  VarIpcRing* ring_ = nullptr;  ///< this producer's payload ring (plane armed)
+  ItemLane* item_lane_ = nullptr;      ///< this producer's lane (item channel)
+  RecordLane* record_lane_ = nullptr;  ///< this producer's lane (record channel)
   std::size_t index_ = SIZE_MAX;
   ProducerConfig config_;
   std::int64_t last_heartbeat_ns_ = 0;

@@ -1,31 +1,33 @@
 // Cross-process telemetry region of a pcpc::ipc channel.
 //
 // Each producer registry slot owns one PeerTelemetry block inside the
-// shm segment: a handful of single-writer metric cells plus an SPSC
-// trace ring of obs::Event records.  The discipline mirrors the
-// in-process obs layer exactly:
+// shm segment: a handful of single-writer metric cells plus a trace ring
+// of obs::Event records.  The discipline mirrors the in-process obs
+// layer exactly:
 //
 //   - metric cells are written by exactly one live peer (the slot's
 //     current owner) and read by anybody — no locks, no cross-process
 //     mutexes ever (DESIGN.md §10 rule);
-//   - the trace ring is SPSC: the owning producer pushes, the channel
-//     consumer drains into its local obs::Session (stamping the event's
-//     `origin` with the registry index so exporters can reconstruct
-//     per-process tracks), overflow is counted in ring_dropped rather
-//     than blocking the producer;
+//   - the trace ring is the same SPSC engine as the channel's lanes
+//     (queue::SpscRing over the block's inline storage): the owning
+//     producer pushes, the channel consumer drains into its local
+//     obs::Session (stamping the event's `origin` with the registry
+//     index so exporters can reconstruct per-process tracks), and a full
+//     ring drops the event, counted by the pusher in ring_dropped,
+//     rather than blocking the producer;
 //   - when a peer retires (clean detach or reaper), its metric cells are
 //     folded into ChannelHeader::retired_tel with the same exchange(0)/
-//     fetch_add protocol as the PR-5 pushed/dropped fold, so a SIGKILLed
+//     fetch_add protocol as the pushed/dropped fold, so a SIGKILLed
 //     producer's counts survive registry-slot reuse.  Ring events are
 //     best-effort (the reaper drains what was published; an event lost
-//     between a crash and its head publication is gone), which is why
+//     between a crash and its tail publication is gone), which is why
 //     every exactness identity in the test suite is pinned on the
 //     counter cells, never on ring contents.
 //
 // Ring cursors are monotonic across peer incarnations: a new owner of a
-// reused slot continues pushing at the inherited head.  This is safe
-// because the reaper proves the previous owner's pid gone before the
-// slot is reusable — there is never a second live writer.
+// reused slot resumes at the published cursors (producer_attach()).  This
+// is safe because the reaper proves the previous owner's pid gone before
+// the slot is reusable — there is never a second live writer.
 #pragma once
 
 #include <atomic>
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "pcpc/obs/events.hpp"
+#include "pcpc/queue/spsc_ring.hpp"
 
 namespace pcpc::ipc {
 
@@ -51,50 +54,20 @@ enum TelCounter : std::size_t {
 /// Events per peer trace ring; power of two.
 inline constexpr std::size_t kTelemetryRingCap = 512;
 
+using TelemetryRing = queue::SpscRing<obs::Event, queue::OffsetSlots>;
+
 /// One producer registry slot's telemetry block.
 struct alignas(64) PeerTelemetry {
+  PeerTelemetry()
+      : ring(kTelemetryRingCap, kTelemetryRingCap,
+             queue::Placement{events, sizeof(events)}) {}
+
   std::atomic<std::uint64_t> counters[kTelCounterCount] = {};
+  std::atomic<std::uint64_t> ring_dropped{0};  ///< events the owner found no room for
 
-  // Peer-written ring cursor + drop count on their own line; the
-  // consumer-written tail on another, so pushes never bounce the
-  // consumer's line and vice versa.
-  alignas(64) std::atomic<std::uint64_t> ring_head{0};
-  std::atomic<std::uint64_t> ring_dropped{0};
-  alignas(64) std::atomic<std::uint64_t> ring_tail{0};
-
-  alignas(64) obs::Event ring[kTelemetryRingCap] = {};
+  TelemetryRing ring;
+  alignas(64) unsigned char events[kTelemetryRingCap * sizeof(obs::Event)];  ///< the ring's slots
 };
-
-/// SPSC push from the owning peer; drops (counted) when the consumer is
-/// behind by a full ring.
-inline bool telemetry_push(PeerTelemetry& tel, const obs::Event& event) {
-  const std::uint64_t head = tel.ring_head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = tel.ring_tail.load(std::memory_order_acquire);
-  if (head - tail >= kTelemetryRingCap) {
-    tel.ring_dropped.store(tel.ring_dropped.load(std::memory_order_relaxed) + 1,
-                           std::memory_order_relaxed);
-    return false;
-  }
-  tel.ring[head % kTelemetryRingCap] = event;
-  tel.ring_head.store(head + 1, std::memory_order_release);
-  return true;
-}
-
-/// SPSC drain from the channel consumer.  `fn(const obs::Event&)` per
-/// event, in publication order.  Returns events drained.
-template <typename Fn>
-std::size_t telemetry_drain(PeerTelemetry& tel, Fn&& fn) {
-  std::uint64_t tail = tel.ring_tail.load(std::memory_order_relaxed);
-  const std::uint64_t head = tel.ring_head.load(std::memory_order_acquire);
-  std::size_t n = 0;
-  while (tail != head) {
-    fn(tel.ring[tail % kTelemetryRingCap]);
-    ++tail;
-    ++n;
-  }
-  if (n != 0) tel.ring_tail.store(tail, std::memory_order_release);
-  return n;
-}
 
 /// Single-writer bump of a peer metric cell.  fetch_add (not the relaxed
 /// load+store of the in-process shards) because retirement folds race
@@ -112,7 +85,6 @@ struct PeerTelemetrySnapshot {
   std::int32_t pid = 0;
   std::uint64_t pushed = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t lease_lost = 0;
   std::uint64_t paid_wakes = 0;
   std::uint64_t doorbells_free = 0;
   std::uint64_t span_stages = 0;
@@ -127,7 +99,6 @@ struct PeerTelemetrySnapshot {
 struct TelemetrySnapshot {
   std::uint64_t pushed = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t lease_lost = 0;
   std::uint64_t paid_wakes = 0;
   std::uint64_t doorbells_free = 0;
   std::uint64_t span_stages = 0;

@@ -274,8 +274,9 @@ inline void count_sim_events(std::uint64_t n) {
 inline void count_sim_event() { count_sim_events(1); }
 
 /// One lifecycle stage of a sampled item.  `item_id` must be identical
-/// across all stages of the same item (ipc host: the ring ticket; thread
-/// and sim hosts: consumer << 32 | per-pair sequence).  Callers guard
+/// across all stages of the same item (ipc host: lane << 48 | lane
+/// position; thread and sim hosts: consumer << 32 | per-pair
+/// sequence).  Callers guard
 /// with span_sampled(seq) so the per-item cost when spans are disarmed is
 /// the one relaxed load inside span_sampled().
 inline void note_item_stage(std::uint32_t consumer, std::uint16_t core,

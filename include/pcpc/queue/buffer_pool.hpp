@@ -24,8 +24,7 @@ namespace pcpc::queue {
 /// Segment account of Bg.  Accounting is atomic (CAS on the free count),
 /// so the thread host's per-core managers can acquire/release segments
 /// concurrently without a shared lock; the simulation host just never
-/// contends.  `T` is the item type of the hand-offs drawing on the pool.
-template <typename T>
+/// contends.
 class BufferPool {
  public:
   /// Preallocates Bg = `consumers × base_capacity` slots, with each

@@ -127,7 +127,7 @@ class RingHandoff final : public Handoff<T> {
   /// Pool-backed: starts at the consumer's B0 share, max capacity Bg.
   /// `placement` selects where the queue's slot array lives (heap by
   /// default; an OffsetSlots queue type takes a caller-placed region).
-  RingHandoff(BufferPool<T>& pool, std::uint32_t consumer, Placement placement = {})
+  RingHandoff(BufferPool& pool, std::uint32_t consumer, Placement placement = {})
       : RingHandoff(pool, consumer, pool.grant_base_segments(), placement) {}
 
   /// Standalone fixed-capacity (baseline host): no pool accounting.
@@ -211,7 +211,7 @@ class RingHandoff final : public Handoff<T> {
   const OnlineStats& capacity_samples() const override { return capacity_samples_; }
 
  private:
-  RingHandoff(BufferPool<T>& pool, std::uint32_t consumer, std::size_t base_segments,
+  RingHandoff(BufferPool& pool, std::uint32_t consumer, std::size_t base_segments,
               Placement placement)
       : queue_(base_segments * pool.segment_size(),
                std::max(pool.total_slots(), base_segments * pool.segment_size()),
@@ -230,7 +230,7 @@ class RingHandoff final : public Handoff<T> {
   }
 
   Queue queue_;
-  BufferPool<T>* pool_;
+  BufferPool* pool_;
   std::uint32_t consumer_;
   std::size_t segments_ = 0;
   std::atomic<std::uint64_t> overflows_{0};
@@ -262,7 +262,7 @@ std::unique_ptr<Handoff<T>> make_ring_handoff(BackendKind kind, Args&&... args) 
 
 /// Pool-backed hand-off for the elastic hosts (PBPL sim + thread).
 template <typename T>
-std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool<T>& pool,
+std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool& pool,
                                               std::uint32_t consumer) {
   return make_ring_handoff<T, HeapSlots>(kind, pool, consumer);
 }
@@ -271,7 +271,7 @@ std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool<T>& p
 /// pool (max capacity saturates at Bg; one extra segment covers the
 /// emergency-overcommit corner where a base grant exceeds the pool).
 template <typename T>
-std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool<T>& pool) {
+std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool& pool) {
   const std::size_t max_cap = pool.total_slots() + pool.segment_size();
   return kind == BackendKind::MpscSeg ? MpscSegQueue<T>::placement_bytes(max_cap)
                                       : SpscRing<T>::placement_bytes(max_cap);
@@ -282,7 +282,7 @@ std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool<T>& pool) {
 /// with placed_handoff_bytes().
 template <typename T>
 std::unique_ptr<Handoff<T>> make_placed_pool_handoff(BackendKind kind,
-                                                     BufferPool<T>& pool,
+                                                     BufferPool& pool,
                                                      std::uint32_t consumer,
                                                      Placement placement) {
   return make_ring_handoff<T, OffsetSlots>(kind, pool, consumer, placement);
@@ -324,7 +324,7 @@ class VarHandoff {
   /// Producer side.  A failed reserve counts one overflow (and the
   /// payload bytes it carried) like Handoff::try_push counts rejects.
   virtual bool try_reserve(std::uint32_t payload_bytes, VarReservation& out) = 0;
-  virtual bool commit(VarReservation& r) = 0;
+  virtual void commit(VarReservation& r) = 0;
   virtual bool try_push_record(std::span<const std::byte> payload) = 0;
 
   /// Consumer side (see varlen.hpp for the two-cursor contract).
@@ -356,7 +356,6 @@ class VarHandoff {
   virtual std::size_t size_bytes() const = 0;
   virtual std::uint32_t max_record_payload() const = 0;
   virtual VarCounters counters() const = 0;
-  virtual void set_owner(std::uint16_t owner_plus1) = 0;
 
   std::uint64_t overflows() const {
     return overflows_.load(std::memory_order_relaxed);
@@ -397,12 +396,13 @@ class VarRingHandoff final : public VarHandoff {
     }
     return true;
   }
-  bool commit(VarReservation& r) override { return ring_.commit(r); }
+  void commit(VarReservation& r) override { ring_.commit(r); }
   bool try_push_record(std::span<const std::byte> payload) override {
     VarReservation r;
     if (!try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
     std::memcpy(r.data, payload.data(), payload.size());
-    return commit(r);
+    commit(r);
+    return true;
   }
 
   std::optional<VarRecordView> claim_front() override { return ring_.claim_front(); }
@@ -421,7 +421,6 @@ class VarRingHandoff final : public VarHandoff {
     return ring_.max_record_payload();
   }
   VarCounters counters() const override { return ring_.counters(); }
-  void set_owner(std::uint16_t owner_plus1) override { ring_.set_owner(owner_plus1); }
 
   Ring& ring() { return ring_; }
 

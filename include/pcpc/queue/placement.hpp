@@ -89,11 +89,16 @@ class OffsetSlots {
     }
   }
 
+  // Through an integer: the slots lie outside this object, and pointer
+  // arithmetic from `this` would make the compiler's object-size checks
+  // (-Wstringop-overflow) bound writes by sizeof(*this).
   E* data() {
-    return reinterpret_cast<E*>(reinterpret_cast<char*>(this) + offset_);
+    return reinterpret_cast<E*>(reinterpret_cast<std::uintptr_t>(this) +
+                                static_cast<std::uintptr_t>(offset_));
   }
   const E* data() const {
-    return reinterpret_cast<const E*>(reinterpret_cast<const char*>(this) + offset_);
+    return reinterpret_cast<const E*>(reinterpret_cast<std::uintptr_t>(this) +
+                                      static_cast<std::uintptr_t>(offset_));
   }
 
  private:

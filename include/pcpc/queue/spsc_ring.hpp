@@ -122,6 +122,16 @@ class SpscRing {
     prod_.publish_batch = n == 0 ? 1 : n;
   }
 
+  /// Rebuilds the producer-private cursors from the shared ones — how a
+  /// producer process takes over a ring that already lives in shared
+  /// memory.  Items a dead predecessor wrote but never published are
+  /// simply overwritten: the consumer never saw them.
+  void producer_attach() {
+    prod_.tail_local = tail_.index.load(std::memory_order_acquire);
+    prod_.cached_head = head_.index.load(std::memory_order_acquire);
+    prod_.pending = 0;
+  }
+
   // -- consumer side ------------------------------------------------------
 
   /// Removes the oldest published item; nullopt when none is visible.
@@ -187,6 +197,11 @@ class SpscRing {
   }
 
   bool empty() const { return size() == 0; }
+
+  /// Items ever published / ever consumed: the shared cursors, monotonic
+  /// for the ring's lifetime (and across producer_attach()).
+  std::uint64_t tail_index() const { return tail_.index.load(std::memory_order_acquire); }
+  std::uint64_t head_index() const { return head_.index.load(std::memory_order_acquire); }
 
   std::size_t capacity() const {
     return logical_capacity_.load(std::memory_order_acquire);

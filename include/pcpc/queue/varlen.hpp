@@ -17,11 +17,9 @@
 //
 //   [ header word ][ payload … ][ pad to 8 ]
 //
-// The header is ONE 64-bit word — state (8 bits) | owner+1 (16 bits) |
-// payload size (32 bits) — so every state transition is a single atomic
-// store/CAS, which is what makes the cross-process lease protocol (a
-// reaper reclaiming a dead producer's reservation races the zombie's
-// commit) a one-word CAS exactly like the ipc slot protocol.
+// The header is ONE 64-bit word — state (8 bits) | payload size (32
+// bits, in the high half) — so every state transition is a single
+// atomic store.
 //
 // Wrap-padding rule: a record never straddles the physical end of the
 // ring.  A claim that would cross publishes the tail gap as a *padding
@@ -38,10 +36,10 @@
 // Two rings share the format:
 //
 //   - VarSpscRing: Torquati discipline — producer-private tail, cached
-//     released-counter refreshed only on apparent-full, zero RMW on the
-//     hot path.  Publication is batched per commit (optionally eager at
-//     reserve for the crash-safe shm plane, where claims must be
-//     recoverable by a reaper).
+//     released cursor refreshed only on apparent-full, zero RMW on the
+//     hot path.  The tail is published at commit, so a producer that
+//     dies mid-record leaves nothing visible (the pcpc::ipc record lanes
+//     rely on this).
 //   - VarMpscRing: Jiffy discipline — admission is one fetch_add on a
 //     byte counter, the position claim is one fetch_add on a byte
 //     ticket.  A claim that would cross the physical end cannot hold a
@@ -85,20 +83,14 @@ enum class VarState : std::uint8_t {
   kReserved = 1,   ///< claimed, payload being written
   kCommitted = 2,  ///< published, consumable
   kPadding = 3,    ///< wrap gap: skip, never handed to handlers
-  kReclaimed = 4,  ///< dropped (policy) or dead-owner reclaim: skip, count
+  kReclaimed = 4,  ///< dropped by an overflow policy: skip, count
 };
 
-constexpr std::uint64_t var_word(VarState state, std::uint16_t owner_plus1,
-                                 std::uint32_t size) {
-  return static_cast<std::uint64_t>(state) |
-         (static_cast<std::uint64_t>(owner_plus1) << 8) |
-         (static_cast<std::uint64_t>(size) << 32);
+constexpr std::uint64_t var_word(VarState state, std::uint32_t size) {
+  return static_cast<std::uint64_t>(state) | (static_cast<std::uint64_t>(size) << 32);
 }
 constexpr VarState var_state(std::uint64_t word) {
   return static_cast<VarState>(word & 0xff);
-}
-constexpr std::uint16_t var_owner_plus1(std::uint64_t word) {
-  return static_cast<std::uint16_t>((word >> 8) & 0xffff);
 }
 constexpr std::uint32_t var_size(std::uint64_t word) {
   return static_cast<std::uint32_t>(word >> 32);
@@ -130,7 +122,6 @@ struct VarReservation {
   std::uint32_t size = 0;
   std::uint64_t offset = 0;  ///< logical byte offset of the record header
   std::uint64_t end = 0;     ///< logical offset one past the record
-  std::uint16_t owner_plus1 = 0;
 };
 
 /// Counter snapshot; all byte counts are monotonic.  "footprint" =
@@ -148,7 +139,6 @@ struct VarCounters {
   std::uint64_t reclaimed_payload_bytes = 0;
   std::uint64_t reclaimed_footprint_bytes = 0;
   std::uint64_t released_padding_bytes = 0;
-  std::uint64_t lease_lost = 0;      ///< commits that lost to a reclaim
   std::uint64_t tail_bytes = 0;      ///< published claim cursor
   std::uint64_t head_bytes = 0;      ///< released cursor
 };
@@ -188,75 +178,6 @@ class VarRingBase {
     }
   }
 
-  /// Like claim_front() but leaves the committed record unclaimed: the
-  /// cursor advances over padding / reclaimed records only and the view
-  /// of the oldest committed record is returned without moving past it.
-  /// The shm host uses this to match a record against its announcement
-  /// before consuming it (a mismatch means the record died with its
-  /// producer and the announcement resolves as a loss, not a view).
-  std::optional<VarRecordView> peek_front() {
-    for (;;) {
-      const std::uint64_t c = cons_.claim;
-      if (c == cons_.cached_tail) {
-        cons_.cached_tail = derived().tail_visible();
-        if (c == cons_.cached_tail) return std::nullopt;
-      }
-      const std::uint64_t w = word_ref(pos_of(c)).load(std::memory_order_acquire);
-      const VarState s = var_state(w);
-      if (s == VarState::kPadding || s == VarState::kReclaimed) {
-        cons_.claim = c + var_record_bytes(var_size(w));
-        continue;
-      }
-      if (s != VarState::kCommitted) return std::nullopt;
-      return VarRecordView{payload_ptr(pos_of(c)), var_size(w), c};
-    }
-  }
-
-  /// Producer-side withdrawal of an own committed-but-never-announced
-  /// record (the shm host's orphan path: the record published but its
-  /// control-ring announcement could not): flips it to kReclaimed so the
-  /// consumer's record<->announcement correspondence stays exact.  False
-  /// when the record is no longer committed (a reaper got there first).
-  bool abandon(const VarReservation& r) {
-    std::uint64_t expected = var_word(VarState::kCommitted, r.owner_plus1, r.size);
-    return word_ref(pos_of(r.offset))
-        .compare_exchange_strong(
-            expected, var_word(VarState::kReclaimed, r.owner_plus1, r.size),
-            std::memory_order_acq_rel, std::memory_order_acquire);
-  }
-
-  /// Dead-owner sweep (consumer/reaper only): resolves every record
-  /// between the claim cursor and the visible tail — committed records
-  /// are marked reclaimed, reserved records are CASed to reclaimed so a
-  /// racing zombie commit loses its lease — and advances the claim
-  /// cursor to the tail.  Returns records resolved (padding excluded).
-  /// Call release_until(claim_offset()) afterwards to return the bytes.
-  std::size_t reclaim_all() {
-    std::size_t n = 0;
-    std::uint64_t c = cons_.claim;
-    const std::uint64_t tail = derived().tail_visible();
-    while (c < tail) {
-      auto ref = word_ref(pos_of(c));
-      std::uint64_t w = ref.load(std::memory_order_acquire);
-      for (;;) {
-        const VarState s = var_state(w);
-        if (s == VarState::kPadding || s == VarState::kReclaimed) break;
-        PCPC_ASSERT_MSG(s == VarState::kCommitted || s == VarState::kReserved,
-                        "unwritten header inside the published window");
-        if (ref.compare_exchange_strong(
-                w, var_word(VarState::kReclaimed, var_owner_plus1(w), var_size(w)),
-                std::memory_order_acq_rel, std::memory_order_acquire)) {
-          ++n;
-          break;
-        }
-        // Lost the CAS to the owner's commit; re-read and reclaim that.
-      }
-      c += var_record_bytes(var_size(w));
-    }
-    cons_.claim = c;
-    return n;
-  }
-
   /// Overflow-policy hook (drop-oldest at record granularity): marks the
   /// oldest *unclaimed* committed record reclaimed and advances the
   /// claim cursor past it, so its bytes return to producers at the next
@@ -276,9 +197,8 @@ class VarRingBase {
         continue;
       }
       if (s != VarState::kCommitted) return false;
-      word_ref(pos_of(c)).store(
-          var_word(VarState::kReclaimed, var_owner_plus1(w), var_size(w)),
-          std::memory_order_release);
+      word_ref(pos_of(c)).store(var_word(VarState::kReclaimed, var_size(w)),
+                                std::memory_order_release);
       cons_.claim = c + var_record_bytes(var_size(w));
       footprint = var_record_bytes(var_size(w));
       payload = var_size(w);
@@ -406,9 +326,12 @@ class VarRingBase {
     return head_.index.load(std::memory_order_acquire);
   }
 
-  /// Producer identity stamped into header words (ipc lease protocol;
-  /// 0 = anonymous in-process producer).
-  void set_owner(std::uint16_t owner_plus1) { owner_plus1_ = owner_plus1; }
+  /// Records ever released (consumed or reclaimed); the consumer's
+  /// record cursor.
+  std::uint64_t released_records() const {
+    return consumed_records_.load(std::memory_order_acquire) +
+           reclaimed_records_.load(std::memory_order_acquire);
+  }
 
   VarCounters counters() const {
     VarCounters c;
@@ -430,7 +353,6 @@ class VarRingBase {
         reclaimed_footprint_bytes_.load(std::memory_order_relaxed);
     c.released_padding_bytes =
         released_padding_bytes_.load(std::memory_order_relaxed);
-    c.lease_lost = lease_lost_.load(std::memory_order_relaxed);
     c.tail_bytes = tail_bytes();
     c.head_bytes = head_bytes();
     return c;
@@ -517,7 +439,6 @@ class VarRingBase {
   SharedIndex head_;  ///< released cursor (telemetry + shm recovery)
   alignas(64) std::atomic<std::size_t> logical_bytes_{1};
   ConsumerState cons_;
-  std::uint16_t owner_plus1_ = 0;
 
   // Monotonic tallies (relaxed; exactness comes from single-writer or
   // RMW updates, not ordering).
@@ -532,7 +453,6 @@ class VarRingBase {
   std::atomic<std::uint64_t> reclaimed_payload_bytes_{0};
   std::atomic<std::uint64_t> reclaimed_footprint_bytes_{0};
   std::atomic<std::uint64_t> released_padding_bytes_{0};
-  std::atomic<std::uint64_t> lease_lost_{0};
 };
 
 }  // namespace detail
@@ -540,13 +460,12 @@ class VarRingBase {
 /// Single-producer varlen ring (Torquati discipline: producer-private
 /// tail, cached admission refresh, zero RMW on the hot path).
 ///
-/// `eager_publish = false` (default): the claimed tail is published at
-/// commit, so consumers only ever see committed records — the pure
-/// in-process mode.  `eager_publish = true`: the tail is published at
-/// reserve (after the kReserved header store), which is what the
-/// crash-safe shm plane needs — every claim a dead producer made is
-/// visible to the reaper, and a new producer recovers its private state
-/// with producer_attach().
+/// The claimed tail is published at commit, so consumers only ever see
+/// committed records.  Everything a producer needs to resume is a
+/// function of what it published, so a ring placed in shared memory
+/// survives its producer's death at any instruction: producer_attach()
+/// rebuilds the private cursors from the shared ones, and a record that
+/// was reserved but never published is simply overwritten.
 template <template <typename> class SlotsTmpl = HeapSlots>
 class VarSpscRing
     : public detail::VarRingBase<VarSpscRing<SlotsTmpl>, SlotsTmpl, false> {
@@ -556,9 +475,11 @@ class VarSpscRing
  public:
   explicit VarSpscRing(std::size_t capacity_bytes, std::size_t max_bytes = 0,
                        std::uint32_t max_record_payload = (16u << 10),
-                       Placement placement = {}, bool eager_publish = false)
-      : Base(capacity_bytes, max_bytes, max_record_payload, placement),
-        eager_publish_(eager_publish) {}
+                       Placement placement = {})
+      : Base(capacity_bytes, max_bytes, max_record_payload, placement) {
+    PCPC_ASSERT_MSG(this->n_bytes_ <= (std::uint64_t{1} << 32),
+                    "spsc varlen ring above 4 GiB");
+  }
 
   // -- producer side ------------------------------------------------------
 
@@ -569,69 +490,45 @@ class VarSpscRing
   bool try_reserve(std::uint32_t payload_bytes, VarReservation& out) {
     if (payload_bytes > this->max_record_payload_) return false;
     const std::uint64_t need = var_record_bytes(payload_bytes);
-    if (prod_.admitted + need - prod_.cached_released > this->cap64()) {
-      prod_.cached_released =
-          released_need_.index.load(std::memory_order_acquire);
-      if (prod_.admitted + need - prod_.cached_released > this->cap64()) {
-        return false;
-      }
+    if (in_flight(prod_.cached_head) + need > this->cap64()) {
+      prod_.cached_head = this->head_.index.load(std::memory_order_acquire);
+      if (in_flight(prod_.cached_head) + need > this->cap64()) return false;
     }
     std::uint64_t t = prod_.tail_local;
     const std::size_t pos = this->pos_of(t);
-    const std::uint64_t pad =
-        pos + need > this->n_bytes_ ? this->n_bytes_ - pos : 0;
-    if (pad != 0) {
+    if (pos + need > this->n_bytes_) {
+      const std::uint64_t pad = this->n_bytes_ - pos;
       this->word_ref(pos).store(
-          var_word(VarState::kPadding, 0,
-                   static_cast<std::uint32_t>(pad - kVarHeaderBytes)),
+          var_word(VarState::kPadding, static_cast<std::uint32_t>(pad - kVarHeaderBytes)),
           std::memory_order_release);
       this->padding_bytes_.fetch_add(pad, std::memory_order_relaxed);
+      prod_.pad_at = t;
+      recovery_.pad_at.store(t, std::memory_order_relaxed);  // published with the tail
       t += pad;
     }
     const std::size_t rpos = this->pos_of(t);
-    this->word_ref(rpos).store(
-        var_word(VarState::kReserved, this->owner_plus1_, payload_bytes),
-        std::memory_order_release);
+    this->word_ref(rpos).store(var_word(VarState::kReserved, payload_bytes),
+                               std::memory_order_release);
     out.data = this->payload_ptr(rpos);
     out.size = payload_bytes;
     out.offset = t;
     out.end = t + need;
-    out.owner_plus1 = this->owner_plus1_;
     prod_.tail_local = t + need;
-    prod_.admitted += need;
-    admitted_pub_.index.store(prod_.admitted, std::memory_order_relaxed);
-    if (eager_publish_) {
-      tail_.index.store(prod_.tail_local, std::memory_order_release);
-    }
     return true;
   }
 
-  /// Publishes a reservation.  False when the record was reclaimed in
-  /// the meantime (a reaper decided this producer was dead — the shm
-  /// lease protocol); the bytes stay claimed and are counted reclaimed
-  /// at release.
-  bool commit(VarReservation& r) {
-    std::uint64_t expected =
-        var_word(VarState::kReserved, r.owner_plus1, r.size);
-    const bool won = this->word_ref(this->pos_of(r.offset))
-                         .compare_exchange_strong(
-                             expected,
-                             var_word(VarState::kCommitted, r.owner_plus1, r.size),
-                             std::memory_order_acq_rel,
-                             std::memory_order_acquire);
-    if (won) {
-      this->committed_records_.fetch_add(1, std::memory_order_relaxed);
-      this->committed_payload_bytes_.fetch_add(r.size,
+  /// Publishes a reservation (and, with it, every earlier claim).
+  void commit(VarReservation& r) {
+    this->word_ref(this->pos_of(r.offset))
+        .store(var_word(VarState::kCommitted, r.size), std::memory_order_release);
+    this->committed_records_.fetch_add(1, std::memory_order_relaxed);
+    this->committed_payload_bytes_.fetch_add(r.size, std::memory_order_relaxed);
+    this->committed_footprint_bytes_.fetch_add(r.end - r.offset,
                                                std::memory_order_relaxed);
-      this->committed_footprint_bytes_.fetch_add(r.end - r.offset,
-                                                 std::memory_order_relaxed);
-    } else {
-      this->lease_lost_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!eager_publish_) {
-      tail_.index.store(prod_.tail_local, std::memory_order_release);
-    }
-    return won;
+    ++prod_.records;
+    recovery_.records.store(
+        (prod_.records << 32) | (prod_.tail_local & kLow32), std::memory_order_release);
+    tail_.index.store(prod_.tail_local, std::memory_order_release);
   }
 
   /// One-call copy-in convenience (the "single copy" producer path):
@@ -640,62 +537,94 @@ class VarSpscRing
     VarReservation r;
     if (!try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
     std::memcpy(r.data, payload.data(), payload.size());
-    return commit(r);
+    commit(r);
+    return true;
   }
 
   /// Rebuilds the producer-private cursors from the shared state — how a
-  /// producer process attaches to a ring that already lives in shared
-  /// memory (possibly after its predecessor died mid-record).
+  /// producer process takes over a ring that already lives in shared
+  /// memory, possibly after its predecessor died mid-record.
   void producer_attach() {
     prod_.tail_local = tail_.index.load(std::memory_order_acquire);
-    prod_.admitted = admitted_pub_.index.load(std::memory_order_acquire);
-    prod_.cached_released =
-        released_need_.index.load(std::memory_order_acquire);
+    prod_.cached_head = this->head_.index.load(std::memory_order_acquire);
+    prod_.records = published_records();
+    // A pad start at or past the tail belongs to a reservation that was
+    // never published; its bytes get overwritten, so forget it.
+    prod_.pad_at = recovery_.pad_at.load(std::memory_order_acquire);
+    if (prod_.pad_at >= prod_.tail_local) {
+      prod_.pad_at = kNoPad;
+      recovery_.pad_at.store(kNoPad, std::memory_order_relaxed);
+    }
   }
 
-  /// Reaper-side admission reconciliation (consumer/reaper only): after
-  /// a producer died, the shared admission counter may be one record
-  /// stale; recompute it exactly by walking the live window.
-  void reconcile_admitted() {
-    const std::uint64_t head = this->head_bytes();
-    const std::uint64_t tail = tail_.index.load(std::memory_order_acquire);
-    std::uint64_t live_need = 0;
-    for (std::uint64_t o = head; o < tail;) {
-      const std::uint64_t w =
-          this->word_ref(this->pos_of(o)).load(std::memory_order_acquire);
-      const std::uint64_t fp = var_record_bytes(var_size(w));
-      if (var_state(w) != VarState::kPadding) live_need += fp;
-      o += fp;
-    }
-    const std::uint64_t released =
-        released_need_.index.load(std::memory_order_acquire);
-    admitted_pub_.index.store(released + live_need, std::memory_order_release);
+  // -- either side --------------------------------------------------------
+
+  /// Records ever published (committed and behind the shared tail).
+  std::uint64_t published_records() const {
+    const std::uint64_t released = this->released_records();
+    return released + records_since(released);
   }
+
+  /// Published records not yet released: the ring's fill in records.
+  std::uint64_t size_records() const { return records_since(this->released_records()); }
 
  private:
+  static constexpr std::uint64_t kLow32 = 0xffffffffULL;
+  static constexpr std::uint64_t kNoPad = UINT64_MAX;
+
   std::uint64_t tail_visible() {
     return tail_.index.load(std::memory_order_acquire);
   }
 
-  void on_release(std::uint64_t released_need) {
-    released_need_.index.store(
-        released_need_.index.load(std::memory_order_relaxed) + released_need,
-        std::memory_order_release);
+  void on_release(std::uint64_t) {}  // admission reads the released cursor
+
+  /// Record footprint bytes claimed and not yet released as of released
+  /// cursor `head`.  The claimed window is at most a revolution long
+  /// (logical capacity + 4 max records < ring bytes), so it holds at most
+  /// one wrap pad, the latest; subtracting it leaves exactly the bytes
+  /// charged to the logical capacity.
+  std::uint64_t in_flight(std::uint64_t head) const {
+    std::uint64_t bytes = prod_.tail_local - head;
+    if (prod_.pad_at >= head && prod_.pad_at < prod_.tail_local) {
+      bytes -= this->n_bytes_ - this->pos_of(prod_.pad_at);
+    }
+    return bytes;
+  }
+
+  /// Published records beyond `released` (a record cursor read first,
+  /// so it is never ahead of the count read here).  commit() stores the
+  /// count just before the tail, tagged with the low half of that tail:
+  /// a tag that does not match the tail marks a count one commit ahead
+  /// of it — a commit in flight, or a producer killed between the two
+  /// stores — and is taken back.  The claimed window is shorter than the
+  /// ring (at most 4 GiB), so a pending tail never carries the published
+  /// tail's tag.
+  std::uint64_t records_since(std::uint64_t released) const {
+    const std::uint64_t tail = tail_.index.load(std::memory_order_acquire);
+    const std::uint64_t word = recovery_.records.load(std::memory_order_acquire);
+    auto published = static_cast<std::uint32_t>(word >> 32);
+    if ((word & kLow32) != (tail & kLow32)) --published;
+    return static_cast<std::uint32_t>(published - static_cast<std::uint32_t>(released));
   }
 
   /// Producer-private state (lives with the ring so a shm producer can
   /// recover it; see producer_attach).
   struct alignas(64) ProducerState {
     std::uint64_t tail_local = 0;
-    std::uint64_t admitted = 0;         ///< record footprint bytes admitted
-    std::uint64_t cached_released = 0;  ///< last observed released counter
+    std::uint64_t cached_head = 0;  ///< last observed released cursor
+    std::uint64_t pad_at = kNoPad;  ///< start of the latest wrap pad
+    std::uint64_t records = 0;      ///< records committed
   };
 
-  typename Base::SharedIndex tail_;           ///< published claim cursor
-  typename Base::SharedIndex released_need_;  ///< released record footprints
-  typename Base::SharedIndex admitted_pub_;   ///< shadow of prod_.admitted
+  /// Producer-written words a successor resumes from.
+  struct alignas(64) RecoveryWords {
+    std::atomic<std::uint64_t> records{0};  ///< (records << 32) | tail low half
+    std::atomic<std::uint64_t> pad_at{kNoPad};
+  };
+
+  typename Base::SharedIndex tail_;  ///< published claim cursor
+  RecoveryWords recovery_;
   ProducerState prod_;
-  const bool eager_publish_;
 };
 
 /// Multi-producer varlen ring (Jiffy discipline): admission is one
@@ -733,14 +662,12 @@ class VarMpscRing
       const std::uint64_t t = tail_.fetch_add(need, std::memory_order_relaxed);
       const std::size_t pos = this->pos_of(t);
       if (pos + need <= this->n_bytes_) {
-        this->word_ref(pos).store(
-            var_word(VarState::kReserved, this->owner_plus1_, payload_bytes),
-            std::memory_order_release);
+        this->word_ref(pos).store(var_word(VarState::kReserved, payload_bytes),
+                                  std::memory_order_release);
         out.data = this->payload_ptr(pos);
         out.size = payload_bytes;
         out.offset = t;
         out.end = t + need;
-        out.owner_plus1 = this->owner_plus1_;
         return true;
       }
       // Crossing claim: it cannot hold a contiguous record, so publish
@@ -749,13 +676,12 @@ class VarMpscRing
       // the revolution boundary takes this path.
       const std::uint64_t back = this->n_bytes_ - pos;
       this->word_ref(pos).store(
-          var_word(VarState::kPadding, 0,
-                   static_cast<std::uint32_t>(back - kVarHeaderBytes)),
+          var_word(VarState::kPadding, static_cast<std::uint32_t>(back - kVarHeaderBytes)),
           std::memory_order_release);
       const std::uint64_t front = need - back;
       if (front != 0) {
         this->word_ref(0).store(
-            var_word(VarState::kPadding, 0,
+            var_word(VarState::kPadding,
                      static_cast<std::uint32_t>(front - kVarHeaderBytes)),
             std::memory_order_release);
       }
@@ -763,32 +689,21 @@ class VarMpscRing
     }
   }
 
-  bool commit(VarReservation& r) {
-    std::uint64_t expected =
-        var_word(VarState::kReserved, r.owner_plus1, r.size);
-    const bool won = this->word_ref(this->pos_of(r.offset))
-                         .compare_exchange_strong(
-                             expected,
-                             var_word(VarState::kCommitted, r.owner_plus1, r.size),
-                             std::memory_order_acq_rel,
-                             std::memory_order_acquire);
-    if (won) {
-      this->committed_records_.fetch_add(1, std::memory_order_relaxed);
-      this->committed_payload_bytes_.fetch_add(r.size,
+  void commit(VarReservation& r) {
+    this->word_ref(this->pos_of(r.offset))
+        .store(var_word(VarState::kCommitted, r.size), std::memory_order_release);
+    this->committed_records_.fetch_add(1, std::memory_order_relaxed);
+    this->committed_payload_bytes_.fetch_add(r.size, std::memory_order_relaxed);
+    this->committed_footprint_bytes_.fetch_add(r.end - r.offset,
                                                std::memory_order_relaxed);
-      this->committed_footprint_bytes_.fetch_add(r.end - r.offset,
-                                                 std::memory_order_relaxed);
-    } else {
-      this->lease_lost_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return won;
   }
 
   bool try_push_record(std::span<const std::byte> payload) {
     VarReservation r;
     if (!try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
     std::memcpy(r.data, payload.data(), payload.size());
-    return commit(r);
+    commit(r);
+    return true;
   }
 
  private:

@@ -398,7 +398,7 @@ class ThreadPbpl {
   std::atomic<std::uint64_t> produced_{0};
   std::atomic<std::uint64_t> produced_bytes_{0};  ///< varlen payload bytes offered
 
-  queue::BufferPool<Clock::time_point> pool_;
+  queue::BufferPool pool_;
   std::size_t seized_segments_ = 0;  // held by fault-injected pool pressure
   std::vector<std::unique_ptr<Consumer>> consumers_;
   std::vector<std::unique_ptr<Core>> cores_;

@@ -8,7 +8,7 @@
 namespace pcpc::core {
 
 PbplConsumer::PbplConsumer(ConsumerId id, CoreManager& manager,
-                           queue::BufferPool<SimTime>& pool, const PbplConfig& config)
+                           queue::BufferPool& pool, const PbplConfig& config)
     : id_(id),
       manager_(&manager),
       pool_(pool),

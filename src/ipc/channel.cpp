@@ -29,7 +29,7 @@ bool pid_alive(std::int32_t pid) {
   if (::kill(pid, 0) != 0) return errno != ESRCH;
 #if defined(__linux__)
   // kill(pid, 0) succeeds on zombies; a SIGKILLed child not yet reaped by
-  // its parent must still count as dead for lease purposes.
+  // its parent must still count as dead.
   char path[64];
   std::snprintf(path, sizeof(path), "/proc/%d/stat", pid);
   std::FILE* f = std::fopen(path, "re");
@@ -56,63 +56,29 @@ const char* push_result_name(PushResult r) {
     case PushResult::kOk: return "ok";
     case PushResult::kFull: return "full";
     case PushResult::kConsumerDead: return "consumer_dead";
-    case PushResult::kLeaseLost: return "lease_lost";
   }
   return "?";
 }
 
-ConservationReport read_report(const ChannelHeader& hdr) {
-  ConservationReport r;
-  r.admitted = hdr.tail_ticket.load(std::memory_order_acquire);
-  r.consumed = hdr.consumed.load(std::memory_order_acquire);
-  r.reclaimed = hdr.reclaimed.load(std::memory_order_acquire);
-  r.residue = r.admitted - r.consumed - r.reclaimed;
-  r.futex_wakes = hdr.futex_wakes.load(std::memory_order_acquire);
-  r.doorbell = hdr.doorbell.load(std::memory_order_acquire);
-  r.peers_reaped = hdr.peers_reaped.load(std::memory_order_acquire);
-  r.acked_pushes = hdr.retired_pushed.load(std::memory_order_acquire);
-  r.dropped = hdr.retired_dropped.load(std::memory_order_acquire);
-  r.lease_lost = hdr.retired_lease_lost.load(std::memory_order_acquire);
-  for (const PeerSlot& p : hdr.producers) {
-    r.acked_pushes += p.pushed.load(std::memory_order_acquire);
-    r.dropped += p.dropped.load(std::memory_order_acquire);
-    r.lease_lost += p.lease_lost.load(std::memory_order_acquire);
-  }
-  if (hdr.payload_ring_bytes > 0) {
-    r.var_delivered_records = hdr.var_delivered_records.load(std::memory_order_acquire);
-    r.var_delivered_bytes = hdr.var_delivered_bytes.load(std::memory_order_acquire);
-    r.var_lost_records = hdr.var_lost_records.load(std::memory_order_acquire);
-    for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
-      const queue::VarCounters c = var_ring_at(hdr, idx)->counters();
-      r.var_admitted_bytes += c.tail_bytes;
-      r.var_consumed_bytes += c.consumed_footprint_bytes;
-      r.var_reclaimed_bytes += c.reclaimed_footprint_bytes;
-      r.var_padding_bytes += c.released_padding_bytes;
-      r.var_residue_bytes += c.tail_bytes - c.head_bytes;
-    }
-  }
-  return r;
-}
-
 namespace {
 
-constexpr std::size_t kSlotRound = 64;
-
-std::uint64_t physical_slots(std::size_t capacity) {
-  // Admission overshoot is bounded by the number of concurrent producers,
-  // so capacity + kMaxProducers + 1 slots guarantee a claimed ticket's
-  // slot is already re-sequenced (no producer-side wait, no wraparound
-  // collision with an early-swept slot).
-  const std::size_t needed = capacity + kMaxProducers + 1;
-  return static_cast<std::uint64_t>((needed + kSlotRound - 1) / kSlotRound * kSlotRound);
+/// Items (records) published and not yet drained, over every lane in use:
+/// the fill that capacity and wake_threshold apply to.
+std::uint64_t channel_fill(const ChannelHeader& hdr) {
+  const std::size_t lanes = hdr.lanes_in_use.load(std::memory_order_acquire);
+  std::uint64_t fill = 0;
+  for (std::size_t idx = 0; idx < lanes; ++idx) {
+    if (const ItemLane* lane = item_lane_at(hdr, idx)) {
+      fill += lane->size();
+    } else {
+      fill += record_lane_at(hdr, idx)->size_records();
+    }
+  }
+  return fill;
 }
 
 ChannelHeader* header_of(const ShmSegment& seg) {
   return reinterpret_cast<ChannelHeader*>(seg.payload());
-}
-
-IpcSlot* slots_of(const ShmSegment& seg) {
-  return reinterpret_cast<IpcSlot*>(static_cast<char*>(seg.payload()) + slots_offset());
 }
 
 /// Folds a retiring peer's counters into the header's durable tallies
@@ -127,9 +93,6 @@ void retire_peer_counters(ChannelHeader& hdr, std::size_t idx) {
       peer.pushed.exchange(0, std::memory_order_acq_rel), std::memory_order_relaxed);
   hdr.retired_dropped.fetch_add(
       peer.dropped.exchange(0, std::memory_order_acq_rel), std::memory_order_relaxed);
-  hdr.retired_lease_lost.fetch_add(
-      peer.lease_lost.exchange(0, std::memory_order_acq_rel),
-      std::memory_order_relaxed);
   PeerTelemetry& tel = hdr.producer_tel[idx];
   for (std::size_t c = 0; c < kTelCounterCount; ++c) {
     hdr.retired_tel[c].fetch_add(tel.counters[c].exchange(0, std::memory_order_acq_rel),
@@ -143,13 +106,11 @@ void join_peer(PeerSlot& peer, std::uint64_t epoch) {
   peer.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
   peer.pushed.store(0, std::memory_order_relaxed);
   peer.dropped.store(0, std::memory_order_relaxed);
-  peer.lease_lost.store(0, std::memory_order_relaxed);
   peer.state.store(kPeerActive, std::memory_order_release);
 }
 
-/// Dead for lease purposes: not Active in the registry, or Active with a
-/// stale heartbeat and a gone pid.  A stale-but-alive peer (SIGSTOP) is
-/// NOT dead.
+/// Dead: not Active in the registry, or Active with a stale heartbeat
+/// and a gone pid.  A stale-but-alive peer (SIGSTOP) is NOT dead.
 bool peer_dead(const PeerSlot& peer, std::int64_t timeout_ns) {
   const std::uint32_t state = peer.state.load(std::memory_order_acquire);
   if (state != kPeerActive) return true;
@@ -158,7 +119,48 @@ bool peer_dead(const PeerSlot& peer, std::int64_t timeout_ns) {
   return !pid_alive(peer.pid.load(std::memory_order_acquire));
 }
 
+/// Best-effort trace event into a peer's ring; a full ring counts a drop.
+void record_event(PeerTelemetry& tel, const obs::Event& e) {
+  if (tel.ring.try_push(e)) return;
+  tel.ring_dropped.store(tel.ring_dropped.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+}
+
 }  // namespace
+
+ConservationReport read_report(const ChannelHeader& hdr) {
+  ConservationReport r;
+  // Per lane the consumed cursor is read before the published one, so
+  // consumed never passes admitted.
+  const std::size_t lanes = hdr.lanes_in_use.load(std::memory_order_acquire);
+  for (std::size_t idx = 0; idx < lanes; ++idx) {
+    if (const ItemLane* lane = item_lane_at(hdr, idx)) {
+      r.consumed += lane->head_index();
+      r.admitted += lane->tail_index();
+      continue;
+    }
+    const RecordLane& lane = *record_lane_at(hdr, idx);
+    r.consumed += lane.released_records();
+    r.admitted += lane.published_records();
+    const queue::VarCounters c = lane.counters();
+    r.var_admitted_bytes += c.tail_bytes;
+    r.var_consumed_bytes += c.consumed_footprint_bytes;
+    r.var_padding_bytes += c.released_padding_bytes;
+    r.var_residue_bytes += c.tail_bytes - c.head_bytes;
+    r.var_delivered_bytes += c.consumed_payload_bytes;
+  }
+  r.residue = r.admitted - r.consumed;
+  r.futex_wakes = hdr.futex_wakes.load(std::memory_order_acquire);
+  r.doorbell = hdr.doorbell.load(std::memory_order_acquire);
+  r.peers_reaped = hdr.peers_reaped.load(std::memory_order_acquire);
+  r.acked_pushes = hdr.retired_pushed.load(std::memory_order_acquire);
+  r.dropped = hdr.retired_dropped.load(std::memory_order_acquire);
+  for (const PeerSlot& p : hdr.producers) {
+    r.acked_pushes += p.pushed.load(std::memory_order_acquire);
+    r.dropped += p.dropped.load(std::memory_order_acquire);
+  }
+  return r;
+}
 
 // ---------------------------------------------------------------------------
 // Consumer
@@ -172,13 +174,13 @@ Consumer::~Consumer() {
 }
 
 Consumer::Consumer(Consumer&& other) noexcept
-    : segment_(std::move(other.segment_)), hdr_(other.hdr_), slots_(other.slots_),
-      var_rings_(other.var_rings_), hole_ticket_(other.hole_ticket_),
-      hole_since_ns_(other.hole_since_ns_),
-      last_heartbeat_ns_(other.last_heartbeat_ns_), span_every_(other.span_every_) {
+    : segment_(std::move(other.segment_)), hdr_(other.hdr_),
+      item_lanes_(other.item_lanes_), record_lanes_(other.record_lanes_),
+      next_lane_(other.next_lane_), last_heartbeat_ns_(other.last_heartbeat_ns_),
+      span_every_(other.span_every_) {
   other.hdr_ = nullptr;
-  other.slots_ = nullptr;
-  other.var_rings_.fill(nullptr);
+  other.item_lanes_.fill(nullptr);
+  other.record_lanes_.fill(nullptr);
 }
 
 Consumer& Consumer::operator=(Consumer&& other) noexcept {
@@ -193,19 +195,18 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
                                          const ChannelConfig& config,
                                          std::string* error) {
   PCPC_ASSERT_MSG(config.capacity > 0, "ipc channel capacity must be positive");
-  const std::uint64_t n_slots = physical_slots(config.capacity);
-  ShmSegment seg = ShmSegment::create(
-      shm_name,
-      segment_payload_bytes(n_slots, config.payload_ring_bytes,
-                            config.payload_max_record),
-      error);
+  const bool records = config.payload_ring_bytes > 0;
+  const std::size_t stride =
+      records ? record_lane_stride(config.payload_ring_bytes, config.payload_max_record)
+              : item_lane_stride(config.capacity);
+  ShmSegment seg = ShmSegment::create(shm_name, segment_payload_bytes(stride), error);
   if (!seg.valid()) return std::nullopt;
 
-  auto* hdr = new (seg.payload()) ChannelHeader();
+  // Default-initialised: every member has an initialiser, and () would
+  // first zero the whole header, trace-ring storage included, once more.
+  auto* hdr = new (seg.payload()) ChannelHeader;
   hdr->abi_guard = abi_fingerprint();
-  hdr->n_slots = n_slots;
   hdr->capacity = config.capacity;
-  hdr->lease_ns = config.lease_ns;
   hdr->heartbeat_period_ns = config.heartbeat_period_ns;
   hdr->heartbeat_timeout_ns = config.heartbeat_timeout_ns > 0
                                   ? config.heartbeat_timeout_ns
@@ -215,29 +216,23 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
                             : std::max<std::uint64_t>(1, config.capacity / 2);
   hdr->epoch_mono_ns = now_ns();
   hdr->span_sample_every = config.span_sample_every;
-  IpcSlot* slots = slots_of(seg);
-  for (std::uint64_t p = 0; p < n_slots; ++p) {
-    auto* slot = new (&slots[p]) IpcSlot();
-    slot->seq.store(p, std::memory_order_relaxed);
-  }
+  hdr->lane_stride = stride;
 
+  // One lane per registry slot, constructed in place so its cursors are
+  // shm state every process reaches by offset.
   Consumer c;
-  if (config.payload_ring_bytes > 0) {
-    // Payload plane: one eager-publish SPSC byte ring per registry slot,
-    // constructed in place so its cursors/counters are shm state every
-    // process (and the reaper) can reach by offset.
+  if (records) {
     hdr->payload_ring_bytes = config.payload_ring_bytes;
     hdr->payload_max_record = config.payload_max_record;
     for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
-      char* region = reinterpret_cast<char*>(var_ring_at(*hdr, idx));
-      const std::size_t cells = var_align64(sizeof(VarIpcRing));
-      auto* ring = new (region) VarIpcRing(
-          config.payload_ring_bytes, /*max_bytes=*/0, config.payload_max_record,
-          queue::Placement{region + cells,
-                           VarIpcRing::placement_bytes(config.payload_ring_bytes,
-                                                       config.payload_max_record)},
-          /*eager_publish=*/true);
-      c.var_rings_[idx] = ring;
+      c.record_lanes_[idx] = new (lane_region(*hdr, idx))
+          RecordLane(config.payload_ring_bytes, /*max_bytes=*/0, config.payload_max_record,
+                     lane_storage<RecordLane>(*hdr, idx));
+    }
+  } else {
+    for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
+      c.item_lanes_[idx] = new (lane_region(*hdr, idx))
+          ItemLane(config.capacity, config.capacity, lane_storage<ItemLane>(*hdr, idx));
     }
   }
   join_peer(hdr->consumer_peer, hdr->epoch_counter.load(std::memory_order_relaxed));
@@ -245,7 +240,6 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
 
   c.segment_ = std::move(seg);
   c.hdr_ = hdr;
-  c.slots_ = slots;
   c.last_heartbeat_ns_ = now_ns();
   c.span_every_ = hdr->span_sample_every;
   return c;
@@ -261,72 +255,22 @@ void Consumer::maybe_heartbeat() {
   if (now_ns() - last_heartbeat_ns_ >= hdr_->heartbeat_period_ns) heartbeat();
 }
 
-bool Consumer::has_visible_work() const {
-  const std::uint64_t h = hdr_->head.load(std::memory_order_relaxed);
-  const IpcSlot& slot = slots_[h % hdr_->n_slots];
-  const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-  // Published at head, or already resolved out-of-band (drain will advance).
-  return seq == h + 1 || seq == h + hdr_->n_slots;
-}
-
-bool Consumer::try_recover_head(std::uint64_t h, IpcSlot& slot, std::uint64_t seq) {
-  if (seq_is_locked(seq)) {
-    // Mid-publish lease.  Honor it while the owner is plausibly alive
-    // (Active and pid present — a SIGSTOPped owner keeps its lease);
-    // reclaim only on proof of death.
-    const std::size_t owner = seq_owner(seq);
-    PCPC_ASSERT_MSG(owner < kMaxProducers, "lease owner out of range");
-    const PeerSlot& peer = hdr_->producers[owner];
-    const std::uint32_t state = peer.state.load(std::memory_order_acquire);
-    if (state == kPeerActive &&
-        pid_alive(peer.pid.load(std::memory_order_acquire))) {
-      return false;  // alive: wait for publish (or the reaper, later)
-    }
-    // Owner dead or already reaped: the lease can never be published.
-    slot.seq.store(h + hdr_->n_slots, std::memory_order_release);
-    hdr_->head.store(h + 1, std::memory_order_release);
-    hdr_->reclaimed.fetch_add(1, std::memory_order_relaxed);
-    hole_ticket_ = UINT64_MAX;
-    return true;
-  }
-
-  if (seq == h) {
-    // Free hole: a ticket was claimed but its producer never took the
-    // lease (death between fetch_add and the lease CAS, or it is merely
-    // slow).  Age it for lease_ns from first observation, then reclaim
-    // with a CAS — a slow-but-alive producer loses the arbitration
-    // cleanly (its lease CAS fails and it reports kLeaseLost).
-    const std::int64_t now = now_ns();
-    if (hole_ticket_ != h) {
-      hole_ticket_ = h;
-      hole_since_ns_ = now;
-      return false;
-    }
-    if (now - hole_since_ns_ < hdr_->lease_ns) return false;
-    std::uint64_t expected = h;
-    if (slot.seq.compare_exchange_strong(expected, h + hdr_->n_slots,
-                                         std::memory_order_acq_rel)) {
-      hdr_->head.store(h + 1, std::memory_order_release);
-      hdr_->reclaimed.fetch_add(1, std::memory_order_relaxed);
-    }
-    // CAS failure means the producer showed up after all — next drain
-    // pass will see the lease/publish.
-    hole_ticket_ = UINT64_MAX;
-    return true;
-  }
-
-  PCPC_ASSERT_MSG(false, "ipc slot in impossible state");
-  return false;
-}
+bool Consumer::has_visible_work() const { return channel_fill(*hdr_) != 0; }
 
 std::size_t Consumer::drain_peer_telemetry(std::size_t idx) {
   obs::Session* session = obs::Session::current();
   if (session == nullptr) return 0;
-  return telemetry_drain(hdr_->producer_tel[idx], [&](const obs::Event& e) {
-    obs::Event merged = e;
-    merged.origin = static_cast<std::uint16_t>(idx + 1);
-    session->emit(merged);
-  });
+  TelemetryRing& ring = hdr_->producer_tel[idx].ring;
+  obs::Event batch[64];
+  std::size_t n = 0;
+  while (const std::size_t got = ring.pop_bulk(batch)) {
+    for (std::size_t i = 0; i < got; ++i) {
+      batch[i].origin = static_cast<std::uint16_t>(idx + 1);
+      session->emit(batch[i]);
+    }
+    n += got;
+  }
+  return n;
 }
 
 std::size_t Consumer::drain_telemetry() {
@@ -348,44 +292,13 @@ std::size_t Consumer::reap() {
     const std::int32_t pid = peer.pid.load(std::memory_order_acquire);
     if (now_ns() - hb <= timeout || pid_alive(pid)) continue;
 
-    // Provably dead: stale heartbeat AND the pid is gone.  Sweep every
-    // lease it holds anywhere in the ring (not just at head) before the
-    // registry slot becomes reusable — a recycled index must never be
-    // blamed for a dead predecessor's lease.
-    peer.state.store(kPeerDead, std::memory_order_release);
-    std::size_t swept = 0;
-    for (std::uint64_t p = 0; p < hdr_->n_slots; ++p) {
-      IpcSlot& slot = slots_[p];
-      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      if (!seq_is_locked(seq) || seq_owner(seq) != idx) continue;
-      const std::uint64_t ticket = seq_ticket(seq);
-      slot.seq.store(ticket + hdr_->n_slots, std::memory_order_release);
-      hdr_->reclaimed.fetch_add(1, std::memory_order_relaxed);
-      ++swept;
-    }
-    // Varlen plane: resolve every record the dead producer left claimed
-    // in its byte ring — committed-but-unannounced records and in-flight
-    // reservations alike become kReclaimed (the CAS means a zombie's
-    // late commit loses its lease) — then reconcile the admission
-    // counter and return the bytes, so a successor attaching to this
-    // registry slot inherits an empty, exactly-accounted ring.
-    // Announced-but-undrained records are resolved too; their dangling
-    // announcements later drain as var_lost_records (offset mismatch).
-    std::size_t var_resolved = 0;
-    if (var_rings_[idx] != nullptr) {
-      VarIpcRing& ring = *var_rings_[idx];
-      var_resolved = ring.reclaim_all();
-      ring.reconcile_admitted();
-      ring.release_until(ring.claim_offset());
-    }
-    PCPC_WARN << "ipc: reaped dead producer idx=" << idx << " pid=" << pid
-              << " (swept " << swept << " lease" << (swept == 1 ? "" : "s")
-              << ", resolved " << var_resolved << " var record"
-              << (var_resolved == 1 ? "" : "s") << ")";
-    // Salvage whatever trace events the dead peer published before the
+    // Provably dead: stale heartbeat AND the pid is gone.  Its lane keeps
+    // what it published (drained like any other lane) and never showed
+    // what it had not.  Salvage the trace events it published before the
     // slot's ring inherits a new owner, then fold its metric cells into
-    // the retired tallies — same no-counts-lost-to-SIGKILL rule as the
-    // pushed/dropped fold.
+    // the retired tallies — no counts are lost to SIGKILL.
+    peer.state.store(kPeerDead, std::memory_order_release);
+    PCPC_WARN << "ipc: reaped dead producer idx=" << idx << " pid=" << pid;
     drain_peer_telemetry(idx);
     retire_peer_counters(*hdr_, idx);
     peer.pid.store(0, std::memory_order_relaxed);
@@ -435,32 +348,21 @@ WakeKind Consumer::wait(std::int64_t timeout_ns) {
 Producer::~Producer() { detach(); }
 
 Producer::Producer(Producer&& other) noexcept
-    : segment_(std::move(other.segment_)), hdr_(other.hdr_), slots_(other.slots_),
-      ring_(other.ring_), index_(other.index_), config_(other.config_),
+    : segment_(std::move(other.segment_)), hdr_(other.hdr_),
+      item_lane_(other.item_lane_), record_lane_(other.record_lane_),
+      index_(other.index_), config_(other.config_),
       last_heartbeat_ns_(other.last_heartbeat_ns_), span_every_(other.span_every_),
       crash_hook_(std::move(other.crash_hook_)) {
   other.hdr_ = nullptr;
-  other.slots_ = nullptr;
-  other.ring_ = nullptr;
+  other.item_lane_ = nullptr;
+  other.record_lane_ = nullptr;
   other.index_ = SIZE_MAX;
 }
 
 Producer& Producer::operator=(Producer&& other) noexcept {
   if (this != &other) {
-    detach();
-    segment_ = std::move(other.segment_);
-    hdr_ = other.hdr_;
-    slots_ = other.slots_;
-    ring_ = other.ring_;
-    index_ = other.index_;
-    config_ = other.config_;
-    last_heartbeat_ns_ = other.last_heartbeat_ns_;
-    span_every_ = other.span_every_;
-    crash_hook_ = std::move(other.crash_hook_);
-    other.hdr_ = nullptr;
-    other.slots_ = nullptr;
-    other.ring_ = nullptr;
-    other.index_ = SIZE_MAX;
+    this->~Producer();  // detaches
+    new (this) Producer(std::move(other));
   }
   return *this;
 }
@@ -475,8 +377,8 @@ void Producer::detach() {
   peer.pid.store(0, std::memory_order_relaxed);
   peer.state.store(kPeerFree, std::memory_order_release);
   hdr_ = nullptr;
-  slots_ = nullptr;
-  ring_ = nullptr;
+  item_lane_ = nullptr;
+  record_lane_ = nullptr;
   index_ = SIZE_MAX;
 }
 
@@ -500,11 +402,9 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
   }
   std::size_t index = SIZE_MAX;
   for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
-    PeerSlot& peer = hdr->producers[idx];
     std::uint32_t expected = kPeerFree;
-    if (peer.state.compare_exchange_strong(expected, kPeerJoining,
-                                           std::memory_order_acq_rel)) {
-      join_peer(peer, hdr->epoch_counter.fetch_add(1, std::memory_order_acq_rel));
+    if (hdr->producers[idx].state.compare_exchange_strong(expected, kPeerJoining,
+                                                          std::memory_order_acq_rel)) {
       index = idx;
       break;
     }
@@ -516,23 +416,33 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
     return std::nullopt;
   }
 
+  // Take over the slot's lane and trace ring at their published cursors
+  // (a predecessor may have died mid-write; what it never published is
+  // overwritten), and widen the consumer's scan to cover this lane.
   Producer p;
+  p.item_lane_ = item_lane_at(*hdr, index);
+  p.record_lane_ = record_lane_at(*hdr, index);
+  if (p.item_lane_ != nullptr) {
+    p.item_lane_->producer_attach();
+    // Publish explicitly at commit (flush), never inside try_push.
+    p.item_lane_->set_publish_batch(SIZE_MAX);
+  } else {
+    p.record_lane_->producer_attach();
+  }
+  hdr->producer_tel[index].ring.producer_attach();
+  std::uint32_t in_use = hdr->lanes_in_use.load(std::memory_order_acquire);
+  while (in_use <= index && !hdr->lanes_in_use.compare_exchange_weak(
+                                in_use, static_cast<std::uint32_t>(index + 1),
+                                std::memory_order_acq_rel)) {
+  }
+  join_peer(hdr->producers[index], hdr->epoch_counter.fetch_add(1, std::memory_order_acq_rel));
+
   p.hdr_ = hdr;
-  p.slots_ = slots_of(seg);
   p.segment_ = std::move(seg);
   p.index_ = index;
   p.config_ = config;
   p.last_heartbeat_ns_ = now_ns();
   p.span_every_ = hdr->span_sample_every;
-  if (hdr->payload_ring_bytes > 0) {
-    // Adopt this registry slot's byte ring: stamp our identity into
-    // future record headers and rebuild the producer-private cursors
-    // from the shared state (the predecessor may have died mid-record;
-    // the reaper resolved the ring before freeing the slot).
-    p.ring_ = var_ring_at(*hdr, index);
-    p.ring_->set_owner(static_cast<std::uint16_t>(index + 1));
-    p.ring_->producer_attach();
-  }
   return p;
 }
 
@@ -551,9 +461,7 @@ bool Producer::consumer_dead() const {
 }
 
 void Producer::ring_doorbell() {
-  const std::uint64_t fill = hdr_->tail_ticket.load(std::memory_order_relaxed) -
-                             hdr_->head.load(std::memory_order_acquire);
-  if (fill < hdr_->wake_threshold) return;
+  if (channel_fill(*hdr_) < hdr_->wake_threshold) return;
   hdr_->doorbell.fetch_add(1, std::memory_order_release);
   std::uint32_t expected = kConsumerSleeping;
   if (hdr_->consumer_state.compare_exchange_strong(expected, kConsumerWoken,
@@ -570,30 +478,21 @@ void Producer::ring_doorbell() {
   }
 }
 
-PushResult Producer::push(std::uint64_t value) {
+template <typename TryPut>
+PushResult Producer::admit(TryPut&& try_put) {
+  // A rejected push leaves no trace in the lane.  The total-fill check
+  // can overshoot capacity by one item per concurrent producer; the
+  // lane's own bound (capacity as well) keeps every lane within its
+  // storage, and its refusal is retried like any full channel.
   PeerSlot& me = hdr_->producers[index_];
   maybe_heartbeat();
-  // Entry timestamp for the produce stage.  Read the clock only when
-  // spans are armed on this channel (one branch otherwise); whether THIS
-  // item is sampled is only decidable after the ticket claim below.
-  std::int64_t span_enter_ns = 0;
-  if (span_every_ != 0) span_enter_ns = now_ns();
-
-  // Admission: optimistic fullness pre-check WITHOUT claiming a ticket.
-  // A rejected push must leave no trace in the ring, or a producer dying
-  // between "claim" and "un-claim" would leak tickets and break the
-  // conservation identity.  Overshoot past capacity is bounded by the
-  // number of concurrent producers (each can pass the check once before
-  // its fetch_add lands), which physical_slots() budgets for.
   std::int64_t backoff_ns = config_.initial_backoff_ns;
   for (int attempt = 0;; ++attempt) {
     if (consumer_dead()) {
       me.dropped.fetch_add(1, std::memory_order_relaxed);
       return PushResult::kConsumerDead;
     }
-    const std::uint64_t tail = hdr_->tail_ticket.load(std::memory_order_relaxed);
-    const std::uint64_t head = hdr_->head.load(std::memory_order_acquire);
-    if (tail - head < hdr_->capacity) break;
+    if (channel_fill(*hdr_) < hdr_->capacity && try_put()) return PushResult::kOk;
     if (attempt >= config_.full_retries) {
       me.dropped.fetch_add(1, std::memory_order_relaxed);
       return PushResult::kFull;
@@ -602,107 +501,61 @@ PushResult Producer::push(std::uint64_t value) {
     backoff_ns = std::min(backoff_ns * 2, config_.max_backoff_ns);
     maybe_heartbeat();
   }
+}
 
-  const std::uint64_t t = hdr_->tail_ticket.fetch_add(1, std::memory_order_acq_rel);
-  if (crash_hook_) crash_hook_(CrashPoint::kAfterClaim);
-
-  // The slot is already re-sequenced to t by the time the ticket exists
-  // (n_slots > capacity + kMaxProducers), so the lease CAS can only fail
-  // if the consumer aged us out as a hole — we were descheduled/stopped
-  // for longer than lease_ns between the fetch_add above and here.
-  IpcSlot& slot = slots_[t % hdr_->n_slots];
-  std::uint64_t expected = t;
-  if (!slot.seq.compare_exchange_strong(expected, seq_locked(t, index_),
-                                        std::memory_order_acq_rel)) {
-    me.lease_lost.fetch_add(1, std::memory_order_relaxed);
-    return PushResult::kLeaseLost;
-  }
-  if (crash_hook_) crash_hook_(CrashPoint::kMidPublish);
-
-  slot.value = value;
-  expected = seq_locked(t, index_);
-  if (!slot.seq.compare_exchange_strong(expected, t + 1,
-                                        std::memory_order_acq_rel)) {
-    // Swept mid-publish: only possible if the consumer proved us dead
-    // (pid probe raced a pid it mistook for gone).  Count and report
-    // rather than corrupt the next revolution with a blind store.
-    me.lease_lost.fetch_add(1, std::memory_order_relaxed);
-    return PushResult::kLeaseLost;
-  }
-  if (crash_hook_) crash_hook_(CrashPoint::kAfterPublish);
-
-  me.pushed.fetch_add(1, std::memory_order_relaxed);
-  if (span_every_ != 0 && t % span_every_ == 0) {
+PushResult Producer::published(std::uint64_t pos, std::int64_t enter_ns) {
+  hdr_->producers[index_].pushed.fetch_add(1, std::memory_order_relaxed);
+  if (span_every_ != 0 && pos % span_every_ == 0) {
     // Sampled item: publish produce/enqueue stages into this peer's shm
-    // trace ring, in the segment-epoch clock domain.  The ticket is the
-    // item id — the consumer derives the same id for its stages without
-    // any payload tagging.
+    // trace ring, in the segment-epoch clock domain.  The lane position
+    // is the item id — the consumer derives the same id for its stages
+    // without any payload tagging.
     PeerTelemetry& tel = hdr_->producer_tel[index_];
     obs::Event e;
-    e.ts_ns = span_enter_ns - hdr_->epoch_mono_ns;
-    e.arg0 = static_cast<std::int64_t>(t);
+    e.ts_ns = enter_ns - hdr_->epoch_mono_ns;
+    e.arg0 = static_cast<std::int64_t>(span_item_id(index_, pos));
     e.arg1 = static_cast<std::int64_t>(obs::ItemStage::kProduce);
     e.consumer = static_cast<std::uint32_t>(index_);  ///< the pair id
     e.kind = obs::EventKind::kItemStage;
-    telemetry_push(tel, e);
+    record_event(tel, e);
     e.ts_ns = now_ns() - hdr_->epoch_mono_ns;
     e.arg1 = static_cast<std::int64_t>(obs::ItemStage::kEnqueue);
-    telemetry_push(tel, e);
+    record_event(tel, e);
     telemetry_bump(tel, kTelSpanStages, 2);
   }
   ring_doorbell();
   return PushResult::kOk;
 }
 
+PushResult Producer::push(std::uint64_t value) {
+  PCPC_ASSERT_MSG(item_lane_ != nullptr, "push() on a record channel");
+  // The clock and the lane position are read only when spans are armed.
+  const std::int64_t enter_ns = span_every_ != 0 ? now_ns() : 0;
+  const std::uint64_t pos = span_every_ != 0 ? item_lane_->tail_index() : 0;
+  const PushResult r = admit([&] { return item_lane_->try_push(value); });
+  if (r != PushResult::kOk) return r;
+  crash_point(CrashPoint::kBeforePublish);
+  item_lane_->flush();
+  crash_point(CrashPoint::kAfterPublish);
+  return published(pos, enter_ns);
+}
+
 PushResult Producer::push_record(std::span<const std::byte> payload) {
-  PCPC_ASSERT_MSG(ring_ != nullptr, "push_record on a channel without a payload plane");
+  PCPC_ASSERT_MSG(record_lane_ != nullptr, "push_record() on an item channel");
   PCPC_ASSERT_MSG(payload.size() <= hdr_->payload_max_record,
                   "record exceeds the channel's max payload");
-  PeerSlot& me = hdr_->producers[index_];
-  maybe_heartbeat();
-
-  // Byte-ring admission, with the same bounded retry/backoff + liveness
-  // loop as the control ring (the var ring only frees space when the
-  // consumer drains, so a full ring means a slow/absent consumer).
-  queue::VarReservation r;
-  std::int64_t backoff_ns = config_.initial_backoff_ns;
-  for (int attempt = 0;; ++attempt) {
-    if (consumer_dead()) {
-      me.dropped.fetch_add(1, std::memory_order_relaxed);
-      return PushResult::kConsumerDead;
-    }
-    if (ring_->try_reserve(static_cast<std::uint32_t>(payload.size()), r)) break;
-    if (attempt >= config_.full_retries) {
-      me.dropped.fetch_add(1, std::memory_order_relaxed);
-      return PushResult::kFull;
-    }
-    std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-    backoff_ns = std::min(backoff_ns * 2, config_.max_backoff_ns);
-    maybe_heartbeat();
-  }
-  if (crash_hook_) crash_hook_(CrashPoint::kAfterReserve);
-
-  std::memcpy(r.data, payload.data(), payload.size());
-  if (!ring_->commit(r)) {
-    // A reaper decided we were dead mid-record and reclaimed the
-    // reservation; the commit CAS losing is how we learn it.
-    me.lease_lost.fetch_add(1, std::memory_order_relaxed);
-    return PushResult::kLeaseLost;
-  }
-  if (crash_hook_) crash_hook_(CrashPoint::kAfterCommit);
-
-  // Announce: one control value carrying (registry index, record
-  // offset).  push() brings its own retry/backoff, liveness checks,
-  // crash hooks, span sampling, and doorbell.
-  const PushResult res = push(var_announce_value(index_, r.offset));
-  if (res != PushResult::kOk) {
-    // Committed but unannounceable (control ring full / consumer dead /
-    // control lease lost): withdraw the record so the consumer's
-    // record<->announcement correspondence stays exact.  The bytes are
-    // counted reclaimed when the window releases.
-    ring_->abandon(r);
-  }
-  return res;
+  const std::int64_t enter_ns = span_every_ != 0 ? now_ns() : 0;
+  const std::uint64_t pos = span_every_ != 0 ? record_lane_->published_records() : 0;
+  queue::VarReservation res;
+  const PushResult r = admit([&] {
+    return record_lane_->try_reserve(static_cast<std::uint32_t>(payload.size()), res);
+  });
+  if (r != PushResult::kOk) return r;
+  std::memcpy(res.data, payload.data(), payload.size());
+  crash_point(CrashPoint::kBeforePublish);
+  record_lane_->commit(res);
+  crash_point(CrashPoint::kAfterPublish);
+  return published(pos, enter_ns);
 }
 
 }  // namespace pcpc::ipc

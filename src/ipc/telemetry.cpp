@@ -8,7 +8,6 @@ TelemetrySnapshot merged_telemetry(const ChannelHeader& hdr) {
   TelemetrySnapshot snap;
   snap.pushed = hdr.retired_pushed.load(std::memory_order_acquire);
   snap.dropped = hdr.retired_dropped.load(std::memory_order_acquire);
-  snap.lease_lost = hdr.retired_lease_lost.load(std::memory_order_acquire);
   snap.paid_wakes = hdr.retired_tel[kTelPaidWakes].load(std::memory_order_acquire);
   snap.doorbells_free =
       hdr.retired_tel[kTelDoorbellFree].load(std::memory_order_acquire);
@@ -23,11 +22,10 @@ TelemetrySnapshot merged_telemetry(const ChannelHeader& hdr) {
     p.pid = peer.pid.load(std::memory_order_acquire);
     p.pushed = peer.pushed.load(std::memory_order_acquire);
     p.dropped = peer.dropped.load(std::memory_order_acquire);
-    p.lease_lost = peer.lease_lost.load(std::memory_order_acquire);
     p.paid_wakes = tel.counters[kTelPaidWakes].load(std::memory_order_acquire);
     p.doorbells_free = tel.counters[kTelDoorbellFree].load(std::memory_order_acquire);
     p.span_stages = tel.counters[kTelSpanStages].load(std::memory_order_acquire);
-    p.ring_pushed = tel.ring_head.load(std::memory_order_acquire);
+    p.ring_pushed = tel.ring.tail_index();
     p.ring_dropped = tel.ring_dropped.load(std::memory_order_acquire);
 
     // Merge every slot's cells (a dead-but-unreaped peer's counts are
@@ -35,7 +33,6 @@ TelemetrySnapshot merged_telemetry(const ChannelHeader& hdr) {
     // exchange(0) fold makes this sum exact either way).
     snap.pushed += p.pushed;
     snap.dropped += p.dropped;
-    snap.lease_lost += p.lease_lost;
     snap.paid_wakes += p.paid_wakes;
     snap.doorbells_free += p.doorbells_free;
     snap.span_stages += p.span_stages;

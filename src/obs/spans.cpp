@@ -29,8 +29,8 @@ struct WakeTrack {
 SpanFold fold_spans(const std::vector<Event>& events) {
   SpanFold fold;
   // Key items by (pair-agnostic) item id: the id already encodes the
-  // pair on the thread/sim hosts (consumer << 32 | seq) and the ticket
-  // is globally unique on the ipc host.
+  // pair on the thread/sim hosts (consumer << 32 | seq) and the lane on
+  // the ipc host (lane << 48 | lane position).
   std::map<std::uint64_t, ItemSpan> items;
   std::map<std::uint32_t, WakeTrack> wakes;  ///< key: origin << 16 | core
 

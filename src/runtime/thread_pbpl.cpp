@@ -496,7 +496,7 @@ void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
                                     .count();
   std::memcpy(ref.res.data, &stamp_ns, sizeof stamp_ns);
   if (consumer.var->lock_free()) {
-    consumer.var->commit(ref.res);  // in-process: the lease cannot be lost
+    consumer.var->commit(ref.res);
   } else {
     for (;;) {
       Core* core = consumer.core.load(std::memory_order_acquire);

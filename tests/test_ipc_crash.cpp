@@ -1,19 +1,22 @@
 // Kill-chaos harness for the pcpc::ipc cross-process host.
 //
 // Forks REAL producer processes against a consumer in the test process
-// and SIGKILLs/SIGSTOPs them at seeded protocol points (after-claim,
-// mid-publish, after-publish — drawn from the same FaultInjector streams
-// as every other chaos suite).  The properties are the channel's whole
-// reason to exist:
+// and SIGKILLs/SIGSTOPs them at seeded protocol points (before-publish:
+// written into the lane, tail not moved; after-publish: visible, not yet
+// counted — drawn from the same FaultInjector streams as every other
+// chaos suite).  The properties are the channel's whole reason to exist:
 //
-//   - conservation: admitted tickets == consumed + reclaimed, exactly,
-//     no matter where producers die (the ticket word is the ground truth
-//     the attempt-level counters are then bounded against);
+//   - conservation: admitted == consumed + residue, exactly, no matter
+//     where producers die (lane cursors are the ground truth the
+//     attempt-level counters are then bounded against), and
+//     consumed == acked + (kills after publish) to the item;
 //   - no wedge: the consumer always finishes draining within a deadline
-//     after the last producer dies — dead leases and holes are reclaimed,
-//     never waited on forever;
-//   - SIGSTOP is not death: a suspended producer's lease is honored (no
-//     reclaim) and its publish completes after SIGCONT;
+//     after the last producer dies — a dead producer leaves nothing to
+//     wait on;
+//   - SIGSTOP is not death, and stalls only the stopped producer's lane;
+//   - a dead producer's published items and records are delivered, and
+//     the next producer on its registry slot resumes at its lane's
+//     published cursors;
 //   - paid-wakeup exactness: the obs ledger's paid total equals the
 //     channel's futex-wake counter identically;
 //   - graceful degradation: a producer facing a dead consumer gets
@@ -28,13 +31,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "pcpc/common/assert.hpp"
 #include "pcpc/fault/fault_injector.hpp"
 #include "pcpc/ipc/channel.hpp"
 #include "pcpc/obs/obs.hpp"
@@ -71,7 +78,6 @@ std::uint64_t tag_item(std::uint64_t producer, std::uint64_t seq) {
 ChannelConfig chaos_config() {
   ChannelConfig cfg;
   cfg.capacity = 256;
-  cfg.lease_ns = 2'000'000;            // 2 ms hole aging
   cfg.heartbeat_period_ns = 500'000;   // 0.5 ms Delta
   cfg.heartbeat_timeout_ns = 4'000'000;
   cfg.wake_threshold = 8;
@@ -87,11 +93,52 @@ ProducerConfig child_producer_config() {
   return cfg;
 }
 
+/// Kills per crash point, in an anonymous shared mapping made before the
+/// forks: a child counts its death here just before it SIGKILLs itself,
+/// so the parent knows where every kill landed.
+class KillTally {
+ public:
+  KillTally()
+      : counts_(static_cast<std::atomic<std::uint64_t>*>(
+            ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                   -1, 0))) {
+    PCPC_ASSERT_MSG(counts_ != MAP_FAILED, "kill tally mapping failed");
+    for (int p = 0; p < kCrashPointCount; ++p) new (&counts_[p]) std::atomic<std::uint64_t>(0);
+  }
+  ~KillTally() { ::munmap(counts_, kBytes); }
+  KillTally(const KillTally&) = delete;
+  KillTally& operator=(const KillTally&) = delete;
+
+  /// Child side: count the death at `point`, then die there.
+  [[noreturn]] void die_at(CrashPoint point) {
+    counts_[static_cast<int>(point)].fetch_add(1);
+    ::kill(::getpid(), SIGKILL);
+    for (;;) ::pause();
+  }
+  std::uint64_t at(CrashPoint point) const { return counts_[static_cast<int>(point)].load(); }
+
+ private:
+  static constexpr std::size_t kBytes = kCrashPointCount * sizeof(std::atomic<std::uint64_t>);
+  std::atomic<std::uint64_t>* counts_;
+};
+
+/// Arms the seeded kill for this push: the hook dies at the drawn point.
+void arm_crash_hook(Producer& producer, int crash_point, KillTally* tally) {
+  if (crash_point < 0) {
+    producer.set_crash_hook(nullptr);
+    return;
+  }
+  producer.set_crash_hook([crash_point, tally](CrashPoint point) {
+    if (static_cast<int>(point) == crash_point) tally->die_at(point);
+  });
+}
+
 /// Child body: attach, push `n_items` tagged values, self-SIGKILL at the
 /// injector-chosen crash point when the seed says so.  Children must
 /// _exit — never return into gtest.
 [[noreturn]] void chaos_producer_child(const std::string& name, std::uint64_t child_idx,
-                                       std::uint64_t seed, std::uint64_t n_items) {
+                                       std::uint64_t seed, std::uint64_t n_items,
+                                       KillTally* tally) {
   fault::FaultConfig fault_cfg;
   fault_cfg.seed = seed * 1000003 + child_idx;
   fault_cfg.kill_probability = 0.001;  // ~45% of children die per run
@@ -100,14 +147,7 @@ ProducerConfig child_producer_config() {
   auto producer = Producer::attach(name, child_producer_config());
   if (!producer.has_value()) _exit(2);
   for (std::uint64_t seq = 0; seq < n_items; ++seq) {
-    const int crash_point = injector.process_crash_point();
-    if (crash_point >= 0) {
-      producer->set_crash_hook([crash_point](CrashPoint point) {
-        if (static_cast<int>(point) == crash_point) ::kill(::getpid(), SIGKILL);
-      });
-    } else {
-      producer->set_crash_hook(nullptr);
-    }
+    arm_crash_hook(*producer, injector.process_crash_point(kCrashPointCount), tally);
     producer->push(tag_item(child_idx, seq));
   }
   producer->detach();
@@ -123,10 +163,11 @@ struct ChaosOutcome {
 
 /// One seeded schedule: 3 forked producers vs the in-test consumer.
 /// Fills *outcome; fails the test on conservation/order violations.
-void run_chaos_schedule(std::uint64_t seed, ChaosOutcome* outcome) {
+void run_chaos_schedule(std::uint64_t seed, KillTally& tally, ChaosOutcome* outcome) {
   constexpr std::size_t kProducers = 3;
   constexpr std::uint64_t kItems = 600;
   const std::string name = unique_name("chaos");
+  const std::uint64_t published_kills_before = tally.at(CrashPoint::kAfterPublish);
 
   auto consumer = Consumer::create(name, chaos_config());
   ASSERT_TRUE(consumer.has_value());
@@ -134,7 +175,7 @@ void run_chaos_schedule(std::uint64_t seed, ChaosOutcome* outcome) {
   std::vector<pid_t> children;
   for (std::size_t i = 0; i < kProducers; ++i) {
     const pid_t pid = ::fork();
-    if (pid == 0) chaos_producer_child(name, i, seed, kItems);
+    if (pid == 0) chaos_producer_child(name, i, seed, kItems, &tally);
     ASSERT_GT(pid, 0) << "fork failed";
     children.push_back(pid);
   }
@@ -183,107 +224,137 @@ void run_chaos_schedule(std::uint64_t seed, ChaosOutcome* outcome) {
   }
 
   outcome->report = consumer->report();
+  const ConservationReport& rep = outcome->report;
   EXPECT_EQ(order_violations, 0u) << "seed " << seed;
 
-  // The conservation identity, exact: every admitted ticket resolved.
-  EXPECT_EQ(outcome->report.admitted,
-            outcome->report.consumed + outcome->report.reclaimed)
+  // The conservation identity, exact: everything published was drained.
+  EXPECT_EQ(rep.admitted, rep.consumed + rep.residue) << "seed " << seed;
+  EXPECT_EQ(rep.residue, 0u) << "seed " << seed;
+  // Producer-acked pushes bound consumed from below; a producer dying
+  // between its publish and its counter bump accounts for one item per
+  // kill — exactly the kills that landed after publication.
+  EXPECT_LE(rep.acked_pushes, rep.consumed) << "seed " << seed;
+  EXPECT_LE(rep.consumed, rep.acked_pushes + outcome->killed) << "seed " << seed;
+  EXPECT_EQ(rep.consumed, rep.acked_pushes + tally.at(CrashPoint::kAfterPublish) -
+                              published_kills_before)
       << "seed " << seed;
-  // Published items are never reclaimed, so producer-acked pushes bound
-  // consumed from below; a producer dying between its publish CAS and
-  // its counter bump accounts for at most one item per kill.
-  EXPECT_LE(outcome->report.acked_pushes, outcome->report.consumed)
-      << "seed " << seed;
-  EXPECT_LE(outcome->report.consumed,
-            outcome->report.acked_pushes + outcome->killed)
-      << "seed " << seed;
-  // Each producer holds at most one unresolved ticket when it dies.
-  EXPECT_LE(outcome->report.reclaimed, outcome->killed) << "seed " << seed;
-  EXPECT_EQ(outcome->consumed_items, outcome->report.consumed) << "seed " << seed;
+  EXPECT_EQ(outcome->consumed_items, rep.consumed) << "seed " << seed;
 }
 
 TEST(IpcCrash, KillChaosConservationAcrossSeededSchedules) {
   PCPC_SKIP_UNDER_TSAN();
   constexpr std::uint64_t kSchedules = 100;
+  KillTally tally;
   std::size_t total_killed = 0;
   std::size_t total_clean = 0;
-  std::uint64_t total_reclaimed = 0;
   for (std::uint64_t seed = 1; seed <= kSchedules; ++seed) {
     if (testing::Test::HasFatalFailure()) break;
     ChaosOutcome outcome;
-    run_chaos_schedule(seed, &outcome);
+    run_chaos_schedule(seed, tally, &outcome);
     total_killed += outcome.killed;
     total_clean += outcome.clean;
-    total_reclaimed += outcome.report.reclaimed;
   }
   // The schedule mix must actually exercise both fates, or the suite is
   // testing nothing: with kill_probability 0.001 over 600 pushes about
-  // half the children die, spread across all three crash points.
+  // half the children die...
   EXPECT_GE(total_killed, kSchedules / 2);
   EXPECT_GE(total_clean, kSchedules / 2);
-  // And some deaths must have left work to reclaim (holes/leases).
-  EXPECT_GT(total_reclaimed, 0u);
+  // ...and the deaths must land on every step of the lane protocol.
+  EXPECT_GT(tally.at(CrashPoint::kBeforePublish), 0u);
+  EXPECT_GT(tally.at(CrashPoint::kAfterPublish), 0u);
 }
 
-TEST(IpcCrash, SigstopHolderKeepsLeaseUntilCont) {
+TEST(IpcCrash, SigstoppedProducerStallsOnlyItsOwnLane) {
   PCPC_SKIP_UNDER_TSAN();
+  constexpr std::uint64_t kStoppedItems = 10;
+  constexpr std::uint64_t kOtherItems = 200;
   const std::string name = unique_name("stop");
-  ChannelConfig cfg = chaos_config();
-  auto consumer = Consumer::create(name, cfg);
+  auto consumer = Consumer::create(name, chaos_config());
   ASSERT_TRUE(consumer.has_value());
 
-  const pid_t pid = ::fork();
-  if (pid == 0) {
+  // Producer 0 suspends itself between writing its sixth item into its
+  // lane and publishing it.
+  const pid_t stopped = ::fork();
+  if (stopped == 0) {
     auto producer = Producer::attach(name, child_producer_config());
     if (!producer.has_value()) _exit(2);
-    // Self-suspend while holding the write lease of item 5 (the sixth
-    // publish): the stopped process is alive, so the consumer must
-    // honor the lease while items 0..4 drain normally.
     producer->set_crash_hook([](CrashPoint point) {
-      static int publishes = 0;
-      if (point == CrashPoint::kMidPublish && ++publishes == 6) ::raise(SIGSTOP);
+      static int writes = 0;
+      if (point == CrashPoint::kBeforePublish && ++writes == 6) ::raise(SIGSTOP);
     });
-    for (std::uint64_t seq = 0; seq < 10; ++seq) {
-      producer->push(tag_item(0, seq));
+    for (std::uint64_t seq = 0; seq < kStoppedItems; ++seq) {
+      if (producer->push(tag_item(0, seq)) != PushResult::kOk) _exit(4);
     }
     producer->detach();
     _exit(0);
   }
-  ASSERT_GT(pid, 0);
+  ASSERT_GT(stopped, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(stopped, &status, WUNTRACED), stopped);
+  ASSERT_TRUE(WIFSTOPPED(status));
+  const auto stop_start = std::chrono::steady_clock::now();
 
-  // Consume items 0..4, then observe the held lease for several lease
-  // periods: head must block WITHOUT reclaiming (the holder is alive).
-  std::uint64_t consumed = 0;
-  const auto stall_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (consumed < 5) {
-    consumed += consumer->drain([](std::uint64_t) {});
-    consumer->wait(500'000);
-    ASSERT_LT(std::chrono::steady_clock::now(), stall_deadline);
+  // Producer 1 runs entirely while producer 0 is stopped.
+  const pid_t other = ::fork();
+  if (other == 0) {
+    auto producer = Producer::attach(name, child_producer_config());
+    if (!producer.has_value()) _exit(2);
+    for (std::uint64_t seq = 0; seq < kOtherItems; ++seq) {
+      if (producer->push(tag_item(1, seq)) != PushResult::kOk) _exit(4);
+    }
+    producer->detach();
+    _exit(0);
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // >> lease_ns
-  consumer->drain([](std::uint64_t) {});
-  consumer->reap();
-  EXPECT_EQ(consumer->report().reclaimed, 0u)
-      << "reclaimed a SIGSTOPped (alive) producer's lease";
+  ASSERT_GT(other, 0);
 
-  ::kill(pid, SIGCONT);
+  std::vector<std::uint64_t> next_seq(2, 0);
+  std::size_t order_violations = 0;
+  auto on_item = [&](std::uint64_t value) {
+    const std::uint64_t idx = value >> 32;
+    if (idx > 1 || (value & 0xffffffffULL) != next_seq[idx]) {
+      ++order_violations;
+    } else {
+      ++next_seq[idx];
+    }
+  };
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (consumed < 10) {
-    consumed += consumer->drain([](std::uint64_t) {});
+  while (next_seq[1] < kOtherItems) {
+    consumer->drain(on_item);
+    consumer->reap();
+    consumer->wait(500'000);
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the running producer's items stalled behind the stopped one";
+  }
+  // Hold the stop for 20 ms, five heartbeat timeouts: the written but
+  // unpublished item stays invisible, and the stopped producer is not
+  // reaped — it is alive.
+  std::this_thread::sleep_until(stop_start + std::chrono::milliseconds(20));
+  consumer->drain(on_item);
+  consumer->reap();
+  EXPECT_EQ(next_seq[0], 5u);
+  EXPECT_EQ(consumer->report().peers_reaped, 0u);
+
+  ::kill(stopped, SIGCONT);
+  while (next_seq[0] < kStoppedItems) {
+    consumer->drain(on_item);
     consumer->wait(500'000);
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "publish did not resume after SIGCONT";
   }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  for (const pid_t pid : {stopped, other}) {
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "a push failed";
+  }
+  EXPECT_EQ(order_violations, 0u);
   const ConservationReport rep = consumer->report();
-  EXPECT_EQ(rep.admitted, rep.consumed);
-  EXPECT_EQ(rep.reclaimed, 0u);
+  EXPECT_EQ(rep.admitted, kStoppedItems + kOtherItems);
+  EXPECT_EQ(rep.consumed, rep.admitted);
+  EXPECT_EQ(rep.acked_pushes, rep.consumed);
+  EXPECT_EQ(rep.dropped, 0u);
 }
 
 TEST(IpcCrash, PaidWakeupsMatchFutexWakeCountExactly) {
+
   PCPC_SKIP_UNDER_TSAN();
   if (!kFutexSupported) GTEST_SKIP() << "no futex on this platform";
   const std::string name = unique_name("futex");
@@ -382,14 +453,15 @@ TEST(IpcCrash, RegistrySlotReusableAfterReap) {
   auto consumer = Consumer::create(name, chaos_config());
   ASSERT_TRUE(consumer.has_value());
 
-  // Kill a producer mid-publish so it dies holding a lease.
+  // A producer publishes item 1, then dies between writing item 2 into
+  // its lane and publishing it.
   const pid_t pid = ::fork();
   if (pid == 0) {
     auto producer = Producer::attach(name, child_producer_config());
     if (!producer.has_value()) _exit(2);
     producer->push(1);
     producer->set_crash_hook([](CrashPoint point) {
-      if (point == CrashPoint::kMidPublish) ::kill(::getpid(), SIGKILL);
+      if (point == CrashPoint::kBeforePublish) ::kill(::getpid(), SIGKILL);
     });
     producer->push(2);
     _exit(3);  // unreachable
@@ -399,35 +471,39 @@ TEST(IpcCrash, RegistrySlotReusableAfterReap) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  // Recovery: drain + reap until the lease is reclaimed AND the reaper
-  // has retired the dead registry entry (head-of-ring reclaim can beat
-  // the heartbeat-staleness bound; the registry slot frees only via reap).
+  // Recovery: item 1 is delivered, item 2 was never visible, and the
+  // reaper retires the dead registry entry (the slot frees only via reap).
+  std::vector<std::uint64_t> got;
+  auto on_item = [&](std::uint64_t v) { got.push_back(v); };
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (consumer->report().residue != 0 || consumer->report().peers_reaped == 0) {
-    consumer->drain([](std::uint64_t) {});
+    consumer->drain(on_item);
     consumer->reap();
     consumer->wait(500'000);
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "lease never reclaimed";
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "dead producer never reaped";
   }
   ConservationReport rep = consumer->report();
+  EXPECT_EQ(got, std::vector<std::uint64_t>({1}));
   EXPECT_EQ(rep.consumed, 1u);
-  EXPECT_EQ(rep.reclaimed, 1u);
+  EXPECT_EQ(rep.residue, 0u);
   EXPECT_EQ(rep.peers_reaped, 1u);
 
-  // The freed registry slot must accept a new producer, and the channel
-  // must keep flowing.
+  // The freed registry slot takes a new producer, which resumes at the
+  // lane's published cursors: its item follows item 1, and the dead
+  // write is gone.
   auto producer = Producer::attach(name, child_producer_config());
   ASSERT_TRUE(producer.has_value());
+  EXPECT_EQ(producer->registry_index(), 0u);
   EXPECT_EQ(producer->push(7), PushResult::kOk);
-  std::uint64_t got = 0;
   const auto drain_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (consumer->drain([&](std::uint64_t v) { got = v; }) == 0) {
+  while (consumer->drain(on_item) == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), drain_deadline);
   }
-  EXPECT_EQ(got, 7u);
+  EXPECT_EQ(got, std::vector<std::uint64_t>({1, 7}));
   rep = consumer->report();
-  EXPECT_EQ(rep.admitted, rep.consumed + rep.reclaimed);
+  EXPECT_EQ(rep.admitted, 2u);
+  EXPECT_EQ(rep.admitted, rep.consumed);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +536,8 @@ void fill_varlen_payload(std::vector<std::byte>& buf, std::uint64_t child_idx,
 }
 
 [[noreturn]] void varlen_producer_child(const std::string& name, std::uint64_t child_idx,
-                                        std::uint64_t seed, std::uint64_t n_items) {
+                                        std::uint64_t seed, std::uint64_t n_items,
+                                        KillTally* tally) {
   fault::FaultConfig fault_cfg;
   fault_cfg.seed = seed * 7001 + child_idx;
   fault_cfg.kill_probability = 0.002;
@@ -470,18 +547,7 @@ void fill_varlen_payload(std::vector<std::byte>& buf, std::uint64_t child_idx,
   if (!producer.has_value()) _exit(2);
   std::vector<std::byte> buf;
   for (std::uint64_t seq = 0; seq < n_items; ++seq) {
-    const int crash_point = injector.process_crash_point();
-    if (crash_point >= 0) {
-      // The injector draws over the three control-path points; fold the
-      // two varlen-only points (kAfterReserve=3, kAfterCommit=4) in so
-      // deaths land on every step of the record protocol too.
-      producer->set_crash_hook([crash_point](CrashPoint point) {
-        const int p = static_cast<int>(point);
-        if (p == crash_point || p == crash_point + 3) ::kill(::getpid(), SIGKILL);
-      });
-    } else {
-      producer->set_crash_hook(nullptr);
-    }
+    arm_crash_hook(*producer, injector.process_crash_point(kCrashPointCount), tally);
     fill_varlen_payload(buf, child_idx, seq);
     producer->push_record(std::span<const std::byte>(buf.data(), buf.size()));
   }
@@ -493,14 +559,48 @@ struct VarlenChaosOutcome {
   std::size_t killed = 0;
   std::size_t clean = 0;
   std::uint64_t delivered = 0;
+  std::uint64_t delivered_bytes = 0;
   std::uint64_t tears = 0;
   ConservationReport report;
 };
 
-void run_varlen_chaos_schedule(std::uint64_t seed, VarlenChaosOutcome* outcome) {
+/// Counts a delivered record into `outcome`, checking it is untorn and in
+/// per-producer order.
+void check_varlen_record(std::span<const std::byte> payload, std::vector<std::uint64_t>& next_seq,
+                         std::size_t& order_violations, VarlenChaosOutcome* outcome) {
+  ++outcome->delivered;
+  outcome->delivered_bytes += payload.size();
+  if (payload.size() < 8) {
+    ++outcome->tears;
+    return;
+  }
+  std::uint64_t key = 0;
+  std::memcpy(&key, payload.data(), sizeof(key));
+  const std::uint64_t idx = key >> 32;
+  const std::uint64_t seq = key & 0xffffffffULL;
+  if (idx >= next_seq.size() || payload.size() != varlen_size_of(idx, seq)) {
+    ++outcome->tears;
+    return;
+  }
+  for (std::size_t i = 8; i < payload.size(); ++i) {
+    if (payload[i] != static_cast<std::byte>((key * 131 + i) & 0xff)) {
+      ++outcome->tears;
+      return;
+    }
+  }
+  if (seq < next_seq[idx]) {
+    ++order_violations;
+  } else {
+    next_seq[idx] = seq + 1;  // gaps allowed (drops); regressions not
+  }
+}
+
+void run_varlen_chaos_schedule(std::uint64_t seed, KillTally& tally,
+                               VarlenChaosOutcome* outcome) {
   constexpr std::size_t kProducers = 3;
   constexpr std::uint64_t kItems = 400;
   const std::string name = unique_name("varchaos");
+  const std::uint64_t published_kills_before = tally.at(CrashPoint::kAfterPublish);
 
   auto consumer = Consumer::create(name, varlen_chaos_config());
   ASSERT_TRUE(consumer.has_value());
@@ -508,7 +608,7 @@ void run_varlen_chaos_schedule(std::uint64_t seed, VarlenChaosOutcome* outcome) 
   std::vector<pid_t> children;
   for (std::size_t i = 0; i < kProducers; ++i) {
     const pid_t pid = ::fork();
-    if (pid == 0) varlen_producer_child(name, i, seed, kItems);
+    if (pid == 0) varlen_producer_child(name, i, seed, kItems, &tally);
     ASSERT_GT(pid, 0) << "fork failed";
     children.push_back(pid);
   }
@@ -516,30 +616,7 @@ void run_varlen_chaos_schedule(std::uint64_t seed, VarlenChaosOutcome* outcome) 
   std::vector<std::uint64_t> next_seq(kProducers, 0);
   std::size_t order_violations = 0;
   auto on_record = [&](std::span<const std::byte> payload) {
-    ++outcome->delivered;
-    if (payload.size() < 8) {
-      ++outcome->tears;
-      return;
-    }
-    std::uint64_t key = 0;
-    std::memcpy(&key, payload.data(), sizeof(key));
-    const std::uint64_t idx = key >> 32;
-    const std::uint64_t seq = key & 0xffffffffULL;
-    if (idx >= kProducers || payload.size() != varlen_size_of(idx, seq)) {
-      ++outcome->tears;
-      return;
-    }
-    for (std::size_t i = 8; i < payload.size(); ++i) {
-      if (payload[i] != static_cast<std::byte>((key * 131 + i) & 0xff)) {
-        ++outcome->tears;
-        return;
-      }
-    }
-    if (seq < next_seq[idx]) {
-      ++order_violations;
-    } else {
-      next_seq[idx] = seq + 1;  // gaps allowed (drops/losses); regressions not
-    }
+    check_varlen_record(payload, next_seq, order_violations, outcome);
   };
 
   std::size_t live = children.size();
@@ -578,56 +655,69 @@ void run_varlen_chaos_schedule(std::uint64_t seed, VarlenChaosOutcome* outcome) 
   EXPECT_EQ(order_violations, 0u) << "seed " << seed;
   EXPECT_EQ(outcome->tears, 0u) << "seed " << seed;
 
-  // Ticket conservation still exact on the control plane.
-  EXPECT_EQ(rep.admitted, rep.consumed + rep.reclaimed) << "seed " << seed;
-  // Byte conservation, exact: every byte any producer ever claimed in a
-  // payload ring resolved to consumed, reclaimed, or wrap padding.
-  EXPECT_EQ(rep.var_admitted_bytes, rep.var_consumed_bytes + rep.var_reclaimed_bytes +
-                                        rep.var_padding_bytes)
+  // Record conservation, exact (the item fields count records here).
+  EXPECT_EQ(rep.admitted, rep.consumed + rep.residue) << "seed " << seed;
+  EXPECT_EQ(rep.residue, 0u) << "seed " << seed;
+  EXPECT_LE(rep.acked_pushes, rep.consumed) << "seed " << seed;
+  EXPECT_LE(rep.consumed, rep.acked_pushes + outcome->killed) << "seed " << seed;
+  EXPECT_EQ(rep.consumed, rep.acked_pushes + tally.at(CrashPoint::kAfterPublish) -
+                              published_kills_before)
+      << "seed " << seed;
+  EXPECT_EQ(outcome->delivered, rep.consumed) << "seed " << seed;
+  // Byte conservation, exact: every byte any producer published resolved
+  // to a consumed record or wrap padding.
+  EXPECT_EQ(rep.var_admitted_bytes,
+            rep.var_consumed_bytes + rep.var_padding_bytes + rep.var_residue_bytes)
       << "seed " << seed;
   EXPECT_EQ(rep.var_residue_bytes, 0u) << "seed " << seed;
-  // Every drained control item was an announcement: it either delivered
-  // its record or counted a loss (record died with its producer).
-  EXPECT_EQ(rep.var_delivered_records + rep.var_lost_records, rep.consumed)
-      << "seed " << seed;
-  EXPECT_EQ(outcome->delivered, rep.var_delivered_records) << "seed " << seed;
-  if (outcome->killed == 0) {
-    EXPECT_EQ(rep.var_lost_records, 0u) << "seed " << seed;
-  }
+  EXPECT_EQ(rep.var_delivered_bytes, outcome->delivered_bytes) << "seed " << seed;
 }
 
 TEST(IpcCrash, VarlenKillChaosByteConservationAcrossSeededSchedules) {
   PCPC_SKIP_UNDER_TSAN();
   constexpr std::uint64_t kSchedules = 60;
+  KillTally tally;
   std::size_t total_killed = 0;
   std::size_t total_clean = 0;
   std::uint64_t total_delivered = 0;
-  std::uint64_t total_reclaimed_bytes = 0;
   for (std::uint64_t seed = 1; seed <= kSchedules; ++seed) {
     if (testing::Test::HasFatalFailure()) break;
     VarlenChaosOutcome outcome;
-    run_varlen_chaos_schedule(seed, &outcome);
+    run_varlen_chaos_schedule(seed, tally, &outcome);
     total_killed += outcome.killed;
     total_clean += outcome.clean;
     total_delivered += outcome.delivered;
-    total_reclaimed_bytes += outcome.report.var_reclaimed_bytes;
   }
-  // The mix must exercise both fates and actually reclaim record bytes,
-  // or the byte-granular recovery path went untested.
+  // The mix must exercise both fates, and deaths on every step of the
+  // record protocol, or the recovery path went untested.
   EXPECT_GE(total_killed, kSchedules / 3);
   EXPECT_GE(total_clean, kSchedules / 3);
   EXPECT_GT(total_delivered, 0u);
-  EXPECT_GT(total_reclaimed_bytes, 0u);
+  EXPECT_GT(tally.at(CrashPoint::kBeforePublish), 0u);
+  EXPECT_GT(tally.at(CrashPoint::kAfterPublish), 0u);
 }
 
-TEST(IpcCrash, VarlenSlotReuseAfterCommitCrashKeepsCorrespondence) {
+/// Drains records until `done()` or a 10 s deadline, reaping between
+/// rounds; fails the test on the deadline.
+template <typename OnRecord, typename Done>
+void drain_records_until(Consumer& consumer, OnRecord&& on_record, Done&& done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    consumer.drain_records(on_record);
+    consumer.reap();
+    consumer.wait(500'000);
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "records never resolved";
+  }
+}
+
+TEST(IpcCrash, VarlenSlotReuseResumesAtPublishedCursors) {
   PCPC_SKIP_UNDER_TSAN();
   const std::string name = unique_name("varreuse");
   auto consumer = Consumer::create(name, varlen_chaos_config());
   ASSERT_TRUE(consumer.has_value());
 
-  // Child A: 3 announced records, then dies with a 4th committed but
-  // never announced (the worst case for record<->announcement skew).
+  // Child A: 3 published records, then dies with a 4th reserved and
+  // written into its lane but never published.
   const pid_t pid = ::fork();
   if (pid == 0) {
     auto producer = Producer::attach(name, child_producer_config());
@@ -638,7 +728,7 @@ TEST(IpcCrash, VarlenSlotReuseAfterCommitCrashKeepsCorrespondence) {
       producer->push_record(std::span<const std::byte>(buf.data(), buf.size()));
     }
     producer->set_crash_hook([](CrashPoint point) {
-      if (point == CrashPoint::kAfterCommit) ::kill(::getpid(), SIGKILL);
+      if (point == CrashPoint::kBeforePublish) ::kill(::getpid(), SIGKILL);
     });
     fill_varlen_payload(buf, 0, 3);
     producer->push_record(std::span<const std::byte>(buf.data(), buf.size()));
@@ -649,62 +739,55 @@ TEST(IpcCrash, VarlenSlotReuseAfterCommitCrashKeepsCorrespondence) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  // Recover: the 3 announced records must deliver intact, the orphan must
-  // be reclaimed (bytes, not a loss — it was never announced), and the
-  // registry slot must free.
-  std::uint64_t delivered = 0;
-  std::uint64_t bad = 0;
+  // Recover: the 3 published records deliver intact, the 4th was never
+  // visible, and the registry slot frees.
+  VarlenChaosOutcome outcome;
+  std::vector<std::uint64_t> next_seq(1, 0);
+  std::size_t order_violations = 0;
   auto on_record = [&](std::span<const std::byte> payload) {
-    std::uint64_t key = 0;
-    if (payload.size() >= 8) std::memcpy(&key, payload.data(), sizeof(key));
-    if (payload.size() != varlen_size_of(key >> 32, key & 0xffffffffULL)) ++bad;
-    ++delivered;
+    check_varlen_record(payload, next_seq, order_violations, &outcome);
   };
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (consumer->report().var_residue_bytes != 0 ||
-         consumer->report().peers_reaped == 0) {
-    consumer->drain_records(on_record);
-    consumer->reap();
-    consumer->wait(500'000);
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "orphan never resolved";
-  }
-  EXPECT_EQ(delivered, 3u);
-  EXPECT_EQ(bad, 0u);
+  drain_records_until(*consumer, on_record, [&] {
+    const ConservationReport rep = consumer->report();
+    return rep.var_residue_bytes == 0 && rep.peers_reaped == 1;
+  });
+  EXPECT_EQ(outcome.delivered, 3u);
+  EXPECT_EQ(next_seq[0], 3u);
   ConservationReport rep = consumer->report();
-  EXPECT_EQ(rep.var_lost_records, 0u);
-  EXPECT_GT(rep.var_reclaimed_bytes, 0u);
+  EXPECT_EQ(rep.admitted, 3u);
+  EXPECT_EQ(rep.consumed, 3u);
 
-  // Slot reuse: a successor on the same registry index must interleave
-  // cleanly with the predecessor's resolved ring.
+  // Slot reuse: a successor on the same registry index resumes at the
+  // lane's published cursors, over the dead reservation's bytes.
   auto producer = Producer::attach(name, child_producer_config());
   ASSERT_TRUE(producer.has_value());
+  EXPECT_EQ(producer->registry_index(), 0u);
   std::vector<std::byte> buf;
   for (std::uint64_t seq = 10; seq < 12; ++seq) {
     fill_varlen_payload(buf, 0, seq);
     ASSERT_EQ(producer->push_record(std::span<const std::byte>(buf.data(), buf.size())),
               PushResult::kOk);
   }
-  const auto drain_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (delivered < 5) {
-    consumer->drain_records(on_record);
-    ASSERT_LT(std::chrono::steady_clock::now(), drain_deadline);
-  }
-  EXPECT_EQ(delivered, 5u);
-  EXPECT_EQ(bad, 0u);
+  drain_records_until(*consumer, on_record, [&] { return outcome.delivered == 5; });
+  EXPECT_EQ(next_seq[0], 12u);
+  EXPECT_EQ(outcome.tears, 0u);
+  EXPECT_EQ(order_violations, 0u);
   rep = consumer->report();
-  EXPECT_EQ(rep.var_admitted_bytes - rep.var_residue_bytes,
-            rep.var_consumed_bytes + rep.var_reclaimed_bytes + rep.var_padding_bytes);
+  EXPECT_EQ(rep.admitted, 5u);
+  EXPECT_EQ(rep.consumed, 5u);
+  EXPECT_EQ(rep.var_admitted_bytes,
+            rep.var_consumed_bytes + rep.var_padding_bytes + rep.var_residue_bytes);
+  EXPECT_EQ(rep.var_delivered_bytes, outcome.delivered_bytes);
 }
 
-TEST(IpcCrash, VarlenAnnouncedUndrainedRecordCountsAsLoss) {
+TEST(IpcCrash, VarlenDeadProducersPublishedRecordsAreDelivered) {
   PCPC_SKIP_UNDER_TSAN();
-  const std::string name = unique_name("varloss");
+  const std::string name = unique_name("vardead");
   auto consumer = Consumer::create(name, varlen_chaos_config());
   ASSERT_TRUE(consumer.has_value());
 
   // Child publishes record 0 fully, then dies right after record 1's
-  // announcement (control publish done, producer counters not bumped).
+  // publication (visible to the consumer, its counter not yet bumped).
   const pid_t pid = ::fork();
   if (pid == 0) {
     auto producer = Producer::attach(name, child_producer_config());
@@ -724,31 +807,34 @@ TEST(IpcCrash, VarlenAnnouncedUndrainedRecordCountsAsLoss) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  // Reap BEFORE draining: the dead producer's ring is resolved first, so
-  // record 1's dangling announcement must resolve as a counted loss, and
-  // record 0 (announced earlier, also resolved by the reaper) too —
-  // announced-but-undrained records do not survive their producer.
+  // Reap BEFORE draining: the reaper leaves the dead producer's lane
+  // alone, so both published records are still delivered, intact.
   const auto reap_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (consumer->report().peers_reaped == 0) {
     consumer->reap();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_LT(std::chrono::steady_clock::now(), reap_deadline) << "never reaped";
   }
-  std::uint64_t delivered = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (consumer->report().residue != 0 ||
-         consumer->report().var_residue_bytes != 0) {
-    consumer->drain_records([&](std::span<const std::byte>) { ++delivered; });
-    consumer->reap();
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-  }
+  VarlenChaosOutcome outcome;
+  std::vector<std::uint64_t> next_seq(1, 0);
+  std::size_t order_violations = 0;
+  drain_records_until(
+      *consumer,
+      [&](std::span<const std::byte> payload) {
+        check_varlen_record(payload, next_seq, order_violations, &outcome);
+      },
+      [&] { return consumer->report().var_residue_bytes == 0; });
   const ConservationReport rep = consumer->report();
-  EXPECT_EQ(delivered, 0u);
-  EXPECT_EQ(rep.var_delivered_records, 0u);
-  EXPECT_EQ(rep.var_lost_records, rep.consumed);
-  EXPECT_GE(rep.var_lost_records, 1u);
+  EXPECT_EQ(outcome.delivered, 2u);
+  EXPECT_EQ(outcome.tears, 0u);
+  EXPECT_EQ(order_violations, 0u);
+  EXPECT_EQ(next_seq[0], 2u);
+  EXPECT_EQ(rep.consumed, 2u);
+  EXPECT_EQ(rep.acked_pushes, 1u);  // record 1 was published, never acked
+  EXPECT_EQ(rep.admitted, rep.consumed);
   EXPECT_EQ(rep.var_admitted_bytes,
-            rep.var_consumed_bytes + rep.var_reclaimed_bytes + rep.var_padding_bytes);
+            rep.var_consumed_bytes + rep.var_padding_bytes + rep.var_residue_bytes);
+  EXPECT_EQ(rep.var_delivered_bytes, outcome.delivered_bytes);
 }
 
 TEST(IpcCrash, AttachBacksOffUntilCreationAndGivesUpCleanly) {

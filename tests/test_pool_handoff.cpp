@@ -18,19 +18,19 @@ namespace {
 
 using Buffer = std::unique_ptr<Handoff<int>>;
 
-Buffer make_buffer(BufferPool<int>& pool, std::uint32_t consumer = 0) {
+Buffer make_buffer(BufferPool& pool, std::uint32_t consumer = 0) {
   return make_pool_handoff<int>(BackendKind::Mutex, pool, consumer);
 }
 
 TEST(BufferPool, SlotAccountingAtConstruction) {
-  BufferPool<int> pool(/*consumers=*/4, /*base_capacity=*/25, /*segment_size=*/5);
+  BufferPool pool(/*consumers=*/4, /*base_capacity=*/25, /*segment_size=*/5);
   EXPECT_EQ(pool.total_slots(), 100u);
   EXPECT_EQ(pool.free_slots(), 100u);
   EXPECT_EQ(pool.base_capacity(), 25u);
 }
 
 TEST(BufferPool, RoundsUpPerConsumer) {
-  BufferPool<int> pool(/*consumers=*/3, /*base_capacity=*/7, /*segment_size=*/5);
+  BufferPool pool(/*consumers=*/3, /*base_capacity=*/7, /*segment_size=*/5);
   // Each consumer's 7-slot share rounds to 2 segments: 3 × 10 slots.
   EXPECT_EQ(pool.total_slots(), 30u);
 }
@@ -39,21 +39,21 @@ TEST(BufferPool, EveryConsumerGetsItsBaseShare) {
   // Regression (found by fuzzing): with a segment size larger than the
   // base capacity, global rounding used to under-provision the pool and
   // the last consumer's base grant came up empty.
-  BufferPool<int> pool(/*consumers=*/3, /*base_capacity=*/4, /*segment_size=*/10);
+  BufferPool pool(/*consumers=*/3, /*base_capacity=*/4, /*segment_size=*/10);
   std::vector<Buffer> buffers;
   for (std::uint32_t i = 0; i < 3; ++i) buffers.push_back(make_buffer(pool, i));
   for (const auto& b : buffers) EXPECT_GE(b->capacity(), 4u);
 }
 
 TEST(BufferPool, MakeBufferTakesBaseCapacity) {
-  BufferPool<int> pool(2, 25, 5);
+  BufferPool pool(2, 25, 5);
   auto buffer = make_buffer(pool);
   EXPECT_EQ(buffer->capacity(), 25u);
   EXPECT_EQ(pool.free_slots(), 25u);
 }
 
 TEST(ElasticBuffer, FifoWithOverflowCount) {
-  BufferPool<int> pool(1, 3, 1);
+  BufferPool pool(1, 3, 1);
   auto buffer = make_buffer(pool);
   EXPECT_TRUE(buffer->try_push(1));
   EXPECT_TRUE(buffer->try_push(2));
@@ -67,7 +67,7 @@ TEST(ElasticBuffer, FifoWithOverflowCount) {
 }
 
 TEST(ElasticBuffer, GrowTakesFromPool) {
-  BufferPool<int> pool(2, 10, 5);
+  BufferPool pool(2, 10, 5);
   auto a = make_buffer(pool);
   EXPECT_EQ(pool.free_slots(), 10u);
   EXPECT_EQ(a->resize(20), 20u);
@@ -75,7 +75,7 @@ TEST(ElasticBuffer, GrowTakesFromPool) {
 }
 
 TEST(ElasticBuffer, GrowIsClampedByPool) {
-  BufferPool<int> pool(2, 10, 5);
+  BufferPool pool(2, 10, 5);
   auto a = make_buffer(pool, 0);
   auto b = make_buffer(pool, 1);
   EXPECT_EQ(pool.free_slots(), 0u);
@@ -85,7 +85,7 @@ TEST(ElasticBuffer, GrowIsClampedByPool) {
 }
 
 TEST(ElasticBuffer, ShrinkReturnsToPool) {
-  BufferPool<int> pool(1, 20, 5);
+  BufferPool pool(1, 20, 5);
   auto buffer = make_buffer(pool);
   buffer->resize(5);
   EXPECT_EQ(buffer->capacity(), 5u);
@@ -93,7 +93,7 @@ TEST(ElasticBuffer, ShrinkReturnsToPool) {
 }
 
 TEST(ElasticBuffer, ShrinkNeverDropsLiveItems) {
-  BufferPool<int> pool(1, 20, 5);
+  BufferPool pool(1, 20, 5);
   auto buffer = make_buffer(pool);
   for (int i = 0; i < 12; ++i) buffer->try_push(i);
   buffer->resize(1);  // wants 1 slot but holds 12 items
@@ -102,14 +102,14 @@ TEST(ElasticBuffer, ShrinkNeverDropsLiveItems) {
 }
 
 TEST(ElasticBuffer, ResizeRoundsToSegments) {
-  BufferPool<int> pool(1, 20, 5);
+  BufferPool pool(1, 20, 5);
   auto buffer = make_buffer(pool);
   EXPECT_EQ(buffer->resize(7), 10u);  // 2 segments of 5
   EXPECT_EQ(buffer->resize(11), 15u);
 }
 
 TEST(ElasticBuffer, DestructionReturnsSegments) {
-  BufferPool<int> pool(2, 10, 5);
+  BufferPool pool(2, 10, 5);
   {
     auto buffer = make_buffer(pool);
     EXPECT_EQ(pool.free_slots(), 10u);
@@ -118,7 +118,7 @@ TEST(ElasticBuffer, DestructionReturnsSegments) {
 }
 
 TEST(ElasticBuffer, CapacitySamplesRecordResizes) {
-  BufferPool<int> pool(1, 20, 5);
+  BufferPool pool(1, 20, 5);
   auto buffer = make_buffer(pool);
   buffer->resize(10);
   buffer->resize(20);
@@ -127,7 +127,7 @@ TEST(ElasticBuffer, CapacitySamplesRecordResizes) {
 }
 
 TEST(ElasticBuffer, HighWaterTracksPeak) {
-  BufferPool<int> pool(1, 10, 5);
+  BufferPool pool(1, 10, 5);
   auto buffer = make_buffer(pool);
   buffer->try_push(1);
   buffer->try_push(2);
@@ -140,7 +140,7 @@ class PoolConservationTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PoolConservationTest, SlotsAreConservedUnderRandomTraffic) {
   // Property: at every step, free + Σ owned = total, and no buffer ever
   // loses a live item.
-  BufferPool<int> pool(4, 25, 5);
+  BufferPool pool(4, 25, 5);
   std::vector<Buffer> buffers;
   for (std::uint32_t i = 0; i < 4; ++i) buffers.push_back(make_buffer(pool, i));
   std::vector<int> next_in(4, 0), next_out(4, 0);
@@ -172,7 +172,7 @@ TEST(BufferPool, ExhaustionDegradesInsteadOfAborting) {
   // Regression: an over-subscribed pool used to PCPC_ASSERT-abort on the
   // base grant.  It must instead over-commit one emergency segment,
   // count the event, and hand out a usable (if minimal) buffer.
-  BufferPool<int> pool(/*consumers=*/2, /*base_capacity=*/8, /*segment_size=*/8);
+  BufferPool pool(/*consumers=*/2, /*base_capacity=*/8, /*segment_size=*/8);
   auto a = make_buffer(pool, 0);
   auto b = make_buffer(pool, 1);
   EXPECT_EQ(pool.free_slots(), 0u);
@@ -190,7 +190,7 @@ TEST(BufferPool, ExhaustionDegradesInsteadOfAborting) {
 }
 
 TEST(BufferPool, SeizeAndRestoreSegmentsForPressure) {
-  BufferPool<int> pool(/*consumers=*/4, /*base_capacity=*/10, /*segment_size=*/5);
+  BufferPool pool(/*consumers=*/4, /*base_capacity=*/10, /*segment_size=*/5);
   EXPECT_EQ(pool.total_segments(), 8u);
   auto a = make_buffer(pool);  // takes 2 segments, 6 free
   const std::size_t seized = pool.seize_segments(100);
@@ -212,7 +212,7 @@ TEST(BufferPool, SeizeAndRestoreSegmentsForPressure) {
 // under the documented external lock and checks the invariant after
 // every single operation.  Run under TSan by ci/sanitize.sh.
 TEST(ElasticBufferConcurrency, GrowRacesEnqueue) {
-  BufferPool<int> pool(/*consumers=*/2, /*base_capacity=*/16, /*segment_size=*/4);
+  BufferPool pool(/*consumers=*/2, /*base_capacity=*/16, /*segment_size=*/4);
   auto buffer = make_buffer(pool);
   std::mutex lock;  // the contract: one lock guards push/pop AND resize
   std::atomic<bool> stop{false};

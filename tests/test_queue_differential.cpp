@@ -67,7 +67,7 @@ const char* policy_name(OverflowPolicy policy) {
 /// ring, no atomics and no physical bound — nothing the backends share.
 class ReferenceHandoff final : public Handoff<std::uint64_t> {
  public:
-  explicit ReferenceHandoff(BufferPool<std::uint64_t>& pool)
+  explicit ReferenceHandoff(BufferPool& pool)
       : pool_(pool), segments_(pool.grant_base_segments()) {}
   ~ReferenceHandoff() override { pool_.return_segments(segments_); }
 
@@ -132,7 +132,7 @@ class ReferenceHandoff final : public Handoff<std::uint64_t> {
   const OnlineStats& capacity_samples() const override { return capacity_samples_; }
 
  private:
-  BufferPool<std::uint64_t>& pool_;
+  BufferPool& pool_;
   std::size_t segments_;
   std::deque<std::uint64_t> items_;
   std::uint64_t overflows_ = 0;
@@ -233,14 +233,14 @@ void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
 /// Two consumers' worth of pool so there is headroom to borrow, but only
 /// one hand-off — the second share is the free pool the elastic wall
 /// moves against.
-BufferPool<std::uint64_t> driver_pool() {
-  return BufferPool<std::uint64_t>(/*consumers=*/2, /*base_capacity=*/24,
+BufferPool driver_pool() {
+  return BufferPool(/*consumers=*/2, /*base_capacity=*/24,
                                    /*segment_size=*/8);
 }
 
 /// Heap-placed run of one backend kind.
 Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
-  BufferPool<std::uint64_t> pool = driver_pool();
+  BufferPool pool = driver_pool();
   auto queue = make_pool_handoff<std::uint64_t>(kind, pool, /*consumer=*/0);
   Outcome out;
   drive_handoff(*queue, policy, seed, out);
@@ -249,7 +249,7 @@ Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
 
 /// The same run against the reference semantics.
 Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
-  BufferPool<std::uint64_t> pool = driver_pool();
+  BufferPool pool = driver_pool();
   ReferenceHandoff queue(pool);
   Outcome out;
   drive_handoff(queue, policy, seed, out);
@@ -261,8 +261,8 @@ Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
 /// storage the pcpc::ipc host uses.  Placement must be semantically
 /// invisible: heap and shm runs must produce bit-identical outcomes.
 Outcome drive_in_shm(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
-  BufferPool<std::uint64_t> pool = driver_pool();
-  const std::size_t bytes = placed_handoff_bytes(kind, pool);
+  BufferPool pool = driver_pool();
+  const std::size_t bytes = placed_handoff_bytes<std::uint64_t>(kind, pool);
   const std::string name =
       "/pcpc_diff_" + std::to_string(::getpid()) + "_" + std::to_string(seed);
   std::string error;
@@ -426,7 +426,8 @@ void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
         VarReservation r;
         if (!handoff.try_reserve(size, r)) return false;
         fill(r.data, size, seq);
-        return handoff.commit(r);
+        handoff.commit(r);
+        return true;
       }
       fill(staging.data(), size, seq);
       return handoff.try_push_record(std::span<const std::byte>(staging));

@@ -321,8 +321,7 @@ TEST(QueueFuzz, VarlenMpscSpinningProducersLoseNothingUntorn) {
           const std::uint64_t id = tag(p, i);
           std::memcpy(r.data, &id, sizeof(id));
           var_fill(r.data, size, id, /*from=*/8);
-          const bool committed = ring.commit(r);
-          PCPC_ASSERT_MSG(committed, "no reaper in-process: commit must win");
+          ring.commit(r);
         }
       });
     }
@@ -386,8 +385,7 @@ TEST(QueueFuzz, VarlenSpscByteExactFifoUnderCapacityFlapping) {
         VarReservation r;
         while (!ring.try_reserve(sizes[i], r)) std::this_thread::yield();
         var_fill(r.data, sizes[i], /*key=*/i);
-        const bool committed = ring.commit(r);
-        PCPC_ASSERT_MSG(committed, "no reaper in-process: commit must win");
+        ring.commit(r);
       }
     });
 
@@ -413,6 +411,67 @@ TEST(QueueFuzz, VarlenSpscByteExactFifoUnderCapacityFlapping) {
     }
     producer.join();
     EXPECT_EQ(ring.size_bytes(), 0u);
+  }
+}
+
+TEST(QueueFuzz, VarlenSpscSuccessorAgreesWithACrashFreeTwin) {
+  // A producer process can die between try_reserve and commit — with or
+  // without a wrap pad in the reservation — and the next one resumes the
+  // ring through producer_attach().  A twin that only ever sees the
+  // committed records must agree with it on every admission decision,
+  // every delivered byte and every cursor.
+  const std::size_t floor_bytes = var_record_bytes(kVarMaxPayload);
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    Rng rng(0x7717ULL * 100 + trial);
+    const std::size_t cap =
+        floor_bytes + (4u << 10) + static_cast<std::size_t>(rng.next_below(8u << 10));
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": cap=" + std::to_string(cap));
+    VarSpscRing<> ring(cap, cap, kVarMaxPayload);
+    VarSpscRing<> twin(cap, cap, kVarMaxPayload);
+    const auto drain_both = [&](std::size_t max_records) {
+      std::vector<std::vector<std::byte>> got, want;
+      ring.drain([&](std::span<const std::byte> p) { got.emplace_back(p.begin(), p.end()); },
+                 max_records);
+      twin.drain([&](std::span<const std::byte> p) { want.emplace_back(p.begin(), p.end()); },
+                 max_records);
+      ASSERT_EQ(got, want);
+    };
+    std::uint64_t key = 0;
+    std::uint64_t deaths = 0;
+    for (int step = 0; step < 20000; ++step) {
+      if (rng.next_below(3) == 0) {
+        drain_both(1 + rng.next_below(4));
+        continue;
+      }
+      const std::uint32_t size = var_fuzz_size(rng, /*allow_tiny=*/true);
+      VarReservation r;
+      const bool ok = ring.try_reserve(size, r);
+      if (ok && rng.next_below(6) == 0) {
+        var_fill(r.data, size, ~key);  // written, never published
+        ring.producer_attach();
+        ++deaths;
+        continue;
+      }
+      VarReservation q;
+      ASSERT_EQ(ok, twin.try_reserve(size, q)) << "admission differs at step " << step;
+      if (!ok) continue;
+      var_fill(r.data, size, key);
+      var_fill(q.data, size, key);
+      ++key;
+      ring.commit(r);
+      twin.commit(q);
+      ASSERT_EQ(ring.tail_bytes(), twin.tail_bytes()) << "step " << step;
+      ASSERT_EQ(ring.published_records(), twin.published_records()) << "step " << step;
+    }
+    drain_both(SIZE_MAX);
+    EXPECT_GT(deaths, 100u);
+    const VarCounters a = ring.counters();
+    const VarCounters b = twin.counters();
+    EXPECT_EQ(a.consumed_records, b.consumed_records);
+    EXPECT_EQ(a.consumed_footprint_bytes, b.consumed_footprint_bytes);
+    EXPECT_EQ(a.released_padding_bytes, b.released_padding_bytes);
+    EXPECT_EQ(a.head_bytes, b.head_bytes);
+    EXPECT_EQ(ring.size_records(), 0u);
   }
 }
 
