@@ -1,6 +1,6 @@
 // Microbenchmarks of the buffer substrate: ring buffers, pool resize
 // traffic between hand-offs, plus the hand-off backend sweep (mutex vs
-// SPSC ring vs MPSC segments across producer counts).  These are the
+// SPSC ring vs MPSC lanes across producer counts).  These are the
 // per-item hot paths of every implementation; the PBPL decision logic
 // must stay cheap relative to them (the paper picks a moving average
 // precisely for its low overhead).
@@ -12,7 +12,7 @@
 
 #include "pcpc/common/ring_buffer.hpp"
 #include "pcpc/queue/handoff.hpp"
-#include "pcpc/queue/mpsc_queue.hpp"
+#include "pcpc/queue/lanes.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
 
 namespace {
@@ -20,7 +20,7 @@ namespace {
 using pcpc::RingBuffer;
 using pcpc::queue::BackendKind;
 using pcpc::queue::BufferPool;
-using pcpc::queue::MpscSegQueue;
+using pcpc::queue::MpscLanes;
 using pcpc::queue::SpscRing;
 using pcpc::queue::make_handoff;
 using pcpc::queue::make_pool_handoff;
@@ -63,8 +63,8 @@ void BM_SpscRingPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
-void BM_MpscSegPushPop(benchmark::State& state) {
-  MpscSegQueue<std::int64_t> queue(static_cast<std::size_t>(state.range(0)));
+void BM_MpscLanesPushPop(benchmark::State& state) {
+  MpscLanes<std::int64_t> queue(static_cast<std::size_t>(state.range(0)));
   std::int64_t i = 0;
   for (auto _ : state) {
     queue.try_push(i++);
@@ -72,7 +72,7 @@ void BM_MpscSegPushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_MpscSegPushPop)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_MpscLanesPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
 /// Backend × producer-count sweep through the Handoff interface with real
 /// producer threads: P producers spin-push a fixed block while the bench

@@ -5,9 +5,10 @@
 // must not be slower than the mutex kind (the same ring driven under a
 // lock), and with four producers the MPSC queue must beat the mutex kind
 // outright (the contended lock is exactly the cost it removes).  Medians over repeated
-// trials keep one noisy scheduler decision from failing a build.
+// trials keep one noisy scheduler decision from failing a build; the
+// JSON record carries each configuration's min and max beside its median.
 //
-// Usage: queue_floor [--items=N] [--trials=N]
+// Usage: queue_floor [--items=N] [--trials=N] [--json-out=F]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,14 @@ using pcpc::queue::make_handoff;
 struct Options {
   std::uint64_t items = 200000;  ///< per producer
   std::size_t trials = 5;
+  std::string json_out;
+};
+
+/// Throughput over the trials of one configuration, items/s.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
 
 /// One producer/consumer run; returns items moved per second (all
@@ -83,14 +93,21 @@ double run_trial(BackendKind kind, std::size_t producers, std::uint64_t items) {
   return static_cast<double>(total) / seconds;
 }
 
-double median_throughput(BackendKind kind, std::size_t producers,
-                         const Options& options) {
+Spread throughput(BackendKind kind, std::size_t producers, const Options& options) {
   std::vector<double> samples;
   for (std::size_t t = 0; t < options.trials; ++t) {
     samples.push_back(run_trial(kind, producers, options.items));
   }
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+/// `"name":{"median":…,"min":…,"max":…}` in Mitems/s.
+std::string spread_json(const char* name, const Spread& s) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "\"%s\":{\"median\":%.3f,\"min\":%.3f,\"max\":%.3f}",
+                name, s.median / 1e6, s.min / 1e6, s.max / 1e6);
+  return buf;
 }
 
 }  // namespace
@@ -102,36 +119,56 @@ int main(int argc, char** argv) {
       options.items = std::strtoull(argv[i] + 8, nullptr, 10);
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
       options.trials = std::strtoull(argv[i] + 9, nullptr, 10);
+    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
+      options.json_out = argv[i] + 11;
     } else {
       std::fprintf(stderr, "queue_floor: unknown option %s\n", argv[i]);
       return 2;
     }
   }
 
-  const double mutex_1p = median_throughput(BackendKind::Mutex, 1, options);
-  const double spsc_1p = median_throughput(BackendKind::SpscRing, 1, options);
-  const double mutex_4p = median_throughput(BackendKind::Mutex, 4, options);
-  const double mpsc_4p = median_throughput(BackendKind::MpscSeg, 4, options);
+  const Spread mutex_1p = throughput(BackendKind::Mutex, 1, options);
+  const Spread spsc_1p = throughput(BackendKind::SpscRing, 1, options);
+  const Spread mutex_4p = throughput(BackendKind::Mutex, 4, options);
+  const Spread mpsc_4p = throughput(BackendKind::MpscSeg, 4, options);
+  const double spsc_x = spsc_1p.median / mutex_1p.median;
+  const double mpsc_x = mpsc_4p.median / mutex_4p.median;
 
   std::printf("queue_floor (median of %zu trials, %llu items/producer)\n",
               options.trials, static_cast<unsigned long long>(options.items));
   std::printf("  1 producer : mutex %8.2f Mitems/s | spsc %8.2f Mitems/s (%.2fx)\n",
-              mutex_1p / 1e6, spsc_1p / 1e6, spsc_1p / mutex_1p);
+              mutex_1p.median / 1e6, spsc_1p.median / 1e6, spsc_x);
   std::printf("  4 producers: mutex %8.2f Mitems/s | mpsc %8.2f Mitems/s (%.2fx)\n",
-              mutex_4p / 1e6, mpsc_4p / 1e6, mpsc_4p / mutex_4p);
+              mutex_4p.median / 1e6, mpsc_4p.median / 1e6, mpsc_x);
 
   int failures = 0;
-  if (spsc_1p < mutex_1p) {
+  if (spsc_x < 1.0) {
     std::fprintf(stderr,
                  "queue_floor: FAIL — SPSC ring slower than the mutex buffer "
                  "single-producer\n");
     ++failures;
   }
-  if (mpsc_4p < mutex_4p) {
+  if (mpsc_x < 1.0) {
     std::fprintf(stderr,
                  "queue_floor: FAIL — MPSC queue slower than the mutex buffer "
                  "with 4 producers\n");
     ++failures;
+  }
+
+  if (!options.json_out.empty()) {
+    std::FILE* f = std::fopen(options.json_out.c_str(), "w");
+    if (f != nullptr) {
+      std::fprintf(f,
+                   "{\"bench\":\"queue_floor\",\"trials\":%zu,\"items\":%llu,%s,%s,%s,%s,"
+                   "\"spsc_vs_mutex_1p\":%.3f,\"mpsc_vs_mutex_4p\":%.3f,\"pass\":%s}\n",
+                   options.trials, static_cast<unsigned long long>(options.items),
+                   spread_json("mutex_1p", mutex_1p).c_str(),
+                   spread_json("spsc_1p", spsc_1p).c_str(),
+                   spread_json("mutex_4p", mutex_4p).c_str(),
+                   spread_json("mpsc_4p", mpsc_4p).c_str(), spsc_x, mpsc_x,
+                   failures == 0 ? "true" : "false");
+      std::fclose(f);
+    }
   }
   if (failures == 0) std::printf("queue_floor: floors hold\n");
   return failures == 0 ? 0 : 1;

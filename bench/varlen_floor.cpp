@@ -14,8 +14,8 @@
 // difference is purely the staging copies.  Floors: at the 4 KiB point
 // (large enough to be bandwidth-bound, small enough to live in cache)
 // zero-copy must hold >= 1.5x on the SPSC ring and >= 1.2x with four
-// producers on the MPSC ring; medians over trials absorb scheduler
-// noise.
+// producers on the MPSC lanes; medians over trials absorb scheduler
+// noise, and the JSON record carries the MPSC pair's min and max.
 //
 // Usage: varlen_floor [--bytes=N] [--trials=N] [--json-out=F]
 #include <algorithm>
@@ -30,11 +30,12 @@
 #include <thread>
 #include <vector>
 
+#include "pcpc/queue/lanes.hpp"
 #include "pcpc/queue/varlen.hpp"
 
 namespace {
 
-using pcpc::queue::VarMpscRing;
+using pcpc::queue::VarMpscLanes;
 using pcpc::queue::VarReservation;
 using pcpc::queue::VarSpscRing;
 
@@ -148,15 +149,22 @@ double run_trial(std::size_t producers, std::uint32_t size, std::uint64_t total_
   return static_cast<double>(total) * size / seconds;
 }
 
+/// Payload bytes per second over the trials of one configuration.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 template <typename R>
-double median_rate(std::size_t producers, std::uint32_t size, const Options& options,
-                   bool zero_copy) {
+Spread rate(std::size_t producers, std::uint32_t size, const Options& options,
+            bool zero_copy) {
   std::vector<double> samples;
   for (std::size_t t = 0; t < options.trials; ++t) {
     samples.push_back(run_trial<R>(producers, size, options.bytes, zero_copy));
   }
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
 }
 
 }  // namespace
@@ -185,8 +193,8 @@ int main(int argc, char** argv) {
   double spsc_copy_gate = 0.0;
   std::string json_sizes;
   for (const std::uint32_t size : sizes) {
-    const double copy = median_rate<VarSpscRing<>>(1, size, options, false);
-    const double zero = median_rate<VarSpscRing<>>(1, size, options, true);
+    const double copy = rate<VarSpscRing<>>(1, size, options, false).median;
+    const double zero = rate<VarSpscRing<>>(1, size, options, true).median;
     const double ratio = zero / copy;
     std::printf("  spsc %6u B: copy %8.2f MB/s | zero-copy %8.2f MB/s (%.2fx)\n",
                 size, copy / 1e6, zero / 1e6, ratio);
@@ -200,11 +208,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double mpsc_copy = median_rate<VarMpscRing<>>(4, kGateSize, options, false);
-  const double mpsc_zero = median_rate<VarMpscRing<>>(4, kGateSize, options, true);
-  const double mpsc_ratio = mpsc_zero / mpsc_copy;
+  const Spread mpsc_copy = rate<VarMpscLanes>(4, kGateSize, options, false);
+  const Spread mpsc_zero = rate<VarMpscLanes>(4, kGateSize, options, true);
+  const double mpsc_ratio = mpsc_zero.median / mpsc_copy.median;
   std::printf("  mpsc 4p %4u B: copy %8.2f MB/s | zero-copy %8.2f MB/s (%.2fx)\n",
-              kGateSize, mpsc_copy / 1e6, mpsc_zero / 1e6, mpsc_ratio);
+              kGateSize, mpsc_copy.median / 1e6, mpsc_zero.median / 1e6, mpsc_ratio);
 
   int failures = 0;
   if (spsc_ratio_gate < kSpscFloor) {
@@ -226,12 +234,16 @@ int main(int argc, char** argv) {
     std::FILE* f = std::fopen(options.json_out.c_str(), "w");
     if (f != nullptr) {
       std::fprintf(f,
-                   "{\"bench\":\"varlen_floor\",%s\"mpsc_ratio_%u\":%.3f,"
+                   "{\"bench\":\"varlen_floor\",\"trials\":%zu,%s\"mpsc_ratio_%u\":%.3f,"
                    "\"spsc_zero_mbps\":%.1f,\"spsc_copy_mbps\":%.1f,"
-                   "\"mpsc_zero_mbps\":%.1f,\"mpsc_copy_mbps\":%.1f,"
+                   "\"mpsc_zero_mbps\":%.1f,\"mpsc_zero_mbps_min\":%.1f,"
+                   "\"mpsc_zero_mbps_max\":%.1f,\"mpsc_copy_mbps\":%.1f,"
+                   "\"mpsc_copy_mbps_min\":%.1f,\"mpsc_copy_mbps_max\":%.1f,"
                    "\"pass\":%s}\n",
-                   json_sizes.c_str(), kGateSize, mpsc_ratio, spsc_zero_gate / 1e6,
-                   spsc_copy_gate / 1e6, mpsc_zero / 1e6, mpsc_copy / 1e6,
+                   options.trials, json_sizes.c_str(), kGateSize, mpsc_ratio,
+                   spsc_zero_gate / 1e6, spsc_copy_gate / 1e6, mpsc_zero.median / 1e6,
+                   mpsc_zero.min / 1e6, mpsc_zero.max / 1e6, mpsc_copy.median / 1e6,
+                   mpsc_copy.min / 1e6, mpsc_copy.max / 1e6,
                    failures == 0 ? "true" : "false");
       std::fclose(f);
     }

@@ -107,10 +107,9 @@ record obs_overhead "\"overhead_pct\":${overhead_pct:-null},\"span_overhead_pct\
 
 require queue_floor
 echo "=== queue_floor: backend throughput gate ==="
-gate queue_floor 1 "${build}/bench/queue_floor"
-spsc_x="$(grep -oE '\([0-9.]+x\)' "${out}/queue_floor.txt" | head -1 | tr -d '()x' || true)"
-mpsc_x="$(grep -oE '\([0-9.]+x\)' "${out}/queue_floor.txt" | tail -1 | tr -d '()x' || true)"
-record queue_floor "\"spsc_vs_mutex_1p\":${spsc_x:-null},\"mpsc_vs_mutex_4p\":${mpsc_x:-null},\"pass\":${pass}"
+rm -f "${out}/queue_floor.json"
+gate queue_floor 1 "${build}/bench/queue_floor" --json-out="${out}/queue_floor.json"
+record_json queue_floor "${out}/queue_floor.json"
 
 require shard_scaling
 echo "=== shard_scaling: per-core runtime scaling gate ==="

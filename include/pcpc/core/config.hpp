@@ -87,8 +87,8 @@ struct PbplConfig {
 
   /// Which concurrent queue carries the producer→consumer hand-off in
   /// both hosts: the Torquati SPSC ring under the host's lock (mutex) or
-  /// lock-free (spsc), or the Jiffy-style MPSC segment queue (see
-  /// pcpc/queue/backend.hpp for the contracts).
+  /// lock-free (spsc), or a fan-in of those rings, one lane per producer
+  /// thread (mpsc; see pcpc/queue/backend.hpp for the contracts).
   queue::BackendKind queue_backend = queue::BackendKind::Mutex;
 
   /// Varlen payload plane (ROADMAP item 1).  When nonzero, producers may

@@ -48,7 +48,9 @@ namespace pcpc::ipc {
 // v3: varlen payload plane — per-producer in-segment VarSpscRing regions.
 // v4: per-producer lanes replace the shared slot ring and the record
 // announcements; the telemetry event ring is an SpscRing.
-inline constexpr std::uint32_t kLayoutVersion = 4;
+// v5: VarSpscRing is one class (the CRTP base and the multi-producer
+// ring are gone) and releases with release_claimed().
+inline constexpr std::uint32_t kLayoutVersion = 5;
 
 /// Registry capacity; bounded so the header has a fixed size.
 inline constexpr std::size_t kMaxProducers = 16;

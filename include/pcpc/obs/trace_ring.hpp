@@ -1,20 +1,22 @@
 // Lock-free single-producer single-consumer trace ring.
 //
 // Each instrumented thread owns one ring: the thread pushes Events with
-// two relaxed/release atomic operations and no allocation, and the
-// exporter (or the periodic snapshot thread) drains from the other end.
-// Memory is bounded at construction; when the ring is full the event is
-// dropped and *counted* — telemetry must never stall or distort the
-// system it observes, and a silent gap would be worse than a counted one.
+// no RMW and no allocation, and the exporter (or the periodic snapshot
+// thread) drains from the other end.  The events live in the library's
+// one SPSC ring engine (queue::SpscRing).  Memory is bounded at
+// construction; when the ring is full the event is dropped and
+// *counted* — telemetry must never stall or distort the system it
+// observes, and a silent gap would be worse than a counted one.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
-#include "pcpc/common/assert.hpp"
 #include "pcpc/obs/events.hpp"
+#include "pcpc/queue/spsc_ring.hpp"
 
 namespace pcpc::obs {
 
@@ -22,69 +24,50 @@ namespace pcpc::obs {
 class TraceRing {
  public:
   /// Capacity is rounded up to a power of two (minimum 8).
-  explicit TraceRing(std::size_t capacity) {
-    std::size_t cap = 8;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-  }
+  explicit TraceRing(std::size_t capacity)
+      : ring_(queue::SpscRing<Event>::physical_slots(std::max<std::size_t>(capacity, 8))) {}
 
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Producer side.  Returns false (and counts the drop) when full.
-  /// The consumer's tail is re-read (acquire) only when the cached copy
-  /// says the ring looks full, and the pushed/dropped counters are
-  /// producer-owned single-writer cells — the common-case push is two
-  /// plain stores and one release store, no RMW.
+  /// Producer side.  Returns false (and counts the drop) when full.  The
+  /// drop counter is a producer-owned single-writer cell, so a push is
+  /// never an RMW.
   bool push(const Event& event) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head - tail_cache_ >= slots_.size()) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head - tail_cache_ >= slots_.size()) {
-        dropped_.store(dropped_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-        return false;
-      }
-    }
-    slots_[head & (slots_.size() - 1)] = event;
-    head_.store(head + 1, std::memory_order_release);
-    pushed_.store(pushed_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    return true;
+    if (ring_.try_push(event)) return true;
+    dropped_.store(dropped_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    return false;
   }
 
-  /// Consumer side: invokes `fn(const Event&)` on everything currently
-  /// buffered and frees the space.  Single consumer at a time.
+  /// Consumer side: invokes `fn(const Event&)` on everything buffered when
+  /// the call starts and frees the space.  Single consumer at a time.
   template <typename Fn>
   std::size_t drain(Fn&& fn) {
-    std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    constexpr std::size_t kChunk = 64;
+    Event chunk[kChunk];
+    const std::size_t buffered = ring_.size();
     std::size_t n = 0;
-    for (; tail != head; ++tail, ++n) {
-      fn(slots_[tail & (slots_.size() - 1)]);
+    while (n < buffered) {
+      const std::size_t got = ring_.pop_bulk(
+          std::span<Event>(chunk, std::min(kChunk, buffered - n)));
+      if (got == 0) break;
+      for (std::size_t i = 0; i < got; ++i) fn(chunk[i]);
+      n += got;
     }
-    tail_.store(tail, std::memory_order_release);
     return n;
   }
 
   /// Events currently buffered.
-  std::size_t size() const {
-    return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
-                                    tail_.load(std::memory_order_acquire));
-  }
+  std::size_t size() const { return ring_.size(); }
 
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return ring_.max_capacity(); }
 
   /// Events accepted / rejected since construction.
-  std::uint64_t pushed() const { return pushed_.load(std::memory_order_relaxed); }
+  std::uint64_t pushed() const { return ring_.tail_index(); }
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
-  std::vector<Event> slots_;
-  std::uint64_t tail_cache_ = 0;  ///< producer's last view of tail_
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> tail_{0};
-  std::atomic<std::uint64_t> pushed_{0};
+  queue::SpscRing<Event> ring_;
   std::atomic<std::uint64_t> dropped_{0};
 };
 

@@ -4,8 +4,8 @@
 // serializes every producer on one lock — the scaling bottleneck of the
 // "multiple producer" regime.  This header names the pluggable backends
 // the hosts can run the hand-off on; the implementations live in
-// spsc_ring.hpp / mpsc_queue.hpp and are threaded through both hosts via
-// the Handoff adapters in handoff.hpp.
+// spsc_ring.hpp / lanes.hpp and are threaded through both hosts via the
+// Handoff adapters in handoff.hpp.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,9 @@ enum class BackendKind : std::uint8_t {
   /// and optional batched index publication (Torquati).  One producer
   /// thread per consumer; pushes never touch the host lock.
   SpscRing = 1,
-  /// Linked-segment wait-free MPSC queue (Jiffy-style fan-in): any number
-  /// of producer threads feed one consumer without a lock.
+  /// Fan-in of per-producer SPSC rings (lanes.hpp): any number of
+  /// producer threads feed one consumer without a lock; each thread keeps
+  /// one of 8 lanes, so order is FIFO per producer.
   MpscSeg = 2,
 };
 
@@ -35,9 +36,9 @@ inline constexpr BackendKind kAllBackends[] = {BackendKind::Mutex, BackendKind::
 
 /// Default bound on a single varlen record's payload (see varlen.hpp /
 /// VarHandoff in handoff.hpp): every backend kind also carries a
-/// byte-granular variable-size record plane — the Mutex kind drives the
-/// SPSC byte ring under the host lock, the lock-free kinds keep their
-/// native contracts at byte granularity.
+/// byte-granular variable-size record plane on the SPSC byte ring — under
+/// the host lock (Mutex), bare (SpscRing) or as per-producer lanes
+/// (MpscSeg).
 inline constexpr std::uint32_t kDefaultMaxVarRecordBytes = 16u << 10;
 
 /// Stable config/CLI name ("mutex", "spsc", "mpsc").

@@ -16,10 +16,11 @@
 //
 // One engine, RingHandoff, serves every kind: the Mutex kind is the
 // Torquati SPSC ring driven under the host's lock, SpscRing is the same
-// ring on its native one-producer contract, and MpscSeg is the
-// Jiffy-style segment queue.  Every kind therefore preallocates storage
-// for its max capacity up front — Bg on the pool path, so the ring kinds
-// hold pow2(Bg) slots per consumer.
+// ring on its native one-producer contract, and MpscSeg fans producers
+// in over kLanes of those rings (lanes.hpp).  Every kind therefore
+// preallocates storage for its max capacity — Bg on the pool path, so a
+// consumer holds pow2(Bg) slots, or on MpscSeg that per lane in use (a
+// lane's ring is built when a producer first takes it).
 //
 // Locking contract: the interface itself is lock-agnostic.  For
 // BackendKind::Mutex the host must hold its own lock around every call.
@@ -45,7 +46,7 @@
 #include "pcpc/obs/obs.hpp"
 #include "pcpc/queue/backend.hpp"
 #include "pcpc/queue/buffer_pool.hpp"
-#include "pcpc/queue/mpsc_queue.hpp"
+#include "pcpc/queue/lanes.hpp"
 #include "pcpc/queue/placement.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
 #include "pcpc/queue/varlen.hpp"
@@ -117,7 +118,7 @@ class Handoff {
 };
 
 /// The typed storage engine of every backend kind: `Queue` (SpscRing<T>
-/// or MpscSegQueue<T>) with pool segment accounting, atomic
+/// or MpscLanes<T>) with pool segment accounting, atomic
 /// overflow/high-water tracking from concurrent producers, and the
 /// resize obs event.  Only the Mutex kind needs a host lock: its host
 /// drives the SPSC ring under that lock, producers included.
@@ -242,20 +243,20 @@ template <typename T, template <typename> class Slots = HeapSlots>
 using MutexHandoff = RingHandoff<T, SpscRing<T, Slots>, BackendKind::Mutex>;
 template <typename T, template <typename> class Slots = HeapSlots>
 using SpscHandoff = RingHandoff<T, SpscRing<T, Slots>, BackendKind::SpscRing>;
-template <typename T, template <typename> class Slots = HeapSlots>
-using MpscHandoff = RingHandoff<T, MpscSegQueue<T, 64, Slots>, BackendKind::MpscSeg>;
+template <typename T>
+using MpscHandoff = RingHandoff<T, MpscLanes<T>, BackendKind::MpscSeg>;
 
-/// Builds the `kind` hand-off over `Slots` storage from RingHandoff
+/// Builds the `kind` hand-off on heap storage from RingHandoff
 /// constructor arguments.
-template <typename T, template <typename> class Slots, typename... Args>
+template <typename T, typename... Args>
 std::unique_ptr<Handoff<T>> make_ring_handoff(BackendKind kind, Args&&... args) {
   switch (kind) {
     case BackendKind::Mutex:
-      return std::make_unique<MutexHandoff<T, Slots>>(std::forward<Args>(args)...);
+      return std::make_unique<MutexHandoff<T>>(std::forward<Args>(args)...);
     case BackendKind::SpscRing:
-      return std::make_unique<SpscHandoff<T, Slots>>(std::forward<Args>(args)...);
+      return std::make_unique<SpscHandoff<T>>(std::forward<Args>(args)...);
     case BackendKind::MpscSeg:
-      return std::make_unique<MpscHandoff<T, Slots>>(std::forward<Args>(args)...);
+      return std::make_unique<MpscHandoff<T>>(std::forward<Args>(args)...);
   }
   return nullptr;
 }
@@ -264,35 +265,14 @@ std::unique_ptr<Handoff<T>> make_ring_handoff(BackendKind kind, Args&&... args) 
 template <typename T>
 std::unique_ptr<Handoff<T>> make_pool_handoff(BackendKind kind, BufferPool& pool,
                                               std::uint32_t consumer) {
-  return make_ring_handoff<T, HeapSlots>(kind, pool, consumer);
-}
-
-/// Worst-case slot-array bytes a placed pool hand-off may need for this
-/// pool (max capacity saturates at Bg; one extra segment covers the
-/// emergency-overcommit corner where a base grant exceeds the pool).
-template <typename T>
-std::size_t placed_handoff_bytes(BackendKind kind, const BufferPool& pool) {
-  const std::size_t max_cap = pool.total_slots() + pool.segment_size();
-  return kind == BackendKind::MpscSeg ? MpscSegQueue<T>::placement_bytes(max_cap)
-                                      : SpscRing<T>::placement_bytes(max_cap);
-}
-
-/// Pool-backed hand-off whose slot array lives in a caller-placed region
-/// (e.g. a shared-memory mapping) instead of the heap.  Size the region
-/// with placed_handoff_bytes().
-template <typename T>
-std::unique_ptr<Handoff<T>> make_placed_pool_handoff(BackendKind kind,
-                                                     BufferPool& pool,
-                                                     std::uint32_t consumer,
-                                                     Placement placement) {
-  return make_ring_handoff<T, OffsetSlots>(kind, pool, consumer, placement);
+  return make_ring_handoff<T>(kind, pool, consumer);
 }
 
 /// Fixed-capacity hand-off for the baseline host.
 template <typename T>
 std::unique_ptr<Handoff<T>> make_handoff(BackendKind kind, std::size_t capacity,
                                          std::uint32_t consumer = 0) {
-  return make_ring_handoff<T, HeapSlots>(kind, capacity, consumer);
+  return make_ring_handoff<T>(kind, capacity, consumer);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,10 +283,10 @@ std::unique_ptr<Handoff<T>> make_handoff(BackendKind kind, std::size_t capacity,
 // try_push_record for the one-copy convenience path), the consumer
 // claims zero-copy views and releases them once its handlers are done.
 // The two-cursor consumer contract of varlen.hpp is exposed verbatim —
-// claim_front()/drop_oldest() advance the claim cursor,
-// release_until(target) returns bytes below a previously captured
-// target, and the two may run concurrently (the thread host claims
-// under its core lock and releases after handlers, outside it).
+// claim_front()/drop_oldest() advance the claim cursor and
+// release_claimed() returns every claimed byte (the thread host claims
+// under its core lock, runs handlers outside it, and releases under it
+// again).
 //
 // Locking contract mirrors Handoff: Mutex kind — the host holds its own
 // lock around every call; lock-free kinds — producer calls need no lock
@@ -325,27 +305,19 @@ class VarHandoff {
   /// payload bytes it carried) like Handoff::try_push counts rejects.
   virtual bool try_reserve(std::uint32_t payload_bytes, VarReservation& out) = 0;
   virtual void commit(VarReservation& r) = 0;
-  virtual bool try_push_record(std::span<const std::byte> payload) = 0;
+  bool try_push_record(std::span<const std::byte> payload) {
+    return push_record_copy(*this, payload);
+  }
 
   /// Consumer side (see varlen.hpp for the two-cursor contract).
   virtual std::optional<VarRecordView> claim_front() = 0;
-  virtual std::uint64_t claim_offset() const = 0;
-  virtual void release_until(std::uint64_t target) = 0;
+  virtual void release_claimed() = 0;
   virtual bool drop_oldest(std::uint64_t& footprint, std::uint32_t& payload) = 0;
 
-  /// Scatter-free drain: every visible record is handed to `fn` as an
-  /// in-ring span, then the run is released with one cursor publication.
+  /// drain_claimed() over this hand-off.
   template <typename Fn>
   std::size_t drain_records(Fn&& fn, std::size_t max_records = SIZE_MAX) {
-    std::size_t n = 0;
-    while (n < max_records) {
-      auto view = claim_front();
-      if (!view.has_value()) break;
-      fn(std::span<const std::byte>(view->data, view->size));
-      ++n;
-    }
-    if (n > 0) release_until(claim_offset());
-    return n;
+    return drain_claimed(*this, std::forward<Fn>(fn), max_records);
   }
 
   /// Elastic resize toward `target` footprint bytes, clamped by the
@@ -355,7 +327,6 @@ class VarHandoff {
   virtual std::size_t capacity_bytes() const = 0;
   virtual std::size_t size_bytes() const = 0;
   virtual std::uint32_t max_record_payload() const = 0;
-  virtual VarCounters counters() const = 0;
 
   std::uint64_t overflows() const {
     return overflows_.load(std::memory_order_relaxed);
@@ -377,8 +348,8 @@ class VarHandoff {
 
 /// One adapter covers all three backends: the Mutex kind is the SPSC
 /// ring driven under the host's lock (same admission arithmetic, so the
-/// differential harness can demand bit-identical trajectories), the
-/// lock-free kinds are the rings on their native contracts.
+/// differential harness can demand bit-identical trajectories), SpscRing
+/// is that ring on its native contract and MpscSeg its lanes.
 template <typename Ring, BackendKind kKind, bool kLockFree>
 class VarRingHandoff final : public VarHandoff {
  public:
@@ -397,17 +368,9 @@ class VarRingHandoff final : public VarHandoff {
     return true;
   }
   void commit(VarReservation& r) override { ring_.commit(r); }
-  bool try_push_record(std::span<const std::byte> payload) override {
-    VarReservation r;
-    if (!try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
-    std::memcpy(r.data, payload.data(), payload.size());
-    commit(r);
-    return true;
-  }
 
   std::optional<VarRecordView> claim_front() override { return ring_.claim_front(); }
-  std::uint64_t claim_offset() const override { return ring_.claim_offset(); }
-  void release_until(std::uint64_t target) override { ring_.release_until(target); }
+  void release_claimed() override { ring_.release_claimed(); }
   bool drop_oldest(std::uint64_t& footprint, std::uint32_t& payload) override {
     return ring_.drop_oldest(footprint, payload);
   }
@@ -420,9 +383,6 @@ class VarRingHandoff final : public VarHandoff {
   std::uint32_t max_record_payload() const override {
     return ring_.max_record_payload();
   }
-  VarCounters counters() const override { return ring_.counters(); }
-
-  Ring& ring() { return ring_; }
 
  private:
   Ring ring_;
@@ -444,48 +404,8 @@ inline std::unique_ptr<VarHandoff> make_var_handoff(
           VarRingHandoff<VarSpscRing<HeapSlots>, BackendKind::SpscRing, true>>(
           capacity_bytes, max_bytes, max_record_payload);
     case BackendKind::MpscSeg:
-      return std::make_unique<
-          VarRingHandoff<VarMpscRing<HeapSlots>, BackendKind::MpscSeg, true>>(
+      return std::make_unique<VarRingHandoff<VarMpscLanes, BackendKind::MpscSeg, true>>(
           capacity_bytes, max_bytes, max_record_payload);
-  }
-  return nullptr;
-}
-
-/// Bytes an OffsetSlots placement region must provide for
-/// make_placed_var_handoff.  Unlike the item queues, every kind has a
-/// placed variant (the Mutex kind shares the SPSC ring's storage).
-inline std::size_t placed_var_handoff_bytes(
-    BackendKind kind, std::size_t max_bytes,
-    std::uint32_t max_record_payload = kDefaultMaxVarRecordBytes) {
-  switch (kind) {
-    case BackendKind::Mutex:
-    case BackendKind::SpscRing:
-      return VarSpscRing<OffsetSlots>::placement_bytes(max_bytes, max_record_payload);
-    case BackendKind::MpscSeg:
-      return VarMpscRing<OffsetSlots>::placement_bytes(max_bytes, max_record_payload);
-  }
-  return 0;
-}
-
-/// Varlen hand-off whose ring storage lives in a caller-placed region
-/// (e.g. a shared-memory mapping).  Size the region with
-/// placed_var_handoff_bytes().
-inline std::unique_ptr<VarHandoff> make_placed_var_handoff(
-    BackendKind kind, std::size_t capacity_bytes, std::size_t max_bytes,
-    std::uint32_t max_record_payload, Placement placement) {
-  switch (kind) {
-    case BackendKind::Mutex:
-      return std::make_unique<
-          VarRingHandoff<VarSpscRing<OffsetSlots>, BackendKind::Mutex, false>>(
-          capacity_bytes, max_bytes, max_record_payload, placement);
-    case BackendKind::SpscRing:
-      return std::make_unique<
-          VarRingHandoff<VarSpscRing<OffsetSlots>, BackendKind::SpscRing, true>>(
-          capacity_bytes, max_bytes, max_record_payload, placement);
-    case BackendKind::MpscSeg:
-      return std::make_unique<
-          VarRingHandoff<VarMpscRing<OffsetSlots>, BackendKind::MpscSeg, true>>(
-          capacity_bytes, max_bytes, max_record_payload, placement);
   }
   return nullptr;
 }

@@ -5,7 +5,7 @@
 // base address differs per process — so the storage must be *pointer-
 // free*: either owned on the heap (the in-process default) or addressed
 // by a self-relative offset that stays valid wherever the containing
-// object is mapped.  Both queues (SpscRing, MpscSegQueue) take a slot
+// object is mapped.  Both rings (SpscRing, VarSpscRing) take a slot
 // storage policy:
 //
 //   - HeapSlots<E>: the seed behaviour, an owned value-initialized array;

@@ -30,35 +30,29 @@
 // Capacity is *logical* and counted in record footprint bytes (header +
 // aligned payload, padding excluded), so elastic resizing keeps working
 // at byte granularity; the physical ring is sized with a 4x-max-record
-// margin which bounds the padding + in-flight claims that live outside
-// the logical account (see physical_bytes()).
+// margin which bounds the padding that lives outside the logical account
+// (see physical_bytes()).
 //
-// Two rings share the format:
-//
-//   - VarSpscRing: Torquati discipline — producer-private tail, cached
-//     released cursor refreshed only on apparent-full, zero RMW on the
-//     hot path.  The tail is published at commit, so a producer that
-//     dies mid-record leaves nothing visible (the pcpc::ipc record lanes
-//     rely on this).
-//   - VarMpscRing: Jiffy discipline — admission is one fetch_add on a
-//     byte counter, the position claim is one fetch_add on a byte
-//     ticket.  A claim that would cross the physical end cannot hold a
-//     contiguous record, so its owner publishes the whole claim as
-//     padding and re-claims (at most one crossing per ring revolution;
-//     the hot path stays FAA-only, the crossing path is lock-free).
+// One ring carries the format, VarSpscRing, on Torquati's discipline:
+// producer-private tail, cached released cursor refreshed only on
+// apparent-full, zero RMW on the hot path.  The tail is published at
+// commit, so a producer that dies mid-record leaves nothing visible (the
+// pcpc::ipc record lanes rely on this).  Producers that take turns on
+// one ring (the Mutex kind, a shared fan-in lane) can leave a record
+// still reserved behind the tail; the consumer stops there until it is
+// committed.  Any number of producers fan in over several of these rings
+// (lanes.hpp).
 //
 // Consumer side is two-cursor: claim_front() hands out an in-ring view
-// and advances the *claim* cursor; release_until() later returns the
-// bytes to producers.  The gap is what lets a host run handlers on
-// zero-copy views outside its lock while overflow policies (drop-oldest
-// = mark-reclaim at the claim cursor) keep operating on the same ring.
+// and advances the *claim* cursor; release_claimed() later returns every
+// claimed byte to the producer.  The gap is what lets a host run
+// handlers on zero-copy views outside its lock while overflow policies
+// (drop-oldest = mark-reclaim at the claim cursor) keep operating on the
+// same ring.
 //
-// Thread contract: VarSpscRing — reserve/commit/try_push_record from one
-// producer at a time; VarMpscRing — any number of producers.  Both:
-// claim_front/drop_oldest/release_until/resize from one consumer at a
-// time, except that release_until(target) may run concurrently with
-// claim-cursor operations above `target` (disjoint byte ranges; the
-// hosts exploit exactly this split).
+// Thread contract: reserve/commit/try_push_record from one producer at a
+// time; claim_front/drop_oldest/release_claimed/resize from one consumer
+// at a time.
 #pragma once
 
 #include <atomic>
@@ -66,6 +60,7 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "pcpc/common/assert.hpp"
 #include "pcpc/queue/placement.hpp"
@@ -76,8 +71,8 @@ inline constexpr std::size_t kVarAlign = 8;
 inline constexpr std::size_t kVarHeaderBytes = 8;
 
 /// Record lifecycle, stored in the low byte of the header word.  kFree
-/// must be 0: freshly value-initialized (or consumer-zeroed) storage
-/// reads as "nothing published here".
+/// must be 0: freshly value-initialized storage reads as "nothing
+/// published here".
 enum class VarState : std::uint8_t {
   kFree = 0,       ///< no record starts here (yet)
   kReserved = 1,   ///< claimed, payload being written
@@ -108,11 +103,10 @@ constexpr std::uint64_t var_record_bytes(std::uint64_t payload) {
 }
 
 /// Zero-copy consumer view: payload bytes still inside the ring.  Valid
-/// until the byte range is released (release_until past `offset`).
+/// until the consumer's next release_claimed().
 struct VarRecordView {
   const std::byte* data = nullptr;
   std::uint32_t size = 0;
-  std::uint64_t offset = 0;  ///< logical byte offset of the record header
 };
 
 /// Producer-side claim between reserve and commit.  `data` is writable
@@ -120,6 +114,7 @@ struct VarRecordView {
 struct VarReservation {
   std::byte* data = nullptr;
   std::uint32_t size = 0;
+  std::uint32_t lane = 0;    ///< fan-in lane holding the claim (lanes.hpp)
   std::uint64_t offset = 0;  ///< logical byte offset of the record header
   std::uint64_t end = 0;     ///< logical offset one past the record
 };
@@ -143,81 +138,187 @@ struct VarCounters {
   std::uint64_t head_bytes = 0;      ///< released cursor
 };
 
-namespace detail {
+/// Scatter-free bulk drain over any record source with the two-cursor
+/// consumer API: every visible record is handed to `fn` as an in-ring
+/// span, then the whole run is released at once (Torquati's batching
+/// argument on the consumer side).  Returns the number of records drained.
+template <typename Source, typename Fn>
+std::size_t drain_claimed(Source& source, Fn&& fn, std::size_t max_records = SIZE_MAX) {
+  std::size_t n = 0;
+  while (n < max_records) {
+    auto view = source.claim_front();
+    if (!view.has_value()) break;
+    fn(std::span<const std::byte>(view->data, view->size));
+    ++n;
+  }
+  if (n > 0) source.release_claimed();
+  return n;
+}
 
-/// Storage + consumer side shared by both varlen rings (CRTP: the
-/// derived ring supplies the producer discipline and the release hook).
-/// Cells are plain uint64_t so payload bytes can be written with plain
-/// stores; header words are accessed through std::atomic_ref.
-template <typename Derived, template <typename> class SlotsTmpl, bool kZeroOnRelease>
-class VarRingBase {
+/// The one-copy producer path over any record sink with reserve/commit:
+/// reserve, memcpy the payload in, commit.  False when the reserve fails.
+template <typename Sink>
+bool push_record_copy(Sink& sink, std::span<const std::byte> payload) {
+  VarReservation r;
+  if (!sink.try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
+  std::memcpy(r.data, payload.data(), payload.size());
+  sink.commit(r);
+  return true;
+}
+
+/// Single-producer varlen ring (Torquati discipline: producer-private
+/// tail, cached admission refresh, zero RMW on the hot path).  Cells are
+/// plain uint64_t so payload bytes can be written with plain stores;
+/// header words are accessed through std::atomic_ref.
+///
+/// The claimed tail is published at commit, and the consumer never
+/// passes a record that is still reserved.  Everything a producer needs to resume is a
+/// function of what it published, so a ring placed in shared memory
+/// survives its producer's death at any instruction: producer_attach()
+/// rebuilds the private cursors from the shared ones, and a record that
+/// was reserved but never published is simply overwritten.
+template <template <typename> class SlotsTmpl = HeapSlots>
+class VarSpscRing {
  public:
+  explicit VarSpscRing(std::size_t capacity_bytes, std::size_t max_bytes = 0,
+                       std::uint32_t max_record_payload = (16u << 10),
+                       Placement placement = {})
+      : max_bytes_(max_bytes == 0 ? capacity_bytes : max_bytes),
+        max_record_payload_(max_record_payload),
+        n_bytes_(physical_bytes(max_bytes_, max_record_payload_)),
+        mask_(n_bytes_ - 1),
+        cells_(n_bytes_ / kVarAlign, placement) {
+    PCPC_ASSERT_MSG(capacity_bytes > 0, "varlen ring capacity must be positive");
+    PCPC_ASSERT_MSG(capacity_bytes <= max_bytes_, "capacity above max_bytes");
+    PCPC_ASSERT_MSG(var_record_bytes(max_record_payload_) * 4 <= n_bytes_,
+                    "max record too large for the ring");
+    PCPC_ASSERT_MSG(n_bytes_ <= (std::uint64_t{1} << 32), "varlen ring above 4 GiB");
+    logical_bytes_.store(capacity_bytes, std::memory_order_relaxed);
+  }
+
+  VarSpscRing(const VarSpscRing&) = delete;
+  VarSpscRing& operator=(const VarSpscRing&) = delete;
+
+  // -- producer side ------------------------------------------------------
+
+  /// Claims `payload_bytes` in the ring; false when the record does not
+  /// fit the logical capacity (after one admission refresh) or exceeds
+  /// the max record payload.  On success the caller owns out.data until
+  /// commit().
+  bool try_reserve(std::uint32_t payload_bytes, VarReservation& out) {
+    if (payload_bytes > max_record_payload_) return false;
+    const std::uint64_t need = var_record_bytes(payload_bytes);
+    if (in_flight(prod_.cached_head) + need > cap64()) {
+      prod_.cached_head = head_.index.load(std::memory_order_acquire);
+      if (in_flight(prod_.cached_head) + need > cap64()) return false;
+    }
+    std::uint64_t t = prod_.tail_local;
+    const std::size_t pos = pos_of(t);
+    if (pos + need > n_bytes_) {
+      const std::uint64_t pad = n_bytes_ - pos;
+      word_ref(pos).store(
+          var_word(VarState::kPadding, static_cast<std::uint32_t>(pad - kVarHeaderBytes)),
+          std::memory_order_release);
+      padding_bytes_.fetch_add(pad, std::memory_order_relaxed);
+      prod_.pad_at = t;
+      recovery_.pad_at.store(t, std::memory_order_relaxed);  // published with the tail
+      t += pad;
+    }
+    const std::size_t rpos = pos_of(t);
+    word_ref(rpos).store(var_word(VarState::kReserved, payload_bytes),
+                         std::memory_order_release);
+    out.data = payload_ptr(rpos);
+    out.size = payload_bytes;
+    out.offset = t;
+    out.end = t + need;
+    prod_.tail_local = t + need;
+    return true;
+  }
+
+  /// Publishes a reservation (and, with it, every earlier claim).
+  void commit(VarReservation& r) {
+    word_ref(pos_of(r.offset))
+        .store(var_word(VarState::kCommitted, r.size), std::memory_order_release);
+    committed_records_.fetch_add(1, std::memory_order_relaxed);
+    committed_payload_bytes_.fetch_add(r.size, std::memory_order_relaxed);
+    committed_footprint_bytes_.fetch_add(r.end - r.offset, std::memory_order_relaxed);
+    ++prod_.records;
+    recovery_.records.store(
+        (prod_.records << 32) | (prod_.tail_local & kLow32), std::memory_order_release);
+    tail_.index.store(prod_.tail_local, std::memory_order_release);
+  }
+
+  /// push_record_copy() into this ring.
+  bool try_push_record(std::span<const std::byte> payload) {
+    return push_record_copy(*this, payload);
+  }
+
+  /// Rebuilds the producer-private cursors from the shared state — how a
+  /// producer process takes over a ring that already lives in shared
+  /// memory, possibly after its predecessor died mid-record.
+  void producer_attach() {
+    prod_.tail_local = tail_.index.load(std::memory_order_acquire);
+    prod_.cached_head = head_.index.load(std::memory_order_acquire);
+    prod_.records = published_records();
+    // A pad start at or past the tail belongs to a reservation that was
+    // never published; its bytes get overwritten, so forget it.
+    prod_.pad_at = recovery_.pad_at.load(std::memory_order_acquire);
+    if (prod_.pad_at >= prod_.tail_local) {
+      prod_.pad_at = kNoPad;
+      recovery_.pad_at.store(kNoPad, std::memory_order_relaxed);
+    }
+  }
+
   // -- consumer side ------------------------------------------------------
 
   /// Hands out the oldest committed record as an in-ring view and moves
   /// the claim cursor past it (skipping padding / reclaimed records).
-  /// nullopt when nothing consumable is visible — empty, or the record
-  /// at the cursor is still being published (strict order, like the
-  /// item MPSC queue: holes are waited out, not skipped).
+  /// nullopt when nothing is published beyond the claim cursor, or when
+  /// the next record is still reserved: a commit publishes the tail past
+  /// every earlier claim, so with several producers taking turns (the
+  /// Mutex kind, a shared lane) an open record can sit behind the tail.
   std::optional<VarRecordView> claim_front() {
     for (;;) {
       const std::uint64_t c = cons_.claim;
       if (c == cons_.cached_tail) {
-        cons_.cached_tail = derived().tail_visible();
+        cons_.cached_tail = tail_.index.load(std::memory_order_acquire);
         if (c == cons_.cached_tail) return std::nullopt;
       }
       const std::uint64_t w = word_ref(pos_of(c)).load(std::memory_order_acquire);
       const VarState s = var_state(w);
-      if (s == VarState::kPadding || s == VarState::kReclaimed) {
-        cons_.claim = c + var_record_bytes(var_size(w));
-        continue;
+      if (s != VarState::kCommitted && s != VarState::kPadding &&
+          s != VarState::kReclaimed) {
+        return std::nullopt;  // kReserved: wait for its commit
       }
-      if (s != VarState::kCommitted) return std::nullopt;  // kFree/kReserved
       cons_.claim = c + var_record_bytes(var_size(w));
-      return VarRecordView{payload_ptr(pos_of(c)), var_size(w), c};
+      if (s == VarState::kCommitted) return VarRecordView{payload_ptr(pos_of(c)), var_size(w)};
     }
   }
 
   /// Overflow-policy hook (drop-oldest at record granularity): marks the
   /// oldest *unclaimed* committed record reclaimed and advances the
-  /// claim cursor past it, so its bytes return to producers at the next
-  /// release.  False when nothing is reclaimable (empty, or the head
-  /// record is mid-publication).
+  /// claim cursor past it, so its bytes return to the producer at the
+  /// next release.  False when nothing is reclaimable (empty, or the
+  /// next record is still reserved).
   bool drop_oldest(std::uint64_t& footprint, std::uint32_t& payload) {
-    for (;;) {
-      const std::uint64_t c = cons_.claim;
-      if (c == cons_.cached_tail) {
-        cons_.cached_tail = derived().tail_visible();
-        if (c == cons_.cached_tail) return false;
-      }
-      const std::uint64_t w = word_ref(pos_of(c)).load(std::memory_order_acquire);
-      const VarState s = var_state(w);
-      if (s == VarState::kPadding || s == VarState::kReclaimed) {
-        cons_.claim = c + var_record_bytes(var_size(w));
-        continue;
-      }
-      if (s != VarState::kCommitted) return false;
-      word_ref(pos_of(c)).store(var_word(VarState::kReclaimed, var_size(w)),
-                                std::memory_order_release);
-      cons_.claim = c + var_record_bytes(var_size(w));
-      footprint = var_record_bytes(var_size(w));
-      payload = var_size(w);
-      return true;
-    }
+    auto view = claim_front();
+    if (!view.has_value()) return false;
+    const std::size_t pos = pos_of(cons_.claim - var_record_bytes(view->size));
+    word_ref(pos).store(var_word(VarState::kReclaimed, view->size),
+                        std::memory_order_release);
+    footprint = var_record_bytes(view->size);
+    payload = view->size;
+    return true;
   }
 
-  /// Logical offset of the claim cursor — the release_until() target
-  /// that returns every byte claimed so far.
-  std::uint64_t claim_offset() const { return cons_.claim; }
-
-  /// Returns the bytes in [head, target) to the producers, tallying each
-  /// record walked (consumed / reclaimed / padding).  `target` must be a
-  /// record boundary previously reached by the claim cursor.  May run
-  /// concurrently with claim-cursor operations above `target`.
-  void release_until(std::uint64_t target) {
+  /// Returns every claimed byte to the producer with one cursor
+  /// publication, tallying each record walked (consumed / reclaimed /
+  /// padding).  Returns the footprint bytes released: the records' share
+  /// of the logical capacity, padding excluded.
+  std::uint64_t release_claimed() {
     std::uint64_t h = cons_.head_local;
-    PCPC_ASSERT_MSG(target >= h, "release target behind the released cursor");
-    if (target == h) return;
+    const std::uint64_t target = cons_.claim;
+    if (target == h) return 0;
     std::uint64_t released_need = 0;
     std::uint64_t consumed_r = 0, consumed_pl = 0, consumed_fp = 0;
     std::uint64_t reclaimed_r = 0, reclaimed_pl = 0, reclaimed_fp = 0;
@@ -244,16 +345,9 @@ class VarRingBase {
         default:
           PCPC_ASSERT_MSG(false, "released an unpublished record");
       }
-      if constexpr (kZeroOnRelease) {
-        // Multi-producer rings gate the consumer on the claimed (not
-        // committed) tail, so a claim whose header is not yet written
-        // must read as kFree — zero what we release before any producer
-        // can re-claim it (ordered by the admission counter handshake).
-        std::memset(cell_ptr(pos_of(h)), 0, static_cast<std::size_t>(fp));
-      }
       h += fp;
     }
-    PCPC_ASSERT_MSG(h == target, "release target is not a record boundary");
+    PCPC_ASSERT_MSG(h == target, "claim cursor is not a record boundary");
     consumed_records_.fetch_add(consumed_r, std::memory_order_relaxed);
     consumed_payload_bytes_.fetch_add(consumed_pl, std::memory_order_relaxed);
     consumed_footprint_bytes_.fetch_add(consumed_fp, std::memory_order_relaxed);
@@ -262,36 +356,14 @@ class VarRingBase {
     reclaimed_footprint_bytes_.fetch_add(reclaimed_fp, std::memory_order_relaxed);
     released_padding_bytes_.fetch_add(pad, std::memory_order_relaxed);
     cons_.head_local = h;
-    derived().on_release(released_need);  // return capacity to producers
     head_.index.store(h, std::memory_order_release);
+    return released_need;
   }
 
-  /// Convenience: claim + immediately release one record (copies nothing;
-  /// the view passed to `fn` dies with the call).
-  template <typename Fn>
-  bool pop_front(Fn&& fn) {
-    auto view = claim_front();
-    if (!view.has_value()) return false;
-    fn(std::span<const std::byte>(view->data, view->size));
-    release_until(cons_.claim);
-    return true;
-  }
-
-  /// Scatter-free bulk drain: every visible record is handed to `fn` as
-  /// an in-ring span, then the whole run is released with ONE cursor
-  /// publication (Torquati's batching argument on the consumer side).
-  /// Returns the number of records drained.
+  /// drain_claimed() over this ring.
   template <typename Fn>
   std::size_t drain(Fn&& fn, std::size_t max_records = SIZE_MAX) {
-    std::size_t n = 0;
-    while (n < max_records) {
-      auto view = claim_front();
-      if (!view.has_value()) break;
-      fn(std::span<const std::byte>(view->data, view->size));
-      ++n;
-    }
-    if (n > 0) release_until(cons_.claim);
-    return n;
+    return drain_claimed(*this, std::forward<Fn>(fn), max_records);
   }
 
   // -- capacity -----------------------------------------------------------
@@ -301,8 +373,7 @@ class VarRingBase {
   /// capacity actually set.
   std::size_t set_capacity_bytes(std::size_t n) {
     const std::size_t clamped =
-        n < kVarHeaderBytes ? kVarHeaderBytes
-                            : (n > max_bytes_ ? max_bytes_ : n);
+        n < kVarHeaderBytes ? kVarHeaderBytes : (n > max_bytes_ ? max_bytes_ : n);
     logical_bytes_.store(clamped, std::memory_order_release);
     return clamped;
   }
@@ -313,18 +384,16 @@ class VarRingBase {
   std::size_t max_capacity_bytes() const { return max_bytes_; }
   std::uint32_t max_record_payload() const { return max_record_payload_; }
 
+  // -- either side --------------------------------------------------------
+
   /// Claimed-but-unreleased bytes (records in flight + padding).
   std::size_t size_bytes() const {
     return static_cast<std::size_t>(tail_bytes() - head_bytes());
   }
   bool empty() const { return size_bytes() == 0; }
 
-  std::uint64_t tail_bytes() const {
-    return const_cast<VarRingBase*>(this)->derived().tail_visible();
-  }
-  std::uint64_t head_bytes() const {
-    return head_.index.load(std::memory_order_acquire);
-  }
+  std::uint64_t tail_bytes() const { return tail_.index.load(std::memory_order_acquire); }
+  std::uint64_t head_bytes() const { return head_.index.load(std::memory_order_acquire); }
 
   /// Records ever released (consumed or reclaimed); the consumer's
   /// record cursor.
@@ -333,26 +402,31 @@ class VarRingBase {
            reclaimed_records_.load(std::memory_order_acquire);
   }
 
+  /// Records ever published (committed and behind the shared tail).
+  std::uint64_t published_records() const {
+    const std::uint64_t released = released_records();
+    return released + records_since(released);
+  }
+
+  /// Published records not yet released: the ring's fill in records.
+  std::uint64_t size_records() const { return records_since(released_records()); }
+
   VarCounters counters() const {
     VarCounters c;
     c.committed_records = committed_records_.load(std::memory_order_relaxed);
-    c.committed_payload_bytes =
-        committed_payload_bytes_.load(std::memory_order_relaxed);
+    c.committed_payload_bytes = committed_payload_bytes_.load(std::memory_order_relaxed);
     c.committed_footprint_bytes =
         committed_footprint_bytes_.load(std::memory_order_relaxed);
     c.padding_bytes = padding_bytes_.load(std::memory_order_relaxed);
     c.consumed_records = consumed_records_.load(std::memory_order_relaxed);
-    c.consumed_payload_bytes =
-        consumed_payload_bytes_.load(std::memory_order_relaxed);
+    c.consumed_payload_bytes = consumed_payload_bytes_.load(std::memory_order_relaxed);
     c.consumed_footprint_bytes =
         consumed_footprint_bytes_.load(std::memory_order_relaxed);
     c.reclaimed_records = reclaimed_records_.load(std::memory_order_relaxed);
-    c.reclaimed_payload_bytes =
-        reclaimed_payload_bytes_.load(std::memory_order_relaxed);
+    c.reclaimed_payload_bytes = reclaimed_payload_bytes_.load(std::memory_order_relaxed);
     c.reclaimed_footprint_bytes =
         reclaimed_footprint_bytes_.load(std::memory_order_relaxed);
-    c.released_padding_bytes =
-        released_padding_bytes_.load(std::memory_order_relaxed);
+    c.released_padding_bytes = released_padding_bytes_.load(std::memory_order_relaxed);
     c.tail_bytes = tail_bytes();
     c.head_bytes = head_bytes();
     return c;
@@ -360,10 +434,8 @@ class VarRingBase {
 
   /// Physical ring bytes for a (max logical bytes, max record payload)
   /// pair: power of two covering the logical capacity plus a 4x-max-
-  /// record margin.  The margin bounds everything that occupies storage
-  /// without being charged to the logical account: at most one wrap pad
-  /// and one abandoned crossing claim per revolution, and a window
-  /// shorter than one revolution holds at most two boundary events.
+  /// record margin.  The claimed window (logical capacity plus at most
+  /// one wrap pad) therefore stays shorter than one revolution.
   static std::size_t physical_bytes(std::size_t max_bytes,
                                     std::uint32_t max_record_payload) {
     const std::uint64_t margin = 4 * var_record_bytes(max_record_payload);
@@ -378,25 +450,9 @@ class VarRingBase {
     return physical_bytes(max_bytes, max_record_payload);
   }
 
- protected:
-  VarRingBase(std::size_t capacity_bytes, std::size_t max_bytes,
-              std::uint32_t max_record_payload, Placement placement)
-      : max_bytes_(max_bytes == 0 ? capacity_bytes : max_bytes),
-        max_record_payload_(max_record_payload),
-        n_bytes_(physical_bytes(max_bytes_, max_record_payload_)),
-        mask_(n_bytes_ - 1),
-        cells_(n_bytes_ / kVarAlign, placement) {
-    PCPC_ASSERT_MSG(capacity_bytes > 0, "varlen ring capacity must be positive");
-    PCPC_ASSERT_MSG(capacity_bytes <= max_bytes_, "capacity above max_bytes");
-    PCPC_ASSERT_MSG(var_record_bytes(max_record_payload_) * 4 <= n_bytes_,
-                    "max record too large for the ring");
-    logical_bytes_.store(capacity_bytes, std::memory_order_relaxed);
-  }
-
-  VarRingBase(const VarRingBase&) = delete;
-  VarRingBase& operator=(const VarRingBase&) = delete;
-
-  Derived& derived() { return *static_cast<Derived*>(this); }
+ private:
+  static constexpr std::uint64_t kLow32 = 0xffffffffULL;
+  static constexpr std::uint64_t kNoPad = UINT64_MAX;
 
   std::size_t pos_of(std::uint64_t offset) const {
     return static_cast<std::size_t>(offset) & mask_;
@@ -409,174 +465,10 @@ class VarRingBase {
   std::byte* payload_ptr(std::size_t pos) {
     return reinterpret_cast<std::byte*>(cells_.data() + pos / kVarAlign + 1);
   }
-  std::byte* cell_ptr(std::size_t pos) {
-    return reinterpret_cast<std::byte*>(cells_.data() + pos / kVarAlign);
-  }
 
   std::uint64_t cap64() const {
-    return static_cast<std::uint64_t>(
-        logical_bytes_.load(std::memory_order_relaxed));
+    return static_cast<std::uint64_t>(logical_bytes_.load(std::memory_order_relaxed));
   }
-
-  /// Shared index on its own cache line (same shape as the item rings).
-  struct alignas(64) SharedIndex {
-    std::atomic<std::uint64_t> index{0};
-  };
-
-  /// Consumer-private cursors: claim (views handed out) ahead of the
-  /// released head, cached tail refreshed only when the walk runs dry.
-  struct alignas(64) ConsumerState {
-    std::uint64_t claim = 0;
-    std::uint64_t head_local = 0;
-    std::uint64_t cached_tail = 0;
-  };
-
-  const std::size_t max_bytes_;
-  const std::uint32_t max_record_payload_;
-  const std::size_t n_bytes_;
-  const std::size_t mask_;
-  SlotsTmpl<std::uint64_t> cells_;
-  SharedIndex head_;  ///< released cursor (telemetry + shm recovery)
-  alignas(64) std::atomic<std::size_t> logical_bytes_{1};
-  ConsumerState cons_;
-
-  // Monotonic tallies (relaxed; exactness comes from single-writer or
-  // RMW updates, not ordering).
-  std::atomic<std::uint64_t> committed_records_{0};
-  std::atomic<std::uint64_t> committed_payload_bytes_{0};
-  std::atomic<std::uint64_t> committed_footprint_bytes_{0};
-  std::atomic<std::uint64_t> padding_bytes_{0};
-  std::atomic<std::uint64_t> consumed_records_{0};
-  std::atomic<std::uint64_t> consumed_payload_bytes_{0};
-  std::atomic<std::uint64_t> consumed_footprint_bytes_{0};
-  std::atomic<std::uint64_t> reclaimed_records_{0};
-  std::atomic<std::uint64_t> reclaimed_payload_bytes_{0};
-  std::atomic<std::uint64_t> reclaimed_footprint_bytes_{0};
-  std::atomic<std::uint64_t> released_padding_bytes_{0};
-};
-
-}  // namespace detail
-
-/// Single-producer varlen ring (Torquati discipline: producer-private
-/// tail, cached admission refresh, zero RMW on the hot path).
-///
-/// The claimed tail is published at commit, so consumers only ever see
-/// committed records.  Everything a producer needs to resume is a
-/// function of what it published, so a ring placed in shared memory
-/// survives its producer's death at any instruction: producer_attach()
-/// rebuilds the private cursors from the shared ones, and a record that
-/// was reserved but never published is simply overwritten.
-template <template <typename> class SlotsTmpl = HeapSlots>
-class VarSpscRing
-    : public detail::VarRingBase<VarSpscRing<SlotsTmpl>, SlotsTmpl, false> {
-  using Base = detail::VarRingBase<VarSpscRing<SlotsTmpl>, SlotsTmpl, false>;
-  friend Base;
-
- public:
-  explicit VarSpscRing(std::size_t capacity_bytes, std::size_t max_bytes = 0,
-                       std::uint32_t max_record_payload = (16u << 10),
-                       Placement placement = {})
-      : Base(capacity_bytes, max_bytes, max_record_payload, placement) {
-    PCPC_ASSERT_MSG(this->n_bytes_ <= (std::uint64_t{1} << 32),
-                    "spsc varlen ring above 4 GiB");
-  }
-
-  // -- producer side ------------------------------------------------------
-
-  /// Claims `payload_bytes` in the ring; false when the record does not
-  /// fit the logical capacity (after one admission refresh) or exceeds
-  /// the max record payload.  On success the caller owns out.data until
-  /// commit().
-  bool try_reserve(std::uint32_t payload_bytes, VarReservation& out) {
-    if (payload_bytes > this->max_record_payload_) return false;
-    const std::uint64_t need = var_record_bytes(payload_bytes);
-    if (in_flight(prod_.cached_head) + need > this->cap64()) {
-      prod_.cached_head = this->head_.index.load(std::memory_order_acquire);
-      if (in_flight(prod_.cached_head) + need > this->cap64()) return false;
-    }
-    std::uint64_t t = prod_.tail_local;
-    const std::size_t pos = this->pos_of(t);
-    if (pos + need > this->n_bytes_) {
-      const std::uint64_t pad = this->n_bytes_ - pos;
-      this->word_ref(pos).store(
-          var_word(VarState::kPadding, static_cast<std::uint32_t>(pad - kVarHeaderBytes)),
-          std::memory_order_release);
-      this->padding_bytes_.fetch_add(pad, std::memory_order_relaxed);
-      prod_.pad_at = t;
-      recovery_.pad_at.store(t, std::memory_order_relaxed);  // published with the tail
-      t += pad;
-    }
-    const std::size_t rpos = this->pos_of(t);
-    this->word_ref(rpos).store(var_word(VarState::kReserved, payload_bytes),
-                               std::memory_order_release);
-    out.data = this->payload_ptr(rpos);
-    out.size = payload_bytes;
-    out.offset = t;
-    out.end = t + need;
-    prod_.tail_local = t + need;
-    return true;
-  }
-
-  /// Publishes a reservation (and, with it, every earlier claim).
-  void commit(VarReservation& r) {
-    this->word_ref(this->pos_of(r.offset))
-        .store(var_word(VarState::kCommitted, r.size), std::memory_order_release);
-    this->committed_records_.fetch_add(1, std::memory_order_relaxed);
-    this->committed_payload_bytes_.fetch_add(r.size, std::memory_order_relaxed);
-    this->committed_footprint_bytes_.fetch_add(r.end - r.offset,
-                                               std::memory_order_relaxed);
-    ++prod_.records;
-    recovery_.records.store(
-        (prod_.records << 32) | (prod_.tail_local & kLow32), std::memory_order_release);
-    tail_.index.store(prod_.tail_local, std::memory_order_release);
-  }
-
-  /// One-call copy-in convenience (the "single copy" producer path):
-  /// reserve + memcpy + commit.
-  bool try_push_record(std::span<const std::byte> payload) {
-    VarReservation r;
-    if (!try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
-    std::memcpy(r.data, payload.data(), payload.size());
-    commit(r);
-    return true;
-  }
-
-  /// Rebuilds the producer-private cursors from the shared state — how a
-  /// producer process takes over a ring that already lives in shared
-  /// memory, possibly after its predecessor died mid-record.
-  void producer_attach() {
-    prod_.tail_local = tail_.index.load(std::memory_order_acquire);
-    prod_.cached_head = this->head_.index.load(std::memory_order_acquire);
-    prod_.records = published_records();
-    // A pad start at or past the tail belongs to a reservation that was
-    // never published; its bytes get overwritten, so forget it.
-    prod_.pad_at = recovery_.pad_at.load(std::memory_order_acquire);
-    if (prod_.pad_at >= prod_.tail_local) {
-      prod_.pad_at = kNoPad;
-      recovery_.pad_at.store(kNoPad, std::memory_order_relaxed);
-    }
-  }
-
-  // -- either side --------------------------------------------------------
-
-  /// Records ever published (committed and behind the shared tail).
-  std::uint64_t published_records() const {
-    const std::uint64_t released = this->released_records();
-    return released + records_since(released);
-  }
-
-  /// Published records not yet released: the ring's fill in records.
-  std::uint64_t size_records() const { return records_since(this->released_records()); }
-
- private:
-  static constexpr std::uint64_t kLow32 = 0xffffffffULL;
-  static constexpr std::uint64_t kNoPad = UINT64_MAX;
-
-  std::uint64_t tail_visible() {
-    return tail_.index.load(std::memory_order_acquire);
-  }
-
-  void on_release(std::uint64_t) {}  // admission reads the released cursor
 
   /// Record footprint bytes claimed and not yet released as of released
   /// cursor `head`.  The claimed window is at most a revolution long
@@ -586,7 +478,7 @@ class VarSpscRing
   std::uint64_t in_flight(std::uint64_t head) const {
     std::uint64_t bytes = prod_.tail_local - head;
     if (prod_.pad_at >= head && prod_.pad_at < prod_.tail_local) {
-      bytes -= this->n_bytes_ - this->pos_of(prod_.pad_at);
+      bytes -= n_bytes_ - pos_of(prod_.pad_at);
     }
     return bytes;
   }
@@ -607,6 +499,19 @@ class VarSpscRing
     return static_cast<std::uint32_t>(published - static_cast<std::uint32_t>(released));
   }
 
+  /// Shared index on its own cache line (same shape as the item rings).
+  struct alignas(64) SharedIndex {
+    std::atomic<std::uint64_t> index{0};
+  };
+
+  /// Consumer-private cursors: claim (views handed out) ahead of the
+  /// released head, cached tail refreshed only when the walk runs dry.
+  struct alignas(64) ConsumerState {
+    std::uint64_t claim = 0;
+    std::uint64_t head_local = 0;
+    std::uint64_t cached_tail = 0;
+  };
+
   /// Producer-private state (lives with the ring so a shm producer can
   /// recover it; see producer_attach).
   struct alignas(64) ProducerState {
@@ -622,101 +527,32 @@ class VarSpscRing
     std::atomic<std::uint64_t> pad_at{kNoPad};
   };
 
-  typename Base::SharedIndex tail_;  ///< published claim cursor
+  const std::size_t max_bytes_;
+  const std::uint32_t max_record_payload_;
+  const std::size_t n_bytes_;
+  const std::size_t mask_;
+  SlotsTmpl<std::uint64_t> cells_;
+  SharedIndex head_;  ///< released cursor (telemetry + shm recovery)
+  alignas(64) std::atomic<std::size_t> logical_bytes_{1};
+  ConsumerState cons_;
+
+  // Monotonic tallies (relaxed; exactness comes from single-writer
+  // updates, not ordering).
+  std::atomic<std::uint64_t> committed_records_{0};
+  std::atomic<std::uint64_t> committed_payload_bytes_{0};
+  std::atomic<std::uint64_t> committed_footprint_bytes_{0};
+  std::atomic<std::uint64_t> padding_bytes_{0};
+  std::atomic<std::uint64_t> consumed_records_{0};
+  std::atomic<std::uint64_t> consumed_payload_bytes_{0};
+  std::atomic<std::uint64_t> consumed_footprint_bytes_{0};
+  std::atomic<std::uint64_t> reclaimed_records_{0};
+  std::atomic<std::uint64_t> reclaimed_payload_bytes_{0};
+  std::atomic<std::uint64_t> reclaimed_footprint_bytes_{0};
+  std::atomic<std::uint64_t> released_padding_bytes_{0};
+
+  SharedIndex tail_;  ///< published claim cursor
   RecoveryWords recovery_;
   ProducerState prod_;
-};
-
-/// Multi-producer varlen ring (Jiffy discipline): admission is one
-/// fetch_add on the in-flight byte counter, the position claim one
-/// fetch_add on the byte ticket.  A crossing claim is converted to
-/// padding by its owner and re-claimed — the only non-FAA event, at most
-/// once per ring revolution.  Consumers are gated on the claimed (not
-/// committed) ticket, so released storage is zeroed to make unwritten
-/// headers read as kFree (the Vyukov-handshake role the item queue's seq
-/// words play, folded into the record headers).
-template <template <typename> class SlotsTmpl = HeapSlots>
-class VarMpscRing
-    : public detail::VarRingBase<VarMpscRing<SlotsTmpl>, SlotsTmpl, true> {
-  using Base = detail::VarRingBase<VarMpscRing<SlotsTmpl>, SlotsTmpl, true>;
-  friend Base;
-
- public:
-  explicit VarMpscRing(std::size_t capacity_bytes, std::size_t max_bytes = 0,
-                       std::uint32_t max_record_payload = (16u << 10),
-                       Placement placement = {})
-      : Base(capacity_bytes, max_bytes, max_record_payload, placement) {}
-
-  // -- producer side (any thread) -----------------------------------------
-
-  bool try_reserve(std::uint32_t payload_bytes, VarReservation& out) {
-    if (payload_bytes > this->max_record_payload_) return false;
-    const std::uint64_t need = var_record_bytes(payload_bytes);
-    const std::uint64_t admitted =
-        inflight_.fetch_add(need, std::memory_order_acquire);
-    if (admitted + need > this->cap64()) {
-      inflight_.fetch_sub(need, std::memory_order_relaxed);
-      return false;
-    }
-    for (;;) {
-      const std::uint64_t t = tail_.fetch_add(need, std::memory_order_relaxed);
-      const std::size_t pos = this->pos_of(t);
-      if (pos + need <= this->n_bytes_) {
-        this->word_ref(pos).store(var_word(VarState::kReserved, payload_bytes),
-                                  std::memory_order_release);
-        out.data = this->payload_ptr(pos);
-        out.size = payload_bytes;
-        out.offset = t;
-        out.end = t + need;
-        return true;
-      }
-      // Crossing claim: it cannot hold a contiguous record, so publish
-      // the whole claim as padding (back half to the ring end, front
-      // half after the wrap) and re-claim.  Only the claim that contains
-      // the revolution boundary takes this path.
-      const std::uint64_t back = this->n_bytes_ - pos;
-      this->word_ref(pos).store(
-          var_word(VarState::kPadding, static_cast<std::uint32_t>(back - kVarHeaderBytes)),
-          std::memory_order_release);
-      const std::uint64_t front = need - back;
-      if (front != 0) {
-        this->word_ref(0).store(
-            var_word(VarState::kPadding,
-                     static_cast<std::uint32_t>(front - kVarHeaderBytes)),
-            std::memory_order_release);
-      }
-      this->padding_bytes_.fetch_add(need, std::memory_order_relaxed);
-    }
-  }
-
-  void commit(VarReservation& r) {
-    this->word_ref(this->pos_of(r.offset))
-        .store(var_word(VarState::kCommitted, r.size), std::memory_order_release);
-    this->committed_records_.fetch_add(1, std::memory_order_relaxed);
-    this->committed_payload_bytes_.fetch_add(r.size, std::memory_order_relaxed);
-    this->committed_footprint_bytes_.fetch_add(r.end - r.offset,
-                                               std::memory_order_relaxed);
-  }
-
-  bool try_push_record(std::span<const std::byte> payload) {
-    VarReservation r;
-    if (!try_reserve(static_cast<std::uint32_t>(payload.size()), r)) return false;
-    std::memcpy(r.data, payload.data(), payload.size());
-    commit(r);
-    return true;
-  }
-
- private:
-  std::uint64_t tail_visible() {
-    return tail_.load(std::memory_order_acquire);
-  }
-
-  void on_release(std::uint64_t released_need) {
-    inflight_.fetch_sub(released_need, std::memory_order_release);
-  }
-
-  alignas(64) std::atomic<std::uint64_t> tail_{0};      ///< byte ticket
-  alignas(64) std::atomic<std::uint64_t> inflight_{0};  ///< admission counter
 };
 
 }  // namespace pcpc::queue

@@ -60,9 +60,10 @@ class ThreadBaseline {
   /// non-null, must outlive the baseline; it injects producer stalls and
   /// bursts and slow-consumer handler delays so the baselines face the
   /// same chaos the PBPL host does.  `backend` selects the hand-off
-  /// queue: the seed's mutex-guarded bounded buffer, or a lock-free ring
-  /// whose pushes bypass the pair lock (BackendKind::SpscRing then
-  /// requires one producer thread per pair; MpscSeg accepts any number).
+  /// queue: the SPSC ring under the pair lock, or a lock-free queue whose
+  /// pushes bypass the pair lock (BackendKind::SpscRing then requires one
+  /// producer thread per pair; MpscSeg's per-thread lanes accept any
+  /// number).
   ThreadBaseline(std::size_t pairs, std::size_t buffer_capacity, SignalPolicy policy,
                  SimDuration period = milliseconds(10),
                  fault::FaultInjector* injector = nullptr,

@@ -16,8 +16,9 @@
 // the manager wake — plus the overload hardening the simulation host
 // cannot exercise: configurable overflow policies, a per-core deadline
 // watchdog, and pcpc::fault injection hooks.  Every backend kind stores
-// items in a preallocated ring (queue/handoff.hpp); the mutex kind is
-// the SPSC ring driven under the owning core's lock.
+// items in preallocated rings (queue/handoff.hpp): the mutex kind is the
+// SPSC ring driven under the owning core's lock, the mpsc kind one such
+// ring per producer lane.
 //
 // Sharding (Section V-B: one core manager per core, disjoint consumer
 // sets): every Core owns its mutex, its condition variables, its
@@ -180,7 +181,9 @@ class ThreadPbpl {
   /// Backend contract (config.queue_backend): with a lock-free backend
   /// the common case never touches any runtime lock — only the overflow
   /// slow path takes the owning core's lock.  BackendKind::MpscSeg
-  /// accepts any number of concurrent producer threads per consumer;
+  /// accepts any number of concurrent producer threads per consumer
+  /// (each thread keeps one lane, so delivery is FIFO per thread and a
+  /// preempted producer holds back only the threads sharing its lane);
   /// BackendKind::SpscRing requires the caller to produce to each
   /// consumer from at most one thread at a time (the ring's
   /// single-producer contract — the seed's Mutex backend has no such
@@ -206,9 +209,11 @@ class ThreadPbpl {
   /// ring.  The caller writes the payload into ref.payload and then MUST
   /// call commit_record (the claim is not visible to the consumer until
   /// then, and the overflow accounting assumes exactly one commit per
-  /// successful reserve).  nullopt = the record was dropped under a drop
-  /// policy (already counted).  Under Block the call blocks for space,
-  /// like produce().
+  /// successful reserve).  Until then the open record holds back the
+  /// records reserved after it in the same ring: all of them on Mutex,
+  /// only its lane's on MpscSeg.  nullopt = the record was dropped under
+  /// a drop policy (already counted).  Under Block the call blocks for
+  /// space, like produce().
   std::optional<RecordRef> reserve_record(std::size_t consumer, std::size_t bytes);
 
   /// Publishes a reserve_record claim (stamps the enqueue time into the
@@ -302,11 +307,10 @@ class ThreadPbpl {
     /// run_handlers stamps their handler-done stage after the handler.
     std::vector<std::uint64_t> sampled;
     /// Varlen records claimed by this drain: zero-copy views handed to
-    /// the record handler outside the lock, then released (in one cursor
-    /// publication, up to `var_release`) once the batch's handlers are
-    /// done.  View spans still carry the leading stamp word.
+    /// the record handler outside the lock, then released with
+    /// release_claimed() once the batch's handlers are done.  View spans
+    /// still carry the leading stamp word.
     std::vector<queue::VarRecordView> records;
-    std::uint64_t var_release = 0;
   };
 
   /// One core = one manager thread + everything it needs, behind its own

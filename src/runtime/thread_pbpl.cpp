@@ -163,7 +163,6 @@ void ThreadPbpl::stop() {
       // Varlen leftovers drain the same way: claim the views here, hand
       // them to the record handler below (no lock), release after.
       std::vector<queue::VarRecordView> records;
-      std::uint64_t var_release = 0;
       if (consumer->var != nullptr) {
         while (auto view = consumer->var->claim_front()) {
           core->stats.latency_s.add(
@@ -172,7 +171,6 @@ void ThreadPbpl::stop() {
           core->stats.consumed_bytes += view->size - kStampBytes;
           records.push_back(*view);
         }
-        var_release = consumer->var->claim_offset();
         consumer->var_inflight = true;
       }
       const std::size_t total = batch + records.size();
@@ -190,7 +188,7 @@ void ThreadPbpl::stop() {
       }
       if (total > 0 || consumer->var_inflight) {
         core->pending.push_back({consumer, total, obs::kNoSlot, now_ns(), drained_at,
-                                 {}, std::move(records), var_release});
+                                 {}, std::move(records)});
       }
     }
     if ((handler_ || record_handler_) && !core->pending.empty()) {
@@ -209,7 +207,7 @@ void ThreadPbpl::stop() {
     }
     for (const PendingBatch& p : core->pending) {
       if (p.consumer->var != nullptr && p.consumer->var_inflight) {
-        p.consumer->var->release_until(p.var_release);
+        p.consumer->var->release_claimed();
         p.consumer->var_inflight = false;
       }
     }
@@ -566,10 +564,11 @@ bool ThreadPbpl::reserve_slow_locked(Core& core, Consumer& consumer,
       // *marks* the head record reclaimed (advancing the claim cursor);
       // the bytes return to producers at a release — which we can do
       // right here, under the consumer-side lock, UNLESS zero-copy views
-      // from the last drain are still out with the handlers (they pin
-      // the released cursor).  In that case eviction cannot free space
-      // in time, so reject the incoming record — every branch keeps the
-      // produced == items + dropped() identity exact.
+      // from the last drain are still out with the handlers (a release
+      // would hand their bytes back).  In that case eviction cannot free
+      // space in time, so reject the incoming record — every branch keeps
+      // the produced == items + dropped() identity exact.  The reclaimed
+      // records go back with the views, at run_handlers' release.
       for (int attempt = 0; attempt < 16; ++attempt) {
         std::uint64_t footprint = 0;
         std::uint32_t dropped_payload = 0;
@@ -579,9 +578,7 @@ bool ThreadPbpl::reserve_slow_locked(Core& core, Consumer& consumer,
           obs::note_drop(static_cast<std::uint32_t>(consumer.index),
                          obs::DropPath::kOldest, now_ns());
         }
-        if (!consumer.var_inflight) {
-          consumer.var->release_until(consumer.var->claim_offset());
-        }
+        if (!consumer.var_inflight) consumer.var->release_claimed();
         if (consumer.var->try_reserve(record_bytes, out)) {
           reserved = true;
           return true;
@@ -949,7 +946,6 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
   // move; the handler reads the views outside the lock in run_handlers,
   // and only then is the byte range released back to producers.
   std::vector<queue::VarRecordView> records;
-  std::uint64_t var_release = 0;
   std::uint64_t record_payload = 0;
   if (consumer.var != nullptr) {
     while (auto view = consumer.var->claim_front()) {
@@ -967,7 +963,6 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
       record_payload += view->size - kStampBytes;
       records.push_back(*view);
     }
-    var_release = consumer.var->claim_offset();
     consumer.var_inflight = true;
   }
   const std::size_t total = batch + records.size();
@@ -987,7 +982,7 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
 
   make_reservation_locked(core, consumer, now);
   core.pending.push_back({&consumer, total, slot, now, drained_at, std::move(sampled),
-                          std::move(records), var_release});
+                          std::move(records)});
 }
 
 void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
@@ -1029,14 +1024,14 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
   }
   lock.lock();
   // The handlers are done with their zero-copy views: release each
-  // drained byte range in one cursor publication and wake producers
+  // drained byte range (per ring, one cursor publication) and wake producers
   // blocked on varlen space (for the item plane the manager already
   // notified right after the drain — item space frees at pop, varlen
   // space only here).
   bool released = false;
   for (const PendingBatch& p : core.pending) {
     if (p.consumer->var != nullptr && p.consumer->var_inflight) {
-      p.consumer->var->release_until(p.var_release);
+      p.consumer->var->release_claimed();
       p.consumer->var_inflight = false;
       released = true;
     }

@@ -1,5 +1,5 @@
 // Differential harness for the queue backends (mutex / SPSC ring / MPSC
-// segments).
+// lanes).
 //
 // The backends promise *identical observable semantics* behind the
 // Handoff interface: same admission decisions, same elastic-capacity
@@ -24,9 +24,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -46,6 +50,9 @@ using core::OverflowPolicy;
 
 constexpr BackendKind kBackends[] = {BackendKind::Mutex, BackendKind::SpscRing,
                                      BackendKind::MpscSeg};
+/// The kinds with a caller-placed (shm) variant: the SPSC ring's.  The
+/// MPSC lanes live on the heap only.
+constexpr BackendKind kPlacedBackends[] = {BackendKind::Mutex, BackendKind::SpscRing};
 constexpr OverflowPolicy kPolicies[] = {OverflowPolicy::Block,
                                         OverflowPolicy::DropOldest,
                                         OverflowPolicy::DropNewest,
@@ -256,13 +263,16 @@ Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
   return out;
 }
 
-/// Same workload, but the backend's slot array lives in a real
-/// MAP_SHARED shared-memory mapping (OffsetSlots placement) — the
-/// storage the pcpc::ipc host uses.  Placement must be semantically
-/// invisible: heap and shm runs must produce bit-identical outcomes.
+/// Same workload, but the ring's slot array lives in a real MAP_SHARED
+/// shared-memory mapping (OffsetSlots placement) — the storage the
+/// pcpc::ipc host uses.  Placement must be semantically invisible: heap
+/// and shm runs must produce bit-identical outcomes.
 Outcome drive_in_shm(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
   BufferPool pool = driver_pool();
-  const std::size_t bytes = placed_handoff_bytes<std::uint64_t>(kind, pool);
+  // Max capacity saturates at Bg; one extra segment covers the
+  // emergency-overcommit corner where a base grant exceeds the pool.
+  const std::size_t bytes = SpscRing<std::uint64_t>::placement_bytes(
+      pool.total_slots() + pool.segment_size());
   const std::string name =
       "/pcpc_diff_" + std::to_string(::getpid()) + "_" + std::to_string(seed);
   std::string error;
@@ -270,10 +280,14 @@ Outcome drive_in_shm(BackendKind kind, OverflowPolicy policy, std::uint64_t seed
   Outcome out;
   EXPECT_TRUE(segment.valid()) << error;
   if (!segment.valid()) return out;
-  auto queue = make_placed_pool_handoff<std::uint64_t>(
-      kind, pool, /*consumer=*/0, Placement{segment.payload(), bytes});
-  EXPECT_NE(queue, nullptr);
-  if (queue != nullptr) drive_handoff(*queue, policy, seed, out);
+  const Placement placement{segment.payload(), bytes};
+  std::unique_ptr<Handoff<std::uint64_t>> queue;
+  if (kind == BackendKind::Mutex) {
+    queue = std::make_unique<MutexHandoff<std::uint64_t, OffsetSlots>>(pool, 0, placement);
+  } else {
+    queue = std::make_unique<SpscHandoff<std::uint64_t, OffsetSlots>>(pool, 0, placement);
+  }
+  drive_handoff(*queue, policy, seed, out);
   queue.reset();  // destroy slots before the mapping goes away
   segment.unlink();
   return out;
@@ -311,7 +325,7 @@ TEST(QueueDifferential, BackendsAgreeUnderEveryPolicy) {
 
 TEST(QueueDifferential, HeapAndShmPlacementsAgreeBitForBit) {
   const std::uint64_t kSeeds[] = {3, 0xfeedULL, 271828};
-  for (const auto kind : kBackends) {
+  for (const auto kind : kPlacedBackends) {
     for (const auto policy : kPolicies) {
       for (const std::uint64_t seed : kSeeds) {
         std::ostringstream label;
@@ -405,7 +419,7 @@ void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
           var_payload_checksum(std::span<const std::byte>(view->data, view->size)));
       ++n;
     }
-    if (n > 0) handoff.release_until(handoff.claim_offset());
+    if (n > 0) handoff.release_claimed();
     return n;
   };
 
@@ -509,7 +523,7 @@ void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
         view->size,
         var_payload_checksum(std::span<const std::byte>(view->data, view->size)));
   }
-  handoff.release_until(handoff.claim_offset());
+  handoff.release_claimed();
 }
 
 /// Heap-placed varlen run.
@@ -525,8 +539,9 @@ VarOutcome var_drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed
 /// Same workload with the ring storage in a real MAP_SHARED mapping.
 VarOutcome var_drive_in_shm(BackendKind kind, OverflowPolicy policy,
                             std::uint64_t seed) {
+  using PlacedRing = VarSpscRing<OffsetSlots>;
   const std::size_t bytes =
-      placed_var_handoff_bytes(kind, /*max_bytes=*/4 << 10, /*max_record_payload=*/256);
+      PlacedRing::placement_bytes(/*max_bytes=*/4 << 10, /*max_record_payload=*/256);
   const std::string name =
       "/pcpc_vdiff_" + std::to_string(::getpid()) + "_" + std::to_string(seed);
   std::string error;
@@ -534,15 +549,17 @@ VarOutcome var_drive_in_shm(BackendKind kind, OverflowPolicy policy,
   VarOutcome out;
   EXPECT_TRUE(segment.valid()) << error;
   if (!segment.valid()) return out;
-  auto handoff = make_placed_var_handoff(kind, /*capacity_bytes=*/1 << 10,
-                                         /*max_bytes=*/4 << 10,
-                                         /*max_record_payload=*/256,
-                                         Placement{segment.payload(), bytes});
-  EXPECT_NE(handoff, nullptr);
-  if (handoff != nullptr) {
-    drive_var_handoff(*handoff, policy, seed, out);
-    EXPECT_EQ(handoff->overflows(), out.rejected_reserves);
+  const Placement placement{segment.payload(), bytes};
+  std::unique_ptr<VarHandoff> handoff;
+  if (kind == BackendKind::Mutex) {
+    handoff = std::make_unique<VarRingHandoff<PlacedRing, BackendKind::Mutex, false>>(
+        1 << 10, 4 << 10, 256, placement);
+  } else {
+    handoff = std::make_unique<VarRingHandoff<PlacedRing, BackendKind::SpscRing, true>>(
+        1 << 10, 4 << 10, 256, placement);
   }
+  drive_var_handoff(*handoff, policy, seed, out);
+  EXPECT_EQ(handoff->overflows(), out.rejected_reserves);
   handoff.reset();  // destroy the ring before the mapping goes away
   segment.unlink();
   return out;
@@ -589,7 +606,7 @@ TEST(QueueDifferential, VarlenBackendsAgreeUnderEveryPolicy) {
 
 TEST(QueueDifferential, VarlenHeapAndShmPlacementsAgreeBitForBit) {
   const std::uint64_t kSeeds[] = {3, 0xfeedULL, 271828};
-  for (const auto kind : kBackends) {
+  for (const auto kind : kPlacedBackends) {
     for (const auto policy : kPolicies) {
       for (const std::uint64_t seed : kSeeds) {
         std::ostringstream label;
@@ -664,6 +681,166 @@ TEST(QueueDifferential, ThreadHostConservesItemsPerBackendAndPolicy) {
       }
     }
   }
+}
+
+/// One open-reservation scenario on consumer 0 of a ThreadPbpl: thread A
+/// commits `prefill` records, then holds a reserve_record open while
+/// thread B produce_record()s `records` records; A then calls stats() —
+/// a runtime call between its reserve and its commit — and commits.
+struct OpenReservation {
+  std::uint64_t prefill = 0;
+  std::uint64_t records = 8;
+  bool share_lane = false;  ///< B runs in A's mpsc lane
+  /// B's records must reach the handler before A commits, within a
+  /// bounded wait.  Otherwise only A's prefill may (the consumer stops
+  /// at A's open record): B finishes or blocks for space, and the
+  /// manager gets several slots to try.
+  bool passes_open = false;
+};
+
+/// Runs `run` on `config` (Block policy, one consumer).  Every record
+/// must reach the handler exactly once, in reservation order, with
+/// nothing dropped.
+void run_open_reservation(core::PbplConfig config, const OpenReservation& run) {
+  constexpr std::uint64_t kOpenId = 1000;
+  constexpr std::uint64_t kPrefillId = 2000;
+  config.cores = 1;
+  config.payload_max_bytes = 64;
+  runtime::ThreadPbpl host(1, config);
+  std::mutex seen_mutex;
+  std::vector<std::uint64_t> seen;
+  host.set_record_handler([&](std::size_t, std::span<const std::byte> payload) {
+    std::uint64_t id = 0;
+    std::memcpy(&id, payload.data(), sizeof id);
+    const std::lock_guard<std::mutex> lock(seen_mutex);
+    seen.push_back(id);
+  });
+  const auto seen_now = [&] {
+    const std::lock_guard<std::mutex> lock(seen_mutex);
+    return seen;
+  };
+  const auto wait_until = [](auto done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  const auto produce = [&](std::uint64_t id) {
+    host.produce_record(
+        0, std::span<const std::byte>(reinterpret_cast<const std::byte*>(&id), sizeof id));
+  };
+
+  // A draws its lane first; B is then found among fresh threads (lanes
+  // are drawn per thread from a process-wide counter) and both wait for
+  // their go.
+  constexpr auto kNoLane = static_cast<std::uint32_t>(kLanes);
+  std::atomic<std::uint32_t> lane_a{kNoLane};
+  std::atomic<int> a_state{0};  // 1 = go, 2 = reserved, 3 = dropped
+  std::atomic<bool> may_commit{false};
+  std::thread a([&] {
+    lane_a.store(producer_lane());
+    while (a_state.load() == 0) std::this_thread::yield();
+    for (std::uint64_t k = 0; k < run.prefill; ++k) produce(kPrefillId + k);
+    auto ref = host.reserve_record(0, sizeof(std::uint64_t));
+    a_state.store(ref.has_value() ? 2 : 3);
+    if (!ref.has_value()) return;
+    while (!may_commit.load()) std::this_thread::yield();
+    (void)host.stats();
+    std::memcpy(ref->payload.data(), &kOpenId, sizeof kOpenId);
+    host.commit_record(0, *ref);
+  });
+  while (lane_a.load() == kNoLane) std::this_thread::yield();
+
+  std::atomic<std::uint64_t> b_done{0};
+  std::atomic<int> b_state{0};  // 1 = this thread is B, 2 = wrong lane, 3 = go
+  std::thread b;
+  for (;;) {
+    b_state.store(0);
+    b = std::thread([&] {
+      if ((producer_lane() == lane_a.load()) != run.share_lane) {
+        b_state.store(2);
+        return;
+      }
+      b_state.store(1);
+      while (b_state.load() != 3) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < run.records; ++i) {
+        produce(i);
+        b_done.fetch_add(1);
+      }
+    });
+    while (b_state.load() == 0) std::this_thread::yield();
+    if (b_state.load() == 1) break;
+    b.join();
+  }
+
+  a_state.store(1);
+  while (a_state.load() == 1) std::this_thread::yield();
+  if (a_state.load() == 3) {
+    b_state.store(3);
+    a.join();
+    b.join();
+    FAIL() << "A's reservation was dropped";
+  }
+  b_state.store(3);
+
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t k = 0; k < run.prefill; ++k) want.push_back(kPrefillId + k);
+  if (run.passes_open) {
+    for (std::uint64_t i = 0; i < run.records; ++i) want.push_back(i);
+    wait_until([&] { return seen_now().size() >= want.size(); });
+    EXPECT_EQ(seen_now(), want) << "the open reservation held B's records back";
+    want.push_back(kOpenId);
+  } else {
+    wait_until([&] { return b_done.load() == run.records || host.stats().overflow_wakeups > 0; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(75));
+    EXPECT_EQ(seen_now(), want) << "a record passed the open reservation ahead of it";
+    want.push_back(kOpenId);
+    for (std::uint64_t i = 0; i < run.records; ++i) want.push_back(i);
+  }
+  may_commit.store(true);
+  a.join();
+  b.join();
+  wait_until([&] { return seen_now().size() >= want.size(); });
+  host.stop();
+
+  EXPECT_EQ(seen, want);
+  const auto stats = host.stats();
+  EXPECT_EQ(stats.produced, want.size());
+  EXPECT_EQ(stats.items, want.size());
+  EXPECT_EQ(stats.dropped(), 0u);
+  if (run.prefill > 0) {
+    EXPECT_GT(stats.overflow_wakeups, 0u) << "B never hit the wall";
+  }
+}
+
+TEST(QueueDifferential, ThreadHostDeliversPastAnOpenRecordReservation) {
+  // MpscSeg, B in another lane: B's records go straight past A's.
+  run_open_reservation(runtime_config(BackendKind::MpscSeg, OverflowPolicy::Block),
+                       {.records = 8, .share_lane = false, .passes_open = true});
+}
+
+TEST(QueueDifferential, ThreadHostMutexKindWaitsForAnOpenRecordReservation) {
+  // One ring: B's committed records sit behind A's open record and must
+  // neither pass it nor be released while it is open.
+  run_open_reservation(runtime_config(BackendKind::Mutex, OverflowPolicy::Block),
+                       {.records = 8, .share_lane = false, .passes_open = false});
+}
+
+TEST(QueueDifferential, ThreadHostSharedLaneFillsBehindAnOpenRecordReservation) {
+  // MpscSeg, B in A's lane.  A's prefill and open record fill the ring
+  // (10 records of 24 bytes in 240), so B goes to the overflow slow path
+  // at once; once the forced drain frees A's prefill, B reserves behind
+  // A's open record under the core lock, fills the ring again and
+  // blocks, and A's stats() and commit must still go through.  A lane
+  // owner held from reserve to commit deadlocked here: B waited for it
+  // under the core lock that stats() needs.  Long slots keep scheduled
+  // drains out of the way.
+  core::PbplConfig config = runtime_config(BackendKind::MpscSeg, OverflowPolicy::Block);
+  config.payload_ring_bytes = 240;
+  config.slot_size = milliseconds(100);
+  config.max_latency = milliseconds(500);
+  run_open_reservation(config, {.prefill = 9, .records = 200, .share_lane = true,
+                                .passes_open = false});
 }
 
 TEST(QueueDifferential, BaselineHostConservesItemsPerBackend) {

@@ -3,15 +3,20 @@
 //
 // Each trial draws its shape (producer count, capacity, burst schedule,
 // capacity flapping) from the repo's deterministic Rng, so a failure
-// reproduces from the printed seed.  The properties are the queue
-// contracts themselves:
+// reproduces from the printed seed.  The multi-producer trials draw up
+// to 20 producer threads, past the MPSC kind's 8 lanes, so threads that
+// share a lane are covered too.  The properties are the queue contracts
+// themselves:
 //
 //   - no loss: with spinning producers, every produced item is consumed;
 //   - no duplication: each tagged item appears exactly once;
 //   - per-producer FIFO: producer p's items arrive in p's push order,
 //     even while the consumer flaps the logical capacity underneath;
 //   - drop accounting: with give-up producers, consumed + rejected ==
-//     produced, exactly.
+//     produced, exactly;
+//   - no hole: a producer holding an open reservation hides no record
+//     of another lane;
+//   - turns: a drain that one lane fills leaves the next to the others.
 //
 // The throughput property (SPSC ring must not lose to the mutex buffer
 // single-producer) is a *statistical* claim, so it uses the repo's
@@ -19,6 +24,7 @@
 // skipped under sanitizers, whose instrumentation distorts timing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,7 +37,7 @@
 #include "pcpc/common/hypothesis.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/queue/handoff.hpp"
-#include "pcpc/queue/mpsc_queue.hpp"
+#include "pcpc/queue/lanes.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
 
 // Timing assertions are meaningless under sanitizer instrumentation.
@@ -77,7 +83,7 @@ void check_tagged(std::map<std::uint64_t, std::uint64_t>& next_seq,
 TEST(QueueFuzz, MpscSpinningProducersLoseNothing) {
   for (std::uint64_t trial = 0; trial < 10; ++trial) {
     Rng rng(0x5eedULL * 1000 + trial);
-    const std::uint64_t producers = 1 + rng.next_below(4);
+    const std::uint64_t producers = 1 + rng.next_below(20);
     const std::size_t capacity = 1 + static_cast<std::size_t>(rng.next_below(128));
     const std::size_t max_capacity =
         capacity + static_cast<std::size_t>(rng.next_below(128));
@@ -86,7 +92,7 @@ TEST(QueueFuzz, MpscSpinningProducersLoseNothing) {
                  std::to_string(producers) + " cap=" + std::to_string(capacity) +
                  " items=" + std::to_string(items));
 
-    MpscSegQueue<std::uint64_t> queue(capacity, max_capacity);
+    MpscLanes<std::uint64_t> queue(capacity, max_capacity);
     std::vector<std::thread> threads;
     for (std::uint64_t p = 0; p < producers; ++p) {
       // Per-producer burst schedule drawn up front (threads must not
@@ -121,6 +127,29 @@ TEST(QueueFuzz, MpscSpinningProducersLoseNothing) {
     for (auto& t : threads) t.join();
     EXPECT_EQ(queue.size(), 0u);
     EXPECT_FALSE(queue.try_pop().has_value());
+  }
+}
+
+TEST(QueueFuzz, MpscDrainTakesTurnsBetweenLanes) {
+  // Two producer threads fill their own lanes with 300 items each.  A
+  // lane that fills one bulk drain must hand the next one to the other
+  // lane, whichever lane the cursor reaches first.
+  MpscLanes<std::uint64_t> queue(1024);
+  std::array<std::uint32_t, 2> lanes{};
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    std::thread([&, p] {
+      lanes[p] = producer_lane();
+      for (std::uint64_t i = 0; i < 300; ++i) ASSERT_TRUE(queue.try_push(tag(p, i)));
+    }).join();
+  }
+  ASSERT_NE(lanes[0], lanes[1]);
+  std::array<std::uint64_t, kDrainChunk> out{};
+  ASSERT_EQ(queue.pop_bulk(out), out.size());
+  const std::uint64_t first = out[0] >> 32;
+  for (const std::uint64_t item : out) ASSERT_EQ(item >> 32, first);
+  ASSERT_EQ(queue.pop_bulk(out), out.size());
+  for (const std::uint64_t item : out) {
+    ASSERT_EQ(item >> 32, 1 - first) << "a full lane kept the next drain";
   }
 }
 
@@ -166,7 +195,7 @@ TEST(QueueFuzz, HandoffDropAccountingIsExactUnderGiveUpProducers) {
   for (const auto kind : {BackendKind::Mutex, BackendKind::MpscSeg}) {
     for (std::uint64_t trial = 0; trial < 6; ++trial) {
       Rng rng(0xfeedULL * 100 + trial);
-      const std::uint64_t producers = 2 + rng.next_below(3);
+      const std::uint64_t producers = 2 + rng.next_below(19);
       const std::size_t capacity = 1 + static_cast<std::size_t>(rng.next_below(32));
       const std::uint64_t items = 2000 + rng.next_below(2000);
       SCOPED_TRACE(std::string(backend_name(kind)) + " trial " +
@@ -292,7 +321,7 @@ TEST(QueueFuzz, VarlenMpscSpinningProducersLoseNothingUntorn) {
   const std::size_t floor_bytes = var_record_bytes(kVarMaxPayload);
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
     Rng rng(0x7a71e9ULL * 1000 + trial);
-    const std::uint64_t producers = 1 + rng.next_below(4);
+    const std::uint64_t producers = 1 + rng.next_below(20);
     const std::uint64_t items = 300 + rng.next_below(300);
     const std::size_t max_bytes =
         floor_bytes + (32u << 10) + static_cast<std::size_t>(rng.next_below(32u << 10));
@@ -309,7 +338,7 @@ TEST(QueueFuzz, VarlenMpscSpinningProducersLoseNothingUntorn) {
       }
     }
 
-    VarMpscRing<> ring(floor_bytes + (16u << 10), max_bytes, kVarMaxPayload);
+    VarMpscLanes ring(floor_bytes + (16u << 10), max_bytes, kVarMaxPayload);
     std::vector<std::thread> threads;
     for (std::uint64_t p = 0; p < producers; ++p) {
       threads.emplace_back([&ring, &sizes, p, items] {
@@ -359,6 +388,55 @@ TEST(QueueFuzz, VarlenMpscSpinningProducersLoseNothingUntorn) {
     for (auto& t : threads) t.join();
     EXPECT_EQ(ring.size_bytes(), 0u);
   }
+}
+
+TEST(QueueFuzz, VarlenMpscOpenReservationHoldsBackNoOtherProducer) {
+  // Thread A holds a reservation open while thread B pushes kRecords
+  // records: the consumer must drain all of B's records before A
+  // commits, and A's record after.
+  constexpr std::uint64_t kRecords = 100;
+  auto queue = make_var_handoff(BackendKind::MpscSeg, /*capacity_bytes=*/8u << 10,
+                                /*max_bytes=*/8u << 10, /*max_record_payload=*/64);
+  std::atomic<bool> reserved{false};
+  std::atomic<bool> may_commit{false};
+  std::thread a([&] {
+    VarReservation r;
+    const bool ok = queue->try_reserve(sizeof(std::uint64_t), r);
+    reserved.store(true);
+    if (!ok) return;
+    while (!may_commit.load()) std::this_thread::yield();
+    const std::uint64_t id = tag(0, 0);
+    std::memcpy(r.data, &id, sizeof id);
+    queue->commit(r);
+  });
+  while (!reserved.load()) std::this_thread::yield();
+  std::thread b([&] {
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      const std::uint64_t id = tag(1, i);
+      while (!queue->try_push_record(
+          std::span<const std::byte>(reinterpret_cast<const std::byte*>(&id), sizeof id))) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  b.join();
+
+  std::vector<std::uint64_t> got;
+  const auto collect = [&](std::span<const std::byte> payload) {
+    std::uint64_t id = 0;
+    std::memcpy(&id, payload.data(), sizeof id);
+    got.push_back(id);
+  };
+  queue->drain_records(collect);
+  std::vector<std::uint64_t> want;
+  for (std::uint64_t i = 0; i < kRecords; ++i) want.push_back(tag(1, i));
+  EXPECT_EQ(got, want) << "the open reservation held B's records back";
+  may_commit.store(true);
+  a.join();
+  got.clear();
+  queue->drain_records(collect);
+  EXPECT_EQ(got, std::vector<std::uint64_t>{tag(0, 0)});
+  EXPECT_EQ(queue->size_bytes(), 0u);
 }
 
 TEST(QueueFuzz, VarlenSpscByteExactFifoUnderCapacityFlapping) {
@@ -495,6 +573,8 @@ TEST(QueueFuzz, VarlenDropAccountingIsExactUnderGiveUpProducers) {
       std::atomic<std::uint64_t> produced_bytes{0};
       std::atomic<bool> done{false};
 
+      // A record of 8 bytes or more carries its identity in its first 8
+      // bytes; a shorter one only the pattern of its producer.
       std::vector<std::vector<std::uint32_t>> sizes(producers);
       for (std::uint64_t p = 0; p < producers; ++p) {
         for (std::uint64_t i = 0; i < items; ++i) {
@@ -510,7 +590,13 @@ TEST(QueueFuzz, VarlenDropAccountingIsExactUnderGiveUpProducers) {
           std::vector<std::byte> staging(512);
           for (std::uint64_t i = 0; i < items; ++i) {
             const std::uint32_t size = sizes[p][i];
-            var_fill(staging.data(), size, tag(p, i));
+            const std::uint64_t id = tag(p, i);
+            if (size >= sizeof(id)) {
+              std::memcpy(staging.data(), &id, sizeof(id));
+              var_fill(staging.data(), size, id, /*from=*/8);
+            } else {
+              var_fill(staging.data(), size, p);
+            }
             my_bytes += size;
             bool stored;
             if (locked) {
@@ -532,11 +618,32 @@ TEST(QueueFuzz, VarlenDropAccountingIsExactUnderGiveUpProducers) {
         });
       }
 
+      std::map<std::uint64_t, std::uint64_t> next_seq;
       std::uint64_t consumed = 0, consumed_bytes = 0;
       std::thread consumer([&] {
         auto count = [&](std::span<const std::byte> payload) {
           ++consumed;
           consumed_bytes += payload.size();
+          std::uint64_t id = 0;
+          if (payload.size() < sizeof(id)) {
+            // Too short for an identity: only some producer's pattern.
+            bool known = false;
+            for (std::uint64_t p = 0; p < producers && !known; ++p) {
+              known = var_matches(payload.data(), static_cast<std::uint32_t>(payload.size()), p);
+            }
+            ASSERT_TRUE(known) << "torn short record";
+            return;
+          }
+          std::memcpy(&id, payload.data(), sizeof(id));
+          check_tagged(next_seq, id, /*strict=*/false);
+          const std::uint64_t p = id >> 32;
+          const std::uint64_t seq = id & 0xffffffffULL;
+          ASSERT_LT(p, producers);
+          ASSERT_LT(seq, items);
+          ASSERT_EQ(payload.size(), sizes[p][seq]) << "record size corrupted";
+          ASSERT_TRUE(var_matches(payload.data(), static_cast<std::uint32_t>(payload.size()),
+                                  id, /*from=*/8))
+              << "torn record from producer " << p << " seq " << seq;
         };
         for (;;) {
           std::size_t n;
