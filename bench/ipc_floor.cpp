@@ -1,7 +1,7 @@
 // Cross-process host floor gate (run by ci/bench_smoke.sh).
 //
 // Forks real producer processes against an in-process consumer on one
-// pcpc::ipc channel and gates three properties per run:
+// pcpc::ipc channel and gates four properties:
 //
 //   - throughput floor: the shm lanes + futex doorbell must move at least
 //     kFloorItemsPerSec end to end (a deliberately conservative absolute
@@ -10,10 +10,21 @@
 //   - wake frugality: paid futex wakes must average well under one per
 //     item (the threshold doorbell exists so a saturated consumer is
 //     never syscall-woken per item);
-//   - conservation: every admitted item consumed.
+//   - conservation: every admitted item consumed;
+//   - sleeping-consumer push cost: with the consumer asleep in
+//     wait(50 ms), far past the 8 ms heartbeat timeout, and no doorbell
+//     (the threshold is above the pushed count), one producer pushes
+//     paced items and times each push.  The push p50 must stay under
+//     kMaxSleepingPushP50Ns: a stale consumer heartbeat may cost a pid
+//     probe once per heartbeat period, never once per push.
+//
+// The saturating trials report their median throughput with the min and
+// max, so the record carries its spread.
 //
 // Usage: ipc_floor [--items=N] [--producers=N] [--trials=N] [--json-out=F]
+#include <sys/mman.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,12 +42,19 @@ namespace {
 using pcpc::ipc::ChannelConfig;
 using pcpc::ipc::ConservationReport;
 using pcpc::ipc::Consumer;
+using pcpc::ipc::now_ns;
 using pcpc::ipc::Producer;
 using pcpc::ipc::ProducerConfig;
 using pcpc::ipc::PushResult;
 
 constexpr double kFloorItemsPerSec = 100e3;
 constexpr double kMaxWakesPerItem = 0.5;
+
+// Sleeping-consumer phase.
+constexpr std::int64_t kSleepWaitNs = 50'000'000;  ///< past the default 8 ms timeout
+constexpr std::uint64_t kSleepItems = 2000;
+constexpr std::int64_t kSleepGapNs = 100'000;
+constexpr double kMaxSleepingPushP50Ns = 1000.0;
 
 struct Options {
   std::uint64_t items = 200000;  ///< per producer
@@ -108,6 +126,76 @@ TrialResult run_trial(const Options& options, std::size_t trial) {
   return result;
 }
 
+struct SleepingResult {
+  double push_ns_p50 = 0.0;
+  double push_ns_p99 = 0.0;
+  std::uint64_t futex_wakes = 0;
+  bool ok = false;
+};
+
+/// One forked producer pushes kSleepItems paced items, timing each push,
+/// into a consumer that drains and then sleeps kSleepWaitNs.  The
+/// timings come back through an anonymous shared mapping.
+SleepingResult run_sleeping_consumer() {
+  SleepingResult result;
+  const std::string name = "/pcpc_ipc_floor_sleep_" + std::to_string(::getpid());
+  ChannelConfig cfg;
+  cfg.capacity = 4096;                   // holds every item pushed between drains
+  cfg.wake_threshold = 2 * kSleepItems;  // never reached: only timeouts wake
+  auto consumer = Consumer::create(name, cfg);
+  const std::size_t bytes = kSleepItems * sizeof(std::int64_t);
+  void* mem = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (!consumer.has_value() || mem == MAP_FAILED) {
+    std::fprintf(stderr, "ipc_floor: sleeping-consumer set-up failed\n");
+    return result;
+  }
+  auto* push_ns = static_cast<std::int64_t*>(mem);
+
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ProducerConfig pcfg;
+    pcfg.attach.attempts = 100;
+    auto producer = Producer::attach(name, pcfg);
+    if (!producer.has_value()) _exit(2);
+    std::int64_t due = now_ns();
+    for (std::uint64_t i = 0; i < kSleepItems; ++i) {
+      due += kSleepGapNs;
+      const timespec at{due / 1'000'000'000, due % 1'000'000'000};
+      ::clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &at, nullptr);
+      const std::int64_t t0 = now_ns();
+      if (producer->push(i) != PushResult::kOk) _exit(3);
+      push_ns[i] = now_ns() - t0;
+    }
+    producer->detach();
+    _exit(0);
+  }
+  if (pid < 0) {
+    std::fprintf(stderr, "ipc_floor: fork failed\n");
+    ::munmap(mem, bytes);
+    return result;
+  }
+
+  // Until every item is drained, or the producer has exited (a failed
+  // producer must not leave the consumer waiting forever).
+  int status = 0;
+  bool exited = false;
+  std::uint64_t consumed = 0;
+  while (consumed < kSleepItems && !exited) {
+    consumed += consumer->drain([](std::uint64_t) {});
+    if (consumed < kSleepItems) consumer->wait(kSleepWaitNs);
+    exited = ::waitpid(pid, &status, WNOHANG) == pid;
+  }
+  if (!exited) ::waitpid(pid, &status, 0);
+  std::vector<std::int64_t> sorted(push_ns, push_ns + kSleepItems);
+  ::munmap(mem, bytes);
+  std::sort(sorted.begin(), sorted.end());
+  result.push_ns_p50 = static_cast<double>(sorted[sorted.size() / 2]);
+  result.push_ns_p99 = static_cast<double>(sorted[sorted.size() * 99 / 100]);
+  result.futex_wakes = consumer->report().futex_wakes;
+  result.ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -140,21 +228,29 @@ int main(int argc, char** argv) {
               return a.items_per_sec < b.items_per_sec;
             });
   const TrialResult& median = trials[trials.size() / 2];
+  const double min_items_per_sec = trials.front().items_per_sec;
+  const double max_items_per_sec = trials.back().items_per_sec;
   const std::uint64_t total = options.items * options.producers;
   const double wakes_per_item =
       static_cast<double>(median.report.futex_wakes) / static_cast<double>(total);
+  const SleepingResult sleeping = run_sleeping_consumer();
 
   std::printf("ipc_floor (median of %zu trials, %zu producers x %llu items)\n",
               options.trials, options.producers,
               static_cast<unsigned long long>(options.items));
-  std::printf("  throughput : %8.2f Mitems/s (floor %.2f)\n",
-              median.items_per_sec / 1e6, kFloorItemsPerSec / 1e6);
+  std::printf("  throughput : %8.2f Mitems/s (min %.2f, max %.2f, floor %.2f)\n",
+              median.items_per_sec / 1e6, min_items_per_sec / 1e6,
+              max_items_per_sec / 1e6, kFloorItemsPerSec / 1e6);
   std::printf("  paid wakes : %llu (%.4f per item, bound %.2f)\n",
               static_cast<unsigned long long>(median.report.futex_wakes),
               wakes_per_item, kMaxWakesPerItem);
   std::printf("  consumed %llu admitted %llu\n",
               static_cast<unsigned long long>(median.report.consumed),
               static_cast<unsigned long long>(median.report.admitted));
+  std::printf("  sleeping consumer: push p50 %.0f ns (bound %.0f), p99 %.0f ns, "
+              "%llu paid wakes\n",
+              sleeping.push_ns_p50, kMaxSleepingPushP50Ns, sleeping.push_ns_p99,
+              static_cast<unsigned long long>(sleeping.futex_wakes));
 
   int failures = 0;
   if (median.items_per_sec < kFloorItemsPerSec) {
@@ -169,20 +265,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ipc_floor: FAIL — conservation broken on the no-fault path\n");
     ++failures;
   }
+  if (!sleeping.ok) {
+    std::fprintf(stderr, "ipc_floor: FAIL — sleeping-consumer phase did not complete\n");
+    ++failures;
+  } else if (sleeping.push_ns_p50 > kMaxSleepingPushP50Ns) {
+    std::fprintf(stderr, "ipc_floor: FAIL — push against a sleeping consumer too slow\n");
+    ++failures;
+  }
 
   if (!options.json_out.empty()) {
     std::FILE* f = std::fopen(options.json_out.c_str(), "w");
     if (f != nullptr) {
       std::fprintf(f,
                    "{\"bench\":\"ipc_floor\",\"producers\":%zu,\"items\":%llu,"
-                   "\"items_per_sec\":%.1f,\"futex_wakes\":%llu,"
-                   "\"wakes_per_item\":%.6f,\"consumed\":%llu,\"pass\":%s}\n",
+                   "\"trials\":%zu,\"items_per_sec\":%.1f,"
+                   "\"items_per_sec_min\":%.1f,\"items_per_sec_max\":%.1f,"
+                   "\"futex_wakes\":%llu,\"wakes_per_item\":%.6f,\"consumed\":%llu,"
+                   "\"sleeping_push_ns_p50\":%.0f,\"sleeping_push_ns_p99\":%.0f,"
+                   "\"sleeping_push_p50_gate_ns\":%.0f,\"pass\":%s}\n",
                    options.producers,
-                   static_cast<unsigned long long>(options.items),
-                   median.items_per_sec,
+                   static_cast<unsigned long long>(options.items), options.trials,
+                   median.items_per_sec, min_items_per_sec, max_items_per_sec,
                    static_cast<unsigned long long>(median.report.futex_wakes),
                    wakes_per_item,
                    static_cast<unsigned long long>(median.report.consumed),
+                   sleeping.push_ns_p50, sleeping.push_ns_p99, kMaxSleepingPushP50Ns,
                    failures == 0 ? "true" : "false");
       std::fclose(f);
     }

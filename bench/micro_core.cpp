@@ -1,8 +1,14 @@
 // Microbenchmarks of the PBPL decision path: rate predictors, the slot
 // track, the reservation table and the ρ-minimizing slot search.  The
 // paper argues its per-invocation overhead must stay negligible next to
-// item processing; these benches quantify that.
+// item processing; these benches quantify that.  BM_TimedWakeFloor
+// measures what a decision is compared against: the CPU one timed wake
+// costs a thread that does nothing else.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 
 #include "pcpc/core/cost.hpp"
 #include "pcpc/core/rate_predictor.hpp"
@@ -118,6 +124,31 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+void BM_TimedWakeFloor(benchmark::State& state) {
+  // The wake floor of the thread host: one condition-variable timed wait
+  // per iteration, as a manager's slot wait, with no work between wakes.
+  // The CPU column is this thread's CPU per wake: what the sleep and the
+  // wake-up cost, kernel and hypervisor timer path included, the part of
+  // a paid wake no decision-path change can remove.  Real time paces the
+  // iteration count.
+  const std::chrono::microseconds period(state.range(0));
+  std::mutex mu;
+  std::condition_variable cv;
+  std::unique_lock<std::mutex> lock(mu);
+  auto deadline = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    deadline += period;
+    while (cv.wait_until(lock, deadline) != std::cv_status::timeout) {
+    }
+  }
+}
+BENCHMARK(BM_TimedWakeFloor)
+    ->ArgName("period_us")
+    ->Arg(1000)
+    ->Arg(10000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

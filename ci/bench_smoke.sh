@@ -13,7 +13,8 @@
 # record gate (in-ring reserve/commit + in-place drain vs the
 # staging-copy path), and the ipc_floor
 # cross-process gate (forked producers over the shm channel: throughput
-# floor, futex-wake frugality, exact no-fault conservation), and the
+# floor, futex-wake frugality, exact no-fault conservation, and the push
+# p50 into a consumer asleep past its heartbeat timeout), and the
 # fleet_parking elastic-autoscaler gate (at ~10% utilization the
 # controller must cut paid wakeups >= 30% and joules/item vs the static
 # placement with zero Δ-SLO violations).  Also smoke-runs the chaos
@@ -130,6 +131,8 @@ record_json varlen_floor "${out}/varlen_floor.json"
 
 require ipc_floor
 echo "=== ipc_floor: cross-process host gate ==="
+# The record carries the trial count, the min/max throughput and the
+# sleeping-consumer push p50/p99 next to the gated median.
 rm -f "${out}/ipc_floor.json"
 gate ipc_floor 1 "${build}/bench/ipc_floor" --json-out="${out}/ipc_floor.json"
 record_json ipc_floor "${out}/ipc_floor.json"

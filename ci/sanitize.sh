@@ -17,8 +17,9 @@ prefix="${1:-build-san}"
 # The suites worth the sanitizer slowdown: every test that spawns real
 # threads or drives the fault injector.  IpcCrash forks real producer
 # processes — it self-skips under TSan (fork + shm atomics are outside
-# TSan's model) and runs fully under ASan/UBSan.
-suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|example_chaos_demo|example_live_threads'
+# TSan's model) and runs fully under ASan/UBSan.  IpcPush drives the
+# same channel from threads of one process, so TSan checks it too.
+suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|example_chaos_demo|example_live_threads'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -32,7 +33,7 @@ run_pass() {
              test_runtime_sharding test_fleet \
              test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger \
              test_queue_differential test_queue_fuzz test_ipc_crash \
-             test_obs_ipc chaos_demo live_threads
+             test_ipc_push test_obs_ipc chaos_demo live_threads
   echo "=== ${name}: test ==="
   ctest --test-dir "${dir}" --output-on-failure -R "${suite_regex}"
 }

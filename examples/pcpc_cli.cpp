@@ -496,7 +496,7 @@ int run_ipc(const CliOptions& options) {
       return ipc::now_ns() - epoch;
     });
   }
-  std::printf("[pcpc ipc] channel %s up: capacity %zu, role %s\n",
+  std::printf("[pcpc ipc] channel %s up: capacity %zu per producer lane, role %s\n",
               options.ipc_name.c_str(), options.buffer, options.ipc_role.c_str());
 
   std::vector<pid_t> children;

@@ -23,8 +23,9 @@
 //     published cursors.
 //   - SIGSTOPped producer: alive by definition; it stalls only its own
 //     lane, and its write completes after SIGCONT.
-//   - Dead consumer: producers observe it via the registry and fail
-//     pushes with PushResult::kConsumerDead after bounded retry/backoff.
+//   - Dead consumer: producers observe it via the registry (a stale
+//     heartbeat, then a pid probe at most once per heartbeat period) and
+//     fail pushes with PushResult::kConsumerDead, at once from then on.
 #pragma once
 
 #include <algorithm>
@@ -55,13 +56,21 @@ bool pid_alive(std::int32_t pid);
 
 /// Channel geometry + protocol timing, fixed at creation.
 struct ChannelConfig {
-  std::size_t capacity = 1024;  ///< admission bound on the total fill of the lanes
+  /// Items each producer's lane admits: a push is refused only by its own
+  /// full lane, so one flooding producer cannot get another's pushes
+  /// refused, and the channel holds up to capacity * producers items.
+  /// Also the default wake_threshold's basis.  On a record channel the
+  /// lanes are sized by payload_ring_bytes, so capacity only sets that
+  /// default threshold.
+  std::size_t capacity = 1024;
   /// No effect: lanes never reclaim a slot, so nothing is aged.  Kept so
   /// callers that set it still compile.
   std::int64_t lease_ns = 5'000'000;
   std::int64_t heartbeat_period_ns = 1'000'000;  ///< peer refresh Delta
   std::int64_t heartbeat_timeout_ns = 0;  ///< staleness bound; 0 = 8 * period
-  std::uint64_t wake_threshold = 0;       ///< doorbell at fill >= this; 0 = cap/2
+  /// Doorbell once the channel's total fill (the sum of the lane fills)
+  /// reaches this; 0 = capacity / 2.
+  std::uint64_t wake_threshold = 0;
   /// 1-in-N item-lifecycle sampling, shared by every peer (the lane
   /// position is the sample key, so both sides agree without tagging
   /// payloads).  0 disarms spans on this channel.
@@ -305,12 +314,16 @@ class Producer {
                                         const ProducerConfig& config = {},
                                         std::string* error = nullptr);
 
-  /// Publishes one value into this producer's lane.  Retries a full
-  /// channel `full_retries` times with exponential backoff before giving
-  /// up with kFull; checks consumer liveness on every retry and fails
-  /// fast with kConsumerDead.  kFull and kConsumerDead are counted as
-  /// drops (the overflow policy of this host is DropNewest — the caller
-  /// keeps the value and may re-offer).  Requires an item channel.
+  /// Publishes one value into this producer's lane.  Retries a full lane
+  /// `full_retries` times with exponential backoff before giving up with
+  /// kFull.  One clock read per attempt serves this producer's heartbeat
+  /// and the consumer's liveness: a stale consumer heartbeat costs a pid
+  /// probe at most once per heartbeat period (a consumer asleep past the
+  /// timeout is alive), and once a probe or the registry shows the
+  /// consumer dead, every later push fails at once with kConsumerDead.
+  /// kFull and kConsumerDead are counted as drops (the overflow policy of
+  /// this host is DropNewest — the caller keeps the value and may
+  /// re-offer).  Requires an item channel.
   PushResult push(std::uint64_t value);
 
   /// Zero-copy varlen publish: reserves `payload.size()` bytes in this
@@ -331,24 +344,24 @@ class Producer {
   const ChannelHeader& header() const { return *hdr_; }
   std::size_t registry_index() const { return index_; }
   bool valid() const { return hdr_ != nullptr; }
-  bool consumer_dead() const;
 
   /// Leaves the registry (clean detach).  Called by the destructor.
   void detach();
 
  private:
-  /// Admission with the retry policy: succeeds once the channel's total
-  /// fill is under capacity and `try_put()` (the lane's own full check)
-  /// accepts.
+  /// Admission with the retry policy: succeeds once `try_put()` (the
+  /// lane's own full check) accepts.  `now` is the push's clock read.
   template <typename TryPut>
-  PushResult admit(TryPut&& try_put);
+  PushResult admit(std::int64_t now, TryPut&& try_put);
+  /// The push path's liveness check at `now` (see push()).
+  bool consumer_gone(std::int64_t now);
   /// After the lane published the item at lane position `pos`: counts
   /// it, stamps sampled span stages, rings the doorbell.
   PushResult published(std::uint64_t pos, std::int64_t enter_ns);
   void crash_point(CrashPoint point) {
     if (crash_hook_) crash_hook_(point);
   }
-  void maybe_heartbeat();
+  void beat(std::int64_t now);
   void ring_doorbell();
 
   ShmSegment segment_;
@@ -358,6 +371,8 @@ class Producer {
   std::size_t index_ = SIZE_MAX;
   ProducerConfig config_;
   std::int64_t last_heartbeat_ns_ = 0;
+  std::int64_t last_probe_ns_ = 0;  ///< last pid probe of a stale consumer
+  bool consumer_dead_ = false;      ///< a probe or the registry showed it dead
   std::uint64_t span_every_ = 0;  ///< cached hdr_->span_sample_every
   std::function<void(CrashPoint)> crash_hook_;
 };

@@ -26,10 +26,12 @@
 //     point, SIGKILL included, by construction.
 //
 // The consumer drains the lanes round-robin, in bulk per lane, so the
-// delivery order is FIFO per producer.  `capacity` and `wake_threshold`
-// apply to the channel's total fill (the sum of the lane fills); each
-// lane is sized from `capacity` alone, and its own full check turns a
-// cross-producer overshoot of the total into an ordinary full retry.
+// delivery order is FIFO per producer.  `capacity` bounds each item lane
+// on its own: a push is admitted by its lane's full check alone, against
+// the head the producer caches (Torquati's rule), so it reads no other
+// producer's line.  `wake_threshold` applies to the channel's total fill
+// (the sum of the lane fills), which the producer reads once per push,
+// after publishing, to decide whether to ring the doorbell.
 #pragma once
 
 #include <atomic>
@@ -88,7 +90,7 @@ struct alignas(64) ChannelHeader {
   // -- immutable geometry (written once by the creator) -------------------
   std::uint32_t version = kLayoutVersion;
   std::uint32_t abi_guard = 0;  ///< sizeof checks; attach refuses a mismatch
-  std::uint64_t capacity = 0;   ///< admission bound on the total fill
+  std::uint64_t capacity = 0;   ///< items per item lane; basis of the default threshold
   std::int64_t heartbeat_period_ns = 0;
   std::int64_t heartbeat_timeout_ns = 0;  ///< k * Delta staleness bound
   std::uint64_t wake_threshold = 0;       ///< ring doorbell at total fill >= this

@@ -69,14 +69,18 @@ struct alignas(64) PeerTelemetry {
   alignas(64) unsigned char events[kTelemetryRingCap * sizeof(obs::Event)];  ///< the ring's slots
 };
 
-/// Single-writer bump of a peer metric cell.  fetch_add (not the relaxed
-/// load+store of the in-process shards) because retirement folds race
-/// this only when the peer is provably dead or has already detached —
-/// but the PeerSlot counters use fetch_add, and the telemetry cells keep
-/// the same idiom so the fold protocol stays uniform.
+/// Bump of a cell only its owning peer writes: the PeerSlot push/drop
+/// counters, the telemetry cells and ring_dropped.  A relaxed load and
+/// store, not a locked read-modify-write: the only other writer is the
+/// retirement fold's exchange(0), which runs once the owner is provably
+/// dead or has detached, so it never races a bump.
+inline void owner_add(std::atomic<std::uint64_t>& cell, std::uint64_t n = 1) {
+  cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 inline void telemetry_bump(PeerTelemetry& tel, TelCounter which,
                            std::uint64_t n = 1) {
-  tel.counters[which].fetch_add(n, std::memory_order_relaxed);
+  owner_add(tel.counters[which], n);
 }
 
 /// One live peer's view in a merged snapshot.

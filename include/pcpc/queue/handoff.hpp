@@ -28,10 +28,10 @@
 // producer threads without any lock (one producer for SpscRing, any
 // number for MpscSeg), while try_pop/pop_bulk/resize remain
 // single-consumer operations the host already serializes on its manager
-// lock.  The accessors (size/capacity/overflows/high_water) are safe
-// anywhere but only approximate while producers are live.  Pool segment
-// accounting inside resize() is NOT thread-safe — both hosts call
-// resize() on the same control path that already guards the pool.
+// lock.  The accessors (size/capacity/overflows) are safe anywhere but
+// only approximate while producers are live.  Pool segment accounting
+// inside resize() is NOT thread-safe — both hosts call resize() on the
+// same control path that already guards the pool.
 #pragma once
 
 #include <algorithm>
@@ -110,7 +110,6 @@ class Handoff {
   virtual std::size_t size() const = 0;
   virtual std::size_t capacity() const = 0;
   virtual std::uint64_t overflows() const = 0;
-  virtual std::size_t high_water() const = 0;
   virtual const OnlineStats& capacity_samples() const = 0;
 
   bool empty() const { return size() == 0; }
@@ -118,8 +117,8 @@ class Handoff {
 };
 
 /// The typed storage engine of every backend kind: `Queue` (SpscRing<T>
-/// or MpscLanes<T>) with pool segment accounting, atomic
-/// overflow/high-water tracking from concurrent producers, and the
+/// or MpscLanes<T>) with pool segment accounting, an atomic overflow
+/// count from concurrent producers (paid only on a reject), and the
 /// resize obs event.  Only the Mutex kind needs a host lock: its host
 /// drives the SPSC ring under that lock, producers included.
 template <typename T, typename Queue, BackendKind kKind>
@@ -146,12 +145,9 @@ class RingHandoff final : public Handoff<T> {
   bool lock_free() const override { return kKind != BackendKind::Mutex; }
 
   bool try_push(T value) override {
-    if (!queue_.try_push(std::move(value))) {
-      overflows_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    note_fill();
-    return true;
+    if (queue_.try_push(std::move(value))) return true;
+    overflows_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
   std::size_t try_push_bulk(std::span<const T> items) override {
@@ -159,7 +155,6 @@ class RingHandoff final : public Handoff<T> {
     if (n < items.size()) {
       overflows_.fetch_add(items.size() - n, std::memory_order_relaxed);
     }
-    if (n > 0) note_fill();
     return n;
   }
 
@@ -206,9 +201,6 @@ class RingHandoff final : public Handoff<T> {
   std::uint64_t overflows() const override {
     return overflows_.load(std::memory_order_relaxed);
   }
-  std::size_t high_water() const override {
-    return high_water_.load(std::memory_order_relaxed);
-  }
   const OnlineStats& capacity_samples() const override { return capacity_samples_; }
 
  private:
@@ -221,21 +213,11 @@ class RingHandoff final : public Handoff<T> {
         consumer_(consumer),
         segments_(base_segments) {}
 
-  /// High-water mark: size() sampled right after an accepted push (exact
-  /// under the Mutex kind's host lock, approximate otherwise).
-  void note_fill() {
-    const std::size_t s = queue_.size();
-    std::size_t hw = high_water_.load(std::memory_order_relaxed);
-    while (s > hw && !high_water_.compare_exchange_weak(hw, s, std::memory_order_relaxed)) {
-    }
-  }
-
   Queue queue_;
   BufferPool* pool_;
   std::uint32_t consumer_;
   std::size_t segments_ = 0;
   std::atomic<std::uint64_t> overflows_{0};
-  std::atomic<std::size_t> high_water_{0};
   OnlineStats capacity_samples_;
 };
 

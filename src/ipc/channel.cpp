@@ -63,7 +63,7 @@ const char* push_result_name(PushResult r) {
 namespace {
 
 /// Items (records) published and not yet drained, over every lane in use:
-/// the fill that capacity and wake_threshold apply to.
+/// the fill wake_threshold applies to.
 std::uint64_t channel_fill(const ChannelHeader& hdr) {
   const std::size_t lanes = hdr.lanes_in_use.load(std::memory_order_acquire);
   std::uint64_t fill = 0;
@@ -121,9 +121,7 @@ bool peer_dead(const PeerSlot& peer, std::int64_t timeout_ns) {
 
 /// Best-effort trace event into a peer's ring; a full ring counts a drop.
 void record_event(PeerTelemetry& tel, const obs::Event& e) {
-  if (tel.ring.try_push(e)) return;
-  tel.ring_dropped.store(tel.ring_dropped.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
+  if (!tel.ring.try_push(e)) owner_add(tel.ring_dropped);
 }
 
 }  // namespace
@@ -240,7 +238,7 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
 
   c.segment_ = std::move(seg);
   c.hdr_ = hdr;
-  c.last_heartbeat_ns_ = now_ns();
+  c.last_heartbeat_ns_ = hdr->consumer_peer.heartbeat_ns.load(std::memory_order_relaxed);
   c.span_every_ = hdr->span_sample_every;
   return c;
 }
@@ -351,7 +349,8 @@ Producer::Producer(Producer&& other) noexcept
     : segment_(std::move(other.segment_)), hdr_(other.hdr_),
       item_lane_(other.item_lane_), record_lane_(other.record_lane_),
       index_(other.index_), config_(other.config_),
-      last_heartbeat_ns_(other.last_heartbeat_ns_), span_every_(other.span_every_),
+      last_heartbeat_ns_(other.last_heartbeat_ns_), last_probe_ns_(other.last_probe_ns_),
+      consumer_dead_(other.consumer_dead_), span_every_(other.span_every_),
       crash_hook_(std::move(other.crash_hook_)) {
   other.hdr_ = nullptr;
   other.item_lane_ = nullptr;
@@ -441,23 +440,34 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
   p.segment_ = std::move(seg);
   p.index_ = index;
   p.config_ = config;
-  p.last_heartbeat_ns_ = now_ns();
+  // The heartbeat join_peer() published, so the first refresh is due one
+  // period after what the registry shows.
+  p.last_heartbeat_ns_ = hdr->producers[index].heartbeat_ns.load(std::memory_order_relaxed);
   p.span_every_ = hdr->span_sample_every;
   return p;
 }
 
-void Producer::heartbeat() {
-  const std::int64_t now = now_ns();
+void Producer::heartbeat() { beat(now_ns()); }
+
+void Producer::beat(std::int64_t now) {
   hdr_->producers[index_].heartbeat_ns.store(now, std::memory_order_release);
   last_heartbeat_ns_ = now;
 }
 
-void Producer::maybe_heartbeat() {
-  if (now_ns() - last_heartbeat_ns_ >= hdr_->heartbeat_period_ns) heartbeat();
-}
-
-bool Producer::consumer_dead() const {
-  return peer_dead(hdr_->consumer_peer, hdr_->heartbeat_timeout_ns);
+bool Producer::consumer_gone(std::int64_t now) {
+  if (consumer_dead_) return true;
+  const PeerSlot& peer = hdr_->consumer_peer;
+  if (peer.state.load(std::memory_order_acquire) != kPeerActive) return consumer_dead_ = true;
+  // A fresh heartbeat proves the consumer alive.  A stale one is what a
+  // consumer asleep past the timeout also shows, so the pid is probed,
+  // but at most once per heartbeat period.
+  if (now - peer.heartbeat_ns.load(std::memory_order_acquire) <= hdr_->heartbeat_timeout_ns ||
+      now - last_probe_ns_ < hdr_->heartbeat_period_ns) {
+    return false;
+  }
+  last_probe_ns_ = now;
+  consumer_dead_ = !pid_alive(peer.pid.load(std::memory_order_acquire));
+  return consumer_dead_;
 }
 
 void Producer::ring_doorbell() {
@@ -479,32 +489,30 @@ void Producer::ring_doorbell() {
 }
 
 template <typename TryPut>
-PushResult Producer::admit(TryPut&& try_put) {
-  // A rejected push leaves no trace in the lane.  The total-fill check
-  // can overshoot capacity by one item per concurrent producer; the
-  // lane's own bound (capacity as well) keeps every lane within its
-  // storage, and its refusal is retried like any full channel.
-  PeerSlot& me = hdr_->producers[index_];
-  maybe_heartbeat();
+PushResult Producer::admit(std::int64_t now, TryPut&& try_put) {
+  // Admission is the lane's own full check against its cached head; a
+  // rejected push leaves no trace in the lane.  The clock is read again
+  // only after a backoff sleep.
   std::int64_t backoff_ns = config_.initial_backoff_ns;
   for (int attempt = 0;; ++attempt) {
-    if (consumer_dead()) {
-      me.dropped.fetch_add(1, std::memory_order_relaxed);
+    if (now - last_heartbeat_ns_ >= hdr_->heartbeat_period_ns) beat(now);
+    if (consumer_gone(now)) {
+      owner_add(hdr_->producers[index_].dropped);
       return PushResult::kConsumerDead;
     }
-    if (channel_fill(*hdr_) < hdr_->capacity && try_put()) return PushResult::kOk;
+    if (try_put()) return PushResult::kOk;
     if (attempt >= config_.full_retries) {
-      me.dropped.fetch_add(1, std::memory_order_relaxed);
+      owner_add(hdr_->producers[index_].dropped);
       return PushResult::kFull;
     }
     std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
     backoff_ns = std::min(backoff_ns * 2, config_.max_backoff_ns);
-    maybe_heartbeat();
+    now = now_ns();
   }
 }
 
 PushResult Producer::published(std::uint64_t pos, std::int64_t enter_ns) {
-  hdr_->producers[index_].pushed.fetch_add(1, std::memory_order_relaxed);
+  owner_add(hdr_->producers[index_].pushed);
   if (span_every_ != 0 && pos % span_every_ == 0) {
     // Sampled item: publish produce/enqueue stages into this peer's shm
     // trace ring, in the segment-epoch clock domain.  The lane position
@@ -529,10 +537,12 @@ PushResult Producer::published(std::uint64_t pos, std::int64_t enter_ns) {
 
 PushResult Producer::push(std::uint64_t value) {
   PCPC_ASSERT_MSG(item_lane_ != nullptr, "push() on a record channel");
-  // The clock and the lane position are read only when spans are armed.
-  const std::int64_t enter_ns = span_every_ != 0 ? now_ns() : 0;
+  // One clock read serves the heartbeat, the consumer's liveness and the
+  // produce stage of a sampled span; the lane position is read only when
+  // spans are armed.
+  const std::int64_t enter_ns = now_ns();
   const std::uint64_t pos = span_every_ != 0 ? item_lane_->tail_index() : 0;
-  const PushResult r = admit([&] { return item_lane_->try_push(value); });
+  const PushResult r = admit(enter_ns, [&] { return item_lane_->try_push(value); });
   if (r != PushResult::kOk) return r;
   crash_point(CrashPoint::kBeforePublish);
   item_lane_->flush();
@@ -544,10 +554,10 @@ PushResult Producer::push_record(std::span<const std::byte> payload) {
   PCPC_ASSERT_MSG(record_lane_ != nullptr, "push_record() on an item channel");
   PCPC_ASSERT_MSG(payload.size() <= hdr_->payload_max_record,
                   "record exceeds the channel's max payload");
-  const std::int64_t enter_ns = span_every_ != 0 ? now_ns() : 0;
+  const std::int64_t enter_ns = now_ns();
   const std::uint64_t pos = span_every_ != 0 ? record_lane_->published_records() : 0;
   queue::VarReservation res;
-  const PushResult r = admit([&] {
+  const PushResult r = admit(enter_ns, [&] {
     return record_lane_->try_reserve(static_cast<std::uint32_t>(payload.size()), res);
   });
   if (r != PushResult::kOk) return r;

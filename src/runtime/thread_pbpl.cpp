@@ -993,7 +993,11 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   for (const PendingBatch& p : core.pending) {
     if (handler_) handler_(p.consumer->index, p.batch);
-    if (record_handler_) {
+    // The record handler is read only when records arrived: a record is
+    // produced after set_record_handler (its contract), and its drain
+    // orders this read after that write.  A slot wake without records
+    // may come before the handler is set.
+    if (!p.records.empty() && record_handler_) {
       for (const queue::VarRecordView& v : p.records) {
         record_handler_(p.consumer->index,
                         std::span<const std::byte>(v.data + kStampBytes,

@@ -128,18 +128,6 @@ TEST(BoundedBuffer, CountsOverflows) {
   EXPECT_EQ(buffer->size(), 2u);
 }
 
-TEST(BoundedBuffer, HighWaterMark) {
-  auto buffer = queue::make_handoff<int>(queue::BackendKind::Mutex, 8);
-  buffer->try_push(1);
-  buffer->try_push(2);
-  buffer->try_push(3);
-  buffer->try_pop();
-  buffer->try_pop();
-  EXPECT_EQ(buffer->high_water(), 3u);
-  buffer->try_push(4);
-  EXPECT_EQ(buffer->high_water(), 3u);
-}
-
 TEST(Table, AlignsAndCounts) {
   Table table({"name", "value"});
   table.add("alpha", 1.5);

@@ -126,15 +126,6 @@ TEST(ElasticBuffer, CapacitySamplesRecordResizes) {
   EXPECT_DOUBLE_EQ(buffer->capacity_samples().mean(), 15.0);
 }
 
-TEST(ElasticBuffer, HighWaterTracksPeak) {
-  BufferPool pool(1, 10, 5);
-  auto buffer = make_buffer(pool);
-  buffer->try_push(1);
-  buffer->try_push(2);
-  buffer->try_pop();
-  EXPECT_EQ(buffer->high_water(), 2u);
-}
-
 class PoolConservationTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PoolConservationTest, SlotsAreConservedUnderRandomTraffic) {

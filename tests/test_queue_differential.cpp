@@ -90,7 +90,6 @@ class ReferenceHandoff final : public Handoff<std::uint64_t> {
       return false;
     }
     items_.push_back(value);
-    high_water_ = std::max(high_water_, items_.size());
     return true;
   }
 
@@ -135,7 +134,6 @@ class ReferenceHandoff final : public Handoff<std::uint64_t> {
   std::size_t size() const override { return items_.size(); }
   std::size_t capacity() const override { return segments_ * pool_.segment_size(); }
   std::uint64_t overflows() const override { return overflows_; }
-  std::size_t high_water() const override { return high_water_; }
   const OnlineStats& capacity_samples() const override { return capacity_samples_; }
 
  private:
@@ -143,7 +141,6 @@ class ReferenceHandoff final : public Handoff<std::uint64_t> {
   std::size_t segments_;
   std::deque<std::uint64_t> items_;
   std::uint64_t overflows_ = 0;
-  std::size_t high_water_ = 0;
   OnlineStats capacity_samples_;
 };
 
