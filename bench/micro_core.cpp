@@ -1,20 +1,27 @@
 // Microbenchmarks of the PBPL decision path: rate predictors, the slot
 // track, the reservation table and the ρ-minimizing slot search.  The
 // paper argues its per-invocation overhead must stay negligible next to
-// item processing; these benches quantify that.  BM_TimedWakeFloor
+// item processing; these benches quantify that.  BM_ReplayArrivals
+// prices the sim host's dominant event, one workload arrival, without
+// any consumer behind it.  BM_TimedWakeFloor
 // measures what a decision is compared against: the CPU one timed wake
 // costs a thread that does nothing else.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <vector>
 
+#include "pcpc/common/rng.hpp"
 #include "pcpc/core/cost.hpp"
 #include "pcpc/core/rate_predictor.hpp"
 #include "pcpc/core/reservation.hpp"
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/sim/event_queue.hpp"
+#include "pcpc/sim/replay.hpp"
+#include "pcpc/sim/simulator.hpp"
 
 namespace {
 
@@ -124,6 +131,34 @@ void BM_EventQueueCancelChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+void BM_ReplayArrivals(benchmark::State& state) {
+  // K replayed traces of M Poisson arrivals each (mean gap 500 µs per
+  // trace), merged by the simulator's event loop into a no-op callback.
+  // items/s counts arrivals; its inverse is the engine's cost per item.
+  const auto streams = static_cast<std::size_t>(state.range(0));
+  const auto per_stream = static_cast<std::size_t>(state.range(1));
+  std::vector<std::vector<SimTime>> traces(streams);
+  Rng rng(0x5eed);
+  SimTime horizon = 0;
+  for (auto& trace : traces) {
+    double t = 0.0;
+    for (std::size_t i = 0; i < per_stream; ++i) {
+      t += rng.exponential(2000.0) * 1e9;
+      trace.push_back(static_cast<SimTime>(t));
+    }
+    horizon = std::max(horizon, trace.back() + 1);
+  }
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    for (const auto& trace : traces) sim::replay(simulator, trace, horizon, [](SimTime) {});
+    simulator.run_until(horizon);
+    benchmark::DoNotOptimize(simulator.dispatched());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(streams * per_stream));
+}
+BENCHMARK(BM_ReplayArrivals)->Args({5, 20000})->Args({64, 2000});
 
 void BM_TimedWakeFloor(benchmark::State& state) {
   // The wake floor of the thread host: one condition-variable timed wait

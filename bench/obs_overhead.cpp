@@ -19,7 +19,10 @@
 //                     [--repeats=N] [--seconds=S] [--pairs=M]
 //                     [--span-every=N]
 // Exits non-zero when either overhead exceeds R (default 1.05 = +5%) or
-// the ledger disagrees with the simulator.
+// the ledger disagrees with the simulator.  The last line of stdout is
+// one JSON record of the run: both estimators and the gated estimate of
+// each mode, the spread (min/max) of the paired ratios, the repeat count
+// and the computed pass.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -200,6 +203,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(paid_sim),
               ledger_ok ? "match" : "MISMATCH");
   if (!metrics_out.empty()) std::printf("metrics written to %s\n", metrics_out.c_str());
+
+  const auto pct = [](double ratio) { return (ratio - 1.0) * 1e2; };
+  const bool pass = ledger_ok && gated <= max_overhead && span_gated <= max_overhead;
+  std::printf(
+      "{\"bench\":\"obs_overhead\",\"repeats\":%zu,\"overhead_pct\":%.2f,"
+      "\"min_ratio_pct\":%.2f,\"gated_pct\":%.2f,\"ratio_min_pct\":%.2f,"
+      "\"ratio_max_pct\":%.2f,\"span_overhead_pct\":%.2f,\"span_min_ratio_pct\":%.2f,"
+      "\"span_gated_pct\":%.2f,\"span_ratio_min_pct\":%.2f,\"span_ratio_max_pct\":%.2f,"
+      "\"gate_pct\":%.2f,\"ledger_match\":%s,\"pass\":%s}\n",
+      repeats, pct(overhead), pct(min_traced / min_bare), pct(gated), pct(ratios.front()),
+      pct(ratios.back()), pct(span_overhead), pct(min_spans / min_bare), pct(span_gated),
+      pct(span_ratios.front()), pct(span_ratios.back()), pct(max_overhead),
+      ledger_ok ? "true" : "false", pass ? "true" : "false");
 
   if (!ledger_ok) return 1;
   if (gated > max_overhead) {

@@ -56,27 +56,28 @@ fail() {
 
 # gate <name> <attempts> <command...>: runs the command (output teed to
 # ${out}/<name>.txt) until it exits 0, at most <attempts> times, and sets
-# `pass` from its exit status.
+# `pass` from its exit status and `attempts_run` to the attempts it took.
 gate() {
   local name="$1" attempts="$2" attempt
   shift 2
   pass=true
   for ((attempt = 1; attempt <= attempts; ++attempt)); do
+    attempts_run="${attempt}"
     if "$@" | tee "${out}/${name}.txt"; then return; fi
     echo "bench_smoke: ${name} attempt ${attempt} failed" >&2
   done
   fail "${name}"
 }
 
-# record_json <gate> <json-file>: folds the bench's own JSON record into
-# the trajectory with the computed `pass`; a run that died before writing
-# its record still leaves a line.
+# record_json <gate> <json-file> [fields]: folds the bench's own JSON
+# record (plus any extra fields) into the trajectory with the computed
+# `pass`; a run that died before writing its record still leaves a line.
 record_json() {
   local fields="\"bench\":\"$1\""
   if [[ "$(head -c1 "$2" 2>/dev/null)" == "{" ]]; then
     fields="$(sed 's/^{//;s/}$//;s/,"pass":[a-z]*//' "$2")"
   fi
-  record "$1" "${fields},\"pass\":${pass}"
+  record "$1" "${fields}${3:+,$3},\"pass\":${pass}"
 }
 
 # require <binary>: a gate binary that was not built is a setup error.
@@ -102,9 +103,11 @@ if [[ ! -s "${out}/metrics.json" ]] || ! grep -q '"wakeups"' "${out}/metrics.jso
   echo "bench_smoke: ${out}/metrics.json missing, empty or without a wakeup ledger" >&2
   fail obs_overhead
 fi
-overhead_pct="$(grep -oE 'paired ratios\): -?[0-9.]+' "${out}/obs_overhead.txt" | grep -oE '\-?[0-9.]+$' || true)"
-span_overhead_pct="$(grep -oE 'span ratios\): -?[0-9.]+' "${out}/obs_overhead.txt" | grep -oE '\-?[0-9.]+$' || true)"
-record obs_overhead "\"overhead_pct\":${overhead_pct:-null},\"span_overhead_pct\":${span_overhead_pct:-null},\"gate_pct\":5.0,\"pass\":${pass}"
+# The bench's last line is its JSON record of the last attempt: the
+# gated estimates that decide pass, both estimators behind each, the
+# min/max of the paired ratios and the repeat count.
+tail -1 "${out}/obs_overhead.txt" > "${out}/obs_overhead.json"
+record_json obs_overhead "${out}/obs_overhead.json" "\"attempts\":${attempts_run}"
 
 require queue_floor
 echo "=== queue_floor: backend throughput gate ==="

@@ -18,8 +18,10 @@ prefix="${1:-build-san}"
 # threads or drives the fault injector.  IpcCrash forks real producer
 # processes — it self-skips under TSan (fork + shm atomics are outside
 # TSan's model) and runs fully under ASan/UBSan.  IpcPush drives the
-# same channel from threads of one process, so TSan checks it too.
-suite_regex='ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|example_chaos_demo|example_live_threads'
+# same channel from threads of one process, so TSan checks it too.  The
+# sim engine keeps raw cursors into caller-owned traces (replay streams),
+# so its suites run under ASan/UBSan as well.
+suite_regex='EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|example_chaos_demo|example_live_threads'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -29,7 +31,7 @@ run_pass() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   echo "=== ${name}: build ==="
   cmake --build "${dir}" -j "$(nproc)" \
-    --target test_chaos_runtime test_fault_injection test_runtime \
+    --target test_sim test_chaos_runtime test_fault_injection test_runtime \
              test_runtime_sharding test_fleet \
              test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger \
              test_queue_differential test_queue_fuzz test_ipc_crash \

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "pcpc/common/latency_recorder.hpp"
 #include "pcpc/common/stats.hpp"
@@ -16,6 +17,7 @@
 #include "pcpc/core/core_manager.hpp"
 #include "pcpc/core/reservation_planner.hpp"
 #include "pcpc/fault/fault_injector.hpp"
+#include "pcpc/obs/events.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::core {
@@ -79,7 +81,10 @@ class PbplConsumer final : public Invocable {
   void rebind(CoreManager& next, SimTime now);
 
  private:
-  void make_reservation(SimTime now);
+  /// Books the next slot (and resizes the buffer for it); the caller
+  /// records it, on its own or fused with the batch (obs::note_invocation).
+  SlotChoice make_reservation(SimTime now);
+  void note_reservation(const SlotChoice& choice, SimTime now) const;
 
   ConsumerId id_;
   CoreManager* manager_;
@@ -90,14 +95,17 @@ class PbplConsumer final : public Invocable {
   fault::FaultInjector* injector_ = nullptr;
   ConsumerStats stats_;
   /// Positional 1-in-N span sampling (the buffer carries timestamps
-  /// only): admissions counted on produce, drained positions on invoke.
-  /// Single-threaded by the simulation contract, so plain counters.  The
-  /// next_ cursors replace a per-item `seq % N` with one compare — this
-  /// sits on the gated sim hot path (bench/obs_overhead).
-  std::uint64_t span_produce_seq_ = 0;
-  std::uint64_t span_next_produce_ = 0;
-  std::uint64_t span_drain_seq_ = 0;
-  std::uint64_t span_next_drain_ = 0;
+  /// only): drained positions are counted on invoke, and the k-th drained
+  /// item is the k-th produced one (FIFO, and the sim host never drops).
+  /// span_seq_ is the next drained position, span_next_ the next sampled
+  /// one; a drained chunk visits only its sampled positions, so an
+  /// unsampled item costs nothing — this sits on the gated sim hot path
+  /// (bench/obs_overhead).
+  std::uint64_t span_seq_ = 0;
+  std::uint64_t span_next_ = 0;
+  /// Stage stamps of one invocation's sampled items; grown, never
+  /// shrunk, so an invocation writes into it without allocating.
+  std::vector<obs::ItemStamp> span_stamps_;
 };
 
 }  // namespace pcpc::core

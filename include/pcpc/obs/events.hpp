@@ -49,6 +49,13 @@ enum class ItemStage : std::uint8_t {
   kHandlerDone = 3,  ///< handler finished the batch holding it
 };
 
+/// One lifecycle stage of one sampled item (obs::note_item_stages()).
+struct ItemStamp {
+  std::uint64_t item_id;
+  std::int64_t ts_ns;
+  ItemStage stage;
+};
+
 /// Which overflow-handling path fired.
 enum class OverflowAction : std::uint8_t {
   kEmergencyBorrow = 0,  ///< pool segments absorbed the overflow

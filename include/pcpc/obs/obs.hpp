@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -175,10 +176,15 @@ namespace detail {
 // Out-of-line slow paths; called only when enabled().
 void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                       bool paid, bool scheduled, std::int64_t ts_ns);
+void note_wakeups_impl(std::uint16_t core, std::span<const std::uint32_t> consumers,
+                       std::int64_t slot, bool paid, bool scheduled, std::int64_t ts_ns);
 void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                           std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns);
 void note_reservation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                            bool latched, std::int64_t ts_ns);
+void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
+                          std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns,
+                          std::int64_t next_slot, bool latched);
 void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowAction action,
                         std::int64_t ts_ns);
 void note_watchdog_impl(std::uint16_t core, std::int64_t overrun_ns, std::int64_t ts_ns);
@@ -191,6 +197,8 @@ void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_
 void count_sim_events_impl(std::uint64_t n);
 void note_item_stage_impl(std::uint32_t consumer, std::uint16_t core,
                           std::uint64_t item_id, ItemStage stage, std::int64_t ts_ns);
+void note_item_stages_impl(std::uint32_t consumer, std::uint16_t core,
+                           std::span<const ItemStamp> stamps);
 }  // namespace detail
 
 /// One consumer invocation at a core wakeup; feeds the ledger, the
@@ -199,6 +207,15 @@ inline void note_wakeup(std::uint16_t core, std::uint32_t consumer, std::int64_t
                         bool paid, bool scheduled, std::int64_t ts_ns) {
   if (!enabled()) return;
   detail::note_wakeup_impl(core, consumer, slot, paid, scheduled, ts_ns);
+}
+
+/// One core wakeup serving `consumers` in order, as one note_wakeup()
+/// each: per the paper's w, only the first can pay ω (`paid`), the rest
+/// latch onto the awake core for free.
+inline void note_wakeups(std::uint16_t core, std::span<const std::uint32_t> consumers,
+                         std::int64_t slot, bool paid, bool scheduled, std::int64_t ts_ns) {
+  if (consumers.empty() || !enabled()) return;
+  detail::note_wakeups_impl(core, consumers, slot, paid, scheduled, ts_ns);
 }
 
 /// One batch drain (span event + batch histograms + item counter).
@@ -214,6 +231,16 @@ inline void note_reservation(std::uint16_t core, std::uint32_t consumer,
                              std::int64_t slot, bool latched, std::int64_t ts_ns) {
   if (!enabled()) return;
   detail::note_reservation_impl(core, consumer, slot, latched, ts_ns);
+}
+
+/// One sim-host invocation in one call: note_reservation() of the slot
+/// the consumer booked next (`next_slot`, `latched`), then
+/// note_slot_batch() of the batch it drained.
+inline void note_invocation(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
+                            std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns,
+                            std::int64_t next_slot, bool latched) {
+  if (!enabled()) return;
+  detail::note_invocation_impl(core, consumer, slot, batch, ts_ns, dur_ns, next_slot, latched);
 }
 
 /// An overflow-policy action fired.
@@ -284,6 +311,14 @@ inline void note_item_stage(std::uint32_t consumer, std::uint16_t core,
                             std::int64_t ts_ns) {
   if (!enabled()) return;
   detail::note_item_stage_impl(consumer, core, item_id, stage, ts_ns);
+}
+
+/// note_item_stage() for every stamp, in order, in one call: a host that
+/// stamps several stages of a batch at once pays one call, not one each.
+inline void note_item_stages(std::uint32_t consumer, std::uint16_t core,
+                             std::span<const ItemStamp> stamps) {
+  if (stamps.empty() || !enabled()) return;
+  detail::note_item_stages_impl(consumer, core, stamps);
 }
 
 }  // namespace pcpc::obs

@@ -4,10 +4,13 @@
 // charges ω only when its core had to leave idle.  Both hosts report a
 // single aggregate today; the ledger keeps the per-consumer and per-core
 // breakdown so "which pair is burning the wakeups" is a query, not a
-// guess.  record() sits on the wakeup hot path of both hosts, so it uses
+// guess.  Recording sits on the wakeup hot path of both hosts, so it uses
 // the same discipline as the metrics registry: one fixed-size shard per
 // writing thread (single-writer cells, relaxed load+store — no lock, no
-// lock-prefixed RMW), merged under a mutex only when somebody reads.
+// lock-prefixed RMW), merged under a mutex only when somebody reads.  A
+// writing thread takes its shard once, as a Writer (the obs hot path
+// keeps it with the thread's other per-session handles), so a record is
+// a few stores with no lookup.
 #pragma once
 
 #include <array>
@@ -20,12 +23,6 @@
 #include "pcpc/common/assert.hpp"
 
 namespace pcpc::obs {
-
-namespace detail {
-/// Stamps ledger instances so a thread-local shard cache can recognise a
-/// new ledger that reuses a freed one's address.
-inline std::atomic<std::uint64_t> g_ledger_generation{0};
-}  // namespace detail
 
 /// Accumulates paid/free wakeup attributions per consumer and per core.
 class WakeupLedger {
@@ -49,24 +46,15 @@ class WakeupLedger {
     std::uint64_t drops = 0;
   };
 
-  WakeupLedger()
-      : generation_(detail::g_ledger_generation.fetch_add(1) + 1) {}
+  class Writer;
 
+  WakeupLedger() = default;
   WakeupLedger(const WakeupLedger&) = delete;
   WakeupLedger& operator=(const WakeupLedger&) = delete;
 
-  /// One consumer invocation at a core wakeup.  `paid` follows the
-  /// paper's w: true iff this invocation woke an idle core.
-  void record(std::uint16_t core, std::uint32_t consumer, bool paid) {
-    PCPC_ASSERT(core < kMaxCores);
-    Shard& shard = local_shard();
-    bump(shard.totals, paid);
-    bump(shard.cores[core], paid);
-    if (consumer != 0xffffffffu) {
-      PCPC_ASSERT(consumer < kMaxConsumers);
-      bump(shard.consumers[consumer], paid);
-    }
-  }
+  /// A fresh shard for the calling thread to record into.  Take one per
+  /// writing thread and keep it: every call adds a shard.
+  Writer writer();
 
   /// Σ w(τ): total paid wakeups.
   std::uint64_t paid_total() const {
@@ -95,34 +83,14 @@ class WakeupLedger {
     return merged([](const Shard& s) { return s.cores.data(); }, kMaxCores);
   }
 
-  /// One drained batch: `items` popped in one invocation of `consumer`
-  /// on `core`.  Called per batch (not per item) from note_slot_batch.
-  void record_batch(std::uint16_t core, std::uint32_t consumer, std::uint64_t items) {
-    PCPC_ASSERT(core < kMaxCores);
-    Shard& shard = local_shard();
-    bump_work(shard.core_work[core], items, 1, 0);
-    if (consumer != 0xffffffffu) {
-      PCPC_ASSERT(consumer < kMaxConsumers);
-      bump_work(shard.consumer_work[consumer], items, 1, 0);
-    }
-  }
-
-  /// One dropped item charged to `consumer` (core unknown at drop time).
-  void record_drop(std::uint32_t consumer) {
-    if (consumer == 0xffffffffu) return;
-    PCPC_ASSERT(consumer < kMaxConsumers);
-    bump_work(local_shard().consumer_work[consumer], 0, 0, 1);
-  }
-
   /// Work indexed by consumer id, trimmed like per_consumer().
   std::vector<Work> per_consumer_work() const {
-    return merged_work([](const Shard& s) { return s.consumer_work.data(); },
-                       kMaxConsumers);
+    return merged_work([](const Shard& s) { return s.consumers.data(); }, kMaxConsumers);
   }
 
   /// Work indexed by core, trimmed likewise.
   std::vector<Work> per_core_work() const {
-    return merged_work([](const Shard& s) { return s.core_work.data(); }, kMaxCores);
+    return merged_work([](const Shard& s) { return s.cores.data(); }, kMaxCores);
   }
 
   /// Σ items drained across all consumers.
@@ -130,8 +98,8 @@ class WakeupLedger {
     std::scoped_lock lock(mutex_);
     std::uint64_t total = 0;
     for (const auto& shard : shards_)
-      for (const auto& cell : shard->consumer_work)
-        total += cell.items.load(std::memory_order_relaxed);
+      for (const auto& row : shard->consumers)
+        total += row.work.items.load(std::memory_order_relaxed);
     return total;
   }
 
@@ -140,8 +108,8 @@ class WakeupLedger {
     std::scoped_lock lock(mutex_);
     std::uint64_t total = 0;
     for (const auto& shard : shards_)
-      for (const auto& cell : shard->consumer_work)
-        total += cell.drops.load(std::memory_order_relaxed);
+      for (const auto& row : shard->consumers)
+        total += row.work.drops.load(std::memory_order_relaxed);
     return total;
   }
 
@@ -157,12 +125,18 @@ class WakeupLedger {
     std::atomic<std::uint64_t> drops{0};
   };
 
+  /// One consumer's (or core's) wakeups and work side by side, so the
+  /// wakeup and the batch of one invocation touch the same 40 bytes, and
+  /// a handful of pairs share a few hot lines.
+  struct Row {
+    Cell wakes;
+    WorkCell work;
+  };
+
   struct Shard {
     Cell totals;
-    std::array<Cell, kMaxCores> cores{};
-    std::array<Cell, kMaxConsumers> consumers{};
-    std::array<WorkCell, kMaxCores> core_work{};
-    std::array<WorkCell, kMaxConsumers> consumer_work{};
+    std::array<Row, kMaxCores> cores{};
+    std::array<Row, kMaxConsumers> consumers{};
   };
 
   /// Single-writer increment: each shard belongs to one thread, so a
@@ -195,28 +169,14 @@ class WakeupLedger {
             cell.drops.load(std::memory_order_relaxed)};
   }
 
-  Shard& local_shard() {
-    struct Cache {
-      const WakeupLedger* owner = nullptr;
-      std::uint64_t generation = 0;
-      Shard* shard = nullptr;
-    };
-    thread_local Cache tls;
-    if (tls.owner == this && tls.generation == generation_) return *tls.shard;
-    std::scoped_lock lock(mutex_);
-    shards_.push_back(std::make_unique<Shard>());
-    tls = {this, generation_, shards_.back().get()};
-    return *tls.shard;
-  }
-
-  template <typename CellsOf>
-  std::vector<Attribution> merged(CellsOf cells_of, std::size_t capacity) const {
+  template <typename RowsOf>
+  std::vector<Attribution> merged(RowsOf rows_of, std::size_t capacity) const {
     std::scoped_lock lock(mutex_);
     std::vector<Attribution> out(capacity);
     for (const auto& shard : shards_) {
-      const Cell* cells = cells_of(*shard);
+      const Row* rows = rows_of(*shard);
       for (std::size_t i = 0; i < capacity; ++i) {
-        const Attribution a = load(cells[i]);
+        const Attribution a = load(rows[i].wakes);
         out[i].paid += a.paid;
         out[i].free += a.free;
       }
@@ -225,14 +185,14 @@ class WakeupLedger {
     return out;
   }
 
-  template <typename CellsOf>
-  std::vector<Work> merged_work(CellsOf cells_of, std::size_t capacity) const {
+  template <typename RowsOf>
+  std::vector<Work> merged_work(RowsOf rows_of, std::size_t capacity) const {
     std::scoped_lock lock(mutex_);
     std::vector<Work> out(capacity);
     for (const auto& shard : shards_) {
-      const WorkCell* cells = cells_of(*shard);
+      const Row* rows = rows_of(*shard);
       for (std::size_t i = 0; i < capacity; ++i) {
-        const Work w = load_work(cells[i]);
+        const Work w = load_work(rows[i].work);
         out[i].items += w.items;
         out[i].batches += w.batches;
         out[i].drops += w.drops;
@@ -244,9 +204,54 @@ class WakeupLedger {
     return out;
   }
 
-  const std::uint64_t generation_;
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+/// One thread's handle on its shard.  Single writer: only the thread that
+/// took it may record through it; it stays valid as long as the ledger.
+class WakeupLedger::Writer {
+ public:
+  /// One consumer invocation at a core wakeup.  `paid` follows the
+  /// paper's w: true iff this invocation woke an idle core.
+  void record(std::uint16_t core, std::uint32_t consumer, bool paid) {
+    PCPC_ASSERT(core < kMaxCores);
+    bump(shard_->totals, paid);
+    bump(shard_->cores[core].wakes, paid);
+    if (consumer != 0xffffffffu) {
+      PCPC_ASSERT(consumer < kMaxConsumers);
+      bump(shard_->consumers[consumer].wakes, paid);
+    }
+  }
+
+  /// One drained batch: `items` popped in one invocation of `consumer`
+  /// on `core`.  Called per batch (not per item) from note_slot_batch.
+  void record_batch(std::uint16_t core, std::uint32_t consumer, std::uint64_t items) {
+    PCPC_ASSERT(core < kMaxCores);
+    bump_work(shard_->cores[core].work, items, 1, 0);
+    if (consumer != 0xffffffffu) {
+      PCPC_ASSERT(consumer < kMaxConsumers);
+      bump_work(shard_->consumers[consumer].work, items, 1, 0);
+    }
+  }
+
+  /// One dropped item charged to `consumer` (core unknown at drop time).
+  void record_drop(std::uint32_t consumer) {
+    if (consumer == 0xffffffffu) return;
+    PCPC_ASSERT(consumer < kMaxConsumers);
+    bump_work(shard_->consumers[consumer].work, 0, 0, 1);
+  }
+
+ private:
+  friend class WakeupLedger;
+  explicit Writer(Shard* shard) : shard_(shard) {}
+  Shard* shard_;
+};
+
+inline WakeupLedger::Writer WakeupLedger::writer() {
+  std::scoped_lock lock(mutex_);
+  shards_.push_back(std::make_unique<Shard>());
+  return Writer(shards_.back().get());
+}
 
 }  // namespace pcpc::obs

@@ -87,19 +87,28 @@ class Handoff {
   /// instead of per item.
   virtual std::size_t pop_bulk(std::span<T> out) = 0;
 
-  /// Consumer side: drains everything currently visible through `fn`
-  /// (called once per item, FIFO order), chunking pop_bulk through a
-  /// stack buffer.  Returns the number of items drained.
+  /// Consumer side: drains everything currently visible, handing `fn`
+  /// each pop_bulk chunk (a std::span<T> of up to kDrainChunk items, FIFO
+  /// order) staged through a stack buffer.  Returns the number of items
+  /// drained.
   template <typename Fn>
-  std::size_t drain(Fn&& fn) {
+  std::size_t drain_chunks(Fn&& fn) {
     T chunk[kDrainChunk];
     std::size_t total = 0;
     for (;;) {
       const std::size_t n = pop_bulk(std::span<T>(chunk, kDrainChunk));
       if (n == 0) return total;
       total += n;
-      for (std::size_t i = 0; i < n; ++i) fn(std::move(chunk[i]));
+      fn(std::span<T>(chunk, n));
     }
+  }
+
+  /// drain_chunks() with `fn` called once per item.
+  template <typename Fn>
+  std::size_t drain(Fn&& fn) {
+    return drain_chunks([&fn](std::span<T> items) {
+      for (T& item : items) fn(std::move(item));
+    });
   }
 
   /// Consumer side: elastic resize toward `target` slots, clamped by the

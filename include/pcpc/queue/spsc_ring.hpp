@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "pcpc/common/assert.hpp"
 #include "pcpc/queue/placement.hpp"
@@ -68,8 +69,24 @@ class SpscRing {
 
   /// Appends an item; false (item kept by caller) when logically full.
   /// A full ring flushes any unpublished items first, so the consumer can
-  /// always drain everything that was accepted.
-  bool try_push(T value) {
+  /// always drain everything that was accepted.  The item is copied (or
+  /// moved) straight into its slot, with no by-value temporary: for a
+  /// wide item such as an obs::Event the extra copy cost more than the
+  /// rest of the push.
+  bool try_push(const T& value) {
+    return try_push_with([&value](T& slot) { slot = value; });
+  }
+  bool try_push(T&& value) {
+    return try_push_with([&value](T& slot) { slot = std::move(value); });
+  }
+
+  /// try_push() that builds the item in its slot: `fill(T&)` gets the
+  /// slot, which still holds whatever a previous lap left there, and must
+  /// set all of it.  A full ring never calls `fill`, so a rejected item
+  /// costs nothing to build — and a wide item written field by field
+  /// into a temporary, then copied, stalls on store forwarding.
+  template <typename Fill>
+  bool try_push_with(Fill&& fill) {
     const std::uint64_t t = prod_.tail_local;
     if (t - prod_.cached_head >= cap64()) {
       prod_.cached_head = head_.index.load(std::memory_order_acquire);
@@ -78,7 +95,7 @@ class SpscRing {
         return false;
       }
     }
-    slot(static_cast<std::size_t>(t) & mask_) = std::move(value);
+    fill(slot(static_cast<std::size_t>(t) & mask_));
     prod_.tail_local = t + 1;
     if (++prod_.pending >= prod_.publish_batch) flush();
     return true;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -52,6 +53,23 @@ class EventQueue {
 
   /// Time of the earliest live event; kNever when empty.
   SimTime next_time() const;
+
+  /// Firing order of an event: time, then scheduling order.
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+  };
+
+  /// Orders after every real key.
+  static constexpr Key kNoKey{kNever, std::numeric_limits<std::uint64_t>::max()};
+
+  /// Key of the earliest live event; kNoKey when empty.
+  Key next_key() const;
+
+  /// Draws the next sequence number without scheduling anything.  An
+  /// entry kept outside the heap (a replay stream's next arrival) takes
+  /// its place in the tie order this way, as if it had been scheduled now.
+  std::uint64_t take_seq() { return next_seq_++; }
 
   /// A fired event: its scheduled time, handle and callback.
   struct Fired {

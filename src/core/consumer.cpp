@@ -1,6 +1,7 @@
 #include "pcpc/core/consumer.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "pcpc/common/assert.hpp"
 #include "pcpc/obs/obs.hpp"
@@ -21,24 +22,10 @@ PbplConsumer::PbplConsumer(ConsumerId id, CoreManager& manager,
 
 void PbplConsumer::start(SimTime now) {
   planner_.start(now);
-  make_reservation(now);
+  note_reservation(make_reservation(now), now);
 }
 
 void PbplConsumer::produce(SimTime now) {
-  // Sampled lifecycle span: in virtual time admission is instantaneous,
-  // so a sampled item stamps produce and enqueue at the same tick.
-  if (const std::uint64_t every = obs::span_sample_every(); every != 0) {
-    const std::uint64_t seq = span_produce_seq_++;
-    if (seq == span_next_produce_) {
-      span_next_produce_ += every;
-      const std::uint64_t item =
-          (static_cast<std::uint64_t>(id_) << 32) | (seq & 0xffffffffu);
-      obs::note_item_stage(static_cast<std::uint32_t>(id_), manager_->core_id(), item,
-                           obs::ItemStage::kProduce, now);
-      obs::note_item_stage(static_cast<std::uint32_t>(id_), manager_->core_id(), item,
-                           obs::ItemStage::kEnqueue, now);
-    }
-  }
   if (buffer_->try_push(now)) return;
 
   if (config_.emergency_borrow) {
@@ -68,26 +55,35 @@ void PbplConsumer::produce(SimTime now) {
 SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
   (void)scheduled;
   // 1. Consume: drain the whole buffer as one batch (chunked bulk pops —
-  //    same item order and stats as the old per-item try_pop loop).
+  //    same item order and stats as the old per-item try_pop loop).  A
+  //    lifecycle-sampled item has every stage stamped here: the buffer
+  //    holds its arrival time, and in virtual time admission is
+  //    instantaneous, so produce and enqueue both fall at that tick.  The
+  //    samples are picked per chunk by position, not tested per item.
   const std::uint64_t span_every = obs::span_sample_every();
-  std::vector<std::uint64_t> sampled;
-  const std::size_t batch = buffer_->drain([&](SimTime item) {
-    const SimDuration latency = now - item;
-    stats_.latency_s.add(to_seconds(latency));
-    planner_.observe_latency(latency);
-    if (span_every != 0) {
-      const std::uint64_t seq = span_drain_seq_++;
-      if (seq == span_next_drain_) {
-        span_next_drain_ += span_every;
-        sampled.push_back((static_cast<std::uint64_t>(id_) << 32) |
-                          (seq & 0xffffffffu));
-      }
+  std::size_t stamps = 0;  // span_stamps_ in use: three per sampled item
+  const std::size_t batch = buffer_->drain_chunks([&](std::span<SimTime> items) {
+    for (const SimTime item : items) {
+      const SimDuration latency = now - item;
+      stats_.latency_s.add(to_seconds(latency));
+      planner_.observe_latency(latency);
     }
+    if (span_every == 0) return;
+    const std::uint64_t end = span_seq_ + items.size();
+    for (; span_next_ < end; span_next_ += span_every) {
+      if (span_stamps_.size() < stamps + 3) span_stamps_.resize(2 * (stamps + 3));
+      const std::uint64_t id =
+          (static_cast<std::uint64_t>(id_) << 32) | (span_next_ & 0xffffffffu);
+      const SimTime arrival = items[static_cast<std::size_t>(span_next_ - span_seq_)];
+      span_stamps_[stamps++] = {id, arrival, obs::ItemStage::kProduce};
+      span_stamps_[stamps++] = {id, arrival, obs::ItemStage::kEnqueue};
+      span_stamps_[stamps++] = {id, now, obs::ItemStage::kDrainStart};
+    }
+    span_seq_ = end;
   });
-  for (const std::uint64_t item : sampled) {
-    obs::note_item_stage(static_cast<std::uint32_t>(id_), manager_->core_id(), item,
-                         obs::ItemStage::kDrainStart, now);
-  }
+  const auto core = manager_->core_id();
+  const auto pair = static_cast<std::uint32_t>(id_);
+  obs::note_item_stages(pair, core, std::span(span_stamps_).first(stamps));
   stats_.items += batch;
   stats_.batch_sizes.add(static_cast<double>(batch));
   ++stats_.invocations;
@@ -97,17 +93,21 @@ SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
   stats_.latency_violations = planner_.latency_violations();
 
   // 3. Reserve the next slot (and resize the buffer for it).
-  make_reservation(now);
+  const SlotChoice next = make_reservation(now);
 
   SimDuration service = config_.service.batch_time(batch);
   if (injector_ != nullptr && batch > 0) service += injector_->handler_delay();
-  obs::note_slot_batch(manager_->core_id(), static_cast<std::uint32_t>(id_),
-                       manager_->track().index_of(now), batch, now, service);
+  obs::note_invocation(core, pair, manager_->track().index_of(now), batch, now, service,
+                       next.slot, next.latched);
   // In virtual time the handler completes when the service model says so.
-  for (const std::uint64_t item : sampled) {
-    obs::note_item_stage(static_cast<std::uint32_t>(id_), manager_->core_id(), item,
-                         obs::ItemStage::kHandlerDone, now + service);
+  // Item k's stamps start at 3k >= k, so rewriting front to back reads
+  // each id before it is overwritten.
+  const std::size_t sampled = stamps / 3;
+  for (std::size_t k = 0; k < sampled; ++k) {
+    span_stamps_[k] = {span_stamps_[3 * k].item_id, now + service,
+                       obs::ItemStage::kHandlerDone};
   }
+  obs::note_item_stages(pair, core, std::span(span_stamps_).first(sampled));
   return service;
 }
 
@@ -118,10 +118,10 @@ void PbplConsumer::rebind(CoreManager& next, SimTime now) {
   manager_->register_consumer(id_, this);
   // Re-reserve on the destination track immediately: a consumer is never
   // without a pending slot, so the latency bound survives the move.
-  make_reservation(now);
+  note_reservation(make_reservation(now), now);
 }
 
-void PbplConsumer::make_reservation(SimTime now) {
+SlotChoice PbplConsumer::make_reservation(SimTime now) {
   // Prospective capacity: with dynamic resizing the consumer may plan for
   // everything the pool could lend it right now (the paper's upsizing
   // bound Bg − ΣB_q applied before the slot search, so a high-rate
@@ -134,8 +134,12 @@ void PbplConsumer::make_reservation(SimTime now) {
   manager_->reserve(id_, choice.slot);
   ++stats_.reservations;
   if (choice.latched) ++stats_.latched_reservations;
-  obs::note_reservation(manager_->core_id(), static_cast<std::uint32_t>(id_),
-                        choice.slot, choice.latched, now);
+  return choice;
+}
+
+void PbplConsumer::note_reservation(const SlotChoice& choice, SimTime now) const {
+  obs::note_reservation(manager_->core_id(), static_cast<std::uint32_t>(id_), choice.slot,
+                        choice.latched, now);
 }
 
 }  // namespace pcpc::core

@@ -75,10 +75,8 @@ void CoreManager::drain_all(SimTime now) {
     const bool paid = core_.run_for(overhead_ + busy);
     // One wakeup serves the whole sweep: per the paper's w, only the
     // first invocation can pay ω; the rest latch onto the awake core.
-    for (std::size_t i = 0; i < drained.size(); ++i) {
-      obs::note_wakeup(core_id_, static_cast<std::uint32_t>(drained[i]),
-                       track_.index_of(now), paid && i == 0, /*scheduled=*/true, now);
-    }
+    obs::note_wakeups(core_id_, drained, track_.index_of(now), paid, /*scheduled=*/true,
+                      now);
   }
   // The experiment is over: forget reservations made during the sweep and
   // cancel the wakeup that would serve them.
@@ -129,10 +127,7 @@ void CoreManager::on_slot_event(SimTime t) {
     // Paid/free attribution of the paper's w(τ_{i,j}): the slot's wakeup
     // is charged to the first consumer in the group iff the core was
     // idle; every other consumer latched onto it for free.
-    for (std::size_t i = 0; i < consumers.size(); ++i) {
-      obs::note_wakeup(core_id_, static_cast<std::uint32_t>(consumers[i]), slot,
-                       paid && i == 0, /*scheduled=*/true, t);
-    }
+    obs::note_wakeups(core_id_, consumers, slot, paid, /*scheduled=*/true, t);
   }
   ensure_scheduled();
 }

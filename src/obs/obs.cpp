@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
+#include <optional>
 
 #include "pcpc/common/assert.hpp"
 
@@ -266,18 +267,23 @@ namespace {
 
 /// Everything one note_*() call touches, resolved once per thread per
 /// session: direct pointers to this thread's counter cells, histogram
-/// bin arrays and trace ring.  One generation check replaces the
-/// session-pointer acquire plus two to four independent TLS cache
-/// lookups the naive path pays per event — at tens of thousands of
+/// bin arrays, ledger shard and trace ring.  One generation check
+/// replaces the session-pointer acquire plus two to four independent TLS
+/// cache lookups the naive path pays per event — at tens of thousands of
 /// wakeups per simulated second that difference is the overhead budget.
 struct HotPath {
   std::uint64_t generation = 0;
   Session* session = nullptr;
   TraceRing* ring = nullptr;
+  std::optional<WakeupLedger::Writer> ledger;
+  // The cells every sim-host invocation uses come first, on the same
+  // lines as the handles above.
   std::atomic<std::uint64_t>* wakeups_paid = nullptr;
   std::atomic<std::uint64_t>* wakeups_free = nullptr;
   std::atomic<std::uint64_t>* items = nullptr;
   std::atomic<std::uint64_t>* batches = nullptr;
+  std::atomic<std::uint64_t>* batch_ns_bins = nullptr;
+  std::atomic<std::uint64_t>* batch_items_bins = nullptr;
   std::atomic<std::uint64_t>* reservations = nullptr;
   std::atomic<std::uint64_t>* latched_reservations = nullptr;
   std::atomic<std::uint64_t>* overflow_borrows = nullptr;
@@ -291,8 +297,6 @@ struct HotPath {
   std::atomic<std::uint64_t>* fleet_unparks = nullptr;
   std::atomic<std::uint64_t>* sim_events = nullptr;
   std::atomic<std::uint64_t>* span_stages = nullptr;
-  std::atomic<std::uint64_t>* batch_ns_bins = nullptr;
-  std::atomic<std::uint64_t>* batch_items_bins = nullptr;
 };
 
 /// Single-writer bump: the cells belong to this thread's shard.
@@ -301,13 +305,12 @@ void inc(std::atomic<std::uint64_t>* cell, std::uint64_t delta = 1) {
               std::memory_order_relaxed);
 }
 
-/// Returns the calling thread's resolved hot path, or nullptr when no
-/// session is installed.  The generation is read (acquire) *before* any
-/// cached pointer is trusted, so a torn-down session is never touched.
-HotPath* hot_path() {
-  thread_local HotPath tls;
-  const std::uint64_t generation = g_session_generation.load(std::memory_order_acquire);
-  if (tls.session != nullptr && tls.generation == generation) return &tls;
+thread_local HotPath t_hot_path;
+
+/// Slow path of hot_path(): (re)binds the calling thread's handles to the
+/// installed session, or clears them when there is none.
+[[gnu::noinline]] HotPath* resolve_hot_path(std::uint64_t generation) {
+  HotPath& tls = t_hot_path;
   Session* s = Session::current();
   if (s == nullptr) {
     tls.session = nullptr;
@@ -316,6 +319,7 @@ HotPath* hot_path() {
   Registry& r = s->registry();
   const WellKnownMetrics& w = s->well();
   tls.ring = &RingAccess::ring(*s);
+  tls.ledger = s->ledger().writer();
   tls.wakeups_paid = r.counter_cell(w.wakeups_paid);
   tls.wakeups_free = r.counter_cell(w.wakeups_free);
   tls.items = r.counter_cell(w.items);
@@ -340,59 +344,107 @@ HotPath* hot_path() {
   return &tls;
 }
 
+/// Returns the calling thread's resolved hot path, or nullptr when no
+/// session is installed.  The generation is read (acquire) *before* any
+/// cached pointer is trusted, so a torn-down session is never touched.
+/// Inline, so a note pays one compare here and no call.
+inline HotPath* hot_path() {
+  const std::uint64_t generation = g_session_generation.load(std::memory_order_acquire);
+  HotPath& tls = t_hot_path;
+  if (tls.session != nullptr && tls.generation == generation) [[likely]] return &tls;
+  return resolve_hot_path(generation);
+}
+
+/// The records behind note_wakeup(), note_slot_batch() and
+/// note_reservation(), on a resolved hot path, so that the fused notes
+/// (note_wakeups(), note_invocation()) resolve it once.
+void record_wakeup(HotPath* h, std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
+                   bool paid, bool scheduled, std::int64_t ts_ns) {
+  inc(paid ? h->wakeups_paid : h->wakeups_free);
+  h->ledger->record(core, consumer, paid);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = slot;
+    e.consumer = consumer;
+    e.core = core;
+    e.kind = EventKind::kWakeup;
+    e.flags = static_cast<std::uint8_t>((paid ? kFlagPaid : 0) |
+                                        (scheduled ? kFlagScheduled : 0));
+  });
+}
+
+void record_slot_batch(HotPath* h, std::uint16_t core, std::uint32_t consumer,
+                       std::int64_t slot, std::uint64_t batch, std::int64_t ts_ns,
+                       std::int64_t dur_ns) {
+  inc(h->items, batch);
+  inc(h->batches);
+  h->ledger->record_batch(core, consumer, batch);
+  inc(h->batch_ns_bins + Registry::log2_bin(dur_ns));
+  inc(h->batch_items_bins + Registry::log2_bin(static_cast<std::int64_t>(batch)));
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.dur_ns = dur_ns;
+    e.arg0 = slot;
+    e.arg1 = static_cast<std::int64_t>(batch);
+    e.consumer = consumer;
+    e.core = core;
+    e.kind = EventKind::kSlotBatch;
+  });
+}
+
+void record_reservation(HotPath* h, std::uint16_t core, std::uint32_t consumer,
+                        std::int64_t slot, bool latched, std::int64_t ts_ns) {
+  inc(h->reservations);
+  if (latched) inc(h->latched_reservations);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = slot;
+    e.arg1 = latched ? 1 : 0;
+    e.consumer = consumer;
+    e.core = core;
+    e.kind = EventKind::kReservation;
+  });
+}
+
 }  // namespace
 
 void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                       bool paid, bool scheduled, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(paid ? h->wakeups_paid : h->wakeups_free);
-  h->session->ledger().record(core, consumer, paid);
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = slot;
-  e.consumer = consumer;
-  e.core = core;
-  e.kind = EventKind::kWakeup;
-  e.flags = static_cast<std::uint8_t>((paid ? kFlagPaid : 0) |
-                                      (scheduled ? kFlagScheduled : 0));
-  h->ring->push(e);
+  record_wakeup(h, core, consumer, slot, paid, scheduled, ts_ns);
+}
+
+void note_wakeups_impl(std::uint16_t core, std::span<const std::uint32_t> consumers,
+                       std::int64_t slot, bool paid, bool scheduled, std::int64_t ts_ns) {
+  HotPath* h = hot_path();
+  if (h == nullptr) return;
+  for (std::size_t i = 0; i < consumers.size(); ++i) {
+    record_wakeup(h, core, consumers[i], slot, paid && i == 0, scheduled, ts_ns);
+  }
 }
 
 void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                           std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->items, batch);
-  inc(h->batches);
-  h->session->ledger().record_batch(core, consumer, batch);
-  inc(h->batch_ns_bins + Registry::log2_bin(dur_ns));
-  inc(h->batch_items_bins + Registry::log2_bin(static_cast<std::int64_t>(batch)));
-  Event e;
-  e.ts_ns = ts_ns;
-  e.dur_ns = dur_ns;
-  e.arg0 = slot;
-  e.arg1 = static_cast<std::int64_t>(batch);
-  e.consumer = consumer;
-  e.core = core;
-  e.kind = EventKind::kSlotBatch;
-  h->ring->push(e);
+  record_slot_batch(h, core, consumer, slot, batch, ts_ns, dur_ns);
 }
 
 void note_reservation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                            bool latched, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->reservations);
-  if (latched) inc(h->latched_reservations);
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = slot;
-  e.arg1 = latched ? 1 : 0;
-  e.consumer = consumer;
-  e.core = core;
-  e.kind = EventKind::kReservation;
-  h->ring->push(e);
+  record_reservation(h, core, consumer, slot, latched, ts_ns);
+}
+
+void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
+                          std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns,
+                          std::int64_t next_slot, bool latched) {
+  HotPath* h = hot_path();
+  if (h == nullptr) return;
+  record_reservation(h, core, consumer, next_slot, latched, ts_ns);
+  record_slot_batch(h, core, consumer, slot, batch, ts_ns, dur_ns);
 }
 
 void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowAction action,
@@ -401,50 +453,50 @@ void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowActi
   if (h == nullptr) return;
   inc(action == OverflowAction::kEmergencyBorrow ? h->overflow_borrows
                                                  : h->overflow_drains);
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = static_cast<std::int64_t>(action);
-  e.consumer = consumer;
-  e.core = core;
-  e.kind = EventKind::kOverflow;
-  h->ring->push(e);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = static_cast<std::int64_t>(action);
+    e.consumer = consumer;
+    e.core = core;
+    e.kind = EventKind::kOverflow;
+  });
 }
 
 void note_watchdog_impl(std::uint16_t core, std::int64_t overrun_ns, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   inc(h->watchdog_escalations);
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = overrun_ns;
-  e.core = core;
-  e.kind = EventKind::kWatchdog;
-  h->ring->push(e);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = overrun_ns;
+    e.core = core;
+    e.kind = EventKind::kWatchdog;
+  });
 }
 
 void note_fault_impl(FaultKind kind, std::int64_t magnitude) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   inc(h->faults_injected);
-  Event e;
-  e.ts_ns = h->session->now_ns();
-  e.arg0 = static_cast<std::int64_t>(kind);
-  e.arg1 = magnitude;
-  e.kind = EventKind::kFault;
-  h->ring->push(e);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = h->session->now_ns();
+    e.arg0 = static_cast<std::int64_t>(kind);
+    e.arg1 = magnitude;
+    e.kind = EventKind::kFault;
+  });
 }
 
 void note_drop_impl(std::uint32_t consumer, DropPath path, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   inc(h->drops);
-  h->session->ledger().record_drop(consumer);
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = static_cast<std::int64_t>(path);
-  e.consumer = consumer;
-  e.kind = EventKind::kDrop;
-  h->ring->push(e);
+  h->ledger->record_drop(consumer);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = static_cast<std::int64_t>(path);
+    e.consumer = consumer;
+    e.kind = EventKind::kDrop;
+  });
 }
 
 void note_queue_resize_impl(std::uint32_t consumer, std::size_t old_slots,
@@ -452,13 +504,13 @@ void note_queue_resize_impl(std::uint32_t consumer, std::size_t old_slots,
   HotPath* h = hot_path();
   if (h == nullptr) return;
   inc(h->queue_resizes);
-  Event e;
-  e.ts_ns = h->session->now_ns();
-  e.arg0 = static_cast<std::int64_t>(old_slots);
-  e.arg1 = static_cast<std::int64_t>(new_slots);
-  e.consumer = consumer;
-  e.kind = EventKind::kQueueResize;
-  h->ring->push(e);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = h->session->now_ns();
+    e.arg0 = static_cast<std::int64_t>(old_slots);
+    e.arg1 = static_cast<std::int64_t>(new_slots);
+    e.consumer = consumer;
+    e.kind = EventKind::kQueueResize;
+  });
 }
 
 void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_core,
@@ -470,14 +522,14 @@ void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_
     case FleetAction::kPark: inc(h->fleet_parks); break;
     case FleetAction::kUnpark: inc(h->fleet_unparks); break;
   }
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = static_cast<std::int64_t>(action);
-  e.arg1 = static_cast<std::int64_t>(to_core);
-  e.consumer = pair;
-  e.core = from_core;
-  e.kind = EventKind::kFleet;
-  h->ring->push(e);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = static_cast<std::int64_t>(action);
+    e.arg1 = static_cast<std::int64_t>(to_core);
+    e.consumer = pair;
+    e.core = from_core;
+    e.kind = EventKind::kFleet;
+  });
 }
 
 void count_sim_events_impl(std::uint64_t n) {
@@ -488,17 +540,25 @@ void count_sim_events_impl(std::uint64_t n) {
 
 void note_item_stage_impl(std::uint32_t consumer, std::uint16_t core,
                           std::uint64_t item_id, ItemStage stage, std::int64_t ts_ns) {
+  const ItemStamp stamp{item_id, ts_ns, stage};
+  note_item_stages_impl(consumer, core, std::span<const ItemStamp>(&stamp, 1));
+}
+
+void note_item_stages_impl(std::uint32_t consumer, std::uint16_t core,
+                           std::span<const ItemStamp> stamps) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->span_stages);
-  Event e;
-  e.ts_ns = ts_ns;
-  e.arg0 = static_cast<std::int64_t>(item_id);
-  e.arg1 = static_cast<std::int64_t>(stage);
-  e.consumer = consumer;
-  e.core = core;
-  e.kind = EventKind::kItemStage;
-  h->ring->push(e);
+  inc(h->span_stages, stamps.size());
+  for (const ItemStamp& stamp : stamps) {
+    h->ring->push_with([&](Event& e) {
+      e.ts_ns = stamp.ts_ns;
+      e.arg0 = static_cast<std::int64_t>(stamp.item_id);
+      e.arg1 = static_cast<std::int64_t>(stamp.stage);
+      e.consumer = consumer;
+      e.core = core;
+      e.kind = EventKind::kItemStage;
+    });
+  }
 }
 
 }  // namespace detail

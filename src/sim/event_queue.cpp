@@ -33,6 +33,12 @@ SimTime EventQueue::next_time() const {
   return heap_.top().time;
 }
 
+EventQueue::Key EventQueue::next_key() const {
+  drop_cancelled();
+  if (heap_.empty()) return kNoKey;
+  return {heap_.top().time, heap_.top().seq};
+}
+
 EventQueue::Fired EventQueue::pop() {
   drop_cancelled();
   PCPC_ASSERT_MSG(!heap_.empty(), "pop() on empty event queue");

@@ -91,13 +91,19 @@ ProducerConfig child_config() {
 
 /// Child body: attach, push `n` items (retrying kFull forever — the
 /// parent is draining), report the acked count through `fd`, then either
-/// detach cleanly or park for the parent's SIGKILL.
+/// detach cleanly or park for the parent's SIGKILL.  With `pause_every`
+/// set, the child idles 2 ms after each that many items, long enough for
+/// the consumer to drain and park, so the next burst rings a sleeping
+/// consumer (a paid wake) however fast either side runs.
 [[noreturn]] void producer_child(const std::string& name, std::uint64_t n, int fd,
-                                 bool park_for_kill) {
+                                 bool park_for_kill, std::uint64_t pause_every = 0) {
   auto producer = Producer::attach(name, child_config());
   if (!producer.has_value()) _exit(2);
   std::uint64_t acked = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
+    if (pause_every != 0 && i % pause_every == pause_every - 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
     for (;;) {
       const PushResult r = producer->push(i);
       if (r == PushResult::kOk) {
@@ -286,7 +292,11 @@ TEST(ObsIpc, CrossProcessSpansJoinOnSharedClock) {
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       ::close(pipe_fd[0]);
-      producer_child(name, kItems, pipe_fd[1], /*park_for_kill=*/false);
+      // Bursts with idle gaps: the wake join below needs paid wakes, and
+      // two producers pushing flat out can keep the consumer from ever
+      // parking (it then only takes free timeout wakes).
+      producer_child(name, kItems, pipe_fd[1], /*park_for_kill=*/false,
+                     /*pause_every=*/100);
     }
     children.push_back(pid);
   }
