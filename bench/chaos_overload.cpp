@@ -43,7 +43,6 @@ const char* policy_name(core::OverflowPolicy policy) {
     case core::OverflowPolicy::Block: return "block";
     case core::OverflowPolicy::DropOldest: return "drop_oldest";
     case core::OverflowPolicy::DropNewest: return "drop_newest";
-    case core::OverflowPolicy::EmergencyBorrow: return "borrow";
   }
   return "?";
 }
@@ -125,16 +124,17 @@ int main(int argc, char** argv) {
   std::optional<obs::Session> session;
   if (!trace_out.empty() || !metrics_out.empty()) session.emplace();
 
-  const core::OverflowPolicy policies[] = {
-      core::OverflowPolicy::Block, core::OverflowPolicy::DropOldest,
-      core::OverflowPolicy::DropNewest, core::OverflowPolicy::EmergencyBorrow};
+  const core::OverflowPolicy policies[] = {core::OverflowPolicy::Block,
+                                           core::OverflowPolicy::DropOldest,
+                                           core::OverflowPolicy::DropNewest};
   const std::size_t burst_factors[] = {1, 5, 10, 20};
 
   std::vector<Cell> cells;
 
   // Sweep 1: burst intensity × overflow policy.  Drops stay zero under
-  // block/borrow and grow with the burst factor under the drop policies;
-  // block pays instead with forced-drain wakeups and p99 latency.
+  // block (behind the pre-emptive borrow) and grow with the burst factor
+  // under the drop policies; block pays instead with forced-drain wakeups
+  // and p99 latency.
   for (const auto policy : policies) {
     auto config = base_config();
     config.overflow_policy = policy;

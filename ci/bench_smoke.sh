@@ -117,9 +117,13 @@ record_json queue_floor "${out}/queue_floor.json"
 
 require shard_scaling
 echo "=== shard_scaling: per-core runtime scaling gate ==="
-gate shard_scaling 1 "${build}/bench/shard_scaling" --items=2000 --trials=3
-scaling_x="$(grep -oE 'throughput: [0-9.]+x' "${out}/shard_scaling.txt" | grep -oE '[0-9.]+' || true)"
-record shard_scaling "\"four_core_vs_one\":${scaling_x:-null},\"gate\":1.8,\"pass\":${pass}"
+# The record carries the trial count, the median/min/max items/s and
+# scheduled wakeups/s of every configuration, and each gated trial's
+# wakeups against the slot-schedule bound.
+rm -f "${out}/shard_scaling.json"
+gate shard_scaling 1 "${build}/bench/shard_scaling" --items=2000 --trials=3 \
+  --json-out="${out}/shard_scaling.json"
+record_json shard_scaling "${out}/shard_scaling.json"
 
 require varlen_floor
 echo "=== varlen_floor: zero-copy record plane gate ==="

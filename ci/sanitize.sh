@@ -6,7 +6,10 @@
 # chaos/runtime/fuzz suites under each.  These are the tests that
 # exercise real threads, the overflow drain paths, the watchdog and the
 # stop() races, i.e. exactly the code where a data race or lifetime bug
-# would hide from the regular build.
+# would hide from the regular build.  A third pass builds the tree plain
+# (warnings as errors) and runs the threaded suites pinned to one CPU, so
+# every hand-off between a producer, its manager and a lane owner it
+# waits on happens by preemption.
 #
 # Usage: ci/sanitize.sh [build-dir-prefix]     (default: build-san)
 set -euo pipefail
@@ -40,8 +43,26 @@ run_pass() {
   ctest --test-dir "${dir}" --output-on-failure -R "${suite_regex}"
 }
 
-# TSan and ASan cannot be combined in one binary; run two passes.
+# The preemption tier: every thread of these suites shares CPU 0.
+pinned_regex='QueueFuzz|QueueDifferential|RuntimeSharding|ChaosRuntime|RuntimeChaosFuzz|ThreadPbpl|ThreadBaseline|Fleet|ObsIpc|IpcCrash'
+
+run_pinned() {
+  local dir="${prefix}-pinned"
+  echo "=== pinned: configure (plain) ==="
+  cmake -B "${dir}" -S . -DPCPC_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+  echo "=== pinned: build ==="
+  cmake --build "${dir}" -j "$(nproc)" \
+    --target test_chaos_runtime test_runtime test_runtime_sharding test_fleet \
+             test_fuzz_pbpl test_queue_differential test_queue_fuzz test_ipc_crash \
+             test_obs_ipc
+  echo "=== pinned: test (taskset -c 0) ==="
+  taskset -c 0 ctest --test-dir "${dir}" --output-on-failure -R "${pinned_regex}"
+}
+
+# TSan and ASan cannot be combined in one binary; run two passes, then
+# the pinned one.
 run_pass tsan thread
 run_pass asan address,undefined
+run_pinned
 
 echo "sanitize: all passes clean"

@@ -26,9 +26,6 @@ enum class OverflowPolicy {
   /// Reject the incoming item.  Bounded producer latency; in-flight
   /// data wins.  Rejections are counted.
   DropNewest,
-  /// Borrow pool segments as aggressively as needed; if the pool is
-  /// truly empty, fall back to Block (never drops).
-  EmergencyBorrow,
 };
 
 /// All tunables of the PBPL algorithm and its host.  Defaults follow the

@@ -1,15 +1,17 @@
-// The core manager: one per CPU core (Section V-B).
+// The core manager: one per CPU core (Section V-B), simulation host.
 //
-// It owns the core's slot track and reservation table, wakes the
-// registered consumers when a reserved slot fires, and afterwards
-// schedules the *next slot with at least one reservation* — never an
-// empty slot, "ensuring that the CPU is not activated needlessly".
+// Which consumers a wake serves, in what order and who carries it is the
+// shared core::ManagerStep.  This class keeps the simulator's part: one
+// pending event at the next slot with at least one reservation — never
+// an empty slot, "ensuring that the CPU is not activated needlessly" —
+// the invocations, the SimCore charge that decides "paid", and the obs
+// notes.  Overflow invocations run synchronously in the producer's event.
 #pragma once
 
 #include <cstdint>
 #include <map>
 
-#include "pcpc/core/reservation.hpp"
+#include "pcpc/core/manager_step.hpp"
 #include "pcpc/core/sim_core.hpp"
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/sim/simulator.hpp"
@@ -62,8 +64,8 @@ class CoreManager {
   /// with pending items, then clears all reservations and pending events.
   void drain_all(SimTime now);
 
-  const SlotTrack& track() const { return track_; }
-  const ReservationTable& reservations() const { return reservations_; }
+  const SlotTrack& track() const { return step_.track(); }
+  const ReservationTable& reservations() const { return step_.reservations(); }
   SimCore& core() { return core_; }
 
   /// Slot wakeups executed (the paper's internally counted "upper bound"
@@ -85,13 +87,14 @@ class CoreManager {
  private:
   void ensure_scheduled();
   void on_slot_event(SimTime t);
+  /// Invokes the wake's consumers, charges the core and notes the wake.
+  void serve(const Wake& wake);
 
   sim::Simulator& simulator_;
   SimCore& core_;
-  SlotTrack track_;
+  ManagerStep step_;
   SimDuration overhead_;
   std::uint16_t core_id_;
-  ReservationTable reservations_;
   std::map<ConsumerId, Invocable*> consumers_;
   sim::EventId pending_event_ = 0;
   bool has_pending_event_ = false;

@@ -176,8 +176,6 @@ namespace detail {
 // Out-of-line slow paths; called only when enabled().
 void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                       bool paid, bool scheduled, std::int64_t ts_ns);
-void note_wakeups_impl(std::uint16_t core, std::span<const std::uint32_t> consumers,
-                       std::int64_t slot, bool paid, bool scheduled, std::int64_t ts_ns);
 void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                           std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns);
 void note_reservation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
@@ -207,15 +205,6 @@ inline void note_wakeup(std::uint16_t core, std::uint32_t consumer, std::int64_t
                         bool paid, bool scheduled, std::int64_t ts_ns) {
   if (!enabled()) return;
   detail::note_wakeup_impl(core, consumer, slot, paid, scheduled, ts_ns);
-}
-
-/// One core wakeup serving `consumers` in order, as one note_wakeup()
-/// each: per the paper's w, only the first can pay ω (`paid`), the rest
-/// latch onto the awake core for free.
-inline void note_wakeups(std::uint16_t core, std::span<const std::uint32_t> consumers,
-                         std::int64_t slot, bool paid, bool scheduled, std::int64_t ts_ns) {
-  if (consumers.empty() || !enabled()) return;
-  detail::note_wakeups_impl(core, consumers, slot, paid, scheduled, ts_ns);
 }
 
 /// One batch drain (span event + batch histograms + item counter).

@@ -3,26 +3,27 @@
 // Demonstrates that the algorithm's structure (Figure 5) maps directly
 // onto std::thread: one manager thread per core sleeps with
 // condition_variable::wait_until on the next *reserved* slot, wakes,
-// drains every consumer registered for that slot, runs each consumer's
+// drains every consumer the wake serves, runs each consumer's
 // predict→reserve→resize pipeline, and goes back to sleep.  Producers
 // push from their own threads; a full buffer first borrows pool segments
 // and only then falls back to the configured overflow policy.
 //
-// The decision logic is the same object the simulation host runs: each
-// consumer holds one core::ReservationPlanner (predictor, latency guard,
-// slot choice, resize target) over the shared SlotTrack, ReservationTable
-// and buffer pool.  This file only supplies the threading shell — the
-// capacity the planner may plan for, the resize grant, the booking and
-// the manager wake — plus the overload hardening the simulation host
-// cannot exercise: configurable overflow policies, a per-core deadline
-// watchdog, and pcpc::fault injection hooks.  Every backend kind stores
-// items in preallocated rings (queue/handoff.hpp): the mutex kind is the
-// SPSC ring driven under the owning core's lock, the mpsc kind one such
-// ring per producer lane.
+// The decisions are the objects the simulation host runs: per consumer a
+// core::ReservationPlanner (predictor, latency guard, slot choice, resize
+// target), per core a core::ManagerStep (reservations, roster, overflow
+// requests, and which consumers a wake serves).  This file only supplies
+// the threading shell — the wait, the drains, the handler hand-off, the
+// capacity the planner may plan for and the resize grant — plus the
+// overload hardening the simulation host cannot exercise: configurable
+// overflow policies, an armed deadline watchdog, and pcpc::fault
+// injection hooks.  Every backend kind stores items in preallocated
+// rings (queue/handoff.hpp): the mutex kind is the SPSC ring driven
+// under the owning core's lock, the mpsc kind one such ring per producer
+// lane.
 //
 // Sharding (Section V-B: one core manager per core, disjoint consumer
 // sets): every Core owns its mutex, its condition variables, its
-// reservation table and its stats shard, so cores never contend with
+// manager step and its stats shard, so cores never contend with
 // each other.  The only cross-core state is lock-free: the running flag,
 // the produced counter and the buffer pool's segment accounting.  The
 // user BatchHandler and fault-injected handler delays run on the manager
@@ -50,7 +51,7 @@
 #include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/cost.hpp"
-#include "pcpc/core/reservation.hpp"
+#include "pcpc/core/manager_step.hpp"
 #include "pcpc/core/reservation_planner.hpp"
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/fault/fault_injector.hpp"
@@ -282,7 +283,6 @@ class ThreadPbpl {
     /// Predictor, live latency guard and resize floor (guarded by the
     /// owning core's lock, like everything the manager touches).
     core::ReservationPlanner planner;
-    std::uint64_t overflow_requests = 0;  // pending forced drains (0 or 1)
     /// Sampled item-lifecycle spans (positional 1-in-N): producers claim
     /// admission sequence numbers here; the manager counts drained
     /// positions in span_drain_seq (manager-only, under the core lock).
@@ -316,14 +316,16 @@ class ThreadPbpl {
   /// One core = one manager thread + everything it needs, behind its own
   /// lock.  Nothing here is ever touched under another core's lock.
   struct Core {
+    Core(std::size_t core_index, const core::SlotTrack& track, double watchdog_factor)
+        : index(core_index), step(track, watchdog_factor) {}
+
     std::size_t index = 0;
     std::mutex mutex;
     std::condition_variable cv;           ///< manager sleeps here
     std::condition_variable producer_cv;  ///< blocked producers sleep here
-    core::ReservationTable reservations;
-    std::vector<Consumer*> consumers;
+    /// Reservations, roster (pair indices) and overflow requests.
+    core::ManagerStep step;
     std::thread thread;
-    bool overflow_pending = false;
     /// Parking: `retired` (under `mutex`) tells the manager loop to exit;
     /// `parked` (atomic) is the outside-world view, flipped only after
     /// the thread is joined / before it is respawned.  Both are written
@@ -364,14 +366,19 @@ class ThreadPbpl {
   bool reserve_slow_locked(Core& core, Consumer& consumer, std::uint32_t record_bytes,
                            queue::VarReservation& out, bool& reserved,
                            std::unique_lock<std::mutex>& lock);
-  /// Drains `consumer` (bulk pops), records stats into the core shard and
-  /// makes the next reservation — all under the core lock.  The handler
-  /// call is queued on core.pending for run_handlers().
-  /// `slot` / `paid` / `scheduled` feed pcpc::obs wakeup attribution:
-  /// `paid` marks the invocation that actually woke this manager thread,
-  /// later consumers in the same wake latch on for free.
-  void drain_locked(Core& core, Consumer& consumer, SimTime now, std::int64_t slot,
-                    bool paid, bool scheduled);
+  /// Block policy: raises `consumer`'s forced drain and waits until
+  /// `retry()` stores the item.  Returns like push_one_slow_locked; an
+  /// item lost to stop() is counted with its `payload` bytes.
+  template <typename Retry>
+  bool block_locked(Core& core, Consumer& consumer, std::unique_lock<std::mutex>& lock,
+                    std::uint64_t payload, Retry&& retry);
+  /// Drains `consumer` (bulk pops) as one invocation of `wake`, records
+  /// stats into the core shard and makes the next reservation — all under
+  /// the core lock.  The handler call is queued on core.pending for
+  /// run_handlers().  `paid` is core::Wake::paid for this consumer.  A
+  /// final-sweep drain notes no wake, books nothing and skips an empty
+  /// consumer.
+  void drain_locked(Core& core, Consumer& consumer, const core::Wake& wake, bool paid);
   /// Runs the queued handlers (and fault-injected handler delays) with
   /// the core lock RELEASED, then re-acquires it.  Producers may push —
   /// and other cores may do anything — while a handler runs.

@@ -102,8 +102,7 @@ bool apply_option(PbplConfig& config, const std::string& assignment, std::string
     if (value == "block") config.overflow_policy = OverflowPolicy::Block;
     else if (value == "drop_oldest") config.overflow_policy = OverflowPolicy::DropOldest;
     else if (value == "drop_newest") config.overflow_policy = OverflowPolicy::DropNewest;
-    else if (value == "borrow") config.overflow_policy = OverflowPolicy::EmergencyBorrow;
-    else return fail(error, "overflow_policy must be block|drop_oldest|drop_newest|borrow"), false;
+    else return fail(error, "overflow_policy must be block|drop_oldest|drop_newest"), false;
   } else if (key == "queue_backend") {
     const auto kind = queue::parse_backend(value);
     if (!kind.has_value())
@@ -217,11 +216,8 @@ std::string describe(const PbplConfig& config) {
      << "overflow_policy="
      << (config.overflow_policy == OverflowPolicy::Block
              ? "block"
-             : (config.overflow_policy == OverflowPolicy::DropOldest
-                    ? "drop_oldest"
-                    : (config.overflow_policy == OverflowPolicy::DropNewest
-                           ? "drop_newest"
-                           : "borrow")))
+             : (config.overflow_policy == OverflowPolicy::DropOldest ? "drop_oldest"
+                                                                      : "drop_newest"))
      << '\n'
      << "queue_backend=" << queue::backend_name(config.queue_backend) << '\n'
      << "payload_max_bytes=" << config.payload_max_bytes << '\n'

@@ -355,24 +355,9 @@ inline HotPath* hot_path() {
   return resolve_hot_path(generation);
 }
 
-/// The records behind note_wakeup(), note_slot_batch() and
-/// note_reservation(), on a resolved hot path, so that the fused notes
-/// (note_wakeups(), note_invocation()) resolve it once.
-void record_wakeup(HotPath* h, std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
-                   bool paid, bool scheduled, std::int64_t ts_ns) {
-  inc(paid ? h->wakeups_paid : h->wakeups_free);
-  h->ledger->record(core, consumer, paid);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = slot;
-    e.consumer = consumer;
-    e.core = core;
-    e.kind = EventKind::kWakeup;
-    e.flags = static_cast<std::uint8_t>((paid ? kFlagPaid : 0) |
-                                        (scheduled ? kFlagScheduled : 0));
-  });
-}
-
+/// The records behind note_slot_batch() and note_reservation(), on a
+/// resolved hot path, so that the fused note_invocation() resolves it
+/// once.
 void record_slot_batch(HotPath* h, std::uint16_t core, std::uint32_t consumer,
                        std::int64_t slot, std::uint64_t batch, std::int64_t ts_ns,
                        std::int64_t dur_ns) {
@@ -412,16 +397,17 @@ void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t s
                       bool paid, bool scheduled, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  record_wakeup(h, core, consumer, slot, paid, scheduled, ts_ns);
-}
-
-void note_wakeups_impl(std::uint16_t core, std::span<const std::uint32_t> consumers,
-                       std::int64_t slot, bool paid, bool scheduled, std::int64_t ts_ns) {
-  HotPath* h = hot_path();
-  if (h == nullptr) return;
-  for (std::size_t i = 0; i < consumers.size(); ++i) {
-    record_wakeup(h, core, consumers[i], slot, paid && i == 0, scheduled, ts_ns);
-  }
+  inc(paid ? h->wakeups_paid : h->wakeups_free);
+  h->ledger->record(core, consumer, paid);
+  h->ring->push_with([&](Event& e) {
+    e.ts_ns = ts_ns;
+    e.arg0 = slot;
+    e.consumer = consumer;
+    e.core = core;
+    e.kind = EventKind::kWakeup;
+    e.flags = static_cast<std::uint8_t>((paid ? kFlagPaid : 0) |
+                                        (scheduled ? kFlagScheduled : 0));
+  });
 }
 
 void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,

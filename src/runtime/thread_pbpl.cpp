@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <span>
 
 #include "pcpc/common/assert.hpp"
@@ -12,8 +11,6 @@
 namespace pcpc::runtime {
 
 namespace {
-constexpr core::SlotIndex kMinSlot = std::numeric_limits<core::SlotIndex>::min();
-
 /// Sampled-span item id: the pair in the high half, the item's admission
 /// position in the low half.  The drain side reconstructs the same id
 /// from its own drained-position counter (positional sampling — the
@@ -66,8 +63,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
   }
 
   for (std::size_t c = 0; c < config.cores; ++c) {
-    cores_.push_back(std::make_unique<Core>());
-    cores_.back()->index = c;
+    cores_.push_back(std::make_unique<Core>(c, track_, config.watchdog_factor));
   }
   record_budget_ = static_cast<std::size_t>(
       queue::var_record_bytes(config.payload_max_bytes + kStampBytes));
@@ -91,7 +87,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
           config.queue_backend, base, base * consumers,
           static_cast<std::uint32_t>(config.payload_max_bytes + kStampBytes));
     }
-    home->consumers.push_back(consumer.get());
+    home->step.add(static_cast<core::ConsumerId>(i));
     consumers_.push_back(std::move(consumer));
   }
 
@@ -114,9 +110,9 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
   for (auto& core : cores_) {
     std::unique_lock lock(core->mutex);
     const SimTime now = now_ns();
-    for (Consumer* consumer : core->consumers) {
-      consumer->planner.start(now);
-      make_reservation_locked(*core, *consumer, now);
+    for (const core::ConsumerId id : core->step.roster()) {
+      consumers_[id]->planner.start(now);
+      make_reservation_locked(*core, *consumers_[id], now);
     }
   }
   for (auto& core : cores_) {
@@ -149,69 +145,16 @@ void ThreadPbpl::stop() {
   for (auto& core : cores_) {
     if (core->thread.joinable()) core->thread.join();
   }
-  // Final drain: account leftovers without extra wakeups.  Handlers keep
-  // their no-lock contract even though the managers are gone.
+  // Final sweep: the leftovers take the managers' drain and handler path
+  // (no lock held in handlers), minting no wake and booking nothing.
   for (auto& core : cores_) {
     std::unique_lock lock(core->mutex);
-    core->pending.clear();
-    for (Consumer* consumer : core->consumers) {
-      const auto drained_at = Clock::now();
-      const std::size_t batch = consumer->buffer->drain([&](Clock::time_point stamp) {
-        core->stats.latency_s.add(
-            std::chrono::duration<double>(drained_at - stamp).count());
-      });
-      // Varlen leftovers drain the same way: claim the views here, hand
-      // them to the record handler below (no lock), release after.
-      std::vector<queue::VarRecordView> records;
-      if (consumer->var != nullptr) {
-        while (auto view = consumer->var->claim_front()) {
-          core->stats.latency_s.add(
-              std::chrono::duration<double>(drained_at - record_stamp(view->data))
-                  .count());
-          core->stats.consumed_bytes += view->size - kStampBytes;
-          records.push_back(*view);
-        }
-        consumer->var_inflight = true;
-      }
-      const std::size_t total = batch + records.size();
-      if (total > 0) {
-        core->stats.items += total;
-        core->stats.batch_sizes.add(static_cast<double>(total));
-        ++core->stats.invocations;
-        // The ledger must see these items too (no wake is minted, so the
-        // paid/free identities are untouched): without this, attribution's
-        // Σ pair items would fall short of the runtime's own item total by
-        // exactly the leftovers drained here.
-        obs::note_slot_batch(static_cast<std::uint16_t>(core->index),
-                             static_cast<std::uint32_t>(consumer->index), obs::kNoSlot,
-                             total, now_ns(), 0);
-      }
-      if (total > 0 || consumer->var_inflight) {
-        core->pending.push_back({consumer, total, obs::kNoSlot, now_ns(), drained_at,
-                                 {}, std::move(records)});
-      }
+    const core::Wake wake =
+        core->step.final_sweep(now_ns(), [](core::ConsumerId) { return true; });
+    for (const core::ConsumerId id : wake.consumers) {
+      drain_locked(*core, *consumers_[id], wake, /*paid=*/false);
     }
-    if ((handler_ || record_handler_) && !core->pending.empty()) {
-      lock.unlock();
-      for (const PendingBatch& p : core->pending) {
-        if (handler_ && p.batch > 0) handler_(p.consumer->index, p.batch);
-        if (record_handler_) {
-          for (const queue::VarRecordView& v : p.records) {
-            record_handler_(p.consumer->index,
-                            std::span<const std::byte>(v.data + kStampBytes,
-                                                       v.size - kStampBytes));
-          }
-        }
-      }
-      lock.lock();
-    }
-    for (const PendingBatch& p : core->pending) {
-      if (p.consumer->var != nullptr && p.consumer->var_inflight) {
-        p.consumer->var->release_claimed();
-        p.consumer->var_inflight = false;
-      }
-    }
-    core->pending.clear();
+    run_handlers(*core, lock);
   }
   if (seized_segments_ > 0) {
     pool_.restore_segments(seized_segments_);
@@ -366,11 +309,9 @@ bool ThreadPbpl::push_one_slow_locked(Core& core, Consumer& consumer,
   }
   if (consumer.buffer->try_push(stamp)) return true;
 
-  // Pre-emptive borrow: EmergencyBorrow always tries the pool first, and
-  // the legacy emergency_borrow flag keeps its "borrow before waking"
-  // semantics under every policy.
-  if (config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
-      config_.emergency_borrow) {
+  // Pre-emptive borrow: emergency_borrow tries the pool once, before any
+  // overflow policy acts.
+  if (config_.emergency_borrow) {
     const std::size_t extra = std::max<std::size_t>(1, consumer.buffer->capacity() / 4);
     consumer.buffer->resize(consumer.buffer->capacity() + extra);
     if (consumer.buffer->try_push(stamp)) {
@@ -409,45 +350,45 @@ bool ThreadPbpl::push_one_slow_locked(Core& core, Consumer& consumer,
                      now_ns());
       return true;
     case core::OverflowPolicy::Block:
-    case core::OverflowPolicy::EmergencyBorrow:
-      // Forced drain: hand the wakeup to the owning core's manager and
-      // wait for space (this is the unscheduled overflow wakeup).  The
-      // request is raised once per outstanding drain — a spurious wake of
-      // this producer must not be double-counted as a second overflow —
-      // and re-armed only after the manager consumed the previous one.
-      // running_ is re-checked BEFORE every push retry: a producer woken
-      // by stop() may reacquire the lock after the final drain already
-      // emptied the buffer, and a successful push at that point would
-      // land in a buffer nothing will ever drain again.
-      for (;;) {
-        if (!running_.load(std::memory_order_relaxed)) {
-          // stop() raced our wait; the manager is gone and the final
-          // drain will not see this item.  Account the loss.
-          ++core.stats.dropped_on_stop;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOnStop, now_ns());
-          return true;
-        }
-        if (consumer.buffer->try_push(stamp)) return true;
-        if (consumer.overflow_requests == 0) {
-          ++consumer.overflow_requests;
-          core.overflow_pending = true;
-          obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                             static_cast<std::uint32_t>(consumer.index),
-                             obs::OverflowAction::kForcedDrain, now_ns());
-          core.cv.notify_all();
-        }
-        core.producer_cv.wait(lock);
-        if (consumer.core.load(std::memory_order_relaxed) != &core) {
-          // Migrated away while we slept (migrate() wakes this cv).  The
-          // outstanding overflow request travelled with the consumer —
-          // the destination's manager will consume it — so don't re-raise
-          // here; just retry the push against the new owner.
-          return false;
-        }
-      }
+      return block_locked(core, consumer, lock, /*payload=*/0,
+                          [&] { return consumer.buffer->try_push(stamp); });
   }
   return true;
+}
+
+template <typename Retry>
+bool ThreadPbpl::block_locked(Core& core, Consumer& consumer,
+                              std::unique_lock<std::mutex>& lock, std::uint64_t payload,
+                              Retry&& retry) {
+  // Forced drain: hand the wakeup to the owning core's manager and wait
+  // for space (this is the unscheduled overflow wakeup).  The step counts
+  // one request per outstanding drain — a spurious wake of this producer
+  // must not be double-counted as a second overflow — and re-arms it once
+  // the manager served it.  running_ is re-checked BEFORE every retry: a
+  // producer woken by stop() may reacquire the lock after the final sweep
+  // already emptied the buffer, and a successful push at that point would
+  // land in a buffer nothing will ever drain again.
+  for (;;) {
+    if (!running_.load(std::memory_order_relaxed)) {
+      ++core.stats.dropped_on_stop;
+      core.stats.dropped_bytes += payload;
+      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kOnStop,
+                     now_ns());
+      return true;
+    }
+    if (retry()) return true;
+    if (core.step.request_overflow(static_cast<core::ConsumerId>(consumer.index))) {
+      obs::note_overflow(static_cast<std::uint16_t>(core.index),
+                         static_cast<std::uint32_t>(consumer.index),
+                         obs::OverflowAction::kForcedDrain, now_ns());
+      core.cv.notify_all();
+    }
+    core.producer_cv.wait(lock);
+    // Migrated away while we slept (migrate() wakes this cv): the request
+    // travelled with the pair, so retry on the new owner without raising
+    // another.
+    if (consumer.core.load(std::memory_order_relaxed) != &core) return false;
+  }
 }
 
 void ThreadPbpl::produce_record(std::size_t consumer, std::span<const std::byte> payload) {
@@ -544,8 +485,7 @@ bool ThreadPbpl::reserve_slow_locked(Core& core, Consumer& consumer,
 
   // Pre-emptive borrow, at byte granularity: the varlen plane has no
   // segment pool, so the borrow grows the ring toward its global bound.
-  if (config_.overflow_policy == core::OverflowPolicy::EmergencyBorrow ||
-      config_.emergency_borrow) {
+  if (config_.emergency_borrow) {
     const std::size_t cap = consumer.var->capacity_bytes();
     consumer.var->resize_bytes(cap + std::max(record_budget_, cap / 4));
     if (consumer.var->try_reserve(record_bytes, out)) {
@@ -598,35 +538,12 @@ bool ThreadPbpl::reserve_slow_locked(Core& core, Consumer& consumer,
                      now_ns());
       return true;
     case core::OverflowPolicy::Block:
-    case core::OverflowPolicy::EmergencyBorrow:
-      // Forced drain + wait, exactly like the item path.  Space frees
-      // only once run_handlers releases the drained views, which is
-      // where the wake comes from.
-      for (;;) {
-        if (!running_.load(std::memory_order_relaxed)) {
-          ++core.stats.dropped_on_stop;
-          core.stats.dropped_bytes += payload;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOnStop, now_ns());
-          return true;
-        }
-        if (consumer.var->try_reserve(record_bytes, out)) {
-          reserved = true;
-          return true;
-        }
-        if (consumer.overflow_requests == 0) {
-          ++consumer.overflow_requests;
-          core.overflow_pending = true;
-          obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                             static_cast<std::uint32_t>(consumer.index),
-                             obs::OverflowAction::kForcedDrain, now_ns());
-          core.cv.notify_all();
-        }
-        core.producer_cv.wait(lock);
-        if (consumer.core.load(std::memory_order_relaxed) != &core) {
-          return false;  // migrated away; retry on the new owner
-        }
-      }
+      // Space frees only once run_handlers releases the drained views,
+      // which is where the producer's wake comes from.
+      return block_locked(core, consumer, lock, payload, [&] {
+        reserved = consumer.var->try_reserve(record_bytes, out);
+        return reserved;
+      });
   }
   return true;
 }
@@ -641,7 +558,8 @@ ThreadPbplStats ThreadPbpl::stats() {
       // just before stop() flipped it may have landed an item after the
       // final drain.  Nothing will ever consume it, so account it here —
       // the caller joined its producers first (see the header contract).
-      for (Consumer* consumer : core->consumers) {
+      for (const core::ConsumerId id : core->step.roster()) {
+        Consumer* consumer = consumers_[id].get();
         const std::size_t swept = consumer->buffer->drain([&](Clock::time_point) {
           obs::note_drop(static_cast<std::uint32_t>(consumer->index),
                          obs::DropPath::kOnStop, now_ns());
@@ -720,19 +638,13 @@ bool ThreadPbpl::migrate(std::size_t consumer_index, std::size_t core_index) {
       continue;
     }
 
-    auto& members = src->consumers;
-    members.erase(std::remove(members.begin(), members.end(), &consumer), members.end());
-    src->reservations.cancel(static_cast<core::ConsumerId>(consumer.index));
-    dst.consumers.push_back(&consumer);
+    // A blocked producer's forced-drain request moves with the pair.
+    src->step.move_to(static_cast<core::ConsumerId>(consumer.index), dst.step);
     // Publish the new owner BEFORE any waiter can run: producers blocked
     // on src's producer_cv re-check this pointer on wake and retry on
     // dst; fast-path producers that already pushed lose nothing because
     // the buffer travelled with the consumer.
     consumer.core.store(&dst, std::memory_order_release);
-    if (consumer.overflow_requests > 0) {
-      // A blocked producer's forced-drain request moves with the pair.
-      dst.overflow_pending = true;
-    }
     const SimTime now = now_ns();
     make_reservation_locked(dst, consumer, now);
     migrations_.fetch_add(1, std::memory_order_relaxed);
@@ -755,11 +667,8 @@ bool ThreadPbpl::try_park(Core& core) {
   if (core.parked.load(std::memory_order_acquire)) return false;
   {
     std::unique_lock lock(core.mutex);
-    if (core.retired || !core.consumers.empty() || core.overflow_pending ||
-        !core.pending.empty()) {
-      return false;
-    }
-    if (core.reservations.next_reserved(kMinSlot).has_value()) return false;
+    // An empty roster has no reservations and no overflow requests.
+    if (core.retired || !core.step.roster().empty() || !core.pending.empty()) return false;
     if (!running_.load(std::memory_order_relaxed)) return false;
     core.retired = true;
     core.cv.notify_all();
@@ -829,96 +738,57 @@ Clock::time_point ThreadPbpl::slot_deadline(core::SlotIndex slot) {
 
 void ThreadPbpl::manager_loop(Core& core) {
   std::unique_lock lock(core.mutex);
-  while (running_.load(std::memory_order_relaxed)) {
-    // Parking: the fleet thread retires an empty core's manager; the
-    // thread is respawned (and this flag cleared) on unpark.
-    if (core.retired) break;
-    // Forced (overflow) drains take priority over the slot schedule.
-    if (core.overflow_pending) {
-      core.overflow_pending = false;
-      {
-        const ScopedCpuTimer timer(core.stats.manager_cpu_ns);
-        bool first = true;
-        for (Consumer* consumer : core.consumers) {
-          if (consumer->overflow_requests == 0) continue;
-          consumer->overflow_requests = 0;
-          ++core.stats.overflow_wakeups;
-          core.reservations.cancel(static_cast<core::ConsumerId>(consumer->index));
-          drain_locked(core, *consumer, now_ns(), obs::kNoSlot, first,
-                       /*scheduled=*/false);
-          first = false;
-        }
-      }
-      // Space is free the moment the drains are done: wake blocked
-      // producers BEFORE the handlers run, they can refill meanwhile.
-      core.producer_cv.notify_all();
-      run_handlers(core, lock);
-      continue;
-    }
-
-    const auto next = core.reservations.next_reserved(kMinSlot);
-    if (!next.has_value()) {
-      core.cv.wait(lock);
-      continue;
-    }
-    const auto deadline = slot_deadline(*next);
-    if (core.cv.wait_until(lock, deadline) != std::cv_status::timeout) {
-      continue;  // stop, overflow, or a spurious wake: re-evaluate
-    }
-
-    const SimTime now = now_ns();
-
-    // Deadline watchdog: the slot fired more than k·Δ late (a slow
-    // handler, fault injection, or scheduler starvation stalled this
-    // manager).  Waiting out the normal latching path would compound the
-    // overrun, so escalate: drain every consumer on the core right now
-    // and rebuild the schedule from fresh predictions.
-    if (config_.watchdog_factor > 0.0) {
-      const auto limit = static_cast<SimDuration>(
-          config_.watchdog_factor * static_cast<double>(config_.resolved_slot_size()));
-      if (now - track_.start_of(*next) > limit) {
-        ++core.stats.missed_deadlines;
-        ++core.stats.scheduled_wakeups;
-        obs::note_watchdog(static_cast<std::uint16_t>(core.index),
-                           now - track_.start_of(*next), now);
-        {
-          const ScopedCpuTimer timer(core.stats.manager_cpu_ns);
-          core.overflow_pending = false;
-          bool first = true;
-          for (Consumer* consumer : core.consumers) {
-            consumer->overflow_requests = 0;
-            core.reservations.cancel(static_cast<core::ConsumerId>(consumer->index));
-            drain_locked(core, *consumer, now, *next, first, /*scheduled=*/true);
-            first = false;
-          }
-        }
-        core.producer_cv.notify_all();
-        run_handlers(core, lock);
+  // Parking: the fleet thread retires an empty core's manager; the thread
+  // is respawned (and `retired` cleared) on unpark.
+  while (running_.load(std::memory_order_relaxed) && !core.retired) {
+    std::optional<core::SlotIndex> due;
+    if (!core.step.overflow_pending()) {
+      const auto next = core.step.next_slot();
+      if (!next.has_value()) {
+        core.cv.wait(lock);
         continue;
       }
-    }
-
-    // The slot fired: one scheduled wakeup serves every consumer
-    // registered for it (the latching group).
-    ++core.stats.scheduled_wakeups;
-    {
-      const ScopedCpuTimer timer(core.stats.manager_cpu_ns);
-      const auto ids = core.reservations.take_slot(*next);
-      bool first = true;
-      for (const core::ConsumerId id : ids) {
-        drain_locked(core, *consumers_[id], now, *next, first, /*scheduled=*/true);
-        first = false;
+      if (core.cv.wait_until(lock, slot_deadline(*next)) != std::cv_status::timeout) {
+        continue;  // stop, overflow, or a spurious wake: re-evaluate
       }
+      due = next;
     }
+    const ScopedCpuTimer timer(core.stats.manager_cpu_ns);
+    const auto wake = core.step.wake(now_ns(), due);
+    if (!wake.has_value()) continue;
+    if (wake->kind == core::WakeKind::kOverflow) {
+      core.stats.overflow_wakeups += wake->consumers.size();
+    } else {
+      ++core.stats.scheduled_wakeups;
+    }
+    if (wake->kind == core::WakeKind::kWatchdog) {
+      // A slow handler, a fault or the scheduler stalled this manager.
+      ++core.stats.missed_deadlines;
+      obs::note_watchdog(static_cast<std::uint16_t>(core.index),
+                         wake->now - track_.start_of(wake->slot), wake->now);
+    }
+    // The manager thread slept, so the wake is paid.
+    for (std::size_t i = 0; i < wake->consumers.size(); ++i) {
+      drain_locked(core, *consumers_[wake->consumers[i]], *wake, wake->paid(i, true));
+    }
+    // Space is free the moment the drains are done: wake blocked
+    // producers BEFORE the handlers run, they can refill meanwhile.
+    core.producer_cv.notify_all();
     run_handlers(core, lock);
   }
 }
 
-void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
-                              std::int64_t slot, bool paid, bool scheduled) {
-  obs::note_wakeup(static_cast<std::uint16_t>(core.index),
-                   static_cast<std::uint32_t>(consumer.index), slot, paid, scheduled,
-                   now);
+void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& wake,
+                              bool paid) {
+  // The final sweep only accounts leftovers: no ledger wake, and the
+  // schedule is over.
+  const bool final_sweep = wake.kind == core::WakeKind::kFinal;
+  const SimTime now = wake.now;
+  if (!final_sweep) {
+    obs::note_wakeup(static_cast<std::uint16_t>(core.index),
+                     static_cast<std::uint32_t>(consumer.index), wake.slot, paid,
+                     wake.scheduled(), now);
+  }
   const auto drained_at = Clock::now();
   const std::uint64_t violations_before = consumer.planner.latency_violations();
   // Positional span sampling, consumer side: count drained positions and
@@ -963,16 +833,15 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
       record_payload += view->size - kStampBytes;
       records.push_back(*view);
     }
-    consumer.var_inflight = true;
   }
   const std::size_t total = batch + records.size();
+  if (final_sweep && total == 0) return;
+  consumer.var_inflight = consumer.var != nullptr;
   for (const std::uint64_t id : sampled) {
     obs::note_item_stage(static_cast<std::uint32_t>(consumer.index),
                          static_cast<std::uint16_t>(core.index), id,
                          obs::ItemStage::kDrainStart, now);
   }
-  consumer.planner.observe_batch(now, total);
-  core.stats.latency_violations += consumer.planner.latency_violations() - violations_before;
   core.stats.items += total;
   core.stats.consumed_bytes += record_payload;
   core.stats.batch_sizes.add(static_cast<double>(total));
@@ -980,16 +849,18 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, SimTime now,
   // Lock-free view for the fleet thread's rate measurement.
   consumer.drained_items.fetch_add(total, std::memory_order_relaxed);
 
-  make_reservation_locked(core, consumer, now);
-  core.pending.push_back({&consumer, total, slot, now, drained_at, std::move(sampled),
+  if (!final_sweep) {
+    consumer.planner.observe_batch(now, total);
+    core.stats.latency_violations +=
+        consumer.planner.latency_violations() - violations_before;
+    make_reservation_locked(core, consumer, now);
+  }
+  core.pending.push_back({&consumer, total, wake.slot, now, drained_at, std::move(sampled),
                           std::move(records)});
 }
 
 void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
   if (core.pending.empty()) return;
-  // Handler CPU is still manager-thread CPU; the timer's destructor
-  // writes the shard after the lock is re-held.
-  const ScopedCpuTimer timer(core.stats.manager_cpu_ns);
   lock.unlock();
   for (const PendingBatch& p : core.pending) {
     if (handler_) handler_(p.consumer->index, p.batch);
@@ -1004,10 +875,11 @@ void ThreadPbpl::run_handlers(Core& core, std::unique_lock<std::mutex>& lock) {
                                                    v.size - kStampBytes));
       }
     }
-    if (injector_ != nullptr && p.batch > 0) {
+    if (injector_ != nullptr && p.batch > 0 && running_.load(std::memory_order_relaxed)) {
       // Slow-consumer fault: the handler runs long on the manager thread
       // — stalling this core's schedule (and tripping its watchdog), but
-      // no lock is held, so producers and other cores keep going.
+      // no lock is held, so producers and other cores keep going.  After
+      // stop() there is no schedule left to stall.
       if (const SimDuration delay = injector_->handler_delay(); delay > 0) {
         std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
       }
@@ -1056,12 +928,12 @@ void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime
     if (config_.dynamic_resize) capacity += pool_.free_slots();
   }
   const core::SlotChoice choice = consumer.planner.plan(
-      now, track_, core.reservations, capacity, [&](std::size_t want) {
+      now, track_, core.step.reservations(), capacity, [&](std::size_t want) {
         return consumer.var != nullptr
                    ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
                    : consumer.buffer->resize(want);
       });
-  core.reservations.reserve(static_cast<core::ConsumerId>(consumer.index), choice.slot);
+  core.step.reserve(static_cast<core::ConsumerId>(consumer.index), choice.slot);
   ++core.stats.reservations;
   if (choice.latched) ++core.stats.latched_reservations;
   obs::note_reservation(static_cast<std::uint16_t>(core.index),

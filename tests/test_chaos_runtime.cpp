@@ -97,7 +97,8 @@ TEST(ChaosRuntime, DropNewestRejectionsAreFullyAccounted) {
 
 TEST(ChaosRuntime, EmergencyBorrowNeverDrops) {
   auto config = chaos_config();
-  config.overflow_policy = core::OverflowPolicy::EmergencyBorrow;
+  config.overflow_policy = core::OverflowPolicy::Block;
+  config.emergency_borrow = true;
   config.base_buffer = 8;
   config.pool_segment = 4;
   const auto stats = flood(config, 2, 600);

@@ -122,8 +122,10 @@ TEST(ConfigIo, OverflowPolicyAndWatchdogRoundTrip) {
   EXPECT_EQ(config.overflow_policy, OverflowPolicy::DropOldest);
   ASSERT_TRUE(apply_option(config, "overflow_policy=drop_newest", &error));
   EXPECT_EQ(config.overflow_policy, OverflowPolicy::DropNewest);
-  ASSERT_TRUE(apply_option(config, "overflow_policy=borrow", &error));
-  EXPECT_EQ(config.overflow_policy, OverflowPolicy::EmergencyBorrow);
+  // Borrowing is the emergency_borrow flag, not a policy.
+  EXPECT_FALSE(apply_option(config, "overflow_policy=borrow", &error));
+  EXPECT_NE(error.find("overflow_policy"), std::string::npos) << error;
+  EXPECT_EQ(config.overflow_policy, OverflowPolicy::DropNewest);
   ASSERT_TRUE(apply_option(config, "watchdog_factor=2.5", &error));
   EXPECT_DOUBLE_EQ(config.watchdog_factor, 2.5);
   EXPECT_FALSE(apply_option(config, "overflow_policy=panic", &error));
@@ -136,7 +138,7 @@ TEST(ConfigIo, OverflowPolicyAndWatchdogRoundTrip) {
   while (std::getline(dump, line)) {
     ASSERT_TRUE(apply_option(parsed, line, &error)) << line << ": " << error;
   }
-  EXPECT_EQ(parsed.overflow_policy, OverflowPolicy::EmergencyBorrow);
+  EXPECT_EQ(parsed.overflow_policy, OverflowPolicy::DropNewest);
   EXPECT_DOUBLE_EQ(parsed.watchdog_factor, 2.5);
 }
 

@@ -171,21 +171,37 @@ struct Digest {
   }
 };
 
+/// One sim-host configuration the trajectory digests are pinned for.
+struct TrajectoryCase {
+  bool latching;
+  bool dynamic_resize;
+  bool latency_guard;
+  std::uint64_t decisions;  ///< digest of the reservations and resizes
+  std::uint64_t wakes;      ///< digest of the wakeups and overflow actions
+};
+
+/// What one replay folds into its digests.
+struct Trajectory {
+  std::uint64_t decisions = 0;
+  std::uint64_t wakes = 0;
+};
+
 /// Replays five phase-shifted seeded web traces through the sim host
-/// under an obs session and folds every reservation (consumer, slot,
+/// under an obs session.  Folds every reservation (consumer, slot,
 /// latched, ts) and every queue resize (consumer, old and new capacity)
-/// into one digest, in the order the decisions were made.
-std::uint64_t decision_digest(bool latching, bool dynamic_resize, bool latency_guard,
-                              queue::BackendKind backend) {
+/// into one digest, and every wakeup (core, consumer, slot, paid,
+/// scheduled, ts) and every overflow action (core, consumer, action, ts)
+/// into a second, each in the order the host recorded them.
+Trajectory replay_trajectory(const TrajectoryCase& c, queue::BackendKind backend) {
   PbplConfig config;
   config.cores = 2;
   config.slot_size = milliseconds(5);
   config.max_latency = milliseconds(20);
   config.base_buffer = 16;
   config.pool_segment = 4;
-  config.latching = latching;
-  config.dynamic_resize = dynamic_resize;
-  config.latency_guard = latency_guard;
+  config.latching = c.latching;
+  config.dynamic_resize = c.dynamic_resize;
+  config.latency_guard = c.latency_guard;
   config.queue_backend = backend;
 
   trace::WebWorkloadParams workload;
@@ -215,63 +231,95 @@ std::uint64_t decision_digest(bool latching, bool dynamic_resize, bool latency_g
   (void)system.finish(workload.duration);
 
   EXPECT_EQ(session.ring_dropped(), 0u);
-  Digest digest;
+  Digest decisions;
+  Digest wakes;
+  Trajectory out;
   std::uint64_t reservations = 0;
   std::uint64_t resizes = 0;
+  std::uint64_t wakeups = 0;
+  std::uint64_t forced_drains = 0;
   for (const obs::Event& event : session.events()) {
-    if (event.kind == obs::EventKind::kReservation) {
-      ++reservations;
-      digest.add(event.consumer);
-      digest.add(static_cast<std::uint64_t>(event.arg0));
-      digest.add(static_cast<std::uint64_t>(event.arg1));
-      digest.add(static_cast<std::uint64_t>(event.ts_ns));
-    } else if (event.kind == obs::EventKind::kQueueResize) {
-      ++resizes;
-      digest.add(event.consumer);
-      digest.add(static_cast<std::uint64_t>(event.arg0));
-      digest.add(static_cast<std::uint64_t>(event.arg1));
+    switch (event.kind) {
+      case obs::EventKind::kReservation:
+        ++reservations;
+        decisions.add(event.consumer);
+        decisions.add(static_cast<std::uint64_t>(event.arg0));
+        decisions.add(static_cast<std::uint64_t>(event.arg1));
+        decisions.add(static_cast<std::uint64_t>(event.ts_ns));
+        break;
+      case obs::EventKind::kQueueResize:
+        ++resizes;
+        decisions.add(event.consumer);
+        decisions.add(static_cast<std::uint64_t>(event.arg0));
+        decisions.add(static_cast<std::uint64_t>(event.arg1));
+        break;
+      case obs::EventKind::kWakeup:
+        ++wakeups;
+        wakes.add(event.core);
+        wakes.add(event.consumer);
+        wakes.add(static_cast<std::uint64_t>(event.arg0));
+        wakes.add(event.paid() ? 1u : 0u);
+        wakes.add(event.scheduled() ? 1u : 0u);
+        wakes.add(static_cast<std::uint64_t>(event.ts_ns));
+        break;
+      case obs::EventKind::kOverflow:
+        if (static_cast<obs::OverflowAction>(event.arg0) ==
+            obs::OverflowAction::kForcedDrain) {
+          ++forced_drains;
+        }
+        wakes.add(event.core);
+        wakes.add(event.consumer);
+        wakes.add(static_cast<std::uint64_t>(event.arg0));
+        wakes.add(static_cast<std::uint64_t>(event.ts_ns));
+        break;
+      default:
+        break;
     }
   }
   EXPECT_GT(reservations, 0u);
+  EXPECT_GT(wakeups, 0u);
+  // Bursts outrun every configuration's buffers, so each case pins
+  // unscheduled wakes as well as slot wakes.
+  EXPECT_GT(forced_drains, 0u);
   // Bg = B0·M is fully lent out at start, so capacity only moves once
   // dynamic resizing frees pool space.
-  if (dynamic_resize) {
+  if (c.dynamic_resize) {
     EXPECT_GT(resizes, 0u);
   }
-  return digest.value;
+  out.decisions = decisions.value;
+  out.wakes = wakes.value;
+  return out;
 }
 
 TEST(DecisionTrajectory, SimHostReplaysTheRecordedDecisions) {
   // The reservation and resize trajectory of the sim host, pinned for
-  // every latching × dynamic_resize × latency_guard combination.  The
-  // digests were recorded from the two per-host copies of the decision
-  // that preceded core::ReservationPlanner; every backend kind must
-  // reproduce them, since the sim host's decisions never depend on the
-  // queue engine.
-  struct Case {
-    bool latching;
-    bool dynamic_resize;
-    bool latency_guard;
-    std::uint64_t digest;
+  // every latching × dynamic_resize × latency_guard combination, and its
+  // wake trajectory: who each wakeup served, under which slot, paid or
+  // free, and every overflow action.  The decision digests were recorded
+  // from the two per-host copies of the decision that preceded
+  // core::ReservationPlanner, the wake digests from the sim's own
+  // manager before core::ManagerStep; every backend kind must reproduce
+  // them, since the sim host's decisions never depend on the queue
+  // engine.
+  const TrajectoryCase kCases[] = {
+      {false, false, false, 0x1b353e5a13ee5e7eull, 0xd5ced1ac56ec2aaaull},
+      {false, false, true, 0x155bf1a3afd1fa03ull, 0x5cfa4f6c5d7b09bcull},
+      {false, true, false, 0x5118c8454e124e90ull, 0x64bb6637d8afa226ull},
+      {false, true, true, 0x915594da1057cdb5ull, 0x8e05dbe3d3d5d93cull},
+      {true, false, false, 0x1d64c66784d902d5ull, 0x0a800105bccaed29ull},
+      {true, false, true, 0xd605a62caa80461dull, 0xf32fabe687fa8565ull},
+      {true, true, false, 0x4f63c58c0ff9506cull, 0x235e66c80408f629ull},
+      {true, true, true, 0x7ec8cd8075f86736ull, 0xa7eec95f2b8db884ull},
   };
-  const Case kCases[] = {
-      {false, false, false, 0x1b353e5a13ee5e7eull},
-      {false, false, true, 0x155bf1a3afd1fa03ull},
-      {false, true, false, 0x5118c8454e124e90ull},
-      {false, true, true, 0x915594da1057cdb5ull},
-      {true, false, false, 0x1d64c66784d902d5ull},
-      {true, false, true, 0xd605a62caa80461dull},
-      {true, true, false, 0x4f63c58c0ff9506cull},
-      {true, true, true, 0x7ec8cd8075f86736ull},
-  };
-  for (const Case& c : kCases) {
+  for (const TrajectoryCase& c : kCases) {
     for (const auto backend : queue::kAllBackends) {
       SCOPED_TRACE(std::string("latching=") + (c.latching ? "1" : "0") +
                    " dynamic_resize=" + (c.dynamic_resize ? "1" : "0") +
                    " latency_guard=" + (c.latency_guard ? "1" : "0") + " backend=" +
                    queue::backend_name(backend));
-      EXPECT_EQ(decision_digest(c.latching, c.dynamic_resize, c.latency_guard, backend),
-                c.digest);
+      const Trajectory t = replay_trajectory(c, backend);
+      EXPECT_EQ(t.decisions, c.decisions);
+      EXPECT_EQ(t.wakes, c.wakes);
     }
   }
 }

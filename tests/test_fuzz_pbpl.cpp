@@ -176,7 +176,11 @@ TEST_P(RuntimeChaosFuzz, ThreadHostConservesUnderRandomFaultsAndStops) {
   config.emergency_borrow = rng.bernoulli(0.5);
   config.latency_guard = rng.bernoulli(0.3);
   config.latching = rng.bernoulli(0.8);
-  config.overflow_policy = static_cast<core::OverflowPolicy>(rng.next_below(4));
+  // Draw 3 is Block behind the pre-emptive borrow.
+  const std::uint64_t policy = rng.next_below(4);
+  config.overflow_policy =
+      policy == 3 ? core::OverflowPolicy::Block : static_cast<core::OverflowPolicy>(policy);
+  if (policy == 3) config.emergency_borrow = true;
   config.watchdog_factor = rng.bernoulli(0.5) ? rng.uniform(1.5, 4.0) : 0.0;
 
   fault::FaultConfig faults;
@@ -226,7 +230,6 @@ TEST_P(RuntimeChaosFuzz, ThreadHostConservesUnderRandomFaultsAndStops) {
   // Per-policy guarantees.
   switch (config.overflow_policy) {
     case core::OverflowPolicy::Block:
-    case core::OverflowPolicy::EmergencyBorrow:
       EXPECT_EQ(stats.dropped_oldest, 0u);
       EXPECT_EQ(stats.dropped_newest, 0u);
       break;
@@ -241,8 +244,7 @@ TEST_P(RuntimeChaosFuzz, ThreadHostConservesUnderRandomFaultsAndStops) {
     // With a graceful stop nothing was in flight, so the only losses are
     // deliberate policy drops.
     EXPECT_EQ(stats.dropped_on_stop, 0u);
-    if (config.overflow_policy == core::OverflowPolicy::Block ||
-        config.overflow_policy == core::OverflowPolicy::EmergencyBorrow) {
+    if (config.overflow_policy == core::OverflowPolicy::Block) {
       EXPECT_EQ(stats.items, stats.produced);
     }
   }

@@ -53,17 +53,24 @@ constexpr BackendKind kBackends[] = {BackendKind::Mutex, BackendKind::SpscRing,
 /// The kinds with a caller-placed (shm) variant: the SPSC ring's.  The
 /// MPSC lanes live on the heap only.
 constexpr BackendKind kPlacedBackends[] = {BackendKind::Mutex, BackendKind::SpscRing};
-constexpr OverflowPolicy kPolicies[] = {OverflowPolicy::Block,
-                                        OverflowPolicy::DropOldest,
-                                        OverflowPolicy::DropNewest,
-                                        OverflowPolicy::EmergencyBorrow};
+/// An overflow policy as the hosts apply it: `emergency_borrow` first
+/// grows the buffer by a quarter, once, and only then does `policy` act.
+struct Overflow {
+  OverflowPolicy policy;
+  bool emergency_borrow;
+};
+constexpr Overflow kBlock{OverflowPolicy::Block, false};
+constexpr Overflow kDropOldest{OverflowPolicy::DropOldest, false};
+constexpr Overflow kDropNewest{OverflowPolicy::DropNewest, false};
+constexpr Overflow kBorrowThenBlock{OverflowPolicy::Block, true};
+constexpr Overflow kPolicies[] = {kBlock, kDropOldest, kDropNewest, kBorrowThenBlock};
 
-const char* policy_name(OverflowPolicy policy) {
-  switch (policy) {
+const char* policy_name(Overflow overflow) {
+  if (overflow.emergency_borrow) return "BorrowThenBlock";
+  switch (overflow.policy) {
     case OverflowPolicy::Block: return "Block";
     case OverflowPolicy::DropOldest: return "DropOldest";
     case OverflowPolicy::DropNewest: return "DropNewest";
-    case OverflowPolicy::EmergencyBorrow: return "EmergencyBorrow";
   }
   return "?";
 }
@@ -152,7 +159,7 @@ struct Outcome {
   std::vector<std::uint64_t> residue;      ///< items still queued at the end
   std::vector<std::size_t> capacities;     ///< capacity after each resize
   std::uint64_t produced = 0;
-  std::uint64_t forced_drains = 0;         ///< Block/Borrow overflow wakeups
+  std::uint64_t forced_drains = 0;         ///< Block overflow wakeups
   std::uint64_t borrows = 0;               ///< successful emergency upsizes
   std::uint64_t rejected_pushes = 0;       ///< what overflows() must equal
 };
@@ -162,7 +169,7 @@ struct Outcome {
 /// applying one overflow policy exactly the way the hosts do.  Taking
 /// the hand-off as a parameter is what lets the same op stream run
 /// against heap-placed and shm-placed storage of the same backend.
-void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
+void drive_handoff(Handoff<std::uint64_t>& handoff, Overflow overflow,
                    std::uint64_t seed, Outcome& out) {
   Handoff<std::uint64_t>* queue = &handoff;
   Rng rng(seed);
@@ -172,7 +179,17 @@ void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
     ++out.produced;
     if (queue->try_push(item)) return;
     ++out.rejected_pushes;
-    switch (policy) {
+    if (overflow.emergency_borrow) {
+      const std::size_t cap = queue->capacity();
+      queue->resize(cap + std::max<std::size_t>(1, cap / 4));
+      out.capacities.push_back(queue->capacity());
+      if (queue->try_push(item)) {
+        ++out.borrows;
+        return;
+      }
+      ++out.rejected_pushes;
+    }
+    switch (overflow.policy) {
       case OverflowPolicy::DropNewest:
         out.dropped.push_back(item);
         return;
@@ -181,17 +198,6 @@ void drive_handoff(Handoff<std::uint64_t>& handoff, OverflowPolicy policy,
         const bool stored = queue->try_push(item);
         ASSERT_TRUE(stored) << "retry after evicting the oldest must succeed";
         return;
-      }
-      case OverflowPolicy::EmergencyBorrow: {
-        const std::size_t cap = queue->capacity();
-        queue->resize(cap + std::max<std::size_t>(1, cap / 4));
-        out.capacities.push_back(queue->capacity());
-        if (queue->try_push(item)) {
-          ++out.borrows;
-          return;
-        }
-        ++out.rejected_pushes;
-        [[fallthrough]];
       }
       case OverflowPolicy::Block: {
         // The hosts turn a blocked producer into a forced drain (the
@@ -243,7 +249,7 @@ BufferPool driver_pool() {
 }
 
 /// Heap-placed run of one backend kind.
-Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
+Outcome drive(BackendKind kind, Overflow policy, std::uint64_t seed) {
   BufferPool pool = driver_pool();
   auto queue = make_pool_handoff<std::uint64_t>(kind, pool, /*consumer=*/0);
   Outcome out;
@@ -252,7 +258,7 @@ Outcome drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
 }
 
 /// The same run against the reference semantics.
-Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
+Outcome drive_reference(Overflow policy, std::uint64_t seed) {
   BufferPool pool = driver_pool();
   ReferenceHandoff queue(pool);
   Outcome out;
@@ -264,7 +270,7 @@ Outcome drive_reference(OverflowPolicy policy, std::uint64_t seed) {
 /// shared-memory mapping (OffsetSlots placement) — the storage the
 /// pcpc::ipc host uses.  Placement must be semantically invisible: heap
 /// and shm runs must produce bit-identical outcomes.
-Outcome drive_in_shm(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
+Outcome drive_in_shm(BackendKind kind, Overflow policy, std::uint64_t seed) {
   BufferPool pool = driver_pool();
   // Max capacity saturates at Bg; one extra segment covers the
   // emergency-overcommit corner where a base grant exceeds the pool.
@@ -337,7 +343,7 @@ TEST(QueueDifferential, HeapAndShmPlacementsAgreeBitForBit) {
 
 TEST(QueueDifferential, LosslessPoliciesDropNothing) {
   for (const auto kind : kBackends) {
-    for (const auto policy : {OverflowPolicy::Block, OverflowPolicy::EmergencyBorrow}) {
+    for (const auto policy : {kBlock, kBorrowThenBlock}) {
       const Outcome out = drive(kind, policy, /*seed=*/7);
       EXPECT_TRUE(out.dropped.empty())
           << backend_name(kind) << "/" << policy_name(policy);
@@ -353,7 +359,7 @@ TEST(QueueDifferential, LosslessPoliciesDropNothing) {
 
 TEST(QueueDifferential, DroppingPoliciesKeepFifoOfSurvivors) {
   for (const auto kind : kBackends) {
-    for (const auto policy : {OverflowPolicy::DropOldest, OverflowPolicy::DropNewest}) {
+    for (const auto policy : {kDropOldest, kDropNewest}) {
       const Outcome out = drive(kind, policy, /*seed=*/1234);
       EXPECT_FALSE(out.dropped.empty())
           << "workload too tame to exercise " << policy_name(policy);
@@ -401,7 +407,7 @@ std::uint64_t var_payload_checksum(std::span<const std::byte> payload) {
   return sum;
 }
 
-void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
+void drive_var_handoff(VarHandoff& handoff, Overflow overflow,
                        std::uint64_t seed, VarOutcome& out) {
   Rng rng(seed);
   std::uint64_t next_seq = 1;
@@ -445,7 +451,17 @@ void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
     };
     if (offer()) return;
     ++out.rejected_reserves;
-    switch (policy) {
+    if (overflow.emergency_borrow) {
+      const std::size_t cap = handoff.capacity_bytes();
+      handoff.resize_bytes(cap + std::max<std::size_t>(64, cap / 4));
+      out.capacities.push_back(handoff.capacity_bytes());
+      if (offer()) {
+        ++out.borrows;
+        return;
+      }
+      ++out.rejected_reserves;
+    }
+    switch (overflow.policy) {
       case OverflowPolicy::DropNewest:
         out.dropped.push_back(size);
         return;
@@ -465,17 +481,6 @@ void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
           if (offer()) return;
           ++out.rejected_reserves;
         }
-      }
-      case OverflowPolicy::EmergencyBorrow: {
-        const std::size_t cap = handoff.capacity_bytes();
-        handoff.resize_bytes(cap + std::max<std::size_t>(64, cap / 4));
-        out.capacities.push_back(handoff.capacity_bytes());
-        if (offer()) {
-          ++out.borrows;
-          return;
-        }
-        ++out.rejected_reserves;
-        [[fallthrough]];
       }
       case OverflowPolicy::Block: {
         // Single-threaded stand-in for the blocked producer's forced
@@ -524,7 +529,7 @@ void drive_var_handoff(VarHandoff& handoff, OverflowPolicy policy,
 }
 
 /// Heap-placed varlen run.
-VarOutcome var_drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed) {
+VarOutcome var_drive(BackendKind kind, Overflow policy, std::uint64_t seed) {
   auto handoff = make_var_handoff(kind, /*capacity_bytes=*/1 << 10,
                                   /*max_bytes=*/4 << 10, /*max_record_payload=*/256);
   VarOutcome out;
@@ -534,7 +539,7 @@ VarOutcome var_drive(BackendKind kind, OverflowPolicy policy, std::uint64_t seed
 }
 
 /// Same workload with the ring storage in a real MAP_SHARED mapping.
-VarOutcome var_drive_in_shm(BackendKind kind, OverflowPolicy policy,
+VarOutcome var_drive_in_shm(BackendKind kind, Overflow policy,
                             std::uint64_t seed) {
   using PlacedRing = VarSpscRing<OffsetSlots>;
   const std::size_t bytes =
@@ -618,8 +623,7 @@ TEST(QueueDifferential, VarlenHeapAndShmPlacementsAgreeBitForBit) {
 
 TEST(QueueDifferential, VarlenLosslessPoliciesDropNothing) {
   for (const auto kind : kBackends) {
-    for (const auto policy :
-         {OverflowPolicy::Block, OverflowPolicy::EmergencyBorrow}) {
+    for (const auto policy : {kBlock, kBorrowThenBlock}) {
       const VarOutcome out = var_drive(kind, policy, /*seed=*/7);
       EXPECT_TRUE(out.dropped.empty())
           << backend_name(kind) << "/" << policy_name(policy);
@@ -653,7 +657,8 @@ TEST(QueueDifferential, ThreadHostConservesItemsPerBackendAndPolicy) {
       // The SPSC ring's contract is one producer thread per consumer.
       const std::size_t producers =
           kind == BackendKind::SpscRing ? 1 : kProducersPerConsumer;
-      runtime::ThreadPbpl host(kConsumers, runtime_config(kind, policy));
+      // The thread host runs with emergency_borrow at its default (on).
+      runtime::ThreadPbpl host(kConsumers, runtime_config(kind, policy.policy));
       std::vector<std::thread> threads;
       for (std::size_t c = 0; c < kConsumers; ++c) {
         for (std::size_t p = 0; p < producers; ++p) {
@@ -670,7 +675,7 @@ TEST(QueueDifferential, ThreadHostConservesItemsPerBackendAndPolicy) {
                                 policy_name(policy);
       EXPECT_EQ(stats.produced, kConsumers * producers * kItems) << label;
       EXPECT_EQ(stats.produced, stats.items + stats.dropped()) << label;
-      if (policy == OverflowPolicy::Block || policy == OverflowPolicy::EmergencyBorrow) {
+      if (policy.policy == OverflowPolicy::Block) {
         // Lossless policies may only lose items to the stop() race, and
         // those are accounted as dropped_on_stop — never silently.
         EXPECT_EQ(stats.dropped_oldest, 0u) << label;

@@ -5,9 +5,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "pcpc/core/config.hpp"
+#include "pcpc/obs/obs.hpp"
 #include "pcpc/runtime/cpu_meter.hpp"
 #include "pcpc/runtime/thread_baselines.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
@@ -93,6 +97,83 @@ TEST(ThreadPbpl, OverflowIsAbsorbedOrDrained) {
   const auto stats = runtime.stats();
   EXPECT_EQ(stats.items, 200u);
   EXPECT_GT(stats.emergency_borrows + stats.overflow_wakeups, 0u);
+}
+
+TEST(ThreadPbpl, ForcedDrainWakeServesTwoConsumersAtOneInstant) {
+  // One core whose slots never come due during the test, and buffers that
+  // can neither grow nor borrow: every full buffer blocks its producer on
+  // a forced drain.  The first drain's handler is held on a latch while
+  // both producers refill and block, so one overflow wake must serve the
+  // two requests together.
+  core::PbplConfig config;
+  config.cores = 1;
+  config.slot_size = seconds(2);
+  config.max_latency = seconds(10);
+  config.base_buffer = 4;
+  config.pool_segment = 4;
+  config.overflow_policy = core::OverflowPolicy::Block;
+  config.emergency_borrow = false;
+  config.dynamic_resize = false;
+
+  obs::Session session;
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool held = false;
+  bool released = false;
+  const auto handler = [&](std::size_t, std::size_t) {
+    std::unique_lock lock(latch_mutex);
+    if (held) return;
+    held = true;
+    latch_cv.notify_all();
+    latch_cv.wait(lock, [&] { return released; });
+  };
+  ThreadPbpl runtime(2, config, handler);
+
+  const auto flood = [&](std::size_t consumer, int items) {
+    return std::thread([&runtime, consumer, items] {
+      for (int i = 0; i < items; ++i) runtime.produce(consumer);
+    });
+  };
+  // Producer 0 fills its buffer and blocks on the fifth item; the drain's
+  // handler then holds the manager.
+  std::thread p0 = flood(0, 9);
+  {
+    std::unique_lock lock(latch_mutex);
+    latch_cv.wait(lock, [&] { return held; });
+  }
+  // Both producers now fill their buffers and block again: two more
+  // requests, each recorded before its producer waits.
+  std::thread p1 = flood(1, 5);
+  while (session.registry().collect().counter_value("overflow.forced_drains") < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard lock(latch_mutex);
+    released = true;
+  }
+  latch_cv.notify_all();
+  p0.join();
+  p1.join();
+  runtime.stop();
+
+  const auto stats = runtime.stats();
+  EXPECT_EQ(stats.items, 14u);
+  EXPECT_EQ(stats.overflow_wakeups, 3u);  // consumers served by forced drains
+  std::vector<obs::Event> drains;
+  for (const obs::Event& e : session.events()) {
+    if (e.kind == obs::EventKind::kWakeup && !e.scheduled()) drains.push_back(e);
+  }
+  ASSERT_EQ(drains.size(), 3u);
+  EXPECT_EQ(drains[0].consumer, 0u);
+  EXPECT_TRUE(drains[0].paid());
+  // The second wake: consumer 0 carries it, consumer 1 rides along free,
+  // both at the wake's one instant and under one slot label.
+  EXPECT_EQ(drains[1].consumer, 0u);
+  EXPECT_EQ(drains[2].consumer, 1u);
+  EXPECT_EQ(drains[1].ts_ns, drains[2].ts_ns);
+  EXPECT_EQ(drains[1].arg0, drains[2].arg0);
+  EXPECT_TRUE(drains[1].paid());
+  EXPECT_FALSE(drains[2].paid());
 }
 
 TEST(ThreadPbpl, GroupsInvocationsAcrossConsumers) {

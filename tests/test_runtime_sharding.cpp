@@ -92,9 +92,10 @@ TEST(RuntimeSharding, SlowHandlerOnOneCoreDoesNotStallTheOther) {
 TEST(RuntimeSharding, ConservationHoldsAcrossPoliciesAndBackends) {
   using core::OverflowPolicy;
   using queue::BackendKind;
+  // Block appears twice: with emergency_borrow at its default (on), the
+  // borrow-then-block path gets as many runs as each drop policy.
   const OverflowPolicy policies[] = {OverflowPolicy::Block, OverflowPolicy::DropOldest,
-                                     OverflowPolicy::DropNewest,
-                                     OverflowPolicy::EmergencyBorrow};
+                                     OverflowPolicy::DropNewest, OverflowPolicy::Block};
   const BackendKind backends[] = {BackendKind::Mutex, BackendKind::SpscRing,
                                   BackendKind::MpscSeg};
   for (const OverflowPolicy policy : policies) {
