@@ -5,12 +5,15 @@
 // prices the sim host's dominant event, one workload arrival, without
 // any consumer behind it.  BM_TimedWakeFloor
 // measures what a decision is compared against: the CPU one timed wake
-// costs a thread that does nothing else.
+// costs a thread that does nothing else.  The *Cold variants run the
+// same decisions with their data evicted from L1 and L2 before each
+// one, as a manager finds it after a slot's sleep.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -60,44 +63,115 @@ void BM_SlotTrackIndexing(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotTrackIndexing);
 
-void BM_ReservationChurn(benchmark::State& state) {
-  // The table's steady state: every consumer moves its single reservation
-  // forward each invocation.
-  const auto consumers = static_cast<std::size_t>(state.range(0));
-  ReservationTable table;
-  SlotIndex slot = 0;
-  for (std::size_t c = 0; c < consumers; ++c) {
-    table.reserve(static_cast<ConsumerId>(c), static_cast<SlotIndex>(c % 4));
-  }
-  ConsumerId next = 0;
+/// Bytes a cold variant streams through between iterations: four times
+/// a 2 MiB L2, so the decision's table and track are out of L1 and L2,
+/// as after a manager's slot sleep.
+constexpr std::size_t kEvictBytes = 8u << 20;
+
+/// Dirties one word per cache line of kEvictBytes.
+void evict_caches() {
+  static std::vector<std::uint64_t> lines(kEvictBytes / sizeof(std::uint64_t));
+  constexpr std::size_t kWordsPerLine = 64 / sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < lines.size(); i += kWordsPerLine) ++lines[i];
+  benchmark::ClobberMemory();
+}
+
+/// Runs `step` once per iteration with cold caches: evicts first, then
+/// times `step` alone (UseManualTime), so the eviction is not counted.
+/// One steady_clock read pair is inside every time.  The fixed iteration
+/// count bounds the run, since each eviction costs far more than the step
+/// it precedes.
+template <typename Step>
+void run_cold(benchmark::State& state, Step&& step) {
   for (auto _ : state) {
-    table.reserve(next, slot + static_cast<SlotIndex>(next % 4) + 1);
-    next = (next + 1) % static_cast<ConsumerId>(consumers);
-    if (next == 0) ++slot;
-    benchmark::DoNotOptimize(table.next_reserved(slot));
+    evict_caches();
+    const auto start = std::chrono::steady_clock::now();
+    step();
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
   }
+}
+
+constexpr benchmark::IterationCount kColdIterations = 2000;
+
+/// The table's steady state: every consumer moves its single reservation
+/// forward each invocation.
+class ReservationChurn {
+ public:
+  explicit ReservationChurn(std::size_t consumers)
+      : consumers_(static_cast<ConsumerId>(consumers)) {
+    for (ConsumerId c = 0; c < consumers_; ++c) {
+      table_.reserve(c, static_cast<SlotIndex>(c % 4));
+    }
+  }
+
+  void step() {
+    table_.reserve(next_, slot_ + static_cast<SlotIndex>(next_ % 4) + 1);
+    next_ = (next_ + 1) % consumers_;
+    if (next_ == 0) ++slot_;
+    benchmark::DoNotOptimize(table_.next_reserved(slot_));
+  }
+
+ private:
+  ConsumerId consumers_;
+  ReservationTable table_;
+  SlotIndex slot_ = 0;
+  ConsumerId next_ = 0;
+};
+
+void BM_ReservationChurn(benchmark::State& state) {
+  ReservationChurn churn(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) churn.step();
 }
 BENCHMARK(BM_ReservationChurn)->Arg(2)->Arg(10)->Arg(100);
 
+void BM_ReservationChurnCold(benchmark::State& state) {
+  ReservationChurn churn(static_cast<std::size_t>(state.range(0)));
+  run_cold(state, [&churn] { churn.step(); });
+}
+BENCHMARK(BM_ReservationChurnCold)
+    ->Arg(2)
+    ->Arg(10)
+    ->Arg(100)
+    ->UseManualTime()
+    ->Iterations(kColdIterations);
+
+/// Full reservation decision with a populated table — the paper's
+/// "constant time and energy" claim for the backtracking search.
+class ChooseSlot {
+ public:
+  ChooseSlot() : track_(milliseconds(10)) {
+    for (ConsumerId c = 0; c < 8; ++c) {
+      table_.reserve(c, static_cast<SlotIndex>(c) + 1);
+    }
+    query_.predicted_rate_hz = 2000.0;
+    query_.buffer_capacity = 25;
+    query_.max_latency = milliseconds(100);
+  }
+
+  void step() {
+    query_.now += 9'999'937;
+    benchmark::DoNotOptimize(choose_slot(track_, table_, query_, costs_));
+  }
+
+ private:
+  SlotTrack track_;
+  ReservationTable table_;
+  EnergyCosts costs_;
+  SlotQuery query_;
+};
+
 void BM_ChooseSlot(benchmark::State& state) {
-  // Full reservation decision with a populated table — the paper's
-  // "constant time and energy" claim for the backtracking search.
-  const SlotTrack track(milliseconds(10));
-  ReservationTable table;
-  for (ConsumerId c = 0; c < 8; ++c) {
-    table.reserve(c, static_cast<SlotIndex>(c) + 1);
-  }
-  const EnergyCosts costs;
-  SlotQuery query;
-  query.predicted_rate_hz = 2000.0;
-  query.buffer_capacity = 25;
-  query.max_latency = milliseconds(100);
-  for (auto _ : state) {
-    query.now += 9'999'937;
-    benchmark::DoNotOptimize(choose_slot(track, table, query, costs));
-  }
+  ChooseSlot decision;
+  for (auto _ : state) decision.step();
 }
 BENCHMARK(BM_ChooseSlot);
+
+void BM_ChooseSlotCold(benchmark::State& state) {
+  ChooseSlot decision;
+  run_cold(state, [&decision] { decision.step(); });
+}
+BENCHMARK(BM_ChooseSlotCold)->UseManualTime()->Iterations(kColdIterations);
 
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   sim::EventQueue queue;

@@ -6,7 +6,8 @@
 # pairs on process CPU time.  Fails when recording costs more than 5%
 # (median paired ratio), when the wakeup ledger's Σ w(τ) disagrees with
 # the simulator's own paid-wakeup counter, or when the exported
-# metrics.json is missing/empty.  Then runs the queue_floor backend
+# metrics.json does not hold a consistent metrics document (see
+# metrics_ok below).  Then runs the queue_floor backend
 # throughput gate and the shard_scaling runtime gate (4 cores must drain
 # a saturated handler-bound workload at >= 1.8x the 1-core rate without
 # minting wakeups beyond the slot schedule), the varlen_floor zero-copy
@@ -80,6 +81,34 @@ record_json() {
   record "$1" "${fields}${3:+,$3},\"pass\":${pass}"
 }
 
+# metrics_ok <file>: the file parses as one JSON object with counters,
+# histograms, wakeups and trace, and its wakeups.paid / wakeups.free
+# counters equal the ledger section's paid / free.
+metrics_ok() {
+  python3 - "$1" <<'PY'
+import json, sys
+
+path = sys.argv[1]
+try:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+except (OSError, ValueError) as err:
+    sys.exit(f"bench_smoke: {path}: {err}")
+if not isinstance(doc, dict):
+    sys.exit(f"bench_smoke: {path}: not a JSON object")
+missing = [k for k in ("counters", "histograms", "wakeups", "trace")
+           if not isinstance(doc.get(k), dict)]
+if missing:
+    sys.exit(f"bench_smoke: {path}: missing or non-object {missing}")
+for key in ("paid", "free"):
+    counter = doc["counters"].get(f"wakeups.{key}")
+    ledger = doc["wakeups"].get(key)
+    if not isinstance(counter, int) or counter != ledger:
+        sys.exit(f"bench_smoke: {path}: counters[\"wakeups.{key}\"] is {counter}, "
+                 f"wakeups.{key} is {ledger}")
+PY
+}
+
 # require <binary>: a gate binary that was not built is a setup error.
 require() {
   if [[ ! -x "${build}/bench/$1" ]]; then
@@ -99,10 +128,7 @@ gate obs_overhead 3 "${build}/bench/obs_overhead" \
   --metrics-out="${out}/metrics.json" \
   --max-overhead=1.05 \
   --repeats=9 --seconds=30 --pairs=8 --span-every=64
-if [[ ! -s "${out}/metrics.json" ]] || ! grep -q '"wakeups"' "${out}/metrics.json"; then
-  echo "bench_smoke: ${out}/metrics.json missing, empty or without a wakeup ledger" >&2
-  fail obs_overhead
-fi
+metrics_ok "${out}/metrics.json" || fail obs_overhead
 # The bench's last line is its JSON record of the last attempt: the
 # gated estimates that decide pass, both estimators behind each, the
 # min/max of the paired ratios and the repeat count.
@@ -158,9 +184,10 @@ echo "=== chaos_overload: exporter smoke (thread host) ==="
 if "${build}/bench/chaos_overload" "${out}/chaos.csv" \
     --trace-out="${out}/chaos_trace.json" \
     --metrics-out="${out}/chaos_metrics.json" > /dev/null; then
-  for f in chaos.csv chaos_trace.json chaos_metrics.json; do
+  for f in chaos.csv chaos_trace.json; do
     [[ -s "${out}/${f}" ]] || { echo "bench_smoke: ${out}/${f} missing" >&2; fail chaos_overload; }
   done
+  metrics_ok "${out}/chaos_metrics.json" || fail chaos_overload
 else
   fail chaos_overload
 fi

@@ -23,8 +23,10 @@ prefix="${1:-build-san}"
 # TSan's model) and runs fully under ASan/UBSan.  IpcPush drives the
 # same channel from threads of one process, so TSan checks it too.  The
 # sim engine keeps raw cursors into caller-owned traces (replay streams),
-# so its suites run under ASan/UBSan as well.
-suite_regex='EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|Registry|TraceRing|Session|WakeupLedger|Fleet|example_chaos_demo|example_live_threads'
+# so its suites run under ASan/UBSan as well.  ObsTally merges the
+# ledger shards of concurrent writers, and MetricsExport reads that
+# merged snapshot.
+suite_regex='EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|ObsTally|TraceRing|Session|WakeupLedger|MetricsExport|Fleet|example_chaos_demo|example_live_threads'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -36,7 +38,7 @@ run_pass() {
   cmake --build "${dir}" -j "$(nproc)" \
     --target test_sim test_chaos_runtime test_fault_injection test_runtime \
              test_runtime_sharding test_fleet \
-             test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger \
+             test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger test_obs_export \
              test_queue_differential test_queue_fuzz test_ipc_crash \
              test_ipc_push test_obs_ipc chaos_demo live_threads
   echo "=== ${name}: test ==="

@@ -4,8 +4,9 @@
 // ui.perfetto.dev (and chrome://tracing) load directly: cores become
 // tracks (tid), slot batches become duration events, and wakeups /
 // reservations / faults / drops become instant events carrying their
-// attribution in args.  The metrics exporters flatten the registry, the
-// wakeup ledger and the trace drop accounting into one flat document —
+// attribution in args.  The metrics exporters write one merged snapshot
+// of the wakeup ledger (its named counters, its batch histograms and its
+// paid/free rows) and the trace drop accounting as one document —
 // Σ w(τ) from Section IV is the "wakeups.paid" field.
 #pragma once
 
@@ -23,7 +24,7 @@ void write_perfetto_trace(std::ostream& out, Session& session);
 bool write_perfetto_trace(const std::string& path, Session& session,
                           std::string* error = nullptr);
 
-/// Writes counters, gauges, histograms, the wakeup ledger and trace drop
+/// Writes counters, histograms, the wakeup ledger and trace drop
 /// accounting as one JSON object.
 void write_metrics_json(std::ostream& out, Session& session);
 bool write_metrics_json(const std::string& path, Session& session,

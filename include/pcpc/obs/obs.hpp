@@ -1,10 +1,11 @@
 // pcpc::obs — the observability session.
 //
-// One Session owns the metrics registry, the per-thread trace rings, the
-// wakeup ledger and (optionally) a PowerTop-style periodic stderr
-// snapshot thread.  Constructing a Session installs it globally and arms
-// instrumentation across the whole library; destroying it disarms first,
-// then tears down.  At most one session is active at a time.
+// One Session owns the wakeup ledger (every count, in one shard per
+// writing thread), the per-thread trace rings and (optionally) a
+// PowerTop-style periodic stderr snapshot thread.  Constructing a
+// Session installs it globally and arms instrumentation across the whole
+// library; destroying it disarms first, then tears down.  At most one
+// session is active at a time.
 //
 // Hot-path contract: every note_*() helper is an inline wrapper whose
 // disabled cost is a single relaxed atomic load and a predictable branch.
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "pcpc/obs/events.hpp"
-#include "pcpc/obs/metrics.hpp"
 #include "pcpc/obs/trace_ring.hpp"
 #include "pcpc/obs/wakeup_ledger.hpp"
 
@@ -79,29 +79,10 @@ struct SessionOptions {
   std::uint64_t span_sample_every = 0;
 };
 
-/// Metric ids the instrumentation points hit; pre-registered so hot
-/// paths never take the name-lookup mutex.
-struct WellKnownMetrics {
-  Registry::Id wakeups_paid;
-  Registry::Id wakeups_free;
-  Registry::Id items;
-  Registry::Id batches;
-  Registry::Id reservations;
-  Registry::Id latched_reservations;
-  Registry::Id overflow_borrows;
-  Registry::Id overflow_drains;
-  Registry::Id drops;
-  Registry::Id queue_resizes;
-  Registry::Id watchdog_escalations;
-  Registry::Id faults_injected;
-  Registry::Id fleet_migrations;
-  Registry::Id fleet_parks;
-  Registry::Id fleet_unparks;
-  Registry::Id sim_events;
-  Registry::Id span_stages;  ///< counter: lifecycle stage events recorded
-  Registry::Id batch_ns;     ///< histogram: batch drain duration
-  Registry::Id batch_items;  ///< histogram: items per batch
-};
+namespace detail {
+/// A thread's resolved handles on the installed session (obs.cpp).
+struct HotPath;
+}  // namespace detail
 
 /// The active observability capture.
 class Session {
@@ -112,11 +93,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  Registry& registry() { return registry_; }
-  const Registry& registry() const { return registry_; }
   WakeupLedger& ledger() { return ledger_; }
   const WakeupLedger& ledger() const { return ledger_; }
-  const WellKnownMetrics& well() const { return well_; }
   const SessionOptions& options() const { return options_; }
 
   /// Host clock used for events without an explicit timestamp (fault
@@ -125,7 +103,8 @@ class Session {
   void set_clock(std::function<std::int64_t()> now_ns);
   std::int64_t now_ns() const;
 
-  /// Pushes one event into the calling thread's ring.
+  /// Pushes one event into the calling thread's ring (the note_* hot
+  /// path's, so the thread's one lookup serves both).
   void emit(const Event& event);
 
   /// Drains every thread ring into the central archive (bounded by
@@ -145,21 +124,20 @@ class Session {
   static Session* current();
 
  private:
-  friend struct RingAccess;
-  TraceRing& local_ring();
+  friend struct detail::HotPath;
+  /// A new trace ring for the calling thread (the hot path takes one per
+  /// thread per session).
+  TraceRing& add_ring();
   void snapshot_loop();
   void print_snapshot(double dt_s);
 
   SessionOptions options_;
-  Registry registry_;
   WakeupLedger ledger_;
-  WellKnownMetrics well_;
 
   mutable std::mutex mutex_;  // guards rings_ list and archive_
   std::vector<std::unique_ptr<TraceRing>> rings_;
   std::vector<Event> archive_;
   std::uint64_t archive_dropped_ = 0;
-  std::uint64_t generation_ = 0;
 
   std::function<std::int64_t()> clock_;
   std::chrono::steady_clock::time_point epoch_;
@@ -199,15 +177,16 @@ void note_item_stages_impl(std::uint32_t consumer, std::uint16_t core,
                            std::span<const ItemStamp> stamps);
 }  // namespace detail
 
-/// One consumer invocation at a core wakeup; feeds the ledger, the
-/// paid/free counters and the trace ring.
+/// One consumer invocation at a core wakeup; feeds the ledger's paid/free
+/// rows and the trace ring.
 inline void note_wakeup(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                         bool paid, bool scheduled, std::int64_t ts_ns) {
   if (!enabled()) return;
   detail::note_wakeup_impl(core, consumer, slot, paid, scheduled, ts_ns);
 }
 
-/// One batch drain (span event + batch histograms + item counter).
+/// One batch drain (span event + the ledger's work rows and batch
+/// histograms).
 inline void note_slot_batch(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                             std::uint64_t batch, std::int64_t ts_ns,
                             std::int64_t dur_ns) {
@@ -253,7 +232,8 @@ inline void note_fault(FaultKind kind, std::int64_t magnitude = 0) {
   detail::note_fault_impl(kind, magnitude);
 }
 
-/// An item was dropped.
+/// An item was dropped.  `consumer` must name a real consumer: the
+/// drops.items count is the sum of the ledger's per-consumer rows.
 inline void note_drop(std::uint32_t consumer, DropPath path, std::int64_t ts_ns) {
   if (!enabled()) return;
   detail::note_drop_impl(consumer, path, ts_ns);

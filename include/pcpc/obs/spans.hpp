@@ -16,22 +16,34 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "pcpc/obs/events.hpp"
-#include "pcpc/obs/metrics.hpp"
 
 namespace pcpc::obs {
 
-/// One log2-binned latency histogram (bin i counts values in
-/// [2^(i-1), 2^i), bin 0 counts <= 1 ns; same binning as the registry).
+/// Bins of every obs histogram; 64 cover every int64 value.
+inline constexpr std::size_t kHistogramBins = 64;
+
+/// The one log2 binning of obs histograms: bin i counts the values in
+/// [2^i, 2^(i+1)), and bin 0 also takes every value below 1.  So bin 0
+/// is every value <= 1, bin 1 is [2, 4), bin 10 is [1024, 2048).
+inline std::size_t log2_bin(std::int64_t value) {
+  if (value <= 0) return 0;
+  return static_cast<std::size_t>(
+      std::bit_width(static_cast<std::uint64_t>(value)) - 1);
+}
+
+/// One latency histogram, binned by log2_bin(); a negative sample counts
+/// as 0 ns.
 struct StageHistogram {
   std::uint64_t count = 0;
   std::int64_t min_ns = 0;
   std::int64_t max_ns = 0;
-  std::array<std::uint64_t, Registry::kHistogramBins> bins{};
+  std::array<std::uint64_t, kHistogramBins> bins{};
 
   void add(std::int64_t ns);
 };

@@ -1,16 +1,20 @@
-// The wakeup ledger: paid/free attribution of every core wakeup.
+// The wakeup ledger: paid/free attribution of every core wakeup, and
+// every other count the obs layer keeps.
 //
 // Section IV's objective is Σ_i Σ_j w(τ_{i,j}) — each consumer invocation
-// charges ω only when its core had to leave idle.  Both hosts report a
-// single aggregate today; the ledger keeps the per-consumer and per-core
-// breakdown so "which pair is burning the wakeups" is a query, not a
-// guess.  Recording sits on the wakeup hot path of both hosts, so it uses
-// the same discipline as the metrics registry: one fixed-size shard per
-// writing thread (single-writer cells, relaxed load+store — no lock, no
-// lock-prefixed RMW), merged under a mutex only when somebody reads.  A
-// writing thread takes its shard once, as a Writer (the obs hot path
-// keeps it with the thread's other per-session handles), so a record is
-// a few stores with no lookup.
+// charges ω only when its core had to leave idle.  The ledger keeps it
+// per consumer and per core, beside each row's work (items, batches,
+// drops), so "which pair is burning the wakeups" is a query, not a guess.
+// A total is the sum of its rows; the counts no row holds (reservations,
+// overflow actions, faults, fleet actions, ...) and the batch histograms
+// are fixed cells of the same shard.  So every count is written once.
+//
+// Recording sits on the wakeup hot path of every host: one fixed-size
+// shard per writing thread (single-writer cells, relaxed load+store — no
+// lock, no lock-prefixed RMW), merged under a mutex only when somebody
+// reads.  A writing thread takes its shard once, as a Writer (the obs hot
+// path keeps it beside the thread's trace ring), so a record is a few
+// stores with no lookup.
 #pragma once
 
 #include <array>
@@ -18,17 +22,44 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "pcpc/common/assert.hpp"
+#include "pcpc/obs/spans.hpp"
 
 namespace pcpc::obs {
 
-/// Accumulates paid/free wakeup attributions per consumer and per core.
+/// Accumulates every obs count, per writing thread.
 class WakeupLedger {
  public:
   static constexpr std::size_t kMaxConsumers = 1024;
   static constexpr std::size_t kMaxCores = 256;
+
+  /// Counts no ledger row holds: one cell each per shard.
+  enum class Counter : std::uint8_t {
+    kReservations,
+    kLatchedReservations,
+    kEmergencyBorrows,
+    kForcedDrains,
+    kQueueResizes,
+    kWatchdogEscalations,
+    kFaultsInjected,
+    kFleetMigrations,
+    kFleetParks,
+    kFleetUnparks,
+    kSimEvents,
+    kSpanStages,
+  };
+  static constexpr std::size_t kCounters = 12;
+  static_assert(static_cast<std::size_t>(Counter::kSpanStages) + 1 == kCounters);
+
+  /// Histograms of every recorded batch, binned by log2_bin().
+  enum class Histogram : std::uint8_t { kBatchNs, kBatchItems };
+  static constexpr std::size_t kHistograms = 2;
+  static_assert(static_cast<std::size_t>(Histogram::kBatchItems) + 1 == kHistograms);
+
+  using Bins = std::array<std::uint64_t, kHistogramBins>;
 
   struct Attribution {
     std::uint64_t paid = 0;
@@ -44,6 +75,48 @@ class WakeupLedger {
     std::uint64_t items = 0;
     std::uint64_t batches = 0;
     std::uint64_t drops = 0;
+    bool empty() const { return items == 0 && batches == 0 && drops == 0; }
+  };
+
+  /// A counter under its export name.
+  struct NamedCounter {
+    const char* name;
+    std::uint64_t value;
+  };
+
+  /// A histogram under its export name; `total` is the sum of its bins.
+  struct NamedHistogram {
+    const char* name;
+    std::uint64_t total;
+    const Bins* bins;
+  };
+
+  /// Every shard merged in one pass.
+  struct Snapshot {
+    /// Attribution by core, trimmed past the last core with wakeups.
+    std::vector<Attribution> per_core;
+    /// Attribution by consumer id, trimmed likewise (holes are zero).
+    std::vector<Attribution> per_consumer;
+    /// Work by core, trimmed past the last core with work.
+    std::vector<Work> per_core_work;
+    /// Work by consumer id, trimmed likewise.
+    std::vector<Work> per_consumer_work;
+    std::array<std::uint64_t, kCounters> counter_cells{};
+    std::array<Bins, kHistograms> histogram_bins{};
+
+    /// Σ w(τ) and the free invocations: the per-core rows summed.
+    Attribution wakeups() const;
+    /// Items and batches summed over the per-core rows (a batch always
+    /// names its core), drops over the per-consumer rows (a drop always
+    /// names its consumer).
+    Work work() const;
+
+    /// Every counter under its export name, in export order.
+    std::vector<NamedCounter> counters() const;
+    /// Every histogram under its export name, in export order.
+    std::vector<NamedHistogram> histograms() const;
+    /// Counter value by export name; 0 when absent.
+    std::uint64_t counter_value(std::string_view name) const;
   };
 
   class Writer;
@@ -56,152 +129,47 @@ class WakeupLedger {
   /// writing thread and keep it: every call adds a shard.
   Writer writer();
 
+  /// Sums every thread's shard.  Safe concurrently with writers (values
+  /// may trail in-flight records by design).
+  Snapshot snapshot() const;
+
   /// Σ w(τ): total paid wakeups.
-  std::uint64_t paid_total() const {
-    std::scoped_lock lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) total += load(shard->totals).paid;
-    return total;
-  }
+  std::uint64_t paid_total() const { return snapshot().wakeups().paid; }
 
   /// Invocations that latched onto an already-awake core.
-  std::uint64_t free_total() const {
+  std::uint64_t free_total() const { return snapshot().wakeups().free; }
+
+  /// Number of thread shards taken so far (tests).
+  std::size_t shard_count() const {
     std::scoped_lock lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) total += load(shard->totals).free;
-    return total;
-  }
-
-  /// Attribution indexed by consumer id, trimmed past the last consumer
-  /// with any wakeups (holes are zero).
-  std::vector<Attribution> per_consumer() const {
-    return merged([](const Shard& s) { return s.consumers.data(); }, kMaxConsumers);
-  }
-
-  /// Attribution indexed by core, trimmed likewise.
-  std::vector<Attribution> per_core() const {
-    return merged([](const Shard& s) { return s.cores.data(); }, kMaxCores);
-  }
-
-  /// Work indexed by consumer id, trimmed like per_consumer().
-  std::vector<Work> per_consumer_work() const {
-    return merged_work([](const Shard& s) { return s.consumers.data(); }, kMaxConsumers);
-  }
-
-  /// Work indexed by core, trimmed likewise.
-  std::vector<Work> per_core_work() const {
-    return merged_work([](const Shard& s) { return s.cores.data(); }, kMaxCores);
-  }
-
-  /// Σ items drained across all consumers.
-  std::uint64_t items_total() const {
-    std::scoped_lock lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_)
-      for (const auto& row : shard->consumers)
-        total += row.work.items.load(std::memory_order_relaxed);
-    return total;
-  }
-
-  /// Σ drops across all consumers.
-  std::uint64_t drops_total() const {
-    std::scoped_lock lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_)
-      for (const auto& row : shard->consumers)
-        total += row.work.drops.load(std::memory_order_relaxed);
-    return total;
+    return shards_.size();
   }
 
  private:
-  struct Cell {
-    std::atomic<std::uint64_t> paid{0};
-    std::atomic<std::uint64_t> free{0};
-  };
-
-  struct WorkCell {
-    std::atomic<std::uint64_t> items{0};
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> drops{0};
-  };
+  using Cell = std::atomic<std::uint64_t>;
 
   /// One consumer's (or core's) wakeups and work side by side, so the
   /// wakeup and the batch of one invocation touch the same 40 bytes, and
   /// a handful of pairs share a few hot lines.
   struct Row {
-    Cell wakes;
-    WorkCell work;
+    Cell paid{0};
+    Cell free{0};
+    Cell items{0};
+    Cell batches{0};
+    Cell drops{0};
   };
 
   struct Shard {
-    Cell totals;
+    std::array<Cell, kCounters> counters{};
+    std::array<std::array<Cell, kHistogramBins>, kHistograms> histograms{};
     std::array<Row, kMaxCores> cores{};
     std::array<Row, kMaxConsumers> consumers{};
   };
 
   /// Single-writer increment: each shard belongs to one thread, so a
   /// relaxed load+store is race-free and skips the lock prefix.
-  static void bump(Cell& cell, bool paid) {
-    std::atomic<std::uint64_t>& c = paid ? cell.paid : cell.free;
-    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  }
-
-  static Attribution load(const Cell& cell) {
-    return {cell.paid.load(std::memory_order_relaxed),
-            cell.free.load(std::memory_order_relaxed)};
-  }
-
-  /// Single-writer work increment, same discipline as bump().
-  static void bump_work(WorkCell& cell, std::uint64_t items, std::uint64_t batches,
-                        std::uint64_t drops) {
-    const auto add = [](std::atomic<std::uint64_t>& c, std::uint64_t n) {
-      if (n != 0)
-        c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-    };
-    add(cell.items, items);
-    add(cell.batches, batches);
-    add(cell.drops, drops);
-  }
-
-  static Work load_work(const WorkCell& cell) {
-    return {cell.items.load(std::memory_order_relaxed),
-            cell.batches.load(std::memory_order_relaxed),
-            cell.drops.load(std::memory_order_relaxed)};
-  }
-
-  template <typename RowsOf>
-  std::vector<Attribution> merged(RowsOf rows_of, std::size_t capacity) const {
-    std::scoped_lock lock(mutex_);
-    std::vector<Attribution> out(capacity);
-    for (const auto& shard : shards_) {
-      const Row* rows = rows_of(*shard);
-      for (std::size_t i = 0; i < capacity; ++i) {
-        const Attribution a = load(rows[i].wakes);
-        out[i].paid += a.paid;
-        out[i].free += a.free;
-      }
-    }
-    while (!out.empty() && out.back().total() == 0) out.pop_back();
-    return out;
-  }
-
-  template <typename RowsOf>
-  std::vector<Work> merged_work(RowsOf rows_of, std::size_t capacity) const {
-    std::scoped_lock lock(mutex_);
-    std::vector<Work> out(capacity);
-    for (const auto& shard : shards_) {
-      const Row* rows = rows_of(*shard);
-      for (std::size_t i = 0; i < capacity; ++i) {
-        const Work w = load_work(rows[i].work);
-        out[i].items += w.items;
-        out[i].batches += w.batches;
-        out[i].drops += w.drops;
-      }
-    }
-    while (!out.empty() && out.back().items == 0 && out.back().batches == 0 &&
-           out.back().drops == 0)
-      out.pop_back();
-    return out;
+  static void bump(Cell& cell, std::uint64_t n = 1) {
+    cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
   mutable std::mutex mutex_;
@@ -216,35 +184,53 @@ class WakeupLedger::Writer {
   /// paper's w: true iff this invocation woke an idle core.
   void record(std::uint16_t core, std::uint32_t consumer, bool paid) {
     PCPC_ASSERT(core < kMaxCores);
-    bump(shard_->totals, paid);
-    bump(shard_->cores[core].wakes, paid);
-    if (consumer != 0xffffffffu) {
+    Row& core_row = shard_->cores[core];
+    bump(paid ? core_row.paid : core_row.free);
+    if (consumer != kNoConsumer) {
       PCPC_ASSERT(consumer < kMaxConsumers);
-      bump(shard_->consumers[consumer].wakes, paid);
+      Row& row = shard_->consumers[consumer];
+      bump(paid ? row.paid : row.free);
     }
   }
 
   /// One drained batch: `items` popped in one invocation of `consumer`
-  /// on `core`.  Called per batch (not per item) from note_slot_batch.
-  void record_batch(std::uint16_t core, std::uint32_t consumer, std::uint64_t items) {
+  /// on `core`, in `dur_ns`.  Feeds both rows and the batch histograms.
+  void record_batch(std::uint16_t core, std::uint32_t consumer, std::uint64_t items,
+                    std::int64_t dur_ns) {
     PCPC_ASSERT(core < kMaxCores);
-    bump_work(shard_->cores[core].work, items, 1, 0);
-    if (consumer != 0xffffffffu) {
+    add_batch(shard_->cores[core], items);
+    if (consumer != kNoConsumer) {
       PCPC_ASSERT(consumer < kMaxConsumers);
-      bump_work(shard_->consumers[consumer].work, items, 1, 0);
+      add_batch(shard_->consumers[consumer], items);
     }
+    bump(bins(Histogram::kBatchNs)[log2_bin(dur_ns)]);
+    bump(bins(Histogram::kBatchItems)[log2_bin(static_cast<std::int64_t>(items))]);
   }
 
   /// One dropped item charged to `consumer` (core unknown at drop time).
   void record_drop(std::uint32_t consumer) {
-    if (consumer == 0xffffffffu) return;
     PCPC_ASSERT(consumer < kMaxConsumers);
-    bump_work(shard_->consumers[consumer].work, 0, 0, 1);
+    bump(shard_->consumers[consumer].drops);
+  }
+
+  /// `n` more of a count no row holds.
+  void add(Counter counter, std::uint64_t n = 1) {
+    bump(shard_->counters[static_cast<std::size_t>(counter)], n);
   }
 
  private:
   friend class WakeupLedger;
   explicit Writer(Shard* shard) : shard_(shard) {}
+
+  static void add_batch(Row& row, std::uint64_t items) {
+    if (items != 0) bump(row.items, items);
+    bump(row.batches);
+  }
+
+  std::array<Cell, kHistogramBins>& bins(Histogram histogram) {
+    return shard_->histograms[static_cast<std::size_t>(histogram)];
+  }
+
   Shard* shard_;
 };
 

@@ -94,15 +94,15 @@ AttributionReport build_attribution(Session& session, const AttributionOptions& 
   AttributionReport report;
   report.spans = fold_spans(session.events());
 
-  const WakeupLedger& ledger = session.ledger();
-  const auto wakeups = ledger.per_consumer();
-  const auto work = ledger.per_consumer_work();
+  const WakeupLedger::Snapshot ledger = session.ledger().snapshot();
+  const auto& wakeups = ledger.per_consumer;
+  const auto& work = ledger.per_consumer_work;
   const std::size_t n_pairs = std::max(wakeups.size(), work.size());
   for (std::size_t i = 0; i < n_pairs; ++i) {
     const WakeupLedger::Attribution w =
         i < wakeups.size() ? wakeups[i] : WakeupLedger::Attribution{};
     const WakeupLedger::Work k = i < work.size() ? work[i] : WakeupLedger::Work{};
-    if (w.total() == 0 && k.items == 0 && k.batches == 0 && k.drops == 0) continue;
+    if (w.total() == 0 && k.empty()) continue;
     PairAttribution& row = pair_row(report, static_cast<std::uint32_t>(i));
     row.paid = w.paid;
     row.free = w.free;
@@ -111,15 +111,15 @@ AttributionReport build_attribution(Session& session, const AttributionOptions& 
     row.drops = k.drops;
   }
 
-  const auto core_wakeups = ledger.per_core();
-  const auto core_work = ledger.per_core_work();
+  const auto& core_wakeups = ledger.per_core;
+  const auto& core_work = ledger.per_core_work;
   const std::size_t n_cores = std::max(core_wakeups.size(), core_work.size());
   for (std::size_t i = 0; i < n_cores; ++i) {
     const WakeupLedger::Attribution w =
         i < core_wakeups.size() ? core_wakeups[i] : WakeupLedger::Attribution{};
     const WakeupLedger::Work k =
         i < core_work.size() ? core_work[i] : WakeupLedger::Work{};
-    if (w.total() == 0 && k.items == 0 && k.batches == 0) continue;
+    if (w.total() == 0 && k.empty()) continue;
     CoreAttribution row;
     row.core = static_cast<std::uint16_t>(i);
     row.paid = w.paid;

@@ -9,7 +9,7 @@ namespace pcpc::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (metric names and labels are ASCII, but
+/// Minimal JSON string escaping (event names and labels are ASCII, but
 /// never trust a name you didn't write).
 std::string json_escape(const std::string& raw) {
   std::string out;
@@ -118,17 +118,18 @@ bool write_file(const std::string& path, std::string* error, WriteFn&& fn) {
   return true;
 }
 
-void write_ledger_json(std::ostream& out, const WakeupLedger& ledger) {
-  out << "{\"paid\":" << ledger.paid_total() << ",\"free\":" << ledger.free_total();
+void write_ledger_json(std::ostream& out, const WakeupLedger::Snapshot& ledger) {
+  const WakeupLedger::Attribution wakes = ledger.wakeups();
+  out << "{\"paid\":" << wakes.paid << ",\"free\":" << wakes.free;
   out << ",\"per_consumer\":[";
-  const auto consumers = ledger.per_consumer();
+  const auto& consumers = ledger.per_consumer;
   for (std::size_t i = 0; i < consumers.size(); ++i) {
     if (i > 0) out << ',';
     out << "{\"consumer\":" << i << ",\"paid\":" << consumers[i].paid
         << ",\"free\":" << consumers[i].free << '}';
   }
   out << "],\"per_core\":[";
-  const auto cores = ledger.per_core();
+  const auto& cores = ledger.per_core;
   for (std::size_t i = 0; i < cores.size(); ++i) {
     if (i > 0) out << ',';
     out << "{\"core\":" << i << ",\"paid\":" << cores[i].paid
@@ -241,38 +242,33 @@ bool write_perfetto_trace(const std::string& path, Session& session,
 }
 
 void write_metrics_json(std::ostream& out, Session& session) {
-  const Registry::Snapshot snapshot = session.registry().collect();
+  const WakeupLedger::Snapshot snapshot = session.ledger().snapshot();
+  const auto counters = snapshot.counters();
   out << "{\"counters\":{";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
+  for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i > 0) out << ',';
-    out << '"' << json_escape(snapshot.counters[i].name)
-        << "\":" << snapshot.counters[i].value;
-  }
-  out << "},\"gauges\":{";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << json_escape(snapshot.gauges[i].name)
-        << "\":" << snapshot.gauges[i].value;
+    out << '"' << counters[i].name << "\":" << counters[i].value;
   }
   out << "},\"histograms\":{";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const auto& h = snapshot.histograms[i];
+  const auto histograms = snapshot.histograms();
+  for (std::size_t i = 0; i < histograms.size(); ++i) {
+    const WakeupLedger::Bins& bins = *histograms[i].bins;
     if (i > 0) out << ',';
-    out << '"' << json_escape(h.name) << "\":{\"total\":" << h.total
+    out << '"' << histograms[i].name << "\":{\"total\":" << histograms[i].total
         << ",\"log2_bins\":[";
     // Trailing zero bins are elided; the bin index is implicit.
     std::size_t last = 0;
-    for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      if (h.bins[b] != 0) last = b + 1;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (bins[b] != 0) last = b + 1;
     }
     for (std::size_t b = 0; b < last; ++b) {
       if (b > 0) out << ',';
-      out << h.bins[b];
+      out << bins[b];
     }
     out << "]}";
   }
   out << "},\"wakeups\":";
-  write_ledger_json(out, session.ledger());
+  write_ledger_json(out, snapshot);
   out << ",\"trace\":{\"recorded\":" << session.total_events_recorded()
       << ",\"dropped_ring\":" << session.ring_dropped()
       << ",\"dropped_archive\":" << session.archive_dropped() << "}}";
@@ -284,21 +280,18 @@ bool write_metrics_json(const std::string& path, Session& session, std::string* 
 }
 
 void write_metrics_csv(std::ostream& out, Session& session) {
-  const Registry::Snapshot snapshot = session.registry().collect();
+  const WakeupLedger::Snapshot snapshot = session.ledger().snapshot();
   out << "metric,kind,value\n";
-  for (const auto& c : snapshot.counters) {
+  for (const auto& c : snapshot.counters()) {
     out << c.name << ",counter," << c.value << '\n';
   }
-  for (const auto& g : snapshot.gauges) {
-    out << g.name << ",gauge," << g.value << '\n';
-  }
-  for (const auto& h : snapshot.histograms) {
+  for (const auto& h : snapshot.histograms()) {
     out << h.name << ".count,histogram," << h.total << '\n';
   }
-  const WakeupLedger& ledger = session.ledger();
-  out << "wakeups.ledger.paid,counter," << ledger.paid_total() << '\n';
-  out << "wakeups.ledger.free,counter," << ledger.free_total() << '\n';
-  const auto consumers = ledger.per_consumer();
+  const WakeupLedger::Attribution wakes = snapshot.wakeups();
+  out << "wakeups.ledger.paid,counter," << wakes.paid << '\n';
+  out << "wakeups.ledger.free,counter," << wakes.free << '\n';
+  const auto& consumers = snapshot.per_consumer;
   for (std::size_t i = 0; i < consumers.size(); ++i) {
     out << "wakeups.consumer." << i << ".paid,counter," << consumers[i].paid << '\n';
     out << "wakeups.consumer." << i << ".free,counter," << consumers[i].free << '\n';

@@ -101,27 +101,7 @@ const char* fault_kind_name(FaultKind kind) {
 Session::Session(SessionOptions options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {
   PCPC_ASSERT_MSG(g_session.load() == nullptr, "an obs::Session is already installed");
-  well_.wakeups_paid = registry_.counter("wakeups.paid");
-  well_.wakeups_free = registry_.counter("wakeups.free");
-  well_.items = registry_.counter("consumer.items");
-  well_.batches = registry_.counter("consumer.batches");
-  well_.reservations = registry_.counter("consumer.reservations");
-  well_.latched_reservations = registry_.counter("consumer.latched_reservations");
-  well_.overflow_borrows = registry_.counter("overflow.emergency_borrows");
-  well_.overflow_drains = registry_.counter("overflow.forced_drains");
-  well_.drops = registry_.counter("drops.items");
-  well_.queue_resizes = registry_.counter("queue.resizes");
-  well_.watchdog_escalations = registry_.counter("watchdog.escalations");
-  well_.faults_injected = registry_.counter("faults.injected");
-  well_.fleet_migrations = registry_.counter("fleet.migrations");
-  well_.fleet_parks = registry_.counter("fleet.parks");
-  well_.fleet_unparks = registry_.counter("fleet.unparks");
-  well_.sim_events = registry_.counter("sim.events_dispatched");
-  well_.span_stages = registry_.counter("span.stages");
-  well_.batch_ns = registry_.histogram("consumer.batch_ns");
-  well_.batch_items = registry_.histogram("consumer.batch_items");
-
-  generation_ = g_session_generation.fetch_add(1) + 1;
+  g_session_generation.fetch_add(1);
   g_session.store(this, std::memory_order_release);
   detail::g_span_every.store(options_.span_sample_every, std::memory_order_release);
   detail::g_enabled.store(true, std::memory_order_release);
@@ -162,29 +142,11 @@ std::int64_t Session::now_ns() const {
       .count();
 }
 
-/// Thread-local ring cache keyed by session generation.
-struct RingAccess {
-  struct Cache {
-    std::uint64_t generation = 0;
-    TraceRing* ring = nullptr;
-  };
-  static Cache& cache() {
-    thread_local Cache tls;
-    return tls;
-  }
-  static TraceRing& ring(Session& session) { return session.local_ring(); }
-};
-
-TraceRing& Session::local_ring() {
-  auto& cache = RingAccess::cache();
-  if (cache.ring != nullptr && cache.generation == generation_) return *cache.ring;
+TraceRing& Session::add_ring() {
   std::scoped_lock lock(mutex_);
   rings_.push_back(std::make_unique<TraceRing>(options_.ring_capacity));
-  cache = {generation_, rings_.back().get()};
-  return *cache.ring;
+  return *rings_.back();
 }
-
-void Session::emit(const Event& event) { local_ring().push(event); }
 
 void Session::archive_now() {
   std::scoped_lock lock(mutex_);
@@ -240,11 +202,11 @@ void Session::snapshot_loop() {
 }
 
 void Session::print_snapshot(double dt_s) {
-  const Registry::Snapshot snapshot = registry_.collect();
-  const std::uint64_t wakeups = snapshot.counter_value("wakeups.paid") +
-                                snapshot.counter_value("wakeups.free");
-  const std::uint64_t items = snapshot.counter_value("consumer.items");
-  const std::uint64_t drops = snapshot.counter_value("drops.items");
+  const WakeupLedger::Snapshot snapshot = ledger_.snapshot();
+  const std::uint64_t wakeups = snapshot.wakeups().total();
+  const WakeupLedger::Work work = snapshot.work();
+  const std::uint64_t items = work.items;
+  const std::uint64_t drops = work.drops;
   const std::int64_t cpu = process_cpu_ns();
   std::fprintf(stderr,
                "[pcpc obs] wakeups/s %8.1f | CPU ms/s %7.2f | items/s %9.1f | "
@@ -263,86 +225,27 @@ void Session::print_snapshot(double dt_s) {
 
 namespace detail {
 
-namespace {
-
 /// Everything one note_*() call touches, resolved once per thread per
-/// session: direct pointers to this thread's counter cells, histogram
-/// bin arrays, ledger shard and trace ring.  One generation check
-/// replaces the session-pointer acquire plus two to four independent TLS
-/// cache lookups the naive path pays per event — at tens of thousands of
+/// session: the thread's ledger shard (every count) and its trace ring.
+/// One generation check replaces the session-pointer acquire plus the
+/// TLS lookups the naive path pays per event — at tens of thousands of
 /// wakeups per simulated second that difference is the overhead budget.
 struct HotPath {
   std::uint64_t generation = 0;
   Session* session = nullptr;
   TraceRing* ring = nullptr;
   std::optional<WakeupLedger::Writer> ledger;
-  // The cells every sim-host invocation uses come first, on the same
-  // lines as the handles above.
-  std::atomic<std::uint64_t>* wakeups_paid = nullptr;
-  std::atomic<std::uint64_t>* wakeups_free = nullptr;
-  std::atomic<std::uint64_t>* items = nullptr;
-  std::atomic<std::uint64_t>* batches = nullptr;
-  std::atomic<std::uint64_t>* batch_ns_bins = nullptr;
-  std::atomic<std::uint64_t>* batch_items_bins = nullptr;
-  std::atomic<std::uint64_t>* reservations = nullptr;
-  std::atomic<std::uint64_t>* latched_reservations = nullptr;
-  std::atomic<std::uint64_t>* overflow_borrows = nullptr;
-  std::atomic<std::uint64_t>* overflow_drains = nullptr;
-  std::atomic<std::uint64_t>* drops = nullptr;
-  std::atomic<std::uint64_t>* queue_resizes = nullptr;
-  std::atomic<std::uint64_t>* watchdog_escalations = nullptr;
-  std::atomic<std::uint64_t>* faults_injected = nullptr;
-  std::atomic<std::uint64_t>* fleet_migrations = nullptr;
-  std::atomic<std::uint64_t>* fleet_parks = nullptr;
-  std::atomic<std::uint64_t>* fleet_unparks = nullptr;
-  std::atomic<std::uint64_t>* sim_events = nullptr;
-  std::atomic<std::uint64_t>* span_stages = nullptr;
+
+  /// Slow path of hot_path(): (re)binds the calling thread's handles to
+  /// the installed session, or clears them when there is none.
+  [[gnu::noinline]] static HotPath* resolve(std::uint64_t generation);
 };
 
-/// Single-writer bump: the cells belong to this thread's shard.
-void inc(std::atomic<std::uint64_t>* cell, std::uint64_t delta = 1) {
-  cell->store(cell->load(std::memory_order_relaxed) + delta,
-              std::memory_order_relaxed);
-}
+namespace {
+
+using Counter = WakeupLedger::Counter;
 
 thread_local HotPath t_hot_path;
-
-/// Slow path of hot_path(): (re)binds the calling thread's handles to the
-/// installed session, or clears them when there is none.
-[[gnu::noinline]] HotPath* resolve_hot_path(std::uint64_t generation) {
-  HotPath& tls = t_hot_path;
-  Session* s = Session::current();
-  if (s == nullptr) {
-    tls.session = nullptr;
-    return nullptr;
-  }
-  Registry& r = s->registry();
-  const WellKnownMetrics& w = s->well();
-  tls.ring = &RingAccess::ring(*s);
-  tls.ledger = s->ledger().writer();
-  tls.wakeups_paid = r.counter_cell(w.wakeups_paid);
-  tls.wakeups_free = r.counter_cell(w.wakeups_free);
-  tls.items = r.counter_cell(w.items);
-  tls.batches = r.counter_cell(w.batches);
-  tls.reservations = r.counter_cell(w.reservations);
-  tls.latched_reservations = r.counter_cell(w.latched_reservations);
-  tls.overflow_borrows = r.counter_cell(w.overflow_borrows);
-  tls.overflow_drains = r.counter_cell(w.overflow_drains);
-  tls.drops = r.counter_cell(w.drops);
-  tls.queue_resizes = r.counter_cell(w.queue_resizes);
-  tls.watchdog_escalations = r.counter_cell(w.watchdog_escalations);
-  tls.faults_injected = r.counter_cell(w.faults_injected);
-  tls.fleet_migrations = r.counter_cell(w.fleet_migrations);
-  tls.fleet_parks = r.counter_cell(w.fleet_parks);
-  tls.fleet_unparks = r.counter_cell(w.fleet_unparks);
-  tls.sim_events = r.counter_cell(w.sim_events);
-  tls.span_stages = r.counter_cell(w.span_stages);
-  tls.batch_ns_bins = r.histogram_bins(w.batch_ns);
-  tls.batch_items_bins = r.histogram_bins(w.batch_items);
-  tls.session = s;
-  tls.generation = generation;
-  return &tls;
-}
 
 /// Returns the calling thread's resolved hot path, or nullptr when no
 /// session is installed.  The generation is read (acquire) *before* any
@@ -352,7 +255,7 @@ inline HotPath* hot_path() {
   const std::uint64_t generation = g_session_generation.load(std::memory_order_acquire);
   HotPath& tls = t_hot_path;
   if (tls.session != nullptr && tls.generation == generation) [[likely]] return &tls;
-  return resolve_hot_path(generation);
+  return HotPath::resolve(generation);
 }
 
 /// The records behind note_slot_batch() and note_reservation(), on a
@@ -361,11 +264,7 @@ inline HotPath* hot_path() {
 void record_slot_batch(HotPath* h, std::uint16_t core, std::uint32_t consumer,
                        std::int64_t slot, std::uint64_t batch, std::int64_t ts_ns,
                        std::int64_t dur_ns) {
-  inc(h->items, batch);
-  inc(h->batches);
-  h->ledger->record_batch(core, consumer, batch);
-  inc(h->batch_ns_bins + Registry::log2_bin(dur_ns));
-  inc(h->batch_items_bins + Registry::log2_bin(static_cast<std::int64_t>(batch)));
+  h->ledger->record_batch(core, consumer, batch, dur_ns);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
     e.dur_ns = dur_ns;
@@ -379,8 +278,8 @@ void record_slot_batch(HotPath* h, std::uint16_t core, std::uint32_t consumer,
 
 void record_reservation(HotPath* h, std::uint16_t core, std::uint32_t consumer,
                         std::int64_t slot, bool latched, std::int64_t ts_ns) {
-  inc(h->reservations);
-  if (latched) inc(h->latched_reservations);
+  h->ledger->add(Counter::kReservations);
+  if (latched) h->ledger->add(Counter::kLatchedReservations);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
     e.arg0 = slot;
@@ -393,11 +292,24 @@ void record_reservation(HotPath* h, std::uint16_t core, std::uint32_t consumer,
 
 }  // namespace
 
+HotPath* HotPath::resolve(std::uint64_t generation) {
+  HotPath& tls = t_hot_path;
+  Session* s = Session::current();
+  if (s == nullptr) {
+    tls.session = nullptr;
+    return nullptr;
+  }
+  tls.ring = &s->add_ring();
+  tls.ledger = s->ledger().writer();
+  tls.session = s;
+  tls.generation = generation;
+  return &tls;
+}
+
 void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                       bool paid, bool scheduled, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(paid ? h->wakeups_paid : h->wakeups_free);
   h->ledger->record(core, consumer, paid);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
@@ -437,8 +349,8 @@ void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowActi
                         std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(action == OverflowAction::kEmergencyBorrow ? h->overflow_borrows
-                                                 : h->overflow_drains);
+  h->ledger->add(action == OverflowAction::kEmergencyBorrow ? Counter::kEmergencyBorrows
+                                                           : Counter::kForcedDrains);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
     e.arg0 = static_cast<std::int64_t>(action);
@@ -451,7 +363,7 @@ void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowActi
 void note_watchdog_impl(std::uint16_t core, std::int64_t overrun_ns, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->watchdog_escalations);
+  h->ledger->add(Counter::kWatchdogEscalations);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
     e.arg0 = overrun_ns;
@@ -463,7 +375,7 @@ void note_watchdog_impl(std::uint16_t core, std::int64_t overrun_ns, std::int64_
 void note_fault_impl(FaultKind kind, std::int64_t magnitude) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->faults_injected);
+  h->ledger->add(Counter::kFaultsInjected);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = h->session->now_ns();
     e.arg0 = static_cast<std::int64_t>(kind);
@@ -475,7 +387,6 @@ void note_fault_impl(FaultKind kind, std::int64_t magnitude) {
 void note_drop_impl(std::uint32_t consumer, DropPath path, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->drops);
   h->ledger->record_drop(consumer);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
@@ -489,7 +400,7 @@ void note_queue_resize_impl(std::uint32_t consumer, std::size_t old_slots,
                             std::size_t new_slots) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->queue_resizes);
+  h->ledger->add(Counter::kQueueResizes);
   h->ring->push_with([&](Event& e) {
     e.ts_ns = h->session->now_ns();
     e.arg0 = static_cast<std::int64_t>(old_slots);
@@ -504,9 +415,9 @@ void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_
   HotPath* h = hot_path();
   if (h == nullptr) return;
   switch (action) {
-    case FleetAction::kMigrate: inc(h->fleet_migrations); break;
-    case FleetAction::kPark: inc(h->fleet_parks); break;
-    case FleetAction::kUnpark: inc(h->fleet_unparks); break;
+    case FleetAction::kMigrate: h->ledger->add(Counter::kFleetMigrations); break;
+    case FleetAction::kPark: h->ledger->add(Counter::kFleetParks); break;
+    case FleetAction::kUnpark: h->ledger->add(Counter::kFleetUnparks); break;
   }
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
@@ -521,7 +432,7 @@ void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_
 void count_sim_events_impl(std::uint64_t n) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->sim_events, n);
+  h->ledger->add(Counter::kSimEvents, n);
 }
 
 void note_item_stage_impl(std::uint32_t consumer, std::uint16_t core,
@@ -534,7 +445,7 @@ void note_item_stages_impl(std::uint32_t consumer, std::uint16_t core,
                            std::span<const ItemStamp> stamps) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  inc(h->span_stages, stamps.size());
+  h->ledger->add(Counter::kSpanStages, stamps.size());
   for (const ItemStamp& stamp : stamps) {
     h->ring->push_with([&](Event& e) {
       e.ts_ns = stamp.ts_ns;
@@ -548,5 +459,11 @@ void note_item_stages_impl(std::uint32_t consumer, std::uint16_t core,
 }
 
 }  // namespace detail
+
+void Session::emit(const Event& event) {
+  // A session is the installed one for its whole life, so the calling
+  // thread's hot path binds to this session.
+  if (detail::HotPath* h = detail::hot_path()) h->ring->push(event);
+}
 
 }  // namespace pcpc::obs

@@ -1,6 +1,7 @@
 #include "pcpc/obs/spans.hpp"
 
 #include <algorithm>
+#include <map>
 
 namespace pcpc::obs {
 
@@ -13,7 +14,7 @@ void StageHistogram::add(std::int64_t ns) {
     max_ns = std::max(max_ns, ns);
   }
   ++count;
-  ++bins[Registry::log2_bin(ns)];
+  ++bins[log2_bin(ns)];
 }
 
 namespace {

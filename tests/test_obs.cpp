@@ -1,81 +1,90 @@
-// Tests for the pcpc::obs building blocks: the sharded metrics registry
-// (merge across writer threads), the SPSC trace ring (overflow drop
-// accounting), and the session arming / hot-path lifecycle.
+// Tests for the pcpc::obs building blocks: the per-thread ledger shards
+// (merge across writer threads), the log2 histogram binning, the SPSC
+// trace ring (overflow drop accounting), and the session arming /
+// hot-path lifecycle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 #include <vector>
 
-#include "pcpc/obs/metrics.hpp"
 #include "pcpc/obs/obs.hpp"
+#include "pcpc/obs/spans.hpp"
 #include "pcpc/obs/trace_ring.hpp"
 
 namespace pcpc::obs {
 namespace {
 
-TEST(Registry, CounterAddAndCollect) {
-  Registry registry;
-  const Registry::Id hits = registry.counter("hits");
-  const Registry::Id misses = registry.counter("misses");
-  registry.add(hits, 3);
-  registry.add(hits);
-  registry.add(misses, 10);
-  const auto snapshot = registry.collect();
-  EXPECT_EQ(snapshot.counter_value("hits"), 4u);
-  EXPECT_EQ(snapshot.counter_value("misses"), 10u);
-  EXPECT_EQ(snapshot.counter_value("absent"), 0u);
-}
-
-TEST(Registry, NamesAreInternedIdempotently) {
-  Registry registry;
-  EXPECT_EQ(registry.counter("a"), registry.counter("a"));
-  EXPECT_NE(registry.counter("a"), registry.counter("b"));
-  EXPECT_EQ(registry.histogram("h"), registry.histogram("h"));
-}
-
-TEST(Registry, MergesShardsAcrossThreads) {
-  Registry registry;
-  const Registry::Id total = registry.counter("total");
-  const Registry::Id hist = registry.histogram("samples");
+TEST(ObsTally, MergesShardsAcrossThreads) {
+  Session session;
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 10000;
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, total, hist] {
+    threads.emplace_back([t] {
+      const auto core = static_cast<std::uint16_t>(t);
+      const auto consumer = static_cast<std::uint32_t>(t);
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        registry.add(total);
-        registry.observe(hist, static_cast<std::int64_t>(i % 1024));
+        note_slot_batch(core, consumer, /*slot=*/0, /*batch=*/2,
+                        /*ts_ns=*/static_cast<std::int64_t>(i),
+                        /*dur_ns=*/static_cast<std::int64_t>(i % 1024));
+        note_reservation(core, consumer, /*slot=*/0, /*latched=*/i % 2 == 0,
+                         static_cast<std::int64_t>(i));
       }
     });
   }
   for (auto& thread : threads) thread.join();
 
-  const auto snapshot = registry.collect();
-  EXPECT_EQ(snapshot.counter_value("total"), kThreads * kPerThread);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].total, kThreads * kPerThread);
+  const WakeupLedger::Snapshot snapshot = session.ledger().snapshot();
+  constexpr std::uint64_t kNotes = kThreads * kPerThread;
+  EXPECT_EQ(snapshot.counter_value("consumer.batches"), kNotes);
+  EXPECT_EQ(snapshot.counter_value("consumer.items"), 2 * kNotes);
+  EXPECT_EQ(snapshot.counter_value("consumer.reservations"), kNotes);
+  EXPECT_EQ(snapshot.counter_value("consumer.latched_reservations"), kNotes / 2);
+  const auto histograms = snapshot.histograms();
+  ASSERT_EQ(histograms.size(), 2u);
+  for (const auto& h : histograms) EXPECT_EQ(h.total, kNotes) << h.name;
+  // Every bin is the sum of the four threads' bins; every batch held 2
+  // items, so one bin holds them all.
+  WakeupLedger::Bins one_thread{};
+  for (std::uint64_t i = 0; i < kPerThread; ++i) {
+    ++one_thread[log2_bin(static_cast<std::int64_t>(i % 1024))];
+  }
+  for (std::size_t b = 0; b < kHistogramBins; ++b) {
+    EXPECT_EQ((*histograms[0].bins)[b], kThreads * one_thread[b]) << "bin " << b;
+  }
+  EXPECT_EQ((*histograms[1].bins)[log2_bin(2)], kNotes);
+  // Each thread's batches land in its own consumer row.
+  ASSERT_EQ(snapshot.per_consumer_work.size(), kThreads);
+  for (const auto& row : snapshot.per_consumer_work) EXPECT_EQ(row.batches, kPerThread);
   // One shard per writer thread (the main thread never wrote).
-  EXPECT_EQ(registry.shard_count(), kThreads);
+  EXPECT_EQ(session.ledger().shard_count(), kThreads);
 }
 
-TEST(Registry, GaugeKeepsMostRecentWriteAcrossShards) {
-  Registry registry;
-  const Registry::Id depth = registry.gauge("depth");
-  registry.set_gauge(depth, 5);
-  std::thread([&registry, depth] { registry.set_gauge(depth, 42); }).join();
-  const auto snapshot = registry.collect();
-  ASSERT_EQ(snapshot.gauges.size(), 1u);
-  EXPECT_EQ(snapshot.gauges[0].value, 42);
+TEST(StageHistogram, Log2BinClampsAndCovers) {
+  EXPECT_EQ(log2_bin(-5), 0u);
+  EXPECT_EQ(log2_bin(0), 0u);
+  EXPECT_EQ(log2_bin(1), 0u);
+  EXPECT_EQ(log2_bin(2), 1u);
+  EXPECT_EQ(log2_bin(1023), 9u);
+  EXPECT_EQ(log2_bin(1024), 10u);
+  EXPECT_LT(log2_bin(INT64_MAX), kHistogramBins);
 }
 
-TEST(Registry, Log2BinClampsAndCovers) {
-  EXPECT_EQ(Registry::log2_bin(-5), 0u);
-  EXPECT_EQ(Registry::log2_bin(0), 0u);
-  EXPECT_EQ(Registry::log2_bin(1), 0u);
-  EXPECT_EQ(Registry::log2_bin(2), 1u);
-  EXPECT_EQ(Registry::log2_bin(1023), 9u);
-  EXPECT_EQ(Registry::log2_bin(1024), 10u);
-  EXPECT_LT(Registry::log2_bin(INT64_MAX), Registry::kHistogramBins);
+TEST(StageHistogram, BinsCountMinAndMaxFollowTheDocumentedBounds) {
+  StageHistogram h;
+  for (const std::int64_t ns : {-5, 0, 1, 2, 3, 4, 1023, 1024}) h.add(ns);
+  EXPECT_EQ(h.count, 8u);
+  EXPECT_EQ(h.min_ns, 0);  // a negative sample counts as 0 ns
+  EXPECT_EQ(h.max_ns, 1024);
+  // Bin i is [2^i, 2^(i+1)), bin 0 everything <= 1.
+  std::array<std::uint64_t, kHistogramBins> want{};
+  want[0] = 3;   // -5, 0, 1
+  want[1] = 2;   // 2, 3
+  want[2] = 1;   // 4
+  want[9] = 1;   // 1023
+  want[10] = 1;  // 1024
+  EXPECT_EQ(h.bins, want);
 }
 
 TEST(TraceRing, RoundsCapacityUpToPowerOfTwo) {
@@ -140,7 +149,7 @@ TEST(Session, NoteCallsWithoutSessionAreNoOps) {
 
   Session session;
   EXPECT_EQ(session.ledger().paid_total(), 0u);
-  EXPECT_EQ(session.registry().collect().counter_value("wakeups.paid"), 0u);
+  EXPECT_EQ(session.ledger().snapshot().counter_value("wakeups.paid"), 0u);
 }
 
 TEST(Session, HotPathRebindsAcrossConsecutiveSessions) {
@@ -156,7 +165,7 @@ TEST(Session, HotPathRebindsAcrossConsecutiveSessions) {
     note_wakeup(0, 1, 7, /*paid=*/false, /*scheduled=*/true, 20);
     EXPECT_EQ(second.ledger().paid_total(), 0u);
     EXPECT_EQ(second.ledger().free_total(), 1u);
-    EXPECT_EQ(second.registry().collect().counter_value("wakeups.free"), 1u);
+    EXPECT_EQ(second.ledger().snapshot().counter_value("wakeups.free"), 1u);
   }
 }
 
@@ -168,7 +177,7 @@ TEST(Session, RingOverflowIsCountedThroughTheSession) {
     note_reservation(0, 0, i, /*latched=*/false, /*ts_ns=*/i);
   }
   // Counters never drop; only the trace ring sheds load.
-  EXPECT_EQ(session.registry().collect().counter_value("consumer.reservations"), 50u);
+  EXPECT_EQ(session.ledger().snapshot().counter_value("consumer.reservations"), 50u);
   EXPECT_EQ(session.total_events_recorded(), 8u);
   EXPECT_EQ(session.ring_dropped(), 42u);
   EXPECT_EQ(session.events().size(), 8u);
@@ -193,7 +202,7 @@ TEST(Session, BulkSimEventCountMatchesSingles) {
   Session session;
   count_sim_events(1000);
   for (int i = 0; i < 24; ++i) count_sim_event();
-  EXPECT_EQ(session.registry().collect().counter_value("sim.events_dispatched"),
+  EXPECT_EQ(session.ledger().snapshot().counter_value("sim.events_dispatched"),
             1024u);
 }
 

@@ -87,12 +87,13 @@ TEST(WakeupLedger, BreakdownsSumToTotals) {
   const std::uint64_t free = session.ledger().free_total();
 
   LedgerTotals by_consumer;
-  for (const auto& a : session.ledger().per_consumer()) {
+  const auto snapshot = session.ledger().snapshot();
+  for (const auto& a : snapshot.per_consumer) {
     by_consumer.paid += a.paid;
     by_consumer.free += a.free;
   }
   LedgerTotals by_core;
-  for (const auto& a : session.ledger().per_core()) {
+  for (const auto& a : snapshot.per_core) {
     by_core.paid += a.paid;
     by_core.free += a.free;
   }
@@ -100,8 +101,7 @@ TEST(WakeupLedger, BreakdownsSumToTotals) {
   EXPECT_EQ(by_consumer.free, free);
   EXPECT_EQ(by_core.paid, paid);
   EXPECT_EQ(by_core.free, free);
-  // The registry's counters are fed by the same instrumentation point.
-  const auto snapshot = session.registry().collect();
+  // The exported counters are derived from the same rows.
   EXPECT_EQ(snapshot.counter_value("wakeups.paid"), paid);
   EXPECT_EQ(snapshot.counter_value("wakeups.free"), free);
 }
@@ -160,7 +160,7 @@ TEST(WakeupLedger, ChaosReplayStillBalances) {
         fault::run_pbpl_under_faults(traces, horizon, small_config(), injector);
     paid_ledger = session.ledger().paid_total();
     paid_sim = result.pbpl.paid_wakeups;
-    EXPECT_GT(session.registry().collect().counter_value("faults.injected"), 0u);
+    EXPECT_GT(session.ledger().snapshot().counter_value("faults.injected"), 0u);
   }
   EXPECT_GT(paid_sim, 0u);
   EXPECT_EQ(paid_ledger, paid_sim);
@@ -188,13 +188,13 @@ TEST(WakeupLedger, ThreadHostAttributionIsConsistent) {
   const std::uint64_t paid = session.ledger().paid_total();
   const std::uint64_t free = session.ledger().free_total();
   EXPECT_GT(paid, 0u);
-  // Same identities as the sim host: ledger totals equal the registry's
+  // Same identities as the sim host: ledger totals equal the exported
   // paid/free counters and the per-consumer breakdown re-sums to them.
-  const auto snapshot = session.registry().collect();
+  const auto snapshot = session.ledger().snapshot();
   EXPECT_EQ(snapshot.counter_value("wakeups.paid"), paid);
   EXPECT_EQ(snapshot.counter_value("wakeups.free"), free);
   LedgerTotals by_consumer;
-  for (const auto& a : session.ledger().per_consumer()) {
+  for (const auto& a : snapshot.per_consumer) {
     by_consumer.paid += a.paid;
     by_consumer.free += a.free;
   }
@@ -206,7 +206,7 @@ TEST(WakeupLedger, ThreadHostAttributionIsConsistent) {
 }
 
 TEST(WakeupLedger, ThreadHostRecordsEveryReservation) {
-  // Both hosts emit a reservation event per booking, so the registry's
+  // Both hosts emit a reservation event per booking, so the ledger's
   // reservation counters must match the thread host's own stats exactly,
   // latched ones included.
   obs::Session session;
@@ -222,7 +222,7 @@ TEST(WakeupLedger, ThreadHostRecordsEveryReservation) {
     stats = runtime.stats();
   }
   EXPECT_GT(stats.reservations, 0u);
-  const auto snapshot = session.registry().collect();
+  const auto snapshot = session.ledger().snapshot();
   EXPECT_EQ(snapshot.counter_value("consumer.reservations"), stats.reservations);
   EXPECT_EQ(snapshot.counter_value("consumer.latched_reservations"),
             stats.latched_reservations);

@@ -144,7 +144,7 @@ TEST(ThreadPbpl, ForcedDrainWakeServesTwoConsumersAtOneInstant) {
   // Both producers now fill their buffers and block again: two more
   // requests, each recorded before its producer waits.
   std::thread p1 = flood(1, 5);
-  while (session.registry().collect().counter_value("overflow.forced_drains") < 3) {
+  while (session.ledger().snapshot().counter_value("overflow.forced_drains") < 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   {
