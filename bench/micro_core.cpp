@@ -1,7 +1,8 @@
 // Microbenchmarks of the PBPL decision path: rate predictors, the slot
 // track, the reservation table and the ρ-minimizing slot search.  The
 // paper argues its per-invocation overhead must stay negligible next to
-// item processing; these benches quantify that.  BM_ReplayArrivals
+// item processing; these benches quantify that.  BM_LatencyRecord prices
+// what every drained item pays for its latency sample.  BM_ReplayArrivals
 // prices the sim host's dominant event, one workload arrival, without
 // any consumer behind it.  BM_TimedWakeFloor
 // measures what a decision is compared against: the CPU one timed wake
@@ -17,6 +18,7 @@
 #include <mutex>
 #include <vector>
 
+#include "pcpc/common/latency_recorder.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/core/cost.hpp"
 #include "pcpc/core/rate_predictor.hpp"
@@ -172,6 +174,33 @@ void BM_ChooseSlotCold(benchmark::State& state) {
   run_cold(state, [&decision] { decision.step(); });
 }
 BENCHMARK(BM_ChooseSlotCold)->UseManualTime()->Iterations(kColdIterations);
+
+void BM_LatencyRecord(benchmark::State& state) {
+  // Drain-shaped batches into one recorder: 17 items per `now` (sim_fig9's
+  // batches average 17.3 items), each 1–15 ms old.  items/s counts
+  // samples; its inverse is the recorder's cost per drained item.
+  constexpr std::size_t kBatch = 17;
+  std::vector<SimDuration> ages(1024);
+  Rng rng(0x1a7e);
+  for (SimDuration& age : ages) {
+    age = milliseconds(1) + static_cast<SimDuration>(rng.next_below(14'000'001));
+  }
+  LatencyRecorder recorder;
+  SimTime now = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    now += milliseconds(10);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const SimTime stamp = now - ages[next];
+      next = (next + 1) % ages.size();
+      recorder.add(now - stamp);
+    }
+    benchmark::DoNotOptimize(recorder);
+  }
+  benchmark::DoNotOptimize(recorder.p99());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_LatencyRecord);
 
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   sim::EventQueue queue;

@@ -21,8 +21,10 @@
 // Exits non-zero when either overhead exceeds R (default 1.05 = +5%) or
 // the ledger disagrees with the simulator.  The last line of stdout is
 // one JSON record of the run: both estimators and the gated estimate of
-// each mode, the spread (min/max) of the paired ratios, the repeat count
-// and the computed pass.
+// each mode, the spread (min/max) of the paired ratios, the repeat count,
+// the computed pass, and the ratio's denominator and numerator as CPU ns
+// per item (min-of-repeats bare and recorded CPU over the run's items),
+// so a moving ratio shows whether obs or the bare loop moved.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -174,11 +176,13 @@ int main(int argc, char** argv) {
   bool ledger_ok = true;
   std::uint64_t paid_ledger = 0;
   std::uint64_t paid_sim = 0;
+  std::uint64_t items = 0;
   {
     obs::Session session;
     const auto result = core::run_pbpl(traces, horizon, config);
     paid_ledger = session.ledger().paid_total();
     paid_sim = result.paid_wakeups;
+    items = result.items;
     ledger_ok = paid_ledger == paid_sim;
     std::string error;
     if (!metrics_out.empty() &&
@@ -192,6 +196,11 @@ int main(int argc, char** argv) {
   std::printf("recorded  min-of-%zu: %.4f s\n", repeats, min_traced);
   std::printf("spans     min-of-%zu: %.4f s (1-in-%llu sampling)\n", repeats, min_spans,
               static_cast<unsigned long long>(span_every));
+  const auto ns_per_item = [items](double cpu_s) {
+    return items == 0 ? 0.0 : cpu_s * 1e9 / static_cast<double>(items);
+  };
+  std::printf("per item  bare %.1f ns, recorded %.1f ns (%llu items)\n", ns_per_item(min_bare),
+              ns_per_item(min_traced), static_cast<unsigned long long>(items));
   std::printf("overhead (median of %zu paired ratios): %.2f%%, gated estimate %.2f%% (gate: %.2f%%)\n",
               repeats, (overhead - 1.0) * 1e2, (gated - 1.0) * 1e2,
               (max_overhead - 1.0) * 1e2);
@@ -211,11 +220,13 @@ int main(int argc, char** argv) {
       "\"min_ratio_pct\":%.2f,\"gated_pct\":%.2f,\"ratio_min_pct\":%.2f,"
       "\"ratio_max_pct\":%.2f,\"span_overhead_pct\":%.2f,\"span_min_ratio_pct\":%.2f,"
       "\"span_gated_pct\":%.2f,\"span_ratio_min_pct\":%.2f,\"span_ratio_max_pct\":%.2f,"
-      "\"gate_pct\":%.2f,\"ledger_match\":%s,\"pass\":%s}\n",
+      "\"gate_pct\":%.2f,\"bare_ns_per_item\":%.1f,\"recorded_ns_per_item\":%.1f,"
+      "\"ledger_match\":%s,\"pass\":%s}\n",
       repeats, pct(overhead), pct(min_traced / min_bare), pct(gated), pct(ratios.front()),
       pct(ratios.back()), pct(span_overhead), pct(min_spans / min_bare), pct(span_gated),
       pct(span_ratios.front()), pct(span_ratios.back()), pct(max_overhead),
-      ledger_ok ? "true" : "false", pass ? "true" : "false");
+      ns_per_item(min_bare), ns_per_item(min_traced), ledger_ok ? "true" : "false",
+      pass ? "true" : "false");
 
   if (!ledger_ok) return 1;
   if (gated > max_overhead) {

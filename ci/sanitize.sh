@@ -25,8 +25,11 @@ prefix="${1:-build-san}"
 # sim engine keeps raw cursors into caller-owned traces (replay streams),
 # so its suites run under ASan/UBSan as well.  ObsTally merges the
 # ledger shards of concurrent writers, and MetricsExport reads that
-# merged snapshot.
-suite_regex='EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|ObsTally|TraceRing|Session|WakeupLedger|MetricsExport|Fleet|example_chaos_demo|example_live_threads'
+# merged snapshot.  The reservation table indexes per-id arrays and
+# shifts its slot entries in place, so its suites and the manager step's
+# run under ASan/UBSan; the latency recorder's bin table is built on
+# first use, which the thread hosts' manager threads reach concurrently.
+suite_regex='ReservationTable|StepFixture|ManagerStep|LatencyRecorder|EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|ObsTally|TraceRing|Session|WakeupLedger|MetricsExport|Fleet|example_chaos_demo|example_live_threads'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -36,7 +39,8 @@ run_pass() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   echo "=== ${name}: build ==="
   cmake --build "${dir}" -j "$(nproc)" \
-    --target test_sim test_chaos_runtime test_fault_injection test_runtime \
+    --target test_sim test_reservation test_manager_step test_latency_recorder \
+             test_chaos_runtime test_fault_injection test_runtime \
              test_runtime_sharding test_fleet \
              test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger test_obs_export \
              test_queue_differential test_queue_fuzz test_ipc_crash \

@@ -5,28 +5,92 @@
 // the value over 100 ns .. 10 s (2000 bins, ~0.9% ratio per bin), so a
 // 2 µs tail resolves as sharply as a 2 s one.  Merging is still exact —
 // the binning is fixed, only the stored domain changed.
+//
+// Samples arrive as integer nanoseconds, and the bin is found by table,
+// not by log10.  Over integers the bin formula is monotone: adjacent
+// values move it by at least 1e-8 bins even at 10 s, far above its
+// rounding error.  So a table of each bin's smallest value, built once
+// per process from the formula itself, gives exactly the formula's bin.
+// A coarse index by the value's bit width and the 7 bits below its
+// leading one names a bin; one compare against the next bin's lower edge
+// settles it, since one index cell spans less than one bin.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "pcpc/common/stats.hpp"
 #include "pcpc/common/types.hpp"
 
 namespace pcpc {
 
-/// Accumulates item response times in seconds.
+namespace detail {
+
+/// The lower edges of the latency recorder's log10 bins, in ns.
+struct LatencyBins {
+  static constexpr int kBins = 2000;
+  static constexpr double kLogLo = -7.0;  // log10(100 ns)
+  static constexpr double kLogHi = 1.0;   // log10(10 s)
+  /// Index bits below a value's leading one.
+  static constexpr int kSubBits = 7;
+  /// Bit width of the largest indexed value: 2^34 ns > 10 s.
+  static constexpr int kMaxWidth = 34;
+  static constexpr std::size_t kKeys = std::size_t{kMaxWidth - kSubBits + 1} << kSubBits;
+
+  /// lo[k] is the smallest ns in bin k; lo[kBins] the smallest overflow.
+  std::array<SimDuration, kBins + 1> lo{};
+  /// The bin of the smallest value with each index key.
+  std::array<std::uint16_t, kKeys> bin_at{};
+
+  /// The formula the table is built from and checked against:
+  /// floor((log10(max(ns·1e-9, 1e-9)) + 7) / 0.004), with -1 for
+  /// underflow and kBins for overflow, as Histogram::add bins it.
+  static int reference_bin(SimDuration ns);
+  static LatencyBins build();
+
+  /// Values below 2^(kSubBits+1) are their own key; above, the key is
+  /// the bit width and the kSubBits bits below the leading one.
+  static std::size_t key_of(std::uint64_t ns) {
+    const int shift = std::max(static_cast<int>(std::bit_width(ns)) - (kSubBits + 1), 0);
+    return (static_cast<std::size_t>(shift) << kSubBits) + (ns >> shift);
+  }
+
+  int bin_of(SimDuration ns) const {
+    if (ns < lo[0]) return -1;
+    if (ns >= lo[kBins]) return kBins;
+    const int bin = bin_at[key_of(static_cast<std::uint64_t>(ns))];
+    return bin + (ns >= lo[static_cast<std::size_t>(bin) + 1] ? 1 : 0);
+  }
+};
+
+/// The process's bin table, built on first use.
+inline const LatencyBins& latency_bins() {
+  static const LatencyBins bins = LatencyBins::build();
+  return bins;
+}
+
+}  // namespace detail
+
+/// Accumulates item response times; takes nanoseconds, reports seconds.
 class LatencyRecorder {
  public:
-  LatencyRecorder() : histogram_(kLogLo, kLogHi, 2000) {}
+  LatencyRecorder()
+      : histogram_(detail::LatencyBins::kLogLo, detail::LatencyBins::kLogHi,
+                   detail::LatencyBins::kBins) {}
 
-  /// Records one latency (seconds, non-negative).  Values below 1 ns are
-  /// clamped before the log so zero latencies land in the underflow bin
-  /// instead of producing -inf.
-  void add(double seconds_value) {
-    stats_.add(seconds_value);
-    histogram_.add(std::log10(std::max(seconds_value, 1e-9)));
+  /// Records one latency in nanoseconds (non-negative).  Values below
+  /// 1 ns bin as 1 ns, so zero latencies land in the underflow bin.
+  void add(SimDuration ns) {
+    stats_.add(to_seconds(ns));
+    histogram_.add_binned(bin_of(ns));
   }
+
+  /// The histogram bin of `ns`: -1 is underflow, 2000 overflow.
+  static int bin_of(SimDuration ns) { return detail::latency_bins().bin_of(ns); }
 
   /// Merges another recorder (the binning is fixed, so this is exact).
   void merge(const LatencyRecorder& other) {
@@ -52,9 +116,6 @@ class LatencyRecorder {
   std::size_t count() const { return stats_.count(); }
 
  private:
-  static constexpr double kLogLo = -7.0;  // log10(100 ns)
-  static constexpr double kLogHi = 1.0;   // log10(10 s)
-
   OnlineStats stats_;
   Histogram histogram_;
 };

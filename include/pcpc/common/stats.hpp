@@ -90,6 +90,19 @@ class Histogram {
 
   void add(double x);
 
+  /// Counts one observation whose bin the caller found: `bin` < 0 is
+  /// underflow, `bin` >= bins() overflow.
+  void add_binned(std::ptrdiff_t bin) {
+    ++total_;
+    if (bin < 0) {
+      ++underflow_;
+    } else if (static_cast<std::size_t>(bin) >= counts_.size()) {
+      ++overflow_;
+    } else {
+      ++counts_[static_cast<std::size_t>(bin)];
+    }
+  }
+
   std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
   std::size_t bins() const { return counts_.size(); }
   std::size_t underflow() const { return underflow_; }

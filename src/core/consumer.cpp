@@ -65,7 +65,7 @@ SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
   const std::size_t batch = buffer_->drain_chunks([&](std::span<SimTime> items) {
     for (const SimTime item : items) {
       const SimDuration latency = now - item;
-      stats_.latency_s.add(to_seconds(latency));
+      stats_.latency_s.add(latency);
       planner_.observe_latency(latency);
     }
     if (span_every == 0) return;

@@ -57,7 +57,7 @@ std::optional<Wake> ManagerStep::wake(SimTime now, std::optional<SlotIndex> due)
     reservations_.clear();
   } else {
     wake.slot = *due;
-    served_ = reservations_.take_slot(*due);
+    reservations_.take_slot(*due, served_);
   }
   if (served_.empty()) return std::nullopt;
   wake.consumers = served_;

@@ -5,61 +5,99 @@
 #include "pcpc/common/assert.hpp"
 
 namespace pcpc::core {
+namespace {
+
+constexpr auto kSlotOf = [](const auto& entry) { return entry.slot; };
+
+/// First entry of `slots` whose slot is ≥ `slot`.
+template <typename Entries>
+auto first_at_or_after(Entries& slots, SlotIndex slot) {
+  return std::ranges::lower_bound(slots, slot, {}, kSlotOf);
+}
+
+}  // namespace
 
 void ReservationTable::reserve(ConsumerId consumer, SlotIndex slot) {
+  PCPC_ASSERT_MSG(consumer != kNone, "consumer id out of range");
   cancel(consumer);
-  by_slot_[slot].push_back(consumer);
-  by_consumer_[consumer] = slot;
+  if (consumer >= bookings_.size()) bookings_.resize(std::size_t{consumer} + 1);
+  Booking& booking = bookings_[consumer];
+  booking = Booking{slot, kNone, kNone, true};
+  const auto at = first_at_or_after(slots_, slot);
+  if (at != slots_.end() && at->slot == slot) {
+    booking.prev = at->last;
+    bookings_[at->last].next = consumer;
+    at->last = consumer;
+  } else {
+    slots_.insert(at, Entry{slot, consumer, consumer});
+  }
+  ++size_;
 }
 
 void ReservationTable::cancel(ConsumerId consumer) {
-  const auto it = by_consumer_.find(consumer);
-  if (it == by_consumer_.end()) return;
-  const auto slot_it = by_slot_.find(it->second);
-  PCPC_ASSERT_MSG(slot_it != by_slot_.end(), "reservation index out of sync");
-  auto& list = slot_it->second;
-  list.erase(std::remove(list.begin(), list.end(), consumer), list.end());
-  if (list.empty()) by_slot_.erase(slot_it);
-  by_consumer_.erase(it);
-}
-
-std::optional<SlotIndex> ReservationTable::reservation_of(ConsumerId consumer) const {
-  const auto it = by_consumer_.find(consumer);
-  if (it == by_consumer_.end()) return std::nullopt;
-  return it->second;
+  if (!holds(consumer)) return;
+  Booking& booking = bookings_[consumer];
+  const auto at = first_at_or_after(slots_, booking.slot);
+  PCPC_ASSERT_MSG(at != slots_.end() && at->slot == booking.slot,
+                  "reservation index out of sync");
+  if (booking.prev == kNone) {
+    at->first = booking.next;
+  } else {
+    bookings_[booking.prev].next = booking.next;
+  }
+  if (booking.next == kNone) {
+    at->last = booking.prev;
+  } else {
+    bookings_[booking.next].prev = booking.prev;
+  }
+  if (at->first == kNone) slots_.erase(at);
+  booking.held = false;
+  --size_;
 }
 
 bool ReservationTable::slot_reserved(SlotIndex slot) const {
-  return by_slot_.contains(slot);
+  const auto at = first_at_or_after(slots_, slot);
+  return at != slots_.end() && at->slot == slot;
 }
 
 std::vector<ConsumerId> ReservationTable::consumers_at(SlotIndex slot) const {
-  const auto it = by_slot_.find(slot);
-  if (it == by_slot_.end()) return {};
-  return it->second;
-}
-
-std::vector<ConsumerId> ReservationTable::take_slot(SlotIndex slot) {
-  const auto it = by_slot_.find(slot);
-  if (it == by_slot_.end()) return {};
-  std::vector<ConsumerId> consumers = std::move(it->second);
-  by_slot_.erase(it);
-  for (ConsumerId c : consumers) by_consumer_.erase(c);
+  std::vector<ConsumerId> consumers;
+  const auto at = first_at_or_after(slots_, slot);
+  if (at == slots_.end() || at->slot != slot) return consumers;
+  for (ConsumerId c = at->first; c != kNone; c = bookings_[c].next) consumers.push_back(c);
   return consumers;
 }
 
+void ReservationTable::take_slot(SlotIndex slot, std::vector<ConsumerId>& out) {
+  out.clear();
+  const auto at = first_at_or_after(slots_, slot);
+  if (at == slots_.end() || at->slot != slot) return;
+  for (ConsumerId c = at->first; c != kNone; c = bookings_[c].next) {
+    bookings_[c].held = false;
+    out.push_back(c);
+  }
+  size_ -= out.size();
+  slots_.erase(at);
+}
+
 std::optional<SlotIndex> ReservationTable::next_reserved(SlotIndex from) const {
-  const auto it = by_slot_.lower_bound(from);
-  if (it == by_slot_.end()) return std::nullopt;
-  return it->first;
+  const auto at = first_at_or_after(slots_, from);
+  if (at == slots_.end()) return std::nullopt;
+  return at->slot;
 }
 
 std::optional<SlotIndex> ReservationTable::prev_reserved(SlotIndex from, SlotIndex floor) const {
-  auto it = by_slot_.upper_bound(from);
-  if (it == by_slot_.begin()) return std::nullopt;
-  --it;
-  if (it->first < floor) return std::nullopt;
-  return it->first;
+  auto at = std::ranges::upper_bound(slots_, from, {}, kSlotOf);
+  if (at == slots_.begin()) return std::nullopt;
+  --at;
+  if (at->slot < floor) return std::nullopt;
+  return at->slot;
+}
+
+void ReservationTable::clear() {
+  slots_.clear();
+  for (Booking& booking : bookings_) booking.held = false;
+  size_ = 0;
 }
 
 }  // namespace pcpc::core

@@ -46,7 +46,7 @@ struct Rig {
   std::size_t drain(Pair& pair, SimTime now, SimDuration overhead) {
     std::size_t batch = 0;
     while (!pair.buffer.empty()) {
-      result.latency_s.add(to_seconds(now - pair.buffer.front()));
+      result.latency_s.add(now - pair.buffer.front());
       pair.buffer.pop_front();
       ++batch;
     }
@@ -111,7 +111,7 @@ RunResult run_spinning(std::span<const trace::Trace> traces, SimDuration horizon
     for (const SimTime t : traces[i].timestamps()) {
       if (t >= horizon) break;
       ++rig->result.items;
-      rig->result.latency_s.add(to_seconds(params.service.per_item));
+      rig->result.latency_s.add(params.service.per_item);
       rig->result.batch_sizes.add(1.0);
       ++rig->result.invocations;
     }

@@ -118,7 +118,8 @@ void ThreadBaseline::stop() {
       const auto now = BaselineClock::now();
       const std::size_t batch =
           pair->buffer->drain([&](BaselineClock::time_point stamp) {
-            pair->stats.latency_s.add(std::chrono::duration<double>(now - stamp).count());
+            pair->stats.latency_s.add(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(now - stamp).count());
           });
       if (batch > 0) {
         pair->stats.items += batch;
@@ -190,7 +191,8 @@ void ThreadBaseline::drain_locked(Pair& pair, std::unique_lock<std::mutex>& lock
   // Bulk drain into the pair's own shard: chunked pop_bulk instead of a
   // virtual try_pop plus a global stats lock per item.
   const std::size_t batch = pair.buffer->drain([&](BaselineClock::time_point stamp) {
-    pair.stats.latency_s.add(std::chrono::duration<double>(now - stamp).count());
+    pair.stats.latency_s.add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - stamp).count());
   });
   pair.producer_cv.notify_all();
   if (obs::enabled()) {

@@ -800,10 +800,10 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
   // Bulk drain: chunked pop_bulk instead of one virtual try_pop per item
   // (and, on the lock-free backends, one head publication per chunk).
   const std::size_t batch = consumer.buffer->drain([&](Clock::time_point stamp) {
-    const auto latency = drained_at - stamp;
-    core.stats.latency_s.add(std::chrono::duration<double>(latency).count());
-    consumer.planner.observe_latency(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
+    const SimDuration latency =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(drained_at - stamp).count();
+    core.stats.latency_s.add(latency);
+    consumer.planner.observe_latency(latency);
     if (span_every != 0) {
       const std::uint64_t seq = consumer.span_drain_seq++;
       if (seq % span_every == 0) {
@@ -820,10 +820,11 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
   if (consumer.var != nullptr) {
     while (auto view = consumer.var->claim_front()) {
       PCPC_ASSERT_MSG(view->size >= kStampBytes, "runtime record below stamp size");
-      const auto latency = drained_at - record_stamp(view->data);
-      core.stats.latency_s.add(std::chrono::duration<double>(latency).count());
-      consumer.planner.observe_latency(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count());
+      const SimDuration latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                      drained_at - record_stamp(view->data))
+                                      .count();
+      core.stats.latency_s.add(latency);
+      consumer.planner.observe_latency(latency);
       if (span_every != 0) {
         const std::uint64_t seq = consumer.span_drain_seq++;
         if (seq % span_every == 0) {
