@@ -15,22 +15,22 @@
 // deep states — and the sweep shows where that trade pays: large paid-
 // wakeup and joules/item cuts at low utilization, converging to parity
 // as the load saturates the packed placement.  `--json-out=FILE` appends
-// one JSON line per (utilization, mode) point.
+// the sweep to FILE, one JSON record line per utilization point.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/common/table.hpp"
 #include "pcpc/core/pbpl_system.hpp"
 #include "pcpc/fleet/controller.hpp"
 #include "pcpc/fleet/sim_driver.hpp"
 #include "pcpc/power/cstate.hpp"
-#include "pcpc/power/energy_ledger.hpp"
 #include "pcpc/power/pstate.hpp"
-#include "pcpc/sim/replay.hpp"
 #include "pcpc/trace/arrival_process.hpp"
 
 using namespace pcpc;
@@ -70,46 +70,18 @@ SweepPoint run_sweep_point(double utilization, bool elastic) {
     traces.push_back(trace::sample_nhpp(rate, kSweepHorizon, rng));
   }
 
-  sim::Simulator simulator;
-  core::PbplSystem system(simulator, kSweepPairs, config);
-
   fleet::FleetConfig fc;
   fc.mode = elastic ? fleet::FleetMode::kElastic : fleet::FleetMode::kOff;
   fc.control_period = milliseconds(50);
   fc.cooldown = milliseconds(200);
-  fc.cost.slot = config.resolved_slot_size();
-  fc.cost.max_latency = config.max_latency;
-  fc.cost.buffer_items = config.base_buffer;
-  fc.cost.service = config.service;
-  fc.cost.manager_overhead = config.manager_overhead;
-  fc.cost.utilization_cap = config.utilization_cap;
-  fleet::FleetController controller(kSweepPairs, kSweepCores, fc);
-  fleet::SimFleetDriver driver(simulator, system, controller);
-
-  system.start();
-  if (elastic) driver.start();
-  for (std::size_t i = 0; i < kSweepPairs; ++i) {
-    core::PbplConsumer& consumer = system.consumer(i);
-    sim::replay(simulator, traces[i].timestamps(), kSweepHorizon,
-                [&consumer](SimTime t) { consumer.produce(t); });
-  }
-  simulator.run_until(kSweepHorizon);
-  driver.stop();
-  const core::PbplResult result = system.finish(kSweepHorizon);
+  const fleet::SimFleetRun run = fleet::run_sim_fleet(traces, kSweepHorizon, config, fc);
 
   SweepPoint point;
   const double horizon_s = to_seconds(kSweepHorizon);
-  point.paid_per_s = static_cast<double>(result.paid_wakeups) / horizon_s;
-  point.p99_ms = result.latency_s.p99() * 1e3;
-  point.migrations = driver.migrations();
-  const EnergyLedger ledger;
-  double joules = 0.0;
-  for (const auto& timeline : result.timelines) {
-    joules += ledger.energy_joules(timeline) - ledger.baseline_joules(timeline);
-  }
-  joules += static_cast<double>(result.items) * ledger.params().item_transport_energy_j +
-            static_cast<double>(result.paid_wakeups) * ledger.params().wakeup_energy_j;
-  point.uj_per_item = joules / static_cast<double>(result.items) * 1e6;
+  point.paid_per_s = static_cast<double>(run.result.paid_wakeups) / horizon_s;
+  point.p99_ms = run.result.latency_s.p99() * 1e3;
+  point.migrations = run.migrations;
+  point.uj_per_item = run.joules / static_cast<double>(run.result.items) * 1e6;
   return point;
 }
 
@@ -173,16 +145,9 @@ int main(int argc, char** argv) {
       "Fleet utilization sweep: static round-robin vs elastic parking\n"
       "(8 pairs, 4 cores, phase-shifted sinusoid arrivals, 1 s horizon)");
 
-  FILE* json = nullptr;
-  if (!json_out.empty()) {
-    json = std::fopen(json_out.c_str(), "a");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for append\n", json_out.c_str());
-      return 1;
-    }
-  }
-
-  for (const double util : {0.05, 0.10, 0.25, 0.50, 0.75, 0.95}) {
+  std::ostringstream records;  // the sweep's record lines for --json-out
+  for (const int util_pct : {5, 10, 25, 50, 75, 95}) {
+    const double util = util_pct / 100.0;
     const SweepPoint fixed = run_sweep_point(util, /*elastic=*/false);
     const SweepPoint elastic = run_sweep_point(util, /*elastic=*/true);
     const double cut =
@@ -194,19 +159,23 @@ int main(int argc, char** argv) {
     sweep.add(util_label, "elastic", format_double(elastic.paid_per_s, 1),
               format_double(elastic.uj_per_item, 2), format_double(elastic.p99_ms, 2),
               std::to_string(elastic.migrations), format_double(cut, 1) + " %");
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "{\"bench\":\"fleet_util_sweep\",\"util_pct\":%.0f,"
-                   "\"static_paid_per_s\":%.2f,\"elastic_paid_per_s\":%.2f,"
-                   "\"paid_cut_pct\":%.1f,\"static_uj_per_item\":%.3f,"
-                   "\"elastic_uj_per_item\":%.3f,\"static_p99_ms\":%.3f,"
-                   "\"elastic_p99_ms\":%.3f,\"migrations\":%llu}\n",
-                   util * 100.0, fixed.paid_per_s, elastic.paid_per_s, cut,
-                   fixed.uj_per_item, elastic.uj_per_item, fixed.p99_ms, elastic.p99_ms,
-                   static_cast<unsigned long long>(elastic.migrations));
-    }
+    JsonWriter json(records);
+    json.begin_object().key("schema").value("pcpc.bench/1").key("bench").value("fleet_util_sweep");
+    json.key("util_pct").value(util_pct).key("static_paid_per_s").value(fixed.paid_per_s);
+    json.key("elastic_paid_per_s").value(elastic.paid_per_s).key("paid_cut_pct").value(cut);
+    json.key("static_uj_per_item").value(fixed.uj_per_item);
+    json.key("elastic_uj_per_item").value(elastic.uj_per_item);
+    json.key("static_p99_ms").value(fixed.p99_ms).key("elastic_p99_ms").value(elastic.p99_ms);
+    json.key("migrations").value(elastic.migrations).end_object();
+    records << '\n';
   }
-  if (json != nullptr) std::fclose(json);
+  std::string error;
+  if (!json_out.empty() &&
+      !write_file(json_out, &error, [&records](std::ostream& out) { out << records.str(); },
+                  std::ios::app)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   std::printf("\n");
   sweep.print(std::cout);
   std::printf(

@@ -180,24 +180,13 @@ int main(int argc, char** argv) {
   print_rows(csv, cells);
   std::fprintf(stderr, "wrote %s\n", csv_path.c_str());
 
-  if (session.has_value()) {
-    std::string error;
-    if (!trace_out.empty() &&
-        !obs::write_perfetto_trace(trace_out, *session, &error)) {
-      std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
-      return 1;
-    }
-    if (!metrics_out.empty()) {
-      const bool as_csv = metrics_out.size() >= 4 &&
-                          metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
-      const bool ok = as_csv ? obs::write_metrics_csv(metrics_out, *session, &error)
-                             : obs::write_metrics_json(metrics_out, *session, &error);
-      if (!ok) {
-        std::fprintf(stderr, "metrics export failed: %s\n", error.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "wrote %s\n", metrics_out.c_str());
-    }
+  std::string error;
+  if (session.has_value() &&
+      ((!trace_out.empty() && !obs::write_perfetto_trace(trace_out, *session, &error)) ||
+       (!metrics_out.empty() && !obs::write_metrics(metrics_out, *session, &error)))) {
+    std::fprintf(stderr, "export failed: %s\n", error.c_str());
+    return 1;
   }
+  if (!metrics_out.empty()) std::fprintf(stderr, "wrote %s\n", metrics_out.c_str());
   return 0;
 }

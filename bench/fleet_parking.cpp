@@ -6,17 +6,16 @@
 // with zero per-pair Delta-SLO violations.  Deterministic: the sim host,
 // the controller and the seeded traces replay bit-identically.
 #include <cstdio>
-#include <string>
+#include <iostream>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/core/pbpl_system.hpp"
 #include "pcpc/fleet/controller.hpp"
 #include "pcpc/fleet/sim_driver.hpp"
 #include "pcpc/obs/attribution.hpp"
 #include "pcpc/obs/obs.hpp"
-#include "pcpc/power/energy_ledger.hpp"
-#include "pcpc/sim/replay.hpp"
 #include "pcpc/trace/arrival_process.hpp"
 
 using namespace pcpc;
@@ -42,9 +41,7 @@ core::PbplConfig bench_config() {
 struct RunOutcome {
   double paid_per_s = 0.0;
   double joules_per_item = 0.0;
-  double extra_mw = 0.0;
   double p99_ms = 0.0;
-  std::uint64_t items = 0;
   std::uint64_t migrations = 0;
   std::uint64_t slo_samples = 0;
   std::uint64_t slo_violations = 0;
@@ -68,34 +65,12 @@ RunOutcome run(bool elastic) {
   options.span_sample_every = 16;
   obs::Session session(options);
 
-  sim::Simulator simulator;
-  session.set_clock([&simulator] { return simulator.now(); });
-
-  core::PbplSystem system(simulator, kPairs, config);
-
   fleet::FleetConfig fc;
   fc.mode = elastic ? fleet::FleetMode::kElastic : fleet::FleetMode::kOff;
   fc.control_period = milliseconds(50);
   fc.cooldown = milliseconds(200);
-  fc.cost.slot = config.resolved_slot_size();
-  fc.cost.max_latency = config.max_latency;
-  fc.cost.buffer_items = config.base_buffer;
-  fc.cost.service = config.service;
-  fc.cost.manager_overhead = config.manager_overhead;
-  fc.cost.utilization_cap = config.utilization_cap;
-  fleet::FleetController controller(kPairs, kCores, fc);
-  fleet::SimFleetDriver driver(simulator, system, controller);
-
-  system.start();
-  if (elastic) driver.start();
-  for (std::size_t i = 0; i < kPairs; ++i) {
-    core::PbplConsumer& consumer = system.consumer(i);
-    sim::replay(simulator, traces[i].timestamps(), kHorizon,
-                [&consumer](SimTime t) { consumer.produce(t); });
-  }
-  simulator.run_until(kHorizon);
-  driver.stop();
-  const core::PbplResult result = system.finish(kHorizon);
+  const fleet::SimFleetRun run = fleet::run_sim_fleet(traces, kHorizon, config, fc);
+  const core::PbplResult& result = run.result;
 
   std::size_t offered = 0;
   for (const auto& t : traces) offered += t.size();
@@ -107,29 +82,17 @@ RunOutcome run(bool elastic) {
 
   RunOutcome out;
   const double horizon_s = to_seconds(kHorizon);
-  out.items = result.items;
-  out.migrations = driver.migrations();
+  out.migrations = run.migrations;
   out.paid_per_s = static_cast<double>(result.paid_wakeups) / horizon_s;
   out.p99_ms = result.latency_s.p99() * 1e3;
-
-  const power::EnergyLedger ledger;
-  double joules = 0.0;
-  for (const auto& timeline : result.timelines) {
-    joules += ledger.energy_joules(timeline) - ledger.baseline_joules(timeline);
-  }
-  joules += static_cast<double>(result.items) * ledger.params().item_transport_energy_j +
-            static_cast<double>(result.paid_wakeups) * ledger.params().wakeup_energy_j;
-  out.joules_per_item = joules / static_cast<double>(result.items);
-  out.extra_mw = joules / horizon_s * 1e3;
+  out.joules_per_item = run.joules / static_cast<double>(result.items);
 
   obs::AttributionOptions attr;
   attr.service = config.service;
   attr.delta_ns = config.max_latency;
   const obs::AttributionReport report = obs::build_attribution(session, attr);
-  for (const auto& pair : report.pairs) {
-    out.slo_samples += pair.slo_samples;
-    out.slo_violations += pair.slo_violations;
-  }
+  out.slo_samples = report.slo_samples;
+  out.slo_violations = report.slo_violations;
   return out;
 }
 
@@ -156,15 +119,16 @@ int main() {
       static_cast<unsigned long long>(elastic.slo_violations),
       static_cast<unsigned long long>(elastic.slo_samples));
 
-  std::printf(
-      "{\"bench\":\"fleet_parking\",\"static_paid_per_s\":%.2f,"
-      "\"elastic_paid_per_s\":%.2f,\"paid_cut_pct\":%.1f,"
-      "\"static_uj_per_item\":%.3f,\"elastic_uj_per_item\":%.3f,"
-      "\"static_p99_ms\":%.3f,\"elastic_p99_ms\":%.3f,"
-      "\"migrations\":%llu,\"slo_violations\":%llu,\"pass\":%s}\n",
-      fixed.paid_per_s, elastic.paid_per_s, cut, fixed.joules_per_item * 1e6,
-      elastic.joules_per_item * 1e6, fixed.p99_ms, elastic.p99_ms,
-      static_cast<unsigned long long>(elastic.migrations),
-      static_cast<unsigned long long>(elastic.slo_violations), pass ? "true" : "false");
+  JsonWriter json(std::cout);
+  json.begin_object().key("schema").value("pcpc.bench/1").key("bench").value("fleet_parking");
+  json.key("static_paid_per_s").value(fixed.paid_per_s);
+  json.key("elastic_paid_per_s").value(elastic.paid_per_s).key("paid_cut_pct").value(cut);
+  json.key("static_uj_per_item").value(fixed.joules_per_item * 1e6);
+  json.key("elastic_uj_per_item").value(elastic.joules_per_item * 1e6);
+  json.key("static_p99_ms").value(fixed.p99_ms).key("elastic_p99_ms").value(elastic.p99_ms);
+  json.key("migrations").value(elastic.migrations);
+  json.key("slo_violations").value(elastic.slo_violations).key("pass").value(pass);
+  json.end_object();
+  std::cout << std::endl;
   return pass ? 0 : 1;
 }

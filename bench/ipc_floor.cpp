@@ -19,9 +19,9 @@
 //     probe once per heartbeat period, never once per push.
 //
 // The saturating trials report their median throughput with the min and
-// max, so the record carries its spread.
+// max, so the record (the last line of stdout) carries its spread.
 //
-// Usage: ipc_floor [--items=N] [--producers=N] [--trials=N] [--json-out=F]
+// Usage: ipc_floor [--items=N] [--producers=N] [--trials=N]
 #include <sys/mman.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -32,9 +32,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
 #include "pcpc/ipc/channel.hpp"
 
 namespace {
@@ -60,7 +62,6 @@ struct Options {
   std::uint64_t items = 200000;  ///< per producer
   std::size_t producers = 3;
   std::size_t trials = 3;
-  std::string json_out;
 };
 
 struct TrialResult {
@@ -207,8 +208,6 @@ int main(int argc, char** argv) {
       options.producers = std::strtoull(argv[i] + 12, nullptr, 10);
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
       options.trials = std::strtoull(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      options.json_out = argv[i] + 11;
     } else {
       std::fprintf(stderr, "ipc_floor: unknown option %s\n", argv[i]);
       return 2;
@@ -273,27 +272,20 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  if (!options.json_out.empty()) {
-    std::FILE* f = std::fopen(options.json_out.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\"bench\":\"ipc_floor\",\"producers\":%zu,\"items\":%llu,"
-                   "\"trials\":%zu,\"items_per_sec\":%.1f,"
-                   "\"items_per_sec_min\":%.1f,\"items_per_sec_max\":%.1f,"
-                   "\"futex_wakes\":%llu,\"wakes_per_item\":%.6f,\"consumed\":%llu,"
-                   "\"sleeping_push_ns_p50\":%.0f,\"sleeping_push_ns_p99\":%.0f,"
-                   "\"sleeping_push_p50_gate_ns\":%.0f,\"pass\":%s}\n",
-                   options.producers,
-                   static_cast<unsigned long long>(options.items), options.trials,
-                   median.items_per_sec, min_items_per_sec, max_items_per_sec,
-                   static_cast<unsigned long long>(median.report.futex_wakes),
-                   wakes_per_item,
-                   static_cast<unsigned long long>(median.report.consumed),
-                   sleeping.push_ns_p50, sleeping.push_ns_p99, kMaxSleepingPushP50Ns,
-                   failures == 0 ? "true" : "false");
-      std::fclose(f);
-    }
-  }
   if (failures == 0) std::printf("ipc_floor: floors hold\n");
+
+  pcpc::JsonWriter json(std::cout);
+  json.begin_object().key("schema").value("pcpc.bench/1").key("bench").value("ipc_floor");
+  json.key("producers").value(options.producers).key("items").value(options.items);
+  json.key("trials").value(options.trials).key("items_per_sec").value(median.items_per_sec);
+  json.key("items_per_sec_min").value(min_items_per_sec);
+  json.key("items_per_sec_max").value(max_items_per_sec);
+  json.key("futex_wakes").value(median.report.futex_wakes);
+  json.key("wakes_per_item").value(wakes_per_item).key("consumed").value(median.report.consumed);
+  json.key("sleeping_push_ns_p50").value(sleeping.push_ns_p50);
+  json.key("sleeping_push_ns_p99").value(sleeping.push_ns_p99);
+  json.key("sleeping_push_p50_gate_ns").value(kMaxSleepingPushP50Ns);
+  json.key("pass").value(failures == 0).end_object();
+  std::cout << std::endl;
   return failures == 0 ? 0 : 1;
 }

@@ -30,9 +30,11 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/pbpl_system.hpp"
@@ -186,7 +188,7 @@ int main(int argc, char** argv) {
     ledger_ok = paid_ledger == paid_sim;
     std::string error;
     if (!metrics_out.empty() &&
-        !obs::write_metrics_json(metrics_out, session, &error)) {
+        !obs::write_metrics(metrics_out, session, &error)) {
       std::fprintf(stderr, "metrics export failed: %s\n", error.c_str());
       return 1;
     }
@@ -215,18 +217,20 @@ int main(int argc, char** argv) {
 
   const auto pct = [](double ratio) { return (ratio - 1.0) * 1e2; };
   const bool pass = ledger_ok && gated <= max_overhead && span_gated <= max_overhead;
-  std::printf(
-      "{\"bench\":\"obs_overhead\",\"repeats\":%zu,\"overhead_pct\":%.2f,"
-      "\"min_ratio_pct\":%.2f,\"gated_pct\":%.2f,\"ratio_min_pct\":%.2f,"
-      "\"ratio_max_pct\":%.2f,\"span_overhead_pct\":%.2f,\"span_min_ratio_pct\":%.2f,"
-      "\"span_gated_pct\":%.2f,\"span_ratio_min_pct\":%.2f,\"span_ratio_max_pct\":%.2f,"
-      "\"gate_pct\":%.2f,\"bare_ns_per_item\":%.1f,\"recorded_ns_per_item\":%.1f,"
-      "\"ledger_match\":%s,\"pass\":%s}\n",
-      repeats, pct(overhead), pct(min_traced / min_bare), pct(gated), pct(ratios.front()),
-      pct(ratios.back()), pct(span_overhead), pct(min_spans / min_bare), pct(span_gated),
-      pct(span_ratios.front()), pct(span_ratios.back()), pct(max_overhead),
-      ns_per_item(min_bare), ns_per_item(min_traced), ledger_ok ? "true" : "false",
-      pass ? "true" : "false");
+  JsonWriter json(std::cout);
+  json.begin_object().key("schema").value("pcpc.bench/1").key("bench").value("obs_overhead");
+  json.key("repeats").value(repeats).key("overhead_pct").value(pct(overhead));
+  json.key("min_ratio_pct").value(pct(min_traced / min_bare)).key("gated_pct").value(pct(gated));
+  json.key("ratio_min_pct").value(pct(ratios.front())).key("ratio_max_pct").value(pct(ratios.back()));
+  json.key("span_overhead_pct").value(pct(span_overhead));
+  json.key("span_min_ratio_pct").value(pct(min_spans / min_bare));
+  json.key("span_gated_pct").value(pct(span_gated));
+  json.key("span_ratio_min_pct").value(pct(span_ratios.front()));
+  json.key("span_ratio_max_pct").value(pct(span_ratios.back()));
+  json.key("gate_pct").value(pct(max_overhead)).key("bare_ns_per_item").value(ns_per_item(min_bare));
+  json.key("recorded_ns_per_item").value(ns_per_item(min_traced));
+  json.key("ledger_match").value(ledger_ok).key("pass").value(pass).end_object();
+  std::cout << std::endl;
 
   if (!ledger_ok) return 1;
   if (gated > max_overhead) {

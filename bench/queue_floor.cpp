@@ -6,24 +6,28 @@
 // lock), and with four producers the MPSC queue must beat the mutex kind
 // outright (the contended lock is exactly the cost it removes).  Medians over repeated
 // trials keep one noisy scheduler decision from failing a build; the
-// JSON record carries each configuration's min and max beside its median.
+// JSON record (the last line of stdout) carries each configuration's min
+// and max beside its median, in Mitems/s.
 //
-// Usage: queue_floor [--items=N] [--trials=N] [--json-out=F]
-#include <algorithm>
+// Usage: queue_floor [--items=N] [--trials=N]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
+#include "pcpc/common/stats.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace {
 
+using pcpc::Spread;
 using pcpc::queue::BackendKind;
 using pcpc::queue::Handoff;
 using pcpc::queue::make_handoff;
@@ -31,14 +35,6 @@ using pcpc::queue::make_handoff;
 struct Options {
   std::uint64_t items = 200000;  ///< per producer
   std::size_t trials = 5;
-  std::string json_out;
-};
-
-/// Throughput over the trials of one configuration, items/s.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
 };
 
 /// One producer/consumer run; returns items moved per second (all
@@ -93,21 +89,13 @@ double run_trial(BackendKind kind, std::size_t producers, std::uint64_t items) {
   return static_cast<double>(total) / seconds;
 }
 
+/// Throughput over the trials of one configuration, items/s.
 Spread throughput(BackendKind kind, std::size_t producers, const Options& options) {
   std::vector<double> samples;
   for (std::size_t t = 0; t < options.trials; ++t) {
     samples.push_back(run_trial(kind, producers, options.items));
   }
-  std::sort(samples.begin(), samples.end());
-  return {samples[samples.size() / 2], samples.front(), samples.back()};
-}
-
-/// `"name":{"median":…,"min":…,"max":…}` in Mitems/s.
-std::string spread_json(const char* name, const Spread& s) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "\"%s\":{\"median\":%.3f,\"min\":%.3f,\"max\":%.3f}",
-                name, s.median / 1e6, s.min / 1e6, s.max / 1e6);
-  return buf;
+  return pcpc::spread_of(std::move(samples));
 }
 
 }  // namespace
@@ -119,8 +107,6 @@ int main(int argc, char** argv) {
       options.items = std::strtoull(argv[i] + 8, nullptr, 10);
     } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
       options.trials = std::strtoull(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      options.json_out = argv[i] + 11;
     } else {
       std::fprintf(stderr, "queue_floor: unknown option %s\n", argv[i]);
       return 2;
@@ -155,21 +141,17 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  if (!options.json_out.empty()) {
-    std::FILE* f = std::fopen(options.json_out.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\"bench\":\"queue_floor\",\"trials\":%zu,\"items\":%llu,%s,%s,%s,%s,"
-                   "\"spsc_vs_mutex_1p\":%.3f,\"mpsc_vs_mutex_4p\":%.3f,\"pass\":%s}\n",
-                   options.trials, static_cast<unsigned long long>(options.items),
-                   spread_json("mutex_1p", mutex_1p).c_str(),
-                   spread_json("spsc_1p", spsc_1p).c_str(),
-                   spread_json("mutex_4p", mutex_4p).c_str(),
-                   spread_json("mpsc_4p", mpsc_4p).c_str(), spsc_x, mpsc_x,
-                   failures == 0 ? "true" : "false");
-      std::fclose(f);
-    }
-  }
   if (failures == 0) std::printf("queue_floor: floors hold\n");
+
+  pcpc::JsonWriter json(std::cout);
+  json.begin_object().key("schema").value("pcpc.bench/1").key("bench").value("queue_floor");
+  json.key("trials").value(options.trials).key("items").value(options.items);
+  pcpc::write_spread(json.key("mutex_1p"), mutex_1p, 1e6);
+  pcpc::write_spread(json.key("spsc_1p"), spsc_1p, 1e6);
+  pcpc::write_spread(json.key("mutex_4p"), mutex_4p, 1e6);
+  pcpc::write_spread(json.key("mpsc_4p"), mpsc_4p, 1e6);
+  json.key("spsc_vs_mutex_1p").value(spsc_x).key("mpsc_vs_mutex_4p").value(mpsc_x);
+  json.key("pass").value(failures == 0).end_object();
+  std::cout << std::endl;
   return failures == 0 ? 0 : 1;
 }

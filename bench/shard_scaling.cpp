@@ -16,20 +16,23 @@
 // by the slot schedule (<= cores x elapsed/slot, plus slack) for every
 // core count and every queue backend.
 //
-// --json-out=F writes one JSON record: the trial count, the median, min
-// and max of items/s and of scheduled wakeups/s for every configuration,
-// the gated trial's wakeups against its bound, and the computed pass.
+// The last line of stdout is one JSON record: the trial count, the
+// median, min and max of items/s and of scheduled wakeups/s for every
+// configuration, the gated trial's wakeups against its bound, and the
+// computed pass.
 //
-// Usage: shard_scaling [--items=N] [--trials=N] [--handler-us=U] [--json-out=F]
+// Usage: shard_scaling [--items=N] [--trials=N] [--handler-us=U]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
+#include <iostream>
 #include <thread>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
+#include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/queue/backend.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
@@ -42,7 +45,6 @@ struct Options {
   std::uint64_t items = 3000;  ///< per producer
   std::size_t trials = 3;
   std::int64_t handler_us = 20;  ///< per-item handler sleep
-  std::string json_out;
 };
 
 constexpr std::size_t kConsumers = 4;
@@ -104,18 +106,6 @@ RunResult run_trial(std::size_t cores, queue::BackendKind backend,
   return result;
 }
 
-/// Median, min and max of one measure over a configuration's trials.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread spread_of(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return {values[values.size() / 2], values.front(), values.back()};
-}
-
 /// Scheduled wakeups are slot-timer fires: the schedule itself caps them
 /// at cores x elapsed/slot; parallel drains must never mint more.
 double wake_bound(const RunResult& r, std::size_t cores) {
@@ -169,33 +159,6 @@ void print_config(const ConfigResult& r) {
               r.scheduled_per_s.max, queue::backend_name(r.backend));
 }
 
-void write_json(const std::string& path, const Options& options,
-                const std::vector<ConfigResult>& configs, double speedup, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\"bench\":\"shard_scaling\",\"items\":%llu,\"trials\":%zu,"
-               "\"handler_us\":%lld,\"slot_ms\":%.3f,\"configs\":[",
-               static_cast<unsigned long long>(options.items), options.trials,
-               static_cast<long long>(options.handler_us), 1e3 * to_seconds(kSlot));
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const ConfigResult& r = configs[i];
-    std::fprintf(f,
-                 "%s{\"cores\":%zu,\"backend\":\"%s\","
-                 "\"items_per_s\":{\"median\":%.1f,\"min\":%.1f,\"max\":%.1f},"
-                 "\"scheduled_per_s\":{\"median\":%.1f,\"min\":%.1f,\"max\":%.1f},"
-                 "\"scheduled_wakeups\":%llu,\"wake_bound\":%.1f,\"wakes_ok\":%s}",
-                 i == 0 ? "" : ",", r.cores, queue::backend_name(r.backend),
-                 r.items_per_s.median, r.items_per_s.min, r.items_per_s.max,
-                 r.scheduled_per_s.median, r.scheduled_per_s.min, r.scheduled_per_s.max,
-                 static_cast<unsigned long long>(r.gated.scheduled_wakeups),
-                 wake_bound(r.gated, r.cores), r.wakes_ok ? "true" : "false");
-  }
-  std::fprintf(f, "],\"four_core_vs_one\":%.3f,\"gate\":1.8,\"pass\":%s}\n", speedup,
-               pass ? "true" : "false");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,8 +170,6 @@ int main(int argc, char** argv) {
       options.trials = std::strtoull(argv[i] + 9, nullptr, 10);
     } else if (std::strncmp(argv[i], "--handler-us=", 13) == 0) {
       options.handler_us = std::strtoll(argv[i] + 13, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      options.json_out = argv[i] + 11;
     } else {
       std::fprintf(stderr, "shard_scaling: unknown option %s\n", argv[i]);
       return 2;
@@ -254,9 +215,24 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  if (!options.json_out.empty()) {
-    write_json(options.json_out, options, configs, speedup, failures == 0);
-  }
   if (failures == 0) std::printf("shard_scaling: gates hold\n");
+
+  JsonWriter json(std::cout);
+  json.begin_object().key("schema").value("pcpc.bench/1").key("bench").value("shard_scaling");
+  json.key("items").value(options.items).key("trials").value(options.trials);
+  json.key("handler_us").value(options.handler_us);
+  json.key("slot_ms").value(1e3 * to_seconds(kSlot)).key("configs").begin_array();
+  for (const ConfigResult& r : configs) {
+    json.begin_object().key("cores").value(r.cores);
+    json.key("backend").value(queue::backend_name(r.backend));
+    write_spread(json.key("items_per_s"), r.items_per_s);
+    write_spread(json.key("scheduled_per_s"), r.scheduled_per_s);
+    json.key("scheduled_wakeups").value(r.gated.scheduled_wakeups);
+    json.key("wake_bound").value(wake_bound(r.gated, r.cores));
+    json.key("wakes_ok").value(r.wakes_ok).end_object();
+  }
+  json.end_array().key("four_core_vs_one").value(speedup).key("gate").value(1.8);
+  json.key("pass").value(failures == 0).end_object();
+  std::cout << std::endl;
   return failures == 0 ? 0 : 1;
 }

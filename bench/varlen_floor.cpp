@@ -234,8 +234,8 @@ int main(int argc, char** argv) {
     std::FILE* f = std::fopen(options.json_out.c_str(), "w");
     if (f != nullptr) {
       std::fprintf(f,
-                   "{\"bench\":\"varlen_floor\",\"trials\":%zu,%s\"mpsc_ratio_%u\":%.3f,"
-                   "\"spsc_zero_mbps\":%.1f,\"spsc_copy_mbps\":%.1f,"
+                   "{\"schema\":\"pcpc.bench/1\",\"bench\":\"varlen_floor\",\"trials\":%zu,"
+                   "%s\"mpsc_ratio_%u\":%.3f,\"spsc_zero_mbps\":%.1f,\"spsc_copy_mbps\":%.1f,"
                    "\"mpsc_zero_mbps\":%.1f,\"mpsc_zero_mbps_min\":%.1f,"
                    "\"mpsc_zero_mbps_max\":%.1f,\"mpsc_copy_mbps\":%.1f,"
                    "\"mpsc_copy_mbps_min\":%.1f,\"mpsc_copy_mbps_max\":%.1f,"

@@ -29,7 +29,9 @@ prefix="${1:-build-san}"
 # shifts its slot entries in place, so its suites and the manager step's
 # run under ASan/UBSan; the latency recorder's bin table is built on
 # first use, which the thread hosts' manager threads reach concurrently.
-suite_regex='ReservationTable|StepFixture|ManagerStep|LatencyRecorder|EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|ObsTally|TraceRing|Session|WakeupLedger|MetricsExport|Fleet|example_chaos_demo|example_live_threads'
+# The JSON writer escapes by byte and forwards through its own stream
+# buffer, so its suites run under ASan/UBSan too.
+suite_regex='JsonWriter|WriteFile|ReservationTable|StepFixture|ManagerStep|LatencyRecorder|EventQueue|Simulator|Replay|SimReplay|ChaosRuntime|ChaosBaseline|ChaosSim|FaultInjector|ApplyProducerFaults|ThreadPbpl|ThreadBaseline|TraceReplayer|RuntimeChaosFuzz|RuntimeSharding|BufferPool|ElasticBuffer|QueueDifferential|QueueFuzz|IpcCrash|IpcPush|ObsIpc|ObsAttribution|ObsTally|TraceRing|Session|WakeupLedger|MetricsExport|Fleet|example_chaos_demo|example_live_threads'
 
 run_pass() {
   local name="$1" sanitize="$2"
@@ -39,7 +41,7 @@ run_pass() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   echo "=== ${name}: build ==="
   cmake --build "${dir}" -j "$(nproc)" \
-    --target test_sim test_reservation test_manager_step test_latency_recorder \
+    --target test_containers test_sim test_reservation test_manager_step test_latency_recorder \
              test_chaos_runtime test_fault_injection test_runtime \
              test_runtime_sharding test_fleet \
              test_fuzz_pbpl test_pool_handoff test_obs test_obs_ledger test_obs_export \

@@ -124,23 +124,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.missed_deadlines),
               1e3 * s.latency_s.p99());
 
-  if (session.has_value()) {
-    std::string error;
-    if (!trace_out.empty() &&
-        !obs::write_perfetto_trace(trace_out, *session, &error)) {
-      std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
-      return 1;
-    }
-    if (!metrics_out.empty()) {
-      const bool csv = metrics_out.size() >= 4 &&
-                       metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
-      const bool written = csv ? obs::write_metrics_csv(metrics_out, *session, &error)
-                               : obs::write_metrics_json(metrics_out, *session, &error);
-      if (!written) {
-        std::fprintf(stderr, "metrics export failed: %s\n", error.c_str());
-        return 1;
-      }
-    }
+  std::string error;
+  if (session.has_value() &&
+      ((!trace_out.empty() && !obs::write_perfetto_trace(trace_out, *session, &error)) ||
+       (!metrics_out.empty() && !obs::write_metrics(metrics_out, *session, &error)))) {
+    std::fprintf(stderr, "export failed: %s\n", error.c_str());
+    return 1;
   }
   return s.items == s.produced ? 0 : 1;
 }

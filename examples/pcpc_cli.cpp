@@ -30,9 +30,10 @@
 //                      static packs the placement once at startup;
 //                      elastic arms the live controller (migration +
 //                      core parking) for an extra fleet-scoped run
-//   --fleet-report=FILE  write the fleet run's outcome (one JSON object:
-//                      mode, migrations, paid wakeups, joules/item,
-//                      final placement, predicted per-pair rates)
+//   --fleet-report=FILE  write the fleet run's outcome (one JSON object,
+//                      schema pcpc.fleet_report/1: mode, migrations, paid
+//                      wakeups, joules/item, final placement, predicted
+//                      per-pair rates)
 //   key=value          any pcpc::core::config_io key, applied last
 //
 // Examples:
@@ -56,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "pcpc/common/json.hpp"
 #include "pcpc/common/rng.hpp"
 #include "pcpc/common/table.hpp"
 #include "pcpc/core/config_io.hpp"
@@ -64,7 +66,6 @@
 #include "pcpc/fleet/sim_driver.hpp"
 #include "pcpc/ipc/channel.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
-#include "pcpc/sim/replay.hpp"
 #include "pcpc/obs/attribution.hpp"
 #include "pcpc/obs/exporters.hpp"
 #include "pcpc/obs/obs.hpp"
@@ -105,46 +106,38 @@ struct CliOptions {
   }
 };
 
-/// Writes the requested telemetry artifacts; shared by all harnesses'
-/// exit paths.  Extension picks the metrics format: .csv -> CSV, else
-/// JSON.
-bool export_telemetry(obs::Session& session, const std::string& trace_out,
-                      const std::string& metrics_out) {
+/// Logs where one requested document went; false when its write failed.
+bool logged(const char* what, const std::string& path, bool written,
+            const std::string& error) {
+  if (written) {
+    std::fprintf(stderr, "[pcpc] %s written to %s\n", what, path.c_str());
+  } else {
+    std::fprintf(stderr, "[pcpc] %s export failed: %s\n", what, error.c_str());
+  }
+  return written;
+}
+
+/// Writes the requested trace and metrics (obs::write_metrics picks the
+/// format by name); shared by all harnesses' exit paths.
+bool export_telemetry(obs::Session& session, const CliOptions& options) {
   std::string error;
   bool ok = true;
-  if (!trace_out.empty()) {
-    if (obs::write_perfetto_trace(trace_out, session, &error)) {
-      std::fprintf(stderr, "[pcpc obs] trace written to %s\n", trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "[pcpc obs] trace export failed: %s\n", error.c_str());
-      ok = false;
-    }
+  if (!options.trace_out.empty()) {
+    ok = logged("trace", options.trace_out,
+                obs::write_perfetto_trace(options.trace_out, session, &error), error);
   }
-  if (!metrics_out.empty()) {
-    const bool csv = metrics_out.size() >= 4 &&
-                     metrics_out.compare(metrics_out.size() - 4, 4, ".csv") == 0;
-    const bool written = csv ? obs::write_metrics_csv(metrics_out, session, &error)
-                             : obs::write_metrics_json(metrics_out, session, &error);
-    if (written) {
-      std::fprintf(stderr, "[pcpc obs] metrics written to %s\n", metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "[pcpc obs] metrics export failed: %s\n", error.c_str());
-      ok = false;
-    }
+  if (!options.metrics_out.empty()) {
+    ok = logged("metrics", options.metrics_out,
+                obs::write_metrics(options.metrics_out, session, &error), error) && ok;
   }
   return ok;
 }
 
-/// Writes the --slo-report artifact (no-op when the flag is unset).
+/// Writes the --slo-report document (no-op when the flag is unset).
 bool export_slo_report(const obs::AttributionReport& report, const std::string& path) {
-  if (path.empty()) return true;
   std::string error;
-  if (obs::write_slo_report(path, report, &error)) {
-    std::fprintf(stderr, "[pcpc obs] slo report written to %s\n", path.c_str());
-    return true;
-  }
-  std::fprintf(stderr, "[pcpc obs] slo report export failed: %s\n", error.c_str());
-  return false;
+  return path.empty() ||
+         logged("slo report", path, obs::write_slo_report(path, report, &error), error);
 }
 
 /// Energy model + Δ budget for attribution, from the paper-calibrated
@@ -283,102 +276,58 @@ int run_fleet(fleet::FleetMode mode, std::span<const trace::Trace> traces,
     config.assignment = core::AssignmentPolicy::Packed;
   }
 
-  sim::Simulator simulator;
-  core::PbplSystem system(simulator, traces.size(), config, utilization);
-
-  fleet::FleetConfig fc;
-  fc.mode = mode;
-  fc.cost.slot = config.resolved_slot_size();
-  fc.cost.max_latency = config.max_latency;
-  fc.cost.buffer_items = config.base_buffer;
-  fc.cost.service = config.service;
-  fc.cost.manager_overhead = config.manager_overhead;
-  fc.cost.utilization_cap = config.utilization_cap;
-  fleet::FleetController controller(traces.size(), config.cores, fc);
-  fleet::SimFleetDriver driver(simulator, system, controller);
-
-  system.start();
-  if (mode == fleet::FleetMode::kElastic) driver.start();
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    core::PbplConsumer& consumer = system.consumer(i);
-    sim::replay(simulator, traces[i].timestamps(), horizon,
-                [&consumer](SimTime t) { consumer.produce(t); });
-  }
-  simulator.run_until(horizon);
-  driver.stop();
-  const std::vector<std::size_t> placement = system.placement();
-  const core::PbplResult result = system.finish(horizon);
-
-  const power::EnergyLedger ledger(spec.power);
-  double joules = 0.0;
-  for (const auto& timeline : result.timelines) {
-    joules += ledger.energy_joules(timeline) - ledger.baseline_joules(timeline);
-  }
-  joules += static_cast<double>(result.items) * ledger.params().item_transport_energy_j +
-            static_cast<double>(result.paid_wakeups) * ledger.params().wakeup_energy_j;
+  const fleet::SimFleetRun run =
+      fleet::run_sim_fleet(traces, horizon, config, {.mode = mode}, spec.power, utilization);
+  const core::PbplResult& result = run.result;
   const double horizon_s = to_seconds(horizon);
   const double paid_per_s = static_cast<double>(result.paid_wakeups) / horizon_s;
   const double uj_per_item =
-      result.items > 0 ? joules / static_cast<double>(result.items) * 1e6 : 0.0;
+      result.items > 0 ? run.joules / static_cast<double>(result.items) * 1e6 : 0.0;
   // With --payload-bytes armed, the sim host prices the same byte stream
   // the real hosts move: every item carries the configured mean payload.
   const double payload_bytes =
       static_cast<double>(result.items) * options.mean_payload();
   const double joules_per_mb =
-      payload_bytes > 0 ? joules / (payload_bytes / 1e6) : 0.0;
+      payload_bytes > 0 ? run.joules / (payload_bytes / 1e6) : 0.0;
 
   std::string placement_str;
-  for (const std::size_t core : placement) {
+  for (const std::size_t core : run.placement) {
     if (!placement_str.empty()) placement_str += ' ';
     placement_str += std::to_string(core);
   }
   std::printf("\nfleet (%s): %.1f paid wakeups/s, %.2f uJ/item, "
               "%llu migrations over %llu ticks, placement [%s]\n",
               fleet_mode_name(mode), paid_per_s, uj_per_item,
-              static_cast<unsigned long long>(driver.migrations()),
-              static_cast<unsigned long long>(driver.ticks()), placement_str.c_str());
+              static_cast<unsigned long long>(run.migrations),
+              static_cast<unsigned long long>(run.ticks), placement_str.c_str());
   if (options.payload_max > 0) {
     std::printf("fleet payload: %.2f MB/s priced at %.4f J/MB\n",
                 payload_bytes / horizon_s / 1e6, joules_per_mb);
   }
 
   if (report_path.empty()) return 0;
-  FILE* out = std::fopen(report_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write fleet report to %s\n", report_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\"mode\":\"%s\",\"pairs\":%zu,\"cores\":%zu,"
-               "\"migrations\":%llu,\"ticks\":%llu,\"items\":%llu,"
-               "\"paid_wakeups\":%llu,\"paid_per_s\":%.3f,"
-               "\"joules_per_item\":%.9g,",
-               fleet_mode_name(mode), traces.size(),
-               static_cast<std::size_t>(config.cores),
-               static_cast<unsigned long long>(driver.migrations()),
-               static_cast<unsigned long long>(driver.ticks()),
-               static_cast<unsigned long long>(result.items),
-               static_cast<unsigned long long>(result.paid_wakeups), paid_per_s,
-               uj_per_item * 1e-6);
-  if (options.payload_max > 0) {
-    std::fprintf(out,
-                 "\"payload_bytes\":%.0f,\"payload_bytes_per_s\":%.3f,"
-                 "\"joules_per_mb\":%.9g,",
-                 payload_bytes, payload_bytes / horizon_s, joules_per_mb);
-  }
-  std::fprintf(out, "\"placement\":[");
-  for (std::size_t i = 0; i < placement.size(); ++i) {
-    std::fprintf(out, "%s%zu", i > 0 ? "," : "", placement[i]);
-  }
-  std::fprintf(out, "],\"predicted_rates_hz\":[");
-  const std::vector<double>& rates = controller.rates();
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    std::fprintf(out, "%s%.3f", i > 0 ? "," : "", rates[i]);
-  }
-  std::fprintf(out, "]}\n");
-  std::fclose(out);
-  std::fprintf(stderr, "[pcpc fleet] report written to %s\n", report_path.c_str());
-  return 0;
+  const auto write_report = [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.begin_object().key("schema").value("pcpc.fleet_report/1");
+    json.key("mode").value(fleet_mode_name(mode)).key("pairs").value(traces.size());
+    json.key("cores").value(config.cores).key("migrations").value(run.migrations);
+    json.key("ticks").value(run.ticks).key("items").value(result.items);
+    json.key("paid_wakeups").value(result.paid_wakeups).key("paid_per_s").value(paid_per_s);
+    json.key("joules_per_item").value(uj_per_item * 1e-6);
+    if (options.payload_max > 0) {
+      json.key("payload_bytes").value(payload_bytes);
+      json.key("payload_bytes_per_s").value(payload_bytes / horizon_s);
+      json.key("joules_per_mb").value(joules_per_mb);
+    }
+    json.key("placement").begin_array();
+    for (const std::size_t core : run.placement) json.value(core);
+    json.end_array().key("predicted_rates_hz").begin_array();
+    for (const double rate : run.rates_hz) json.value(rate);
+    json.end_array().end_object();
+  };
+  std::string error;
+  return logged("fleet report", report_path, write_file(report_path, &error, write_report),
+                error) ? 0 : 1;
 }
 
 /// Cross-process host (--impl=ipc): real producer processes over one shm
@@ -465,10 +414,7 @@ int run_ipc(const CliOptions& options) {
     std::printf("[pcpc ipc] producer %d done on %s: %llu acked, %llu dropped\n",
                 static_cast<int>(::getpid()), options.ipc_name.c_str(), ull(acked),
                 ull(dropped));
-    if (session.has_value() &&
-        !export_telemetry(*session, options.trace_out, options.metrics_out)) {
-      return 1;
-    }
+    if (session.has_value() && !export_telemetry(*session, options)) return 1;
     return 0;
   }
 
@@ -646,9 +592,7 @@ int run_ipc(const CliOptions& options) {
       }
       if (!export_slo_report(report, options.slo_report)) return 1;
     }
-    if (!export_telemetry(*session, options.trace_out, options.metrics_out)) {
-      return 1;
-    }
+    if (!export_telemetry(*session, options)) return 1;
   }
   return 0;
 }
@@ -817,9 +761,7 @@ int main(int argc, char** argv) {
       report.joules_per_mb = payload_joules_per_mb;
       if (!export_slo_report(report, options.slo_report)) return 1;
     }
-    if (!export_telemetry(*session, options.trace_out, options.metrics_out)) {
-      return 1;
-    }
+    if (!export_telemetry(*session, options)) return 1;
   }
   return 0;
 }

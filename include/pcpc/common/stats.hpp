@@ -14,6 +14,8 @@
 
 namespace pcpc {
 
+class JsonWriter;
+
 /// Numerically stable streaming mean/variance accumulator (Welford).
 class OnlineStats {
  public:
@@ -82,6 +84,16 @@ struct Measurement {
 
 /// Reduces a set of replicate values into a Measurement.
 Measurement measure(std::span<const double> replicates, double level = 0.95);
+
+/// Median (the sorted sample at size/2), min and max of a gate bench's
+/// non-empty trials; written as `{"median":…,"min":…,"max":…}` / unit.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+Spread spread_of(std::vector<double> samples);
+void write_spread(JsonWriter& json, const Spread& spread, double unit = 1.0);
 
 /// Fixed-width histogram over [lo, hi) with overflow/underflow bins.
 class Histogram {

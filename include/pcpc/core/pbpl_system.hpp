@@ -12,6 +12,7 @@
 #include "pcpc/core/consumer.hpp"
 #include "pcpc/core/core_manager.hpp"
 #include "pcpc/core/sim_core.hpp"
+#include "pcpc/obs/obs.hpp"
 #include "pcpc/power/core_timeline.hpp"
 #include "pcpc/sim/simulator.hpp"
 #include "pcpc/trace/trace.hpp"
@@ -51,9 +52,13 @@ class PbplSystem {
   /// Builds A cores with managers plus M consumers mapped onto them by
   /// config.assignment.  `utilization` (one expected core-share per
   /// consumer) is needed by the Packed/RateBalanced policies; RoundRobin
-  /// ignores it.
+  /// ignores it.  While the system exists, the installed obs::Session's
+  /// clock (queue-resize and fault timestamps) reads `simulator`'s time.
   PbplSystem(sim::Simulator& simulator, std::size_t consumers, const PbplConfig& config,
              std::span<const double> utilization = {});
+  ~PbplSystem();
+  PbplSystem(const PbplSystem&) = delete;
+  PbplSystem& operator=(const PbplSystem&) = delete;
 
   /// Number of consumers M.
   std::size_t consumer_count() const { return consumers_.size(); }
@@ -90,6 +95,7 @@ class PbplSystem {
   std::vector<std::unique_ptr<CoreManager>> managers_;
   std::vector<std::unique_ptr<PbplConsumer>> consumers_;
   std::vector<std::size_t> mapping_;
+  obs::Session* clock_session_;  ///< the session whose clock is pinned
 };
 
 /// Convenience one-call experiment: replays `traces` (one per pair) for

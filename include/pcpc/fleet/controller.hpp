@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "pcpc/common/types.hpp"
+#include "pcpc/core/config.hpp"
 #include "pcpc/core/rate_predictor.hpp"
 #include "pcpc/fleet/cost_model.hpp"
 
@@ -68,6 +69,10 @@ struct FleetConfig {
   /// from their live PbplConfig).
   CostModelParams cost{};
 };
+
+/// `fc` with its cost model's workload-shape fields taken from `config`,
+/// so the controller prices the schedule a host built from it executes.
+FleetConfig priced_for(const core::PbplConfig& config, FleetConfig fc);
 
 /// One planned consumer migration.
 struct FleetMove {

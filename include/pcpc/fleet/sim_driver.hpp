@@ -1,4 +1,4 @@
-// Deterministic fleet controller driver for the simulation host.
+// Deterministic fleet-managed replay on the simulation host.
 //
 // Schedules one control tick every FleetConfig::control_period on the
 // simulator's event loop: observe drained-item counters, plan, apply the
@@ -9,52 +9,37 @@
 // bookkeeping overhead is priced separately via manager_overhead).
 //
 // Because the simulator, the controller and the cost model are all
-// deterministic, a fig10-style sweep with the driver attached replays
+// deterministic, a fig10-style sweep with the controller attached replays
 // bit-identically from its seed.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pcpc/core/pbpl_system.hpp"
 #include "pcpc/fleet/controller.hpp"
-#include "pcpc/sim/simulator.hpp"
+#include "pcpc/power/energy_ledger.hpp"
+#include "pcpc/trace/trace.hpp"
 
 namespace pcpc::fleet {
 
-/// Attaches a FleetController to a simulated PBPL system.
-class SimFleetDriver {
- public:
-  /// `system` and `controller` must outlive the driver and match in pair
-  /// and core counts.
-  SimFleetDriver(sim::Simulator& simulator, core::PbplSystem& system,
-                 FleetController& controller);
-
-  SimFleetDriver(const SimFleetDriver&) = delete;
-  SimFleetDriver& operator=(const SimFleetDriver&) = delete;
-
-  /// Schedules the first control tick one period from now.  Ticks chain
-  /// until stop() or the simulator stops dispatching.
-  void start();
-
-  /// Cancels the pending tick; call before PbplSystem::finish so the
-  /// final drain is not re-planned.
-  void stop();
-
-  std::uint64_t migrations() const { return migrations_; }
-  std::uint64_t ticks() const { return ticks_; }
-
- private:
-  void tick(SimTime now);
-
-  sim::Simulator& simulator_;
-  core::PbplSystem& system_;
-  FleetController& controller_;
-  std::vector<std::uint64_t> drained_;
-  sim::EventId pending_ = 0;
-  bool has_pending_ = false;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t ticks_ = 0;
+/// One fleet-managed replay on the simulation host.
+struct SimFleetRun {
+  core::PbplResult result;
+  std::vector<std::size_t> placement;  ///< pair → core when the replay ended
+  std::vector<double> rates_hz;        ///< the controller's predicted per-pair rates
+  std::uint64_t migrations = 0;
+  std::uint64_t ticks = 0;
+  double joules = 0.0;  ///< above the idle baseline, plus paid wakes and transport
 };
+
+/// Replays `traces` (one per pair) for `horizon` on a PbplSystem built from
+/// `config` and `utilization`; the controller of `fc` ticks in kElastic mode
+/// and prices `config`'s workload shape.  `power` prices the joules.
+SimFleetRun run_sim_fleet(std::span<const trace::Trace> traces, SimDuration horizon,
+                          const core::PbplConfig& config, FleetConfig fc,
+                          const power::PowerModelParams& power = {},
+                          std::span<const double> utilization = {});
 
 }  // namespace pcpc::fleet

@@ -117,10 +117,10 @@ void finalize_attribution(AttributionReport& report, const AttributionOptions& o
 /// span fold of Session::events(), energy join, SLO accounting.
 AttributionReport build_attribution(Session& session, const AttributionOptions& opt);
 
-/// Writes the machine-readable report (one JSON object).
+/// Writes the machine-readable report: one JSON object, pcpc.slo_report/1.
 void write_slo_report(std::ostream& out, const AttributionReport& report);
 
-/// File variant; false + `*error` on I/O failure.
+/// File variant (pcpc::write_file); false + `*error` on I/O failure.
 bool write_slo_report(const std::string& path, const AttributionReport& report,
                       std::string* error = nullptr);
 

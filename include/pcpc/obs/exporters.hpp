@@ -10,9 +10,12 @@
 // Σ w(τ) from Section IV is the "wakeups.paid" field.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 
+#include "pcpc/common/json.hpp"
 #include "pcpc/obs/obs.hpp"
 
 namespace pcpc::obs {
@@ -25,14 +28,18 @@ bool write_perfetto_trace(const std::string& path, Session& session,
                           std::string* error = nullptr);
 
 /// Writes counters, histograms, the wakeup ledger and trace drop
-/// accounting as one JSON object.
+/// accounting as one JSON object, schema pcpc.metrics/1.
 void write_metrics_json(std::ostream& out, Session& session);
-bool write_metrics_json(const std::string& path, Session& session,
-                        std::string* error = nullptr);
 
 /// Flat `metric,kind,value` CSV of the same data.
 void write_metrics_csv(std::ostream& out, Session& session);
-bool write_metrics_csv(const std::string& path, Session& session,
-                       std::string* error = nullptr);
+
+/// File variant of both, by name: `.csv` -> CSV, else JSON.
+bool write_metrics(const std::string& path, Session& session,
+                   std::string* error = nullptr);
+
+/// A log2 histogram as a JSON array, trailing zero bins elided (the bin
+/// index stays implicit); the metrics and SLO histograms both use it.
+void write_log2_bins(JsonWriter& json, std::span<const std::uint64_t> bins);
 
 }  // namespace pcpc::obs

@@ -97,9 +97,9 @@ class Session {
   const WakeupLedger& ledger() const { return ledger_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Host clock used for events without an explicit timestamp (fault
-  /// injection, baselines).  Defaults to wall time since construction;
-  /// the simulation harness points it at the virtual clock.
+  /// Host clock of events without an explicit timestamp (faults, queue
+  /// resizes, baselines): wall time since construction unless set, e.g. to
+  /// a simulator's virtual clock by core::PbplSystem while it lives.
   void set_clock(std::function<std::int64_t()> now_ns);
   std::int64_t now_ns() const;
 

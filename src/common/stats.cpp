@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "pcpc/common/assert.hpp"
+#include "pcpc/common/json.hpp"
 
 namespace pcpc {
 
@@ -127,6 +128,18 @@ Measurement measure(std::span<const double> replicates, double level) {
   OnlineStats s;
   for (double v : replicates) s.add(v);
   return Measurement{s.mean(), confidence_half_width(s, level), s.count()};
+}
+
+Spread spread_of(std::vector<double> samples) {
+  PCPC_ASSERT(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+void write_spread(JsonWriter& json, const Spread& spread, double unit) {
+  json.begin_object().key("median").value(spread.median / unit);
+  json.key("min").value(spread.min / unit).key("max").value(spread.max / unit);
+  json.end_object();
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

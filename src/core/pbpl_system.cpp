@@ -11,7 +11,8 @@ PbplSystem::PbplSystem(sim::Simulator& simulator, std::size_t consumers,
                        const PbplConfig& config, std::span<const double> utilization)
     : simulator_(simulator),
       config_(config),
-      pool_(std::max<std::size_t>(consumers, 1), config.base_buffer, config.pool_segment) {
+      pool_(std::max<std::size_t>(consumers, 1), config.base_buffer, config.pool_segment),
+      clock_session_(obs::Session::current()) {
   PCPC_ASSERT_MSG(consumers > 0, "PBPL system needs at least one consumer");
   PCPC_ASSERT_MSG(config.cores > 0, "PBPL system needs at least one core");
 
@@ -28,6 +29,15 @@ PbplSystem::PbplSystem(sim::Simulator& simulator, std::size_t consumers,
     auto& manager = *managers_[mapping_[i]];
     consumers_.push_back(std::make_unique<PbplConsumer>(static_cast<ConsumerId>(i),
                                                         manager, pool_, config_));
+  }
+  if (clock_session_ != nullptr) {
+    clock_session_->set_clock([&simulator] { return simulator.now(); });
+  }
+}
+
+PbplSystem::~PbplSystem() {
+  if (clock_session_ != nullptr && clock_session_ == obs::Session::current()) {
+    clock_session_->set_clock(nullptr);
   }
 }
 

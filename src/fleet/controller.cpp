@@ -26,6 +26,16 @@ bool parse_fleet_mode(const char* text, FleetMode* mode) {
   return true;
 }
 
+FleetConfig priced_for(const core::PbplConfig& config, FleetConfig fc) {
+  fc.cost.slot = config.resolved_slot_size();
+  fc.cost.max_latency = config.max_latency;
+  fc.cost.buffer_items = config.base_buffer;
+  fc.cost.service = config.service;
+  fc.cost.manager_overhead = config.manager_overhead;
+  fc.cost.utilization_cap = config.utilization_cap;
+  return fc;
+}
+
 FleetController::FleetController(std::size_t pairs, std::size_t cores,
                                  FleetConfig config)
     : config_(config), cores_(cores) {

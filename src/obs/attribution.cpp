@@ -1,9 +1,9 @@
 #include "pcpc/obs/attribution.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
+#include "pcpc/obs/exporters.hpp"
 #include "pcpc/obs/obs.hpp"
 
 namespace pcpc::obs {
@@ -135,104 +135,76 @@ AttributionReport build_attribution(Session& session, const AttributionOptions& 
 
 namespace {
 
-void write_histogram_json(std::ostream& out, const StageHistogram& h) {
-  out << "{\"count\":" << h.count << ",\"min_ns\":" << h.min_ns
-      << ",\"max_ns\":" << h.max_ns << ",\"log2_bins\":[";
-  std::size_t last = 0;
-  for (std::size_t b = 0; b < h.bins.size(); ++b) {
-    if (h.bins[b] != 0) last = b + 1;
-  }
-  for (std::size_t b = 0; b < last; ++b) {
-    if (b > 0) out << ',';
-    out << h.bins[b];
-  }
-  out << "]}";
+/// `"name":{"count":…,"min_ns":…,"max_ns":…,"log2_bins":[…]}`.
+void write_histogram(JsonWriter& json, const char* name, const StageHistogram& h) {
+  json.key(name).begin_object().key("count").value(h.count).key("min_ns").value(h.min_ns);
+  write_log2_bins(json.key("max_ns").value(h.max_ns).key("log2_bins"), h.bins);
+  json.end_object();
 }
 
 }  // namespace
 
 void write_slo_report(std::ostream& out, const AttributionReport& report) {
-  out << "{\"delta_ns\":" << report.delta_ns;
-  out << ",\"totals\":{\"items\":" << report.items << ",\"drops\":" << report.drops
-      << ",\"produced\":" << report.produced << ",\"paid_wakes\":" << report.paid
-      << ",\"free_wakes\":" << report.free << ",\"joules\":" << report.joules
-      << ",\"joules_per_item\":" << report.joules_per_item
-      << ",\"joules_per_paid_wake\":" << report.joules_per_paid_wake
-      << ",\"items_per_paid_wake\":" << report.items_per_paid_wake
-      << ",\"slo_samples\":" << report.slo_samples
-      << ",\"slo_violations\":" << report.slo_violations << '}';
-
+  JsonWriter json(out);
+  json.begin_object().key("schema").value("pcpc.slo_report/1");
+  json.key("delta_ns").value(report.delta_ns).key("totals").begin_object();
+  json.key("items").value(report.items).key("drops").value(report.drops);
+  json.key("produced").value(report.produced).key("paid_wakes").value(report.paid);
+  json.key("free_wakes").value(report.free).key("joules").value(report.joules);
+  json.key("joules_per_item").value(report.joules_per_item);
+  json.key("joules_per_paid_wake").value(report.joules_per_paid_wake);
+  json.key("items_per_paid_wake").value(report.items_per_paid_wake);
+  json.key("slo_samples").value(report.slo_samples);
+  json.key("slo_violations").value(report.slo_violations).end_object();
   if (report.payload_bytes > 0) {
-    out << ",\"payload\":{\"records\":" << report.payload_records
-        << ",\"bytes\":" << report.payload_bytes
-        << ",\"bytes_per_s\":" << report.payload_bytes_per_s
-        << ",\"joules_per_mb\":" << report.joules_per_mb << '}';
+    json.key("payload").begin_object().key("records").value(report.payload_records);
+    json.key("bytes").value(report.payload_bytes);
+    json.key("bytes_per_s").value(report.payload_bytes_per_s);
+    json.key("joules_per_mb").value(report.joules_per_mb).end_object();
   }
 
-  out << ",\"spans\":{\"stage_events\":" << report.spans.stage_events
-      << ",\"sampled_items\":" << report.spans.items.size()
-      << ",\"complete_items\":" << report.spans.complete_items
-      << ",\"orphan_stages\":" << report.spans.orphan_stages
-      << ",\"joined_wakes\":" << report.spans.joined_wakes
-      << ",\"joined_paid_wakes\":" << report.spans.joined_paid_wakes;
-  out << ",\"produce_to_enqueue\":";
-  write_histogram_json(out, report.spans.produce_to_enqueue);
-  out << ",\"enqueue_to_drain\":";
-  write_histogram_json(out, report.spans.enqueue_to_drain);
-  out << ",\"wake_to_drain\":";
-  write_histogram_json(out, report.spans.wake_to_drain);
-  out << ",\"drain_to_done\":";
-  write_histogram_json(out, report.spans.drain_to_done);
-  out << ",\"end_to_end\":";
-  write_histogram_json(out, report.spans.end_to_end);
-  out << '}';
+  const SpanFold& spans = report.spans;
+  json.key("spans").begin_object().key("stage_events").value(spans.stage_events);
+  json.key("sampled_items").value(spans.items.size());
+  json.key("complete_items").value(spans.complete_items);
+  json.key("orphan_stages").value(spans.orphan_stages);
+  json.key("joined_wakes").value(spans.joined_wakes);
+  json.key("joined_paid_wakes").value(spans.joined_paid_wakes);
+  write_histogram(json, "produce_to_enqueue", spans.produce_to_enqueue);
+  write_histogram(json, "enqueue_to_drain", spans.enqueue_to_drain);
+  write_histogram(json, "wake_to_drain", spans.wake_to_drain);
+  write_histogram(json, "drain_to_done", spans.drain_to_done);
+  write_histogram(json, "end_to_end", spans.end_to_end);
 
-  out << ",\"pairs\":[";
-  for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-    const PairAttribution& row = report.pairs[i];
-    if (i > 0) out << ',';
-    out << "{\"pair\":" << row.pair << ",\"items\":" << row.items
-        << ",\"batches\":" << row.batches << ",\"drops\":" << row.drops
-        << ",\"paid_wakes\":" << row.paid << ",\"free_wakes\":" << row.free
-        << ",\"joules\":" << row.joules
-        << ",\"joules_per_item\":" << row.joules_per_item
-        << ",\"joules_per_paid_wake\":" << row.joules_per_paid_wake
-        << ",\"items_per_paid_wake\":" << row.items_per_paid_wake
-        << ",\"slo\":{\"samples\":" << row.slo_samples
-        << ",\"violations\":" << row.slo_violations << ",\"slack\":";
-    write_histogram_json(out, row.slack);
-    out << ",\"overrun\":";
-    write_histogram_json(out, row.overrun);
-    out << "}}";
+  json.end_object().key("pairs").begin_array();
+  for (const PairAttribution& row : report.pairs) {
+    json.begin_object().key("pair").value(row.pair).key("items").value(row.items);
+    json.key("batches").value(row.batches).key("drops").value(row.drops);
+    json.key("paid_wakes").value(row.paid).key("free_wakes").value(row.free);
+    json.key("joules").value(row.joules).key("joules_per_item").value(row.joules_per_item);
+    json.key("joules_per_paid_wake").value(row.joules_per_paid_wake);
+    json.key("items_per_paid_wake").value(row.items_per_paid_wake);
+    json.key("slo").begin_object().key("samples").value(row.slo_samples);
+    json.key("violations").value(row.slo_violations);
+    write_histogram(json, "slack", row.slack);
+    write_histogram(json, "overrun", row.overrun);
+    json.end_object().end_object();
   }
-  out << "],\"cores\":[";
-  for (std::size_t i = 0; i < report.cores.size(); ++i) {
-    const CoreAttribution& row = report.cores[i];
-    if (i > 0) out << ',';
-    out << "{\"core\":" << row.core << ",\"items\":" << row.items
-        << ",\"batches\":" << row.batches << ",\"paid_wakes\":" << row.paid
-        << ",\"free_wakes\":" << row.free << ",\"joules\":" << row.joules
-        << ",\"joules_per_item\":" << row.joules_per_item
-        << ",\"items_per_paid_wake\":" << row.items_per_paid_wake << '}';
+  json.end_array().key("cores").begin_array();
+  for (const CoreAttribution& row : report.cores) {
+    json.begin_object().key("core").value(row.core).key("items").value(row.items);
+    json.key("batches").value(row.batches).key("paid_wakes").value(row.paid);
+    json.key("free_wakes").value(row.free).key("joules").value(row.joules);
+    json.key("joules_per_item").value(row.joules_per_item);
+    json.key("items_per_paid_wake").value(row.items_per_paid_wake).end_object();
   }
-  out << "]}";
+  json.end_array().end_object();
 }
 
 bool write_slo_report(const std::string& path, const AttributionReport& report,
                       std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  write_slo_report(out, report);
-  out << '\n';
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
+  return write_file(path, error,
+                    [&report](std::ostream& out) { write_slo_report(out, report); });
 }
 
 }  // namespace pcpc::obs

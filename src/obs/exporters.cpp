@@ -1,100 +1,68 @@
 #include "pcpc/obs/exporters.hpp"
 
-#include <fstream>
-#include <iomanip>
+#include <algorithm>
 #include <map>
-#include <sstream>
+#include <optional>
+#include <string>
 
 namespace pcpc::obs {
 
 namespace {
 
-/// Minimal JSON string escaping (event names and labels are ASCII, but
-/// never trust a name you didn't write).
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Microsecond timestamp for the Chrome trace format.
 double to_us(std::int64_t ns) { return static_cast<double>(ns) / 1e3; }
 
-void write_event_args(std::ostream& out, const Event& e) {
-  out << "{\"consumer\":" << static_cast<std::int64_t>(
-             e.consumer == kNoConsumer ? -1 : static_cast<std::int64_t>(e.consumer));
+void write_event_args(JsonWriter& json, const Event& e) {
+  const std::int64_t slot = e.arg0 == kNoSlot ? -1 : e.arg0;
+  json.begin_object().key("consumer");
+  json.value(e.consumer == kNoConsumer ? -1 : static_cast<std::int64_t>(e.consumer));
   switch (e.kind) {
     case EventKind::kWakeup:
-      out << ",\"slot\":" << (e.arg0 == kNoSlot ? -1 : e.arg0)
-          << ",\"paid\":" << (e.paid() ? 1 : 0)
-          << ",\"scheduled\":" << (e.scheduled() ? 1 : 0);
+      json.key("slot").value(slot).key("paid").value(e.paid() ? 1 : 0);
+      json.key("scheduled").value(e.scheduled() ? 1 : 0);
       break;
-    case EventKind::kSlotBatch:
-      out << ",\"slot\":" << (e.arg0 == kNoSlot ? -1 : e.arg0)
-          << ",\"batch\":" << e.arg1;
-      break;
+    case EventKind::kSlotBatch: json.key("slot").value(slot).key("batch").value(e.arg1); break;
     case EventKind::kReservation:
-      out << ",\"slot\":" << e.arg0 << ",\"latched\":" << e.arg1;
+      json.key("slot").value(e.arg0).key("latched").value(e.arg1);
       break;
     case EventKind::kOverflow:
-      out << ",\"action\":\""
-          << overflow_action_name(static_cast<OverflowAction>(e.arg0)) << '"';
+      json.key("action").value(overflow_action_name(static_cast<OverflowAction>(e.arg0)));
       break;
-    case EventKind::kWatchdog:
-      out << ",\"overrun_ns\":" << e.arg0;
-      break;
+    case EventKind::kWatchdog: json.key("overrun_ns").value(e.arg0); break;
     case EventKind::kFault:
-      out << ",\"fault\":\"" << fault_kind_name(static_cast<FaultKind>(e.arg0))
-          << "\",\"magnitude\":" << e.arg1;
+      json.key("fault").value(fault_kind_name(static_cast<FaultKind>(e.arg0)));
+      json.key("magnitude").value(e.arg1);
       break;
     case EventKind::kDrop:
-      out << ",\"path\":\"" << drop_path_name(static_cast<DropPath>(e.arg0)) << '"';
+      json.key("path").value(drop_path_name(static_cast<DropPath>(e.arg0)));
       break;
     case EventKind::kQueueResize:
-      out << ",\"old_slots\":" << e.arg0 << ",\"new_slots\":" << e.arg1;
+      json.key("old_slots").value(e.arg0).key("new_slots").value(e.arg1);
       break;
     case EventKind::kItemStage:
-      out << ",\"item\":" << e.arg0 << ",\"stage\":\""
-          << item_stage_name(static_cast<ItemStage>(e.arg1)) << '"';
+      json.key("item").value(e.arg0);
+      json.key("stage").value(item_stage_name(static_cast<ItemStage>(e.arg1)));
       break;
     case EventKind::kFleet:
-      out << ",\"action\":\"" << fleet_action_name(static_cast<FleetAction>(e.arg0))
-          << "\",\"to_core\":" << e.arg1;
+      json.key("action").value(fleet_action_name(static_cast<FleetAction>(e.arg0)));
+      json.key("to_core").value(e.arg1);
       break;
   }
-  out << '}';
+  json.end_object();
 }
 
 /// Display name of one trace event, e.g. "wakeup paid c2".
 std::string event_display_name(const Event& e) {
-  std::ostringstream name;
-  name << event_kind_name(e.kind);
-  if (e.kind == EventKind::kWakeup) name << (e.paid() ? " paid" : " free");
+  std::string name = event_kind_name(e.kind);
+  if (e.kind == EventKind::kWakeup) name += e.paid() ? " paid" : " free";
   if (e.kind == EventKind::kItemStage) {
-    name << ' ' << item_stage_name(static_cast<ItemStage>(e.arg1));
+    name += std::string(" ") + item_stage_name(static_cast<ItemStage>(e.arg1));
   }
   if (e.kind == EventKind::kFleet) {
-    name << ' ' << fleet_action_name(static_cast<FleetAction>(e.arg0));
+    name += std::string(" ") + fleet_action_name(static_cast<FleetAction>(e.arg0));
   }
-  if (e.consumer != kNoConsumer) name << " c" << e.consumer;
-  return name.str();
+  if (e.consumer != kNoConsumer) name += " c" + std::to_string(e.consumer);
+  return name;
 }
 
 /// Perfetto pid of an event: origins map to distinct process tracks in
@@ -102,48 +70,53 @@ std::string event_display_name(const Event& e) {
 /// origin k = ipc producer registry slot k-1's process).
 int event_pid(const Event& e) { return 1 + e.origin; }
 
-template <typename WriteFn>
-bool write_file(const std::string& path, std::string* error, WriteFn&& fn) {
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
+/// One slice (with `dur_ns`) or instant (without) and its attribution.
+void write_event(JsonWriter& json, const Event& e, const char* cat,
+                 std::optional<std::int64_t> dur_ns) {
+  json.begin_object().key("name").value(event_display_name(e)).key("cat").value(cat);
+  json.key("pid").value(event_pid(e)).key("tid").value(e.core + 1);
+  json.key("ts").value(to_us(e.ts_ns));
+  if (dur_ns) {
+    json.key("ph").value("X").key("dur").value(to_us(*dur_ns));
+  } else {
+    json.key("ph").value("i").key("s").value("t");
   }
-  fn(out);
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
+  write_event_args(json.key("args"), e);
+  json.end_object();
 }
 
-void write_ledger_json(std::ostream& out, const WakeupLedger::Snapshot& ledger) {
+void write_ledger_json(JsonWriter& json, const WakeupLedger::Snapshot& ledger) {
   const WakeupLedger::Attribution wakes = ledger.wakeups();
-  out << "{\"paid\":" << wakes.paid << ",\"free\":" << wakes.free;
-  out << ",\"per_consumer\":[";
-  const auto& consumers = ledger.per_consumer;
-  for (std::size_t i = 0; i < consumers.size(); ++i) {
-    if (i > 0) out << ',';
-    out << "{\"consumer\":" << i << ",\"paid\":" << consumers[i].paid
-        << ",\"free\":" << consumers[i].free << '}';
-  }
-  out << "],\"per_core\":[";
-  const auto& cores = ledger.per_core;
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    if (i > 0) out << ',';
-    out << "{\"core\":" << i << ",\"paid\":" << cores[i].paid
-        << ",\"free\":" << cores[i].free << '}';
-  }
-  out << "]}";
+  json.begin_object().key("paid").value(wakes.paid).key("free").value(wakes.free);
+  const auto rows = [&json](const char* name, const char* index, const auto& table) {
+    json.key(name).begin_array();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      json.begin_object().key(index).value(i).key("paid").value(table[i].paid);
+      json.key("free").value(table[i].free).end_object();
+    }
+    json.end_array();
+  };
+  rows("per_consumer", "consumer", ledger.per_consumer);
+  rows("per_core", "core", ledger.per_core);
+  json.end_object();
 }
 
 }  // namespace
 
+void write_log2_bins(JsonWriter& json, std::span<const std::uint64_t> bins) {
+  std::size_t last = 0;
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    if (bins[b] != 0) last = b + 1;
+  }
+  json.begin_array();
+  for (std::size_t b = 0; b < last; ++b) json.value(bins[b]);
+  json.end_array();
+}
+
 void write_perfetto_trace(std::ostream& out, Session& session) {
   const std::vector<Event> events = session.events();
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  out << std::setprecision(15);
+  JsonWriter json(out);
+  json.begin_object().key("displayTimeUnit").value("ms").key("traceEvents").begin_array();
 
   // Process/track metadata: one Perfetto "process" per event origin
   // (this process + each merged ipc producer), one "thread" per core
@@ -156,21 +129,16 @@ void write_perfetto_trace(std::ostream& out, Session& session) {
     if (!fresh) it->second = std::max(it->second, e.core);
   }
   if (origin_max_core.empty()) origin_max_core[kOriginLocal] = 0;
-  bool first = true;
+  const auto metadata = [&json](int pid, int tid, const char* kind, const std::string& name) {
+    json.begin_object().key("ph").value("M").key("pid").value(pid).key("tid").value(tid);
+    json.key("name").value(kind).key("args").begin_object().key("name").value(name);
+    json.end_object().end_object();
+  };
   for (const auto& [origin, max_core] : origin_max_core) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"ph\":\"M\",\"pid\":" << (1 + origin)
-        << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"";
-    if (origin == kOriginLocal) {
-      out << "pcpc";
-    } else {
-      out << "pcpc producer " << (origin - 1);
-    }
-    out << "\"}}";
+    metadata(1 + origin, 0, "process_name",
+             origin == kOriginLocal ? "pcpc" : "pcpc producer " + std::to_string(origin - 1));
     for (std::uint16_t c = 0; c <= max_core; ++c) {
-      out << ",{\"ph\":\"M\",\"pid\":" << (1 + origin) << ",\"tid\":" << (c + 1)
-          << ",\"name\":\"thread_name\",\"args\":{\"name\":\"core " << c << "\"}}";
+      metadata(1 + origin, c + 1, "thread_name", "core " + std::to_string(c));
     }
   }
 
@@ -187,17 +155,8 @@ void write_perfetto_trace(std::ostream& out, Session& session) {
 
   for (const Event& e : events) {
     if (e.kind == EventKind::kItemStage) continue;  // emitted with their flow below
-    out << ",{\"name\":\"" << json_escape(event_display_name(e)) << "\",\"cat\":\""
-        << event_kind_name(e.kind) << "\",\"pid\":" << event_pid(e)
-        << ",\"tid\":" << (e.core + 1) << ",\"ts\":" << to_us(e.ts_ns);
-    if (e.kind == EventKind::kSlotBatch) {
-      out << ",\"ph\":\"X\",\"dur\":" << to_us(e.dur_ns);
-    } else {
-      out << ",\"ph\":\"i\",\"s\":\"t\"";
-    }
-    out << ",\"args\":";
-    write_event_args(out, e);
-    out << '}';
+    write_event(json, e, event_kind_name(e.kind),
+                e.kind == EventKind::kSlotBatch ? std::optional(e.dur_ns) : std::nullopt);
   }
 
   for (const auto& [item, stages] : span_stages) {
@@ -213,26 +172,21 @@ void write_perfetto_trace(std::ostream& out, Session& session) {
           dur_ns = std::max<std::int64_t>(next.ts_ns - e.ts_ns, 0);
         }
       }
-      out << ",{\"name\":\"" << json_escape(event_display_name(e))
-          << "\",\"cat\":\"item_stage\",\"pid\":" << event_pid(e)
-          << ",\"tid\":" << (e.core + 1) << ",\"ts\":" << to_us(e.ts_ns)
-          << ",\"ph\":\"X\",\"dur\":" << to_us(dur_ns) << ",\"args\":";
-      write_event_args(out, e);
-      out << '}';
+      write_event(json, e, "item_stage", dur_ns);
       if (stages.size() < 2) continue;
       // The flow arrow binds to the slice just emitted.
       const char* ph = i == 0 ? "s" : (i + 1 == stages.size() ? "f" : "t");
-      out << ",{\"name\":\"item\",\"cat\":\"item_flow\",\"id\":" << item
-          << ",\"pid\":" << event_pid(e) << ",\"tid\":" << (e.core + 1)
-          << ",\"ts\":" << to_us(e.ts_ns) << ",\"ph\":\"" << ph << '"';
-      if (*ph == 'f') out << ",\"bp\":\"e\"";
-      out << '}';
+      json.begin_object().key("name").value("item").key("cat").value("item_flow");
+      json.key("id").value(item).key("pid").value(event_pid(e)).key("tid").value(e.core + 1);
+      json.key("ts").value(to_us(e.ts_ns)).key("ph").value(ph);
+      if (*ph == 'f') json.key("bp").value("e");
+      json.end_object();
     }
   }
 
-  out << "],\"otherData\":{\"tool\":\"pcpc::obs\",\"events\":" << events.size()
-      << ",\"dropped_ring\":" << session.ring_dropped()
-      << ",\"dropped_archive\":" << session.archive_dropped() << "}}";
+  json.end_array().key("otherData").begin_object().key("tool").value("pcpc::obs");
+  json.key("events").value(events.size()).key("dropped_ring").value(session.ring_dropped());
+  json.key("dropped_archive").value(session.archive_dropped()).end_object().end_object();
 }
 
 bool write_perfetto_trace(const std::string& path, Session& session,
@@ -243,40 +197,19 @@ bool write_perfetto_trace(const std::string& path, Session& session,
 
 void write_metrics_json(std::ostream& out, Session& session) {
   const WakeupLedger::Snapshot snapshot = session.ledger().snapshot();
-  const auto counters = snapshot.counters();
-  out << "{\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << counters[i].name << "\":" << counters[i].value;
+  JsonWriter json(out);
+  json.begin_object().key("schema").value("pcpc.metrics/1").key("counters").begin_object();
+  for (const auto& counter : snapshot.counters()) json.key(counter.name).value(counter.value);
+  json.end_object().key("histograms").begin_object();
+  for (const auto& histogram : snapshot.histograms()) {
+    json.key(histogram.name).begin_object().key("total").value(histogram.total);
+    write_log2_bins(json.key("log2_bins"), *histogram.bins);
+    json.end_object();
   }
-  out << "},\"histograms\":{";
-  const auto histograms = snapshot.histograms();
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const WakeupLedger::Bins& bins = *histograms[i].bins;
-    if (i > 0) out << ',';
-    out << '"' << histograms[i].name << "\":{\"total\":" << histograms[i].total
-        << ",\"log2_bins\":[";
-    // Trailing zero bins are elided; the bin index is implicit.
-    std::size_t last = 0;
-    for (std::size_t b = 0; b < bins.size(); ++b) {
-      if (bins[b] != 0) last = b + 1;
-    }
-    for (std::size_t b = 0; b < last; ++b) {
-      if (b > 0) out << ',';
-      out << bins[b];
-    }
-    out << "]}";
-  }
-  out << "},\"wakeups\":";
-  write_ledger_json(out, snapshot);
-  out << ",\"trace\":{\"recorded\":" << session.total_events_recorded()
-      << ",\"dropped_ring\":" << session.ring_dropped()
-      << ",\"dropped_archive\":" << session.archive_dropped() << "}}";
-}
-
-bool write_metrics_json(const std::string& path, Session& session, std::string* error) {
-  return write_file(path, error,
-                    [&session](std::ostream& out) { write_metrics_json(out, session); });
+  write_ledger_json(json.end_object().key("wakeups"), snapshot);
+  json.key("trace").begin_object().key("recorded").value(session.total_events_recorded());
+  json.key("dropped_ring").value(session.ring_dropped());
+  json.key("dropped_archive").value(session.archive_dropped()).end_object().end_object();
 }
 
 void write_metrics_csv(std::ostream& out, Session& session) {
@@ -301,9 +234,10 @@ void write_metrics_csv(std::ostream& out, Session& session) {
   out << "trace.dropped_archive,counter," << session.archive_dropped() << '\n';
 }
 
-bool write_metrics_csv(const std::string& path, Session& session, std::string* error) {
-  return write_file(path, error,
-                    [&session](std::ostream& out) { write_metrics_csv(out, session); });
+bool write_metrics(const std::string& path, Session& session, std::string* error) {
+  return write_file(path, error, [&](std::ostream& out) {
+    path.ends_with(".csv") ? write_metrics_csv(out, session) : write_metrics_json(out, session);
+  });
 }
 
 }  // namespace pcpc::obs

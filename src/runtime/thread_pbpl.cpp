@@ -37,20 +37,10 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
       epoch_(Clock::now()),
       handler_(std::move(handler)),
       injector_(injector),
-      fleet_config_(fleet),
+      fleet_config_(fleet::priced_for(config, fleet)),
       pool_(std::max<std::size_t>(consumers, 1), config.base_buffer, config.pool_segment) {
   PCPC_ASSERT_MSG(consumers > 0, "need at least one consumer");
   PCPC_ASSERT_MSG(config.cores > 0, "need at least one core");
-
-  // The cost model must price the schedule this runtime actually
-  // executes, so the workload-shape fields come from the live config (the
-  // caller supplies only the controller policy and the power price book).
-  fleet_config_.cost.slot = config_.resolved_slot_size();
-  fleet_config_.cost.max_latency = config_.max_latency;
-  fleet_config_.cost.buffer_items = config_.base_buffer;
-  fleet_config_.cost.service = config_.service;
-  fleet_config_.cost.manager_overhead = config_.manager_overhead;
-  fleet_config_.cost.utilization_cap = config_.utilization_cap;
 
   // Point the telemetry clock at this run's epoch so fault events (which
   // have no clock of their own) land on the same timeline as the wakeup

@@ -217,9 +217,8 @@ Trajectory replay_trajectory(const TrajectoryCase& c, queue::BackendKind backend
   obs::SessionOptions options;
   options.ring_capacity = 1u << 18;
   obs::Session session(options);
-  // Resize events take the session clock: pin it to virtual time so the
-  // fold order is the decision order, not a wall-clock interleaving.
-  session.set_clock([&simulator] { return simulator.now(); });
+  // Resize events take the session clock, which the system pins to
+  // virtual time, so the fold order is the decision order.
   PbplSystem system(simulator, traces.size(), config);
   system.start();
   for (std::size_t i = 0; i < traces.size(); ++i) {

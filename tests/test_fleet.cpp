@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pcpc/common/rng.hpp"
@@ -228,27 +229,15 @@ SimRun run_sim(bool elastic, std::size_t pairs, std::size_t cores, double rate_h
   const auto traces = seeded_traces(pairs, rate_hz, horizon);
   const core::PbplConfig config = sim_config(cores);
 
-  sim::Simulator simulator;
-  core::PbplSystem system(simulator, pairs, config);
+  // sim_config's workload shape is cost_params()'s, so the controller
+  // prices the same model the unit tests above pin.
   FleetConfig fc = controller_config();
+  fc.mode = elastic ? FleetMode::kElastic : FleetMode::kOff;
   fc.control_period = milliseconds(50);
   fc.cooldown = milliseconds(200);
-  fc.cost.slot = config.resolved_slot_size();
-  fc.cost.service = config.service;
-  FleetController controller(pairs, cores, fc);
-  SimFleetDriver driver(simulator, system, controller);
+  SimFleetRun fleet_run = run_sim_fleet(traces, horizon, config, fc);
 
-  system.start();
-  if (elastic) driver.start();
-  for (std::size_t i = 0; i < pairs; ++i) {
-    core::PbplConsumer& consumer = system.consumer(i);
-    sim::replay(simulator, traces[i].timestamps(), horizon,
-                [&consumer](SimTime t) { consumer.produce(t); });
-  }
-  simulator.run_until(horizon);
-  driver.stop();
-
-  SimRun run{system.finish(horizon), driver.migrations(), 0};
+  SimRun run{std::move(fleet_run.result), fleet_run.migrations, 0};
   for (const auto& t : traces) run.offered += t.size();
   return run;
 }
