@@ -1,6 +1,6 @@
-// Microbenchmarks of the buffer substrate: ring buffers, pool resize
-// traffic between hand-offs, plus the hand-off backend sweep (mutex vs
-// SPSC ring vs MPSC lanes across producer counts).  These are the
+// Microbenchmarks of the buffer substrate: pool resize traffic between
+// hand-offs, plus the hand-off backend sweep (mutex vs SPSC ring vs MPSC
+// lanes across producer counts).  These are the
 // per-item hot paths of every implementation; the PBPL decision logic
 // must stay cheap relative to them (the paper picks a moving average
 // precisely for its low overhead).
@@ -10,31 +10,18 @@
 #include <thread>
 #include <vector>
 
-#include "pcpc/common/ring_buffer.hpp"
 #include "pcpc/queue/handoff.hpp"
 #include "pcpc/queue/lanes.hpp"
 #include "pcpc/queue/spsc_ring.hpp"
 
 namespace {
 
-using pcpc::RingBuffer;
 using pcpc::queue::BackendKind;
 using pcpc::queue::BufferPool;
 using pcpc::queue::MpscLanes;
 using pcpc::queue::SpscRing;
 using pcpc::queue::make_handoff;
 using pcpc::queue::make_pool_handoff;
-
-void BM_RingBufferPushPop(benchmark::State& state) {
-  RingBuffer<std::int64_t> ring(static_cast<std::size_t>(state.range(0)));
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    ring.push(i++);
-    benchmark::DoNotOptimize(ring.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_RingBufferPushPop)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_PoolResize(benchmark::State& state) {
   // Two hand-offs trading capacity through the pool — the steady-state

@@ -172,37 +172,7 @@ else
 fi
 
 echo "=== trajectory files: every BENCH_*.json line must parse ==="
-# Malformed lines (a gate interpolating an empty capture, a half-written
-# record from a crashed run) silently poison the trajectory history, so
-# validate every line of every trajectory file: it must parse as one
-# JSON object carrying at least utc/git/pass keys.
-python3 - BENCH_*.json <<'PY' || fail trajectory_files
-import json, sys
-
-bad = 0
-for path in sys.argv[1:]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                print(f"bench_smoke: {path}:{lineno}: not JSON ({err})", file=sys.stderr)
-                bad += 1
-                continue
-            if not isinstance(rec, dict):
-                print(f"bench_smoke: {path}:{lineno}: not a JSON object", file=sys.stderr)
-                bad += 1
-                continue
-            missing = [k for k in ("utc", "git", "pass") if k not in rec]
-            if missing:
-                print(f"bench_smoke: {path}:{lineno}: missing keys {missing}",
-                      file=sys.stderr)
-                bad += 1
-sys.exit(1 if bad else 0)
-PY
+python3 ci/reports.py trajectory BENCH_*.json || fail trajectory_files
 
 if ((${#failed_gates[@]} > 0)); then
   echo "bench_smoke: failed gates: ${failed_gates[*]} (artifacts in ${out}/)" >&2

@@ -13,6 +13,9 @@ else.
       "pass", the extra KEY=INT fields, and the computed "pass" (PASS,
       and false when the record is missing or unparseable).  Exits 1
       when the record is missing or unparseable.
+  reports.py trajectory FILE...
+      Every non-empty line of each trajectory FILE (BENCH_*.json) parses
+      as one JSON object carrying at least the utc, git and pass keys.
   reports.py cli PCPC_CLI OUT_DIR
       Runs pcpc_cli twice with every report armed and checks the four
       documents (the example_pcpc_cli_reports ctest).
@@ -111,6 +114,34 @@ def fold(gate, stdout_path, passed, utc, git, nproc, *extras):
     return 0 if ok else 1
 
 
+def trajectory(paths):
+    """Malformed lines (a gate interpolating an empty capture, a half-
+    written record from a crashed run) silently poison the trajectory
+    history, so every line of every file is checked.  Returns the number
+    of bad lines, each reported on stderr."""
+    bad = 0
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError as err:
+                    problem = f"not JSON ({err})"
+                else:
+                    if not isinstance(rec, dict):
+                        problem = "not a JSON object"
+                    else:
+                        missing = [k for k in ("utc", "git", "pass") if k not in rec]
+                        problem = f"missing keys {missing}" if missing else None
+                if problem:
+                    print(f"bench_smoke: {path}:{lineno}: {problem}", file=sys.stderr)
+                    bad += 1
+    return bad
+
+
 def cli(pcpc_cli, out_dir):
     """Two identical pcpc_cli runs: every document parses, names its
     schema and holds its identities, and the runs write the same bytes."""
@@ -172,6 +203,8 @@ def main(argv):
         return 0
     if len(argv) >= 7 and argv[0] == "fold":
         return fold(*argv[1:])
+    if len(argv) >= 2 and argv[0] == "trajectory":
+        return 1 if trajectory(argv[1:]) else 0
     if len(argv) == 3 and argv[0] == "cli":
         return cli(argv[1], argv[2])
     print(__doc__, file=sys.stderr)

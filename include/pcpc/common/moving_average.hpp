@@ -5,8 +5,9 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
-#include "pcpc/common/ring_buffer.hpp"
+#include "pcpc/common/assert.hpp"
 
 namespace pcpc {
 
@@ -14,14 +15,20 @@ namespace pcpc {
 class MovingAverage {
  public:
   /// `window` is the paper's h: how many past rates contribute.
-  explicit MovingAverage(std::size_t window) : history_(window) {}
+  explicit MovingAverage(std::size_t window) : window_(window) {
+    PCPC_ASSERT_MSG(window > 0, "moving average window must be positive");
+    history_.reserve(window);
+  }
 
   /// Records one observation, evicting the oldest when the window is full.
   void add(double value) {
-    if (history_.full()) {
-      sum_ -= *history_.pop();
+    if (history_.size() < window_) {
+      history_.push_back(value);
+    } else {
+      sum_ -= history_[oldest_];
+      history_[oldest_] = value;
+      oldest_ = (oldest_ + 1) % window_;
     }
-    history_.push(value);
     sum_ += value;
   }
 
@@ -35,16 +42,19 @@ class MovingAverage {
   std::size_t count() const { return history_.size(); }
 
   /// Window size h.
-  std::size_t window() const { return history_.capacity(); }
+  std::size_t window() const { return window_; }
 
   /// Forgets all history.
   void reset() {
     history_.clear();
+    oldest_ = 0;
     sum_ = 0.0;
   }
 
  private:
-  RingBuffer<double> history_;
+  std::size_t window_;
+  std::vector<double> history_;  ///< the window, oldest at history_[oldest_]
+  std::size_t oldest_ = 0;
   double sum_ = 0.0;
 };
 

@@ -88,18 +88,14 @@ struct PbplConfig {
   /// thread (mpsc; see pcpc/queue/backend.hpp for the contracts).
   queue::BackendKind queue_backend = queue::BackendKind::Mutex;
 
-  /// Varlen payload plane (ROADMAP item 1).  When nonzero, producers may
+  /// Varlen payload plane (DESIGN §13).  When nonzero, producers may
   /// carry variable-size byte payloads: each consumer grows an in-ring
   /// varlen record plane (see pcpc/queue/varlen.hpp) next to its item
   /// buffer, `payload_max_bytes` bounds one record's payload, and the
-  /// thread host's produce_record/reserve_record APIs are armed.  0
-  /// disables the plane (the seed behaviour; no storage is allocated).
+  /// thread host's produce_record/reserve_record APIs are armed.  Each
+  /// ring starts at base_buffer worst-case records.  0 disables the
+  /// plane (the seed behaviour; no storage is allocated).
   std::uint32_t payload_max_bytes = 0;
-
-  /// Capacity of each consumer's varlen ring, in record footprint bytes
-  /// (the byte-granular analogue of base_buffer).  0 derives the
-  /// default: base_buffer max-size records.
-  std::size_t payload_ring_bytes = 0;
 
   /// Thread host: per-core deadline watchdog.  When a manager services a
   /// slot more than `watchdog_factor · Δ` after the slot's start (the

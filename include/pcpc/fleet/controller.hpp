@@ -1,4 +1,4 @@
-// The fleet placement controller (ROADMAP item 1).
+// The fleet placement controller (DESIGN §12).
 //
 // Closes the loop the paper leaves open: PBPL fixes the consumer→core
 // mapping f : C → α at startup, but diurnal traffic means the mapping

@@ -17,8 +17,8 @@
 //   - the energy join is a pure function of those counts, so the same
 //     identities hold for the joules columns.
 //
-// This is the machine-readable input ROADMAP item 1's autoscaler and
-// item 3's admission control consume (--slo-report=FILE on pcpc_cli).
+// This is the machine-readable input the elastic fleet's autoscaler
+// (DESIGN §12) consumes (--slo-report=FILE on pcpc_cli).
 #pragma once
 
 #include <cstdint>

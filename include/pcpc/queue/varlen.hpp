@@ -1,7 +1,7 @@
 // In-ring variable-size records: reserve/commit producers, scatter-free
 // consumers.
 //
-// ROADMAP item 1: the fixed-size item queues force every real payload
+// DESIGN §13: the fixed-size item queues force every real payload
 // (request body, sensor frame) through a copy between the producer's
 // write and the handler's read.  This header carves length-prefixed
 // records *directly out of the ring storage* instead:

@@ -56,6 +56,7 @@
 #include "pcpc/core/slot_track.hpp"
 #include "pcpc/fault/fault_injector.hpp"
 #include "pcpc/fleet/controller.hpp"
+#include "pcpc/obs/events.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::runtime {
@@ -349,29 +350,30 @@ class ThreadPbpl {
   bool try_park(Core& core);
   /// Respawns a parked core's manager thread.  Fleet thread only.
   void unpark(Core& core);
-  void push_one(Consumer& consumer);
-  void push_volley(Consumer& consumer, std::size_t items);
-  /// Runs the overflow slow path for one item with `core`'s lock held
-  /// (`core` must be the consumer's owner, verified under the lock).
-  /// Returns true when the item is fully accounted (stored or counted as
-  /// a drop); false when a blocked wait observed the consumer migrating
-  /// away — the caller re-resolves the owner and retries on it.
-  bool push_one_slow_locked(Core& core, Consumer& consumer, Clock::time_point stamp,
-                            std::unique_lock<std::mutex>& lock);
-  /// Varlen analogue of push_one_slow_locked: makes space per the
-  /// overflow policy at record granularity and retries the reserve.
-  /// Returns true when the record is accounted — `reserved` says whether
-  /// `out` holds a claim (true) or the record was counted as a drop
-  /// (false); returns false on the migration retry, like the item path.
-  bool reserve_slow_locked(Core& core, Consumer& consumer, std::uint32_t record_bytes,
-                           queue::VarReservation& out, bool& reserved,
-                           std::unique_lock<std::mutex>& lock);
-  /// Block policy: raises `consumer`'s forced drain and waits until
-  /// `retry()` stores the item.  Returns like push_one_slow_locked; an
-  /// item lost to stop() is counted with its `payload` bytes.
-  template <typename Retry>
-  bool block_locked(Core& core, Consumer& consumer, std::unique_lock<std::mutex>& lock,
-                    std::uint64_t payload, Retry&& retry);
+  /// The two planes a consumer admits into — the item buffer and the
+  /// varlen record ring — as the one overflow slow path sees them, and
+  /// the producer side of the sampled lifecycle spans (all in the .cpp).
+  struct ItemPlane;
+  struct RecordPlane;
+  class ProducerSpans;
+  /// Runs `step(core, lock)` with `consumer`'s owning core locked.  The
+  /// owner is loaded, locked and re-checked under the lock — a migration
+  /// retargets consumer.core before touching destination state — and
+  /// the step runs again on the new owner whenever it returns false.
+  template <typename Step>
+  void on_owner(Consumer& consumer, Step&& step);
+  /// The overflow slow path for one unit of `plane` (an item or a record)
+  /// with `core`'s lock held: on-stop drop, emergency borrow, then the
+  /// overflow policy.  Returns true when the unit is fully accounted
+  /// (admitted or counted as a drop); false when a blocked wait observed
+  /// the consumer migrating away — on_owner then retries on the new owner.
+  template <typename Plane>
+  bool admit_slow_locked(Core& core, Consumer& consumer, Plane& plane,
+                         std::unique_lock<std::mutex>& lock);
+  /// Counts one unit lost on `path`, with its payload bytes, in `core`'s
+  /// shard and notes the drop.
+  void count_drop(Core& core, const Consumer& consumer, obs::DropPath path,
+                  std::uint64_t payload_bytes);
   /// Drains `consumer` (bulk pops) as one invocation of `wake`, records
   /// stats into the core shard and makes the next reservation — all under
   /// the core lock.  The handler call is queued on core.pending for
@@ -384,11 +386,6 @@ class ThreadPbpl {
   /// and other cores may do anything — while a handler runs.
   void run_handlers(Core& core, std::unique_lock<std::mutex>& lock);
   void make_reservation_locked(Core& core, Consumer& consumer, SimTime now);
-
-  /// Leading stamp word of every in-ring record: the enqueue timestamp
-  /// (steady-clock ns), written at commit, read once at drain for the
-  /// latency account.  Handlers see the payload AFTER this word.
-  static constexpr std::size_t kStampBytes = 8;
 
   /// Per-record footprint budget used to translate the item-denominated
   /// control plane (predictor capacity, resize targets) into ring bytes:

@@ -112,9 +112,6 @@ bool apply_option(PbplConfig& config, const std::string& assignment, std::string
     if (!parse_u64(value, u) || u > (std::uint64_t{1} << 30))
       return fail(error, "bad payload_max_bytes"), false;
     config.payload_max_bytes = static_cast<std::uint32_t>(u);
-  } else if (key == "payload_ring_bytes") {
-    if (!parse_u64(value, u)) return fail(error, "bad payload_ring_bytes"), false;
-    config.payload_ring_bytes = u;
   } else if (key == "watchdog_factor") {
     if (!parse_double(value, d) || d < 0.0) return fail(error, "watchdog_factor >= 0"), false;
     config.watchdog_factor = d;
@@ -221,7 +218,6 @@ std::string describe(const PbplConfig& config) {
      << '\n'
      << "queue_backend=" << queue::backend_name(config.queue_backend) << '\n'
      << "payload_max_bytes=" << config.payload_max_bytes << '\n'
-     << "payload_ring_bytes=" << config.payload_ring_bytes << '\n'
      << "watchdog_factor=" << config.watchdog_factor << '\n'
      << "latency_guard=" << (config.latency_guard ? 1 : 0) << '\n'
      << "fill_tolerance=" << config.fill_tolerance << '\n'

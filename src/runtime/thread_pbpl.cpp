@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <span>
 
 #include "pcpc/common/assert.hpp"
@@ -11,6 +12,11 @@
 namespace pcpc::runtime {
 
 namespace {
+/// Leading stamp word of every in-ring record: the enqueue timestamp
+/// (steady-clock ns), written at commit, read once at drain for the
+/// latency account.  Handlers see the payload AFTER this word.
+constexpr std::size_t kStampBytes = 8;
+
 /// Sampled-span item id: the pair in the high half, the item's admission
 /// position in the low half.  The drain side reconstructs the same id
 /// from its own drained-position counter (positional sampling — the
@@ -27,7 +33,123 @@ Clock::time_point record_stamp(const std::byte* data) {
   return Clock::time_point(
       std::chrono::duration_cast<Clock::duration>(std::chrono::nanoseconds(ns)));
 }
+
+/// Admits up to `n` (<= kDrainChunk) items stamped `stamp` with one bulk
+/// push; returns how many the buffer took.
+std::size_t push_copies(queue::Handoff<Clock::time_point>& buffer, Clock::time_point stamp,
+                        std::size_t n) {
+  Clock::time_point chunk[queue::kDrainChunk];
+  std::fill_n(chunk, n, stamp);
+  return buffer.try_push_bulk(std::span<const Clock::time_point>(chunk, n));
+}
 }  // namespace
+
+/// The item buffer as the admission path sees it: a unit is one item
+/// with no payload bytes, and evicting pops the oldest item, which
+/// frees its slot at once.  Both planes give admit, capacity, resize and
+/// evict (the evicted unit's payload bytes, or nullopt when there was
+/// none), plus the unit and the offered payload.
+struct ThreadPbpl::ItemPlane {
+  static constexpr std::size_t unit = 1;
+  static constexpr std::uint64_t payload = 0;
+  queue::Handoff<Clock::time_point>& buffer;
+  Clock::time_point stamp;
+
+  bool admit() { return buffer.try_push(stamp); }
+  std::size_t capacity() const { return buffer.capacity(); }
+  void resize(std::size_t target) { buffer.resize(target); }
+  std::optional<std::uint64_t> evict() {
+    if (!buffer.try_pop()) return std::nullopt;
+    return 0;
+  }
+  bool evict_frees() const { return true; }
+};
+
+/// The varlen record ring as the admission path sees it: a unit is one
+/// worst-case record of record_budget_ bytes (the ring has no segment
+/// pool, so a borrow grows it toward its global bound).  Evicting only
+/// *marks* the head record reclaimed; its bytes return to producers at a
+/// release, which the evicting producer makes at once under the core
+/// lock — UNLESS zero-copy views from the last drain are still out with
+/// the handlers (a release would hand their bytes back).  Then eviction
+/// cannot free space in time, and the reclaimed records go back with the
+/// views, at run_handlers' release.
+struct ThreadPbpl::RecordPlane {
+  Consumer& consumer;
+  std::uint64_t payload;       ///< payload bytes of the record offered
+  std::uint32_t record_bytes;  ///< payload plus the stamp word
+  std::size_t unit;
+  queue::VarReservation res{};
+  bool admitted = false;  ///< the last admit() took `res`
+
+  bool admit() {
+    admitted = consumer.var->try_reserve(record_bytes, res);
+    return admitted;
+  }
+  std::size_t capacity() const { return consumer.var->capacity_bytes(); }
+  void resize(std::size_t target) { consumer.var->resize_bytes(target); }
+  std::optional<std::uint64_t> evict() {
+    std::uint64_t footprint = 0;
+    std::uint32_t record = 0;
+    const bool evicted = consumer.var->drop_oldest(footprint, record);
+    if (!consumer.var_inflight) consumer.var->release_claimed();
+    if (!evicted) return std::nullopt;
+    return record - kStampBytes;
+  }
+  bool evict_frees() const { return !consumer.var_inflight; }
+};
+
+/// Sampled lifecycle spans (positional 1-in-N) of one admission of `n`
+/// units: claims their admission positions in one add, so the drain
+/// side's positional counter stays aligned with sampled ids, and stamps
+/// the sampled ones' produce stage at construction — before the push —
+/// and their enqueue stage at enqueued(), after it.  An admission with
+/// nothing sampled pays one relaxed load and one relaxed fetch_add.
+class ThreadPbpl::ProducerSpans {
+ public:
+  ProducerSpans(const ThreadPbpl& host, Consumer& consumer, std::size_t n)
+      : host_(host), consumer_(consumer), every_(obs::span_sample_every()) {
+    if (every_ == 0) return;
+    const std::uint64_t seq0 =
+        consumer.span_produce_seq.fetch_add(n, std::memory_order_relaxed);
+    first_ = (seq0 + every_ - 1) / every_ * every_;
+    end_ = seq0 + n;
+    if (first_ >= end_) return;
+    // Span labels read the owner once; a mid-push migration can at worst
+    // mislabel the recording core of a sampled span (the pinned counters
+    // never come from spans).
+    core_ = static_cast<std::uint16_t>(consumer.core.load(std::memory_order_relaxed)->index);
+    stamp(obs::ItemStage::kProduce);
+  }
+
+  void enqueued() const { stamp(obs::ItemStage::kEnqueue); }
+
+ private:
+  void stamp(obs::ItemStage stage) const {
+    if (first_ >= end_) return;
+    const SimTime ts = host_.now_ns();
+    for (std::uint64_t seq = first_; seq < end_; seq += every_) {
+      obs::note_item_stage(static_cast<std::uint32_t>(consumer_.index), core_,
+                           span_item_id(consumer_.index, seq), stage, ts);
+    }
+  }
+
+  const ThreadPbpl& host_;
+  const Consumer& consumer_;
+  const std::uint64_t every_;
+  std::uint64_t first_ = 0;  ///< first sampled position
+  std::uint64_t end_ = 0;    ///< one past the admission's last position
+  std::uint16_t core_ = 0;
+};
+
+template <typename Step>
+void ThreadPbpl::on_owner(Consumer& consumer, Step&& step) {
+  for (;;) {
+    Core* core = consumer.core.load(std::memory_order_acquire);
+    std::unique_lock lock(core->mutex);
+    if (consumer.core.load(std::memory_order_relaxed) == core && step(*core, lock)) return;
+  }
+}
 
 ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
                        BatchHandler handler, fault::FaultInjector* injector,
@@ -69,10 +191,7 @@ ThreadPbpl::ThreadPbpl(std::size_t consumers, const core::PbplConfig& config,
       // account): each ring starts at its base share and may grow toward
       // the global bound — consumers × base, mirroring Bg = B0·M.  The
       // per-record bound covers the payload plus the leading stamp word.
-      const std::size_t base = std::max(
-          config.payload_ring_bytes != 0 ? config.payload_ring_bytes
-                                         : config.base_buffer * record_budget_,
-          record_budget_);
+      const std::size_t base = std::max<std::size_t>(config.base_buffer, 1) * record_budget_;
       consumer->var = queue::make_var_handoff(
           config.queue_backend, base, base * consumers,
           static_cast<std::uint32_t>(config.payload_max_bytes + kStampBytes));
@@ -165,146 +284,61 @@ void ThreadPbpl::produce(std::size_t consumer_index) {
   }
   PCPC_ASSERT(consumer_index < consumers_.size());
   Consumer& consumer = *consumers_[consumer_index];
-  if (items == 1) {
-    push_one(consumer);
-  } else {
-    push_volley(consumer, items);
-  }
-}
-
-void ThreadPbpl::push_one(Consumer& consumer) {
-  produced_.fetch_add(1, std::memory_order_relaxed);
-  // Span labels read the owner once; a mid-push migration can at worst
-  // mislabel the recording core of a sampled span (the pinned counters
-  // never come from spans).
-  const std::uint16_t core_hint =
-      static_cast<std::uint16_t>(consumer.core.load(std::memory_order_relaxed)->index);
-  // Sampled lifecycle span (1-in-N): claim this item's admission
-  // position; a sampled item stamps produce before the push and enqueue
-  // after it.  Unsampled items pay one relaxed load + one relaxed
-  // fetch_add, nothing else.
-  const std::uint64_t span_every = obs::span_sample_every();
-  std::uint64_t span_id = 0;
-  bool span = false;
-  if (span_every != 0) {
-    const std::uint64_t seq =
-        consumer.span_produce_seq.fetch_add(1, std::memory_order_relaxed);
-    if (seq % span_every == 0) {
-      span = true;
-      span_id = span_item_id(consumer.index, seq);
-      obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, span_id,
-                           obs::ItemStage::kProduce, now_ns());
-    }
-  }
-  const auto stamp = Clock::now();
-  // Lock-free fast path: with an SPSC/MPSC backend a successful push
-  // never touches any runtime lock — this is the whole point of the
-  // pluggable backends.  The running_ check narrows (but cannot close)
-  // the stop() race window; items pushed after the final drain are swept
-  // into dropped_on_stop by stats(), keeping the accounting identity.
-  // Migration never invalidates a fast-path push: the buffer travels with
-  // the consumer, so an item landed here is drained wherever it ends up.
-  if (consumer.buffer->lock_free() && running_.load(std::memory_order_acquire) &&
-      consumer.buffer->try_push(stamp)) {
-    if (span) {
-      obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint,
-                           span_id, obs::ItemStage::kEnqueue, now_ns());
-    }
-    return;
-  }
-  // Slow path: resolve the owning core, lock it, and re-check ownership
-  // under the lock — a concurrent migration retargets consumer.core
-  // before touching destination state, so a stale owner is detected here
-  // and the push retries on the new one.
-  for (;;) {
-    Core* core = consumer.core.load(std::memory_order_acquire);
-    std::unique_lock lock(core->mutex);
-    if (consumer.core.load(std::memory_order_relaxed) != core) continue;
-    if (push_one_slow_locked(*core, consumer, stamp, lock)) break;
-  }
-  if (span) {
-    obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, span_id,
-                         obs::ItemStage::kEnqueue, now_ns());
-  }
-}
-
-void ThreadPbpl::push_volley(Consumer& consumer, std::size_t items) {
-  // Fault-injected burst volley: ONE timestamp per admitted chunk, not
-  // per item — a volley arrives back-to-back, so the chunk's stamp
-  // bounds every member's true enqueue time to within the admission
-  // itself, while removing the clock read that used to dominate the
-  // burst path.  Admission goes through try_push_bulk — one tail
-  // publication / admission claim per chunk.  Whatever the bulk path
-  // rejects falls through to the per-item overflow slow path under the
-  // owning core's lock, so every overflow policy and the
-  // produced == items + dropped() identity behave exactly as before.
-  Clock::time_point chunk[queue::kDrainChunk];
-  const std::uint64_t span_every = obs::span_sample_every();
+  // A single item is a volley of one.  A volley is admitted in chunks,
+  // with ONE timestamp per chunk, not per item: it arrives back-to-back,
+  // so the chunk's stamp bounds every member's true enqueue time to
+  // within the admission itself.
   while (items > 0) {
     const std::size_t n = std::min(items, queue::kDrainChunk);
     items -= n;
     produced_.fetch_add(n, std::memory_order_relaxed);
-    // Claim the chunk's admission positions in one add so the drain
-    // side's positional counter stays aligned with sampled ids.
-    std::uint64_t seq0 = 0;
-    if (span_every != 0) {
-      seq0 = consumer.span_produce_seq.fetch_add(n, std::memory_order_relaxed);
-    }
-    const auto stamp = Clock::now();
-    std::fill_n(chunk, n, stamp);
-    std::size_t accepted = 0;
+    const ProducerSpans spans(*this, consumer, n);
+    ItemPlane plane{*consumer.buffer, Clock::now()};
+    // Lock-free fast path: with an SPSC/MPSC backend a successful push
+    // never touches any runtime lock — this is the whole point of the
+    // pluggable backends.  A chunk of one is one try_push, a longer one
+    // one tail publication / admission claim (try_push_bulk).  The
+    // running_ check narrows (but cannot close) the stop() race window;
+    // items pushed after the final drain are swept into dropped_on_stop
+    // by stats(), keeping the accounting identity.  Migration never
+    // invalidates a fast-path push: the buffer travels with the
+    // consumer, so an item landed here is drained wherever it ends up.
+    std::size_t admitted = 0;
     if (consumer.buffer->lock_free() && running_.load(std::memory_order_acquire)) {
-      accepted = consumer.buffer->try_push_bulk(
-          std::span<const Clock::time_point>(chunk, n));
+      admitted = n == 1 ? (plane.admit() ? 1 : 0) : push_copies(plane.buffer, plane.stamp, n);
     }
-    if (accepted < n) {
-      for (std::size_t i = accepted; i < n; ++i) {
-        for (;;) {
-          Core* core = consumer.core.load(std::memory_order_acquire);
-          std::unique_lock lock(core->mutex);
-          if (consumer.core.load(std::memory_order_relaxed) != core) continue;
-          if (push_one_slow_locked(*core, consumer, chunk[i], lock)) break;
-        }
-      }
+    // Whatever the fast path rejected takes the overflow slow path, one
+    // item at a time, so every overflow policy and the
+    // produced == items + dropped() identity hold per item.
+    for (; admitted < n; ++admitted) {
+      on_owner(consumer, [&](Core& core, std::unique_lock<std::mutex>& lock) {
+        return admit_slow_locked(core, consumer, plane, lock);
+      });
     }
-    if (span_every != 0) {
-      // Volley items are admitted back-to-back; sampled ones get produce
-      // and enqueue stamped together after the chunk lands.
-      const auto core_hint = static_cast<std::uint16_t>(
-          consumer.core.load(std::memory_order_relaxed)->index);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t seq = seq0 + i;
-        if (seq % span_every != 0) continue;
-        const std::uint64_t id = span_item_id(consumer.index, seq);
-        const SimTime ts = now_ns();
-        obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, id,
-                             obs::ItemStage::kProduce, ts);
-        obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, id,
-                             obs::ItemStage::kEnqueue, ts);
-      }
-    }
+    spans.enqueued();
   }
 }
 
-bool ThreadPbpl::push_one_slow_locked(Core& core, Consumer& consumer,
-                                      Clock::time_point stamp,
-                                      std::unique_lock<std::mutex>& lock) {
-  if (!running_.load(std::memory_order_relaxed)) {
-    // The runtime already stopped: nothing will ever drain this item.
-    // Count it instead of losing it silently.
-    ++core.stats.dropped_on_stop;
-    obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kOnStop,
-                   now_ns());
+template <typename Plane>
+bool ThreadPbpl::admit_slow_locked(Core& core, Consumer& consumer, Plane& plane,
+                                   std::unique_lock<std::mutex>& lock) {
+  // running_ is checked on entry and after every wait: a producer woken
+  // by stop() may reacquire the lock after the final sweep already
+  // emptied the buffer, and a unit admitted then would never drain — it
+  // is counted instead of lost silently.
+  const auto settled = [&] {
+    if (running_.load(std::memory_order_relaxed)) return plane.admit();
+    count_drop(core, consumer, obs::DropPath::kOnStop, plane.payload);
     return true;
-  }
-  if (consumer.buffer->try_push(stamp)) return true;
+  };
+  if (settled()) return true;
 
-  // Pre-emptive borrow: emergency_borrow tries the pool once, before any
-  // overflow policy acts.
+  // Pre-emptive borrow: emergency_borrow grows the buffer once, by a
+  // quarter and at least one unit, before any overflow policy acts.
   if (config_.emergency_borrow) {
-    const std::size_t extra = std::max<std::size_t>(1, consumer.buffer->capacity() / 4);
-    consumer.buffer->resize(consumer.buffer->capacity() + extra);
-    if (consumer.buffer->try_push(stamp)) {
+    const std::size_t cap = plane.capacity();
+    plane.resize(cap + std::max(plane.unit, cap / 4));
+    if (plane.admit()) {
       ++core.stats.emergency_borrows;
       obs::note_overflow(static_cast<std::uint16_t>(core.index),
                          static_cast<std::uint32_t>(consumer.index),
@@ -314,59 +348,37 @@ bool ThreadPbpl::push_one_slow_locked(Core& core, Consumer& consumer,
   }
 
   switch (config_.overflow_policy) {
-    case core::OverflowPolicy::DropOldest: {
-      // Evict-then-insert.  With the Mutex backend the first iteration
-      // always succeeds (evicting under the lock is exact).  With a
+    case core::OverflowPolicy::DropOldest:
+      // Evict-then-admit.  With the Mutex backend the first eviction
+      // always makes room (evicting under the lock is exact).  With a
       // lock-free backend, concurrent producers can steal the freed
-      // admission between our pop and push, so retry a bounded number of
-      // evictions and fall back to rejecting the incoming item — every
-      // branch keeps produced == items + dropped() exact.
+      // admission between our eviction and admit, so retry a bounded
+      // number of evictions, stop early when evicting cannot free space,
+      // and fall back to rejecting the incoming unit — every branch keeps
+      // produced == items + dropped() exact.
       for (int attempt = 0; attempt < 16; ++attempt) {
-        if (consumer.buffer->try_pop().has_value()) {
-          ++core.stats.dropped_oldest;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOldest, now_ns());
+        if (const auto evicted = plane.evict()) {
+          count_drop(core, consumer, obs::DropPath::kOldest, *evicted);
         }
-        if (consumer.buffer->try_push(stamp)) return true;
+        if (plane.admit()) return true;
+        if (!plane.evict_frees()) break;
       }
-      ++core.stats.dropped_newest;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
-    }
+      [[fallthrough]];
     case core::OverflowPolicy::DropNewest:
-      ++core.stats.dropped_newest;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
+      count_drop(core, consumer, obs::DropPath::kNewest, plane.payload);
       return true;
     case core::OverflowPolicy::Block:
-      return block_locked(core, consumer, lock, /*payload=*/0,
-                          [&] { return consumer.buffer->try_push(stamp); });
+      break;
   }
-  return true;
-}
 
-template <typename Retry>
-bool ThreadPbpl::block_locked(Core& core, Consumer& consumer,
-                              std::unique_lock<std::mutex>& lock, std::uint64_t payload,
-                              Retry&& retry) {
-  // Forced drain: hand the wakeup to the owning core's manager and wait
-  // for space (this is the unscheduled overflow wakeup).  The step counts
-  // one request per outstanding drain — a spurious wake of this producer
-  // must not be double-counted as a second overflow — and re-arms it once
-  // the manager served it.  running_ is re-checked BEFORE every retry: a
-  // producer woken by stop() may reacquire the lock after the final sweep
-  // already emptied the buffer, and a successful push at that point would
-  // land in a buffer nothing will ever drain again.
-  for (;;) {
-    if (!running_.load(std::memory_order_relaxed)) {
-      ++core.stats.dropped_on_stop;
-      core.stats.dropped_bytes += payload;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kOnStop,
-                     now_ns());
-      return true;
-    }
-    if (retry()) return true;
+  // Block — the forced drain: hand the wakeup to the owning core's
+  // manager and wait for space (this is the unscheduled overflow
+  // wakeup).  The step counts one request per outstanding drain — a
+  // spurious wake of this producer must not be double-counted as a
+  // second overflow — and re-arms it once the manager served it.  Item
+  // space frees at the drain, record space only once run_handlers
+  // releases the drained views; both wake this producer.
+  while (!settled()) {
     if (core.step.request_overflow(static_cast<core::ConsumerId>(consumer.index))) {
       obs::note_overflow(static_cast<std::uint16_t>(core.index),
                          static_cast<std::uint32_t>(consumer.index),
@@ -379,6 +391,18 @@ bool ThreadPbpl::block_locked(Core& core, Consumer& consumer,
     // another.
     if (consumer.core.load(std::memory_order_relaxed) != &core) return false;
   }
+  return true;
+}
+
+void ThreadPbpl::count_drop(Core& core, const Consumer& consumer, obs::DropPath path,
+                            std::uint64_t payload_bytes) {
+  switch (path) {
+    case obs::DropPath::kOldest: ++core.stats.dropped_oldest; break;
+    case obs::DropPath::kNewest: ++core.stats.dropped_newest; break;
+    case obs::DropPath::kOnStop: ++core.stats.dropped_on_stop; break;
+  }
+  core.stats.dropped_bytes += payload_bytes;
+  obs::note_drop(static_cast<std::uint32_t>(consumer.index), path, now_ns());
 }
 
 void ThreadPbpl::produce_record(std::size_t consumer, std::span<const std::byte> payload) {
@@ -396,28 +420,26 @@ std::optional<ThreadPbpl::RecordRef> ThreadPbpl::reserve_record(
   PCPC_ASSERT_MSG(bytes <= config_.payload_max_bytes, "payload above payload_max_bytes");
   produced_.fetch_add(1, std::memory_order_relaxed);
   produced_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  const auto record_bytes = static_cast<std::uint32_t>(bytes + kStampBytes);
-  queue::VarReservation res;
-  // Lock-free fast path, like push_one: a successful reserve on an
-  // SPSC/MPSC ring never touches any runtime lock.
-  if (consumer.var->lock_free() && running_.load(std::memory_order_acquire) &&
-      consumer.var->try_reserve(record_bytes, res)) {
-    return RecordRef{std::span<std::byte>(res.data + kStampBytes, bytes), res};
+  RecordPlane plane{consumer, bytes, static_cast<std::uint32_t>(bytes + kStampBytes),
+                    record_budget_};
+  // Lock-free fast path, as in produce(); a record that takes the slow
+  // path may come back dropped (already counted).
+  if (!(consumer.var->lock_free() && running_.load(std::memory_order_acquire) &&
+        plane.admit())) {
+    on_owner(consumer, [&](Core& core, std::unique_lock<std::mutex>& lock) {
+      return admit_slow_locked(core, consumer, plane, lock);
+    });
   }
-  bool reserved = false;
-  for (;;) {
-    Core* core = consumer.core.load(std::memory_order_acquire);
-    std::unique_lock lock(core->mutex);
-    if (consumer.core.load(std::memory_order_relaxed) != core) continue;
-    if (reserve_slow_locked(*core, consumer, record_bytes, res, reserved, lock)) break;
-  }
-  if (!reserved) return std::nullopt;
-  return RecordRef{std::span<std::byte>(res.data + kStampBytes, bytes), res};
+  if (!plane.admitted) return std::nullopt;
+  return RecordRef{std::span<std::byte>(plane.res.data + kStampBytes, bytes), plane.res};
 }
 
 void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
   PCPC_ASSERT(consumer_index < consumers_.size());
   Consumer& consumer = *consumers_[consumer_index];
+  // Records claim their span position at commit: a dropped record never
+  // claims one, so the drain side's positional counter stays aligned.
+  const ProducerSpans spans(*this, consumer, 1);
   // The stamp word makes the record self-timing: the drain side reads it
   // back for the latency account without any side channel.
   const std::int64_t stamp_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -427,115 +449,12 @@ void ThreadPbpl::commit_record(std::size_t consumer_index, RecordRef& ref) {
   if (consumer.var->lock_free()) {
     consumer.var->commit(ref.res);
   } else {
-    for (;;) {
-      Core* core = consumer.core.load(std::memory_order_acquire);
-      std::unique_lock lock(core->mutex);
-      if (consumer.core.load(std::memory_order_relaxed) != core) continue;
+    on_owner(consumer, [&](Core&, std::unique_lock<std::mutex>&) {
       consumer.var->commit(ref.res);
-      break;
-    }
-  }
-  // Sampled lifecycle span: records claim their admission position at
-  // commit (dropped records never claim one, so the drain side's
-  // positional counter stays aligned), produce+enqueue stamped together.
-  const std::uint64_t span_every = obs::span_sample_every();
-  if (span_every != 0) {
-    const std::uint64_t seq =
-        consumer.span_produce_seq.fetch_add(1, std::memory_order_relaxed);
-    if (seq % span_every == 0) {
-      const auto core_hint = static_cast<std::uint16_t>(
-          consumer.core.load(std::memory_order_relaxed)->index);
-      const std::uint64_t id = span_item_id(consumer.index, seq);
-      const SimTime ts = now_ns();
-      obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, id,
-                           obs::ItemStage::kProduce, ts);
-      obs::note_item_stage(static_cast<std::uint32_t>(consumer.index), core_hint, id,
-                           obs::ItemStage::kEnqueue, ts);
-    }
-  }
-}
-
-bool ThreadPbpl::reserve_slow_locked(Core& core, Consumer& consumer,
-                                     std::uint32_t record_bytes,
-                                     queue::VarReservation& out, bool& reserved,
-                                     std::unique_lock<std::mutex>& lock) {
-  const std::uint64_t payload = record_bytes - kStampBytes;
-  reserved = false;
-  if (!running_.load(std::memory_order_relaxed)) {
-    ++core.stats.dropped_on_stop;
-    core.stats.dropped_bytes += payload;
-    obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kOnStop,
-                   now_ns());
-    return true;
-  }
-  if (consumer.var->try_reserve(record_bytes, out)) {
-    reserved = true;
-    return true;
-  }
-
-  // Pre-emptive borrow, at byte granularity: the varlen plane has no
-  // segment pool, so the borrow grows the ring toward its global bound.
-  if (config_.emergency_borrow) {
-    const std::size_t cap = consumer.var->capacity_bytes();
-    consumer.var->resize_bytes(cap + std::max(record_budget_, cap / 4));
-    if (consumer.var->try_reserve(record_bytes, out)) {
-      ++core.stats.emergency_borrows;
-      obs::note_overflow(static_cast<std::uint16_t>(core.index),
-                         static_cast<std::uint32_t>(consumer.index),
-                         obs::OverflowAction::kEmergencyBorrow, now_ns());
-      reserved = true;
       return true;
-    }
+    });
   }
-
-  switch (config_.overflow_policy) {
-    case core::OverflowPolicy::DropOldest: {
-      // Evict-then-reserve at record granularity.  drop_oldest only
-      // *marks* the head record reclaimed (advancing the claim cursor);
-      // the bytes return to producers at a release — which we can do
-      // right here, under the consumer-side lock, UNLESS zero-copy views
-      // from the last drain are still out with the handlers (a release
-      // would hand their bytes back).  In that case eviction cannot free
-      // space in time, so reject the incoming record — every branch keeps
-      // the produced == items + dropped() identity exact.  The reclaimed
-      // records go back with the views, at run_handlers' release.
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        std::uint64_t footprint = 0;
-        std::uint32_t dropped_payload = 0;
-        if (consumer.var->drop_oldest(footprint, dropped_payload)) {
-          ++core.stats.dropped_oldest;
-          core.stats.dropped_bytes += dropped_payload - kStampBytes;
-          obs::note_drop(static_cast<std::uint32_t>(consumer.index),
-                         obs::DropPath::kOldest, now_ns());
-        }
-        if (!consumer.var_inflight) consumer.var->release_claimed();
-        if (consumer.var->try_reserve(record_bytes, out)) {
-          reserved = true;
-          return true;
-        }
-        if (consumer.var_inflight) break;
-      }
-      ++core.stats.dropped_newest;
-      core.stats.dropped_bytes += payload;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
-    }
-    case core::OverflowPolicy::DropNewest:
-      ++core.stats.dropped_newest;
-      core.stats.dropped_bytes += payload;
-      obs::note_drop(static_cast<std::uint32_t>(consumer.index), obs::DropPath::kNewest,
-                     now_ns());
-      return true;
-    case core::OverflowPolicy::Block:
-      // Space frees only once run_handlers releases the drained views,
-      // which is where the producer's wake comes from.
-      return block_locked(core, consumer, lock, payload, [&] {
-        reserved = consumer.var->try_reserve(record_bytes, out);
-        return reserved;
-      });
-  }
-  return true;
+  spans.enqueued();
 }
 
 ThreadPbplStats ThreadPbpl::stats() {
@@ -549,20 +468,14 @@ ThreadPbplStats ThreadPbpl::stats() {
       // final drain.  Nothing will ever consume it, so account it here —
       // the caller joined its producers first (see the header contract).
       for (const core::ConsumerId id : core->step.roster()) {
-        Consumer* consumer = consumers_[id].get();
-        const std::size_t swept = consumer->buffer->drain([&](Clock::time_point) {
-          obs::note_drop(static_cast<std::uint32_t>(consumer->index),
-                         obs::DropPath::kOnStop, now_ns());
+        Consumer& consumer = *consumers_[id];
+        consumer.buffer->drain([&](Clock::time_point) {
+          count_drop(*core, consumer, obs::DropPath::kOnStop, 0);
         });
-        core->stats.dropped_on_stop += swept;
-        if (consumer->var != nullptr) {
-          const std::size_t var_swept =
-              consumer->var->drain_records([&](std::span<const std::byte> payload) {
-                core->stats.dropped_bytes += payload.size() - kStampBytes;
-                obs::note_drop(static_cast<std::uint32_t>(consumer->index),
-                               obs::DropPath::kOnStop, now_ns());
-              });
-          core->stats.dropped_on_stop += var_swept;
+        if (consumer.var != nullptr) {
+          consumer.var->drain_records([&](std::span<const std::byte> record) {
+            count_drop(*core, consumer, obs::DropPath::kOnStop, record.size() - kStampBytes);
+          });
         }
       }
     }
@@ -787,20 +700,21 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
   // ≤ bound) attributes these spans to exactly this wakeup.
   const std::uint64_t span_every = obs::span_sample_every();
   std::vector<std::uint64_t> sampled;
-  // Bulk drain: chunked pop_bulk instead of one virtual try_pop per item
-  // (and, on the lock-free backends, one head publication per chunk).
-  const std::size_t batch = consumer.buffer->drain([&](Clock::time_point stamp) {
+  // One drained unit, item or record (a record passes its stamp word):
+  // the latency account and the drained-position count.
+  const auto take = [&](Clock::time_point stamp) {
     const SimDuration latency =
         std::chrono::duration_cast<std::chrono::nanoseconds>(drained_at - stamp).count();
     core.stats.latency_s.add(latency);
     consumer.planner.observe_latency(latency);
     if (span_every != 0) {
       const std::uint64_t seq = consumer.span_drain_seq++;
-      if (seq % span_every == 0) {
-        sampled.push_back(span_item_id(consumer.index, seq));
-      }
+      if (seq % span_every == 0) sampled.push_back(span_item_id(consumer.index, seq));
     }
-  });
+  };
+  // Bulk drain: chunked pop_bulk instead of one virtual try_pop per item
+  // (and, on the lock-free backends, one head publication per chunk).
+  const std::size_t batch = consumer.buffer->drain(take);
   // Varlen plane: claim every committed record as a zero-copy view (the
   // scatter-free drain).  Claiming under the lock is cheap — no bytes
   // move; the handler reads the views outside the lock in run_handlers,
@@ -810,17 +724,7 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
   if (consumer.var != nullptr) {
     while (auto view = consumer.var->claim_front()) {
       PCPC_ASSERT_MSG(view->size >= kStampBytes, "runtime record below stamp size");
-      const SimDuration latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                      drained_at - record_stamp(view->data))
-                                      .count();
-      core.stats.latency_s.add(latency);
-      consumer.planner.observe_latency(latency);
-      if (span_every != 0) {
-        const std::uint64_t seq = consumer.span_drain_seq++;
-        if (seq % span_every == 0) {
-          sampled.push_back(span_item_id(consumer.index, seq));
-        }
-      }
+      take(record_stamp(view->data));
       record_payload += view->size - kStampBytes;
       records.push_back(*view);
     }

@@ -1,4 +1,4 @@
-// Tests for RingBuffer, MovingAverage, the fixed-capacity Mutex hand-off
+// Tests for MovingAverage, the fixed-capacity Mutex hand-off
 // the thread baselines buffer through, and the report formatting
 // utilities (Table / CsvWriter / JsonWriter).
 #include <gtest/gtest.h>
@@ -10,82 +10,17 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
 
 #include "pcpc/common/csv.hpp"
 #include "pcpc/common/json.hpp"
 #include "pcpc/common/moving_average.hpp"
-#include "pcpc/common/ring_buffer.hpp"
-#include "pcpc/common/rng.hpp"
 #include "pcpc/common/table.hpp"
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc {
 namespace {
-
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.push(i));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.pop(), std::optional<int>(i));
-  EXPECT_EQ(ring.pop(), std::nullopt);
-}
-
-TEST(RingBuffer, RejectsWhenFull) {
-  RingBuffer<int> ring(2);
-  EXPECT_TRUE(ring.push(1));
-  EXPECT_TRUE(ring.push(2));
-  EXPECT_FALSE(ring.push(3));
-  EXPECT_EQ(ring.size(), 2u);
-}
-
-TEST(RingBuffer, WrapAround) {
-  RingBuffer<int> ring(3);
-  ring.push(1);
-  ring.push(2);
-  EXPECT_EQ(*ring.pop(), 1);
-  ring.push(3);
-  ring.push(4);  // wraps
-  EXPECT_EQ(*ring.pop(), 2);
-  EXPECT_EQ(*ring.pop(), 3);
-  EXPECT_EQ(*ring.pop(), 4);
-}
-
-TEST(RingBuffer, RandomOpsPreserveFifo) {
-  // Property: a ring buffer behaves exactly like a bounded FIFO queue.
-  RingBuffer<std::uint64_t> ring(7);
-  Rng rng(99);
-  std::uint64_t next_in = 0, next_out = 0;
-  for (int step = 0; step < 20000; ++step) {
-    if (rng.bernoulli(0.55)) {
-      if (ring.push(next_in)) ++next_in;
-    } else if (auto v = ring.pop()) {
-      ASSERT_EQ(*v, next_out);
-      ++next_out;
-    }
-    ASSERT_EQ(ring.size(), next_in - next_out);
-  }
-}
-
-TEST(RingBuffer, AtAndFront) {
-  RingBuffer<int> ring(4);
-  ring.push(10);
-  ring.push(20);
-  ring.push(30);
-  EXPECT_EQ(ring.front(), 10);
-  EXPECT_EQ(ring.at(0), 10);
-  EXPECT_EQ(ring.at(2), 30);
-}
-
-TEST(RingBuffer, Clear) {
-  RingBuffer<int> ring(3);
-  ring.push(1);
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_TRUE(ring.push(5));
-  EXPECT_EQ(*ring.pop(), 5);
-}
 
 TEST(MovingAverage, ExactWindowedMean) {
   MovingAverage avg(3);

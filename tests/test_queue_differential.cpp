@@ -649,37 +649,74 @@ core::PbplConfig runtime_config(BackendKind kind, OverflowPolicy policy) {
 }
 
 TEST(QueueDifferential, ThreadHostConservesItemsPerBackendAndPolicy) {
+  // Both planes of a consumer — fixed items through produce(), varlen
+  // records through produce_record() — under every overflow policy, with
+  // the emergency borrow off and on.
   constexpr std::size_t kConsumers = 2;
   constexpr std::size_t kProducersPerConsumer = 2;
   constexpr std::uint64_t kItems = 400;
-  for (const auto kind : kBackends) {
-    for (const auto policy : kPolicies) {
-      // The SPSC ring's contract is one producer thread per consumer.
-      const std::size_t producers =
-          kind == BackendKind::SpscRing ? 1 : kProducersPerConsumer;
-      // The thread host runs with emergency_borrow at its default (on).
-      runtime::ThreadPbpl host(kConsumers, runtime_config(kind, policy.policy));
-      std::vector<std::thread> threads;
-      for (std::size_t c = 0; c < kConsumers; ++c) {
-        for (std::size_t p = 0; p < producers; ++p) {
-          threads.emplace_back([&host, c] {
-            for (std::uint64_t i = 0; i < kItems; ++i) host.produce(c);
+  constexpr std::uint32_t kPayloadMax = 64;
+  // Record payloads cycle over 0..kPayloadMax bytes.
+  std::uint64_t bytes_per_producer = 0;
+  for (std::uint64_t i = 0; i < kItems; ++i) bytes_per_producer += i % (kPayloadMax + 1);
+  for (const bool records : {false, true}) {
+    for (const auto kind : kBackends) {
+      for (const auto policy : {OverflowPolicy::Block, OverflowPolicy::DropOldest,
+                                OverflowPolicy::DropNewest}) {
+        for (const bool borrow : {false, true}) {
+          // The SPSC ring's contract is one producer thread per consumer.
+          const std::size_t producers =
+              kind == BackendKind::SpscRing ? 1 : kProducersPerConsumer;
+          core::PbplConfig config = runtime_config(kind, policy);
+          config.emergency_borrow = borrow;
+          if (records) config.payload_max_bytes = kPayloadMax;
+          runtime::ThreadPbpl host(kConsumers, config);
+          std::atomic<std::uint64_t> handled{0};
+          std::atomic<std::uint64_t> handled_bytes{0};
+          host.set_record_handler([&](std::size_t, std::span<const std::byte> payload) {
+            handled.fetch_add(1, std::memory_order_relaxed);
+            handled_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
           });
+          std::vector<std::thread> threads;
+          for (std::size_t c = 0; c < kConsumers; ++c) {
+            for (std::size_t p = 0; p < producers; ++p) {
+              threads.emplace_back([&host, c, records] {
+                const std::byte payload[kPayloadMax] = {};
+                for (std::uint64_t i = 0; i < kItems; ++i) {
+                  if (records) {
+                    host.produce_record(c, std::span<const std::byte>(
+                                               payload, i % (kPayloadMax + 1)));
+                  } else {
+                    host.produce(c);
+                  }
+                }
+              });
+            }
+          }
+          for (auto& t : threads) t.join();
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          host.stop();
+          const auto stats = host.stats();
+          const std::string label = std::string(records ? "records " : "items ") +
+                                    backend_name(kind) + "/" + policy_name({policy, false}) +
+                                    (borrow ? "+borrow" : "");
+          const std::uint64_t offered = kConsumers * producers * kItems;
+          const std::uint64_t offered_bytes =
+              records ? kConsumers * producers * bytes_per_producer : 0;
+          EXPECT_EQ(stats.produced, offered) << label;
+          EXPECT_EQ(stats.produced, stats.items + stats.dropped()) << label;
+          EXPECT_EQ(stats.produced_bytes, offered_bytes) << label;
+          EXPECT_EQ(stats.produced_bytes, stats.consumed_bytes + stats.dropped_bytes)
+              << label;
+          EXPECT_EQ(handled.load(), records ? stats.items : 0u) << label;
+          EXPECT_EQ(handled_bytes.load(), stats.consumed_bytes) << label;
+          if (policy == OverflowPolicy::Block) {
+            // Lossless policies may only lose items to the stop() race, and
+            // those are accounted as dropped_on_stop — never silently.
+            EXPECT_EQ(stats.dropped_oldest, 0u) << label;
+            EXPECT_EQ(stats.dropped_newest, 0u) << label;
+          }
         }
-      }
-      for (auto& t : threads) t.join();
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      host.stop();
-      const auto stats = host.stats();
-      const std::string label = std::string(backend_name(kind)) + "/" +
-                                policy_name(policy);
-      EXPECT_EQ(stats.produced, kConsumers * producers * kItems) << label;
-      EXPECT_EQ(stats.produced, stats.items + stats.dropped()) << label;
-      if (policy.policy == OverflowPolicy::Block) {
-        // Lossless policies may only lose items to the stop() race, and
-        // those are accounted as dropped_on_stop — never silently.
-        EXPECT_EQ(stats.dropped_oldest, 0u) << label;
-        EXPECT_EQ(stats.dropped_newest, 0u) << label;
       }
     }
   }
@@ -830,7 +867,8 @@ TEST(QueueDifferential, ThreadHostMutexKindWaitsForAnOpenRecordReservation) {
 
 TEST(QueueDifferential, ThreadHostSharedLaneFillsBehindAnOpenRecordReservation) {
   // MpscSeg, B in A's lane.  A's prefill and open record fill the ring
-  // (10 records of 24 bytes in 240), so B goes to the overflow slow path
+  // (10 records of 24 bytes in 240: three worst-case records of 80 bytes
+  // at payload_max_bytes 64), so B goes to the overflow slow path
   // at once; once the forced drain frees A's prefill, B reserves behind
   // A's open record under the core lock, fills the ring again and
   // blocks, and A's stats() and commit must still go through.  A lane
@@ -838,7 +876,7 @@ TEST(QueueDifferential, ThreadHostSharedLaneFillsBehindAnOpenRecordReservation) 
   // under the core lock that stats() needs.  Long slots keep scheduled
   // drains out of the way.
   core::PbplConfig config = runtime_config(BackendKind::MpscSeg, OverflowPolicy::Block);
-  config.payload_ring_bytes = 240;
+  config.base_buffer = 3;
   config.slot_size = milliseconds(100);
   config.max_latency = milliseconds(500);
   run_open_reservation(config, {.prefill = 9, .records = 200, .share_lane = true,

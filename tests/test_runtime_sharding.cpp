@@ -135,9 +135,9 @@ TEST(RuntimeSharding, ConservationHoldsAcrossPoliciesAndBackends) {
   }
 }
 
-// Fault-injected bursts go through the bulk push path (push_volley);
-// the identity and the burst accounting must match the injector's own
-// books exactly.
+// Fault-injected bursts go through the bulk push path (produce admits a
+// volley in chunks); the identity and the burst accounting must match
+// the injector's own books exactly.
 TEST(RuntimeSharding, BurstVolleysKeepTheIdentity) {
   using queue::BackendKind;
   for (const BackendKind backend :
