@@ -19,6 +19,10 @@ else.
   reports.py cli PCPC_CLI OUT_DIR
       Runs pcpc_cli twice with every report armed and checks the four
       documents (the example_pcpc_cli_reports ctest).
+  reports.py ipc PCPC_CLI OUT_DIR
+      Runs pcpc_cli --impl=ipc with two forked producers and checks its
+      metrics and SLO documents: one pair row per producer registry slot
+      (the example_pcpc_cli_ipc_reports ctest).
 """
 import json
 import os
@@ -196,6 +200,41 @@ def cli(pcpc_cli, out_dir):
     return 0
 
 
+def ipc(pcpc_cli, out_dir):
+    """Two producer processes of 20000 items each: the SLO report's
+    totals hold their identities against the metrics document, and each
+    producer's registry slot is one pair row carrying all of its items."""
+    pairs, per_pair = 2, 20000
+    os.makedirs(out_dir, exist_ok=True)
+    metrics_path = os.path.join(out_dir, "metrics.json")
+    slo_path = os.path.join(out_dir, "slo.json")
+    for path in (metrics_path, slo_path):
+        if os.path.exists(path):
+            os.remove(path)
+    subprocess.run(
+        [pcpc_cli, "--impl=ipc", f"--pairs={pairs}", f"--rate={per_pair}",
+         "--seconds=1", "--span-every=16", "--ipc-name=/pcpc_cli_reports_ci",
+         f"--metrics-out={metrics_path}", f"--slo-report={slo_path}"],
+        check=True, stdout=subprocess.DEVNULL)
+
+    metrics = metrics_ok(metrics_path)
+    slo = load(slo_path)
+    require_schema(slo_path, slo, SLO_SCHEMA)
+    totals = slo["totals"]
+    if totals["produced"] != totals["items"] + totals["drops"]:
+        raise Invalid(f"{slo_path}: produced {totals['produced']} != items "
+                      f"{totals['items']} + drops {totals['drops']}")
+    if totals["paid_wakes"] != metrics["wakeups"]["paid"]:
+        raise Invalid(f"{slo_path}: paid_wakes {totals['paid_wakes']} != metrics "
+                      f"wakeups.paid {metrics['wakeups']['paid']}")
+    rows = [(row["pair"], row["items"]) for row in slo["pairs"]]
+    expected = [(pair, per_pair) for pair in range(pairs)]
+    if rows != expected:
+        raise Invalid(f"{slo_path}: pair rows (pair, items) are {rows}, expected {expected}")
+    print(f"reports: ipc rows {rows}, paid wakes {totals['paid_wakes']}")
+    return 0
+
+
 def main(argv):
     if len(argv) >= 2 and argv[0] == "metrics":
         for path in argv[1:]:
@@ -207,6 +246,8 @@ def main(argv):
         return 1 if trajectory(argv[1:]) else 0
     if len(argv) == 3 and argv[0] == "cli":
         return cli(argv[1], argv[2])
+    if len(argv) == 3 and argv[0] == "ipc":
+        return ipc(argv[1], argv[2])
     print(__doc__, file=sys.stderr)
     return 2
 

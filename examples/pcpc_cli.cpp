@@ -551,34 +551,18 @@ int run_ipc(const CliOptions& options) {
       obs::AttributionReport report;
       report.spans = obs::fold_spans(session->events());
       // Pair rows come from the shm telemetry region, not a local
-      // ledger: each live producer registry slot is one pair, and
-      // whatever already detached or was reaped sits in the retired
-      // fold — kept as one aggregate row so the report's totals remain
-      // the channel's exact cross-process totals.
-      const ipc::TelemetrySnapshot tel = consumer->telemetry();
-      std::uint64_t live_items = 0, live_drops = 0, live_paid = 0, live_free = 0;
-      for (const ipc::PeerTelemetrySnapshot& peer : tel.live) {
+      // ledger: each producer registry slot is one pair, keyed like its
+      // lane's spans, and its cells count every producer that held it,
+      // so the report's totals are the channel's exact totals.
+      const std::vector<ipc::SlotRow> slots = consumer->slots();
+      for (std::size_t idx = 0; idx < slots.size(); ++idx) {
         obs::PairAttribution row;
-        row.pair = static_cast<std::uint32_t>(peer.index);
-        row.items = peer.pushed;
-        row.drops = peer.dropped;
-        row.paid = peer.paid_wakes;
-        row.free = peer.doorbells_free;
-        live_items += peer.pushed;
-        live_drops += peer.dropped;
-        live_paid += peer.paid_wakes;
-        live_free += peer.doorbells_free;
+        row.pair = static_cast<std::uint32_t>(idx);
+        row.items = slots[idx].counters[ipc::kTelPushed];
+        row.drops = slots[idx].counters[ipc::kTelDropped];
+        row.paid = slots[idx].counters[ipc::kTelPaidWakes];
+        row.free = slots[idx].counters[ipc::kTelDoorbellFree];
         report.pairs.push_back(row);
-      }
-      if (tel.pushed > live_items || tel.dropped > live_drops ||
-          tel.paid_wakes > live_paid || tel.doorbells_free > live_free) {
-        obs::PairAttribution retired;
-        retired.pair = 0xffffffffu;  // the retired-peers aggregate
-        retired.items = tel.pushed - live_items;
-        retired.drops = tel.dropped - live_drops;
-        retired.paid = tel.paid_wakes - live_paid;
-        retired.free = tel.doorbells_free - live_free;
-        report.pairs.push_back(retired);
       }
       const exp::ExperimentSpec spec =
           exp::multi_pair_spec(options.pairs, options.buffer);

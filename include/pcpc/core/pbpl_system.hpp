@@ -37,13 +37,6 @@ struct PbplResult {
   OnlineStats batch_sizes;       ///< items per invocation
   LatencyRecorder latency_s;     ///< item response times, seconds
   OnlineStats buffer_capacity;   ///< capacity samples → "average buffer size"
-
-  /// Fraction of raised overflows the algorithm avoided relative to the
-  /// total demand (the paper's "overflow conversion" framing needs a BP
-  /// run for comparison; this is the PBPL-side count).
-  double total_wakeups() const {
-    return static_cast<double>(scheduled_wakeups + overflow_wakeups);
-  }
 };
 
 /// Owns the simulator-side objects of one PBPL deployment.

@@ -72,18 +72,6 @@ struct FaultConfig {
   /// Producer::set_crash_hook.  In-process hosts ignore it.
   double kill_probability = 0.0;
 
-  /// Process suspend: with `stop_probability` per push opportunity, the
-  /// producer is SIGSTOPped for `stop_duration`, then SIGCONTed — alive
-  /// the whole time, so nothing of it may be reclaimed.
-  double stop_probability = 0.0;
-  SimDuration stop_duration = milliseconds(20);
-
-  /// Attach delay: with `attach_delay_probability` per attach attempt,
-  /// the attaching process sleeps `attach_delay` first, exercising the
-  /// bounded-retry/backoff attach path.
-  double attach_delay_probability = 0.0;
-  SimDuration attach_delay = milliseconds(10);
-
   /// Load swing: a seeded utilization wave the fleet controller must
   /// track.  load_scale(now) returns a multiplicative factor around 1.0
   /// (clamped to [0, 2]) — a sinusoid by default, a square wave with
@@ -99,7 +87,6 @@ struct FaultConfig {
     return burst_probability > 0.0 || stall_probability > 0.0 ||
            slow_handler_probability > 0.0 || deadline_jitter > 0 ||
            pool_pressure > 0.0 || kill_probability > 0.0 ||
-           stop_probability > 0.0 || attach_delay_probability > 0.0 ||
            load_swing_amplitude > 0.0;
   }
 };
@@ -115,10 +102,6 @@ struct FaultStats {
   SimDuration total_handler_delay = 0; ///< summed handler delay
   std::size_t seized_segments = 0;     ///< pool segments held by pressure
   std::uint64_t process_kills = 0;     ///< SIGKILL crash points fired
-  std::uint64_t process_stops = 0;     ///< SIGSTOP/SIGCONT suspensions
-  std::uint64_t attach_delays = 0;     ///< delayed shm attach attempts
-  SimDuration total_stop = 0;          ///< summed suspension time
-  SimDuration total_attach_delay = 0;  ///< summed attach delay
   std::uint64_t load_swings = 0;       ///< load-swing period boundaries crossed
 };
 
@@ -133,8 +116,6 @@ class FaultInjector {
         handler_rng_(mix(config.seed, 3)),
         jitter_rng_(mix(config.seed, 4)),
         kill_rng_(mix(config.seed, 5)),
-        stop_rng_(mix(config.seed, 6)),
-        attach_rng_(mix(config.seed, 7)),
         swing_rng_(mix(config.seed, 8)),
         swing_phase_(swing_rng_.uniform(0.0, 1.0)) {}
 
@@ -219,30 +200,6 @@ class FaultInjector {
     return point;
   }
 
-  /// How long this process should be suspended (SIGSTOP…SIGCONT) before
-  /// the next push (0 = none).  The parent harness applies the signals;
-  /// the decision is drawn here so it replays by seed.
-  SimDuration process_stop() {
-    if (config_.stop_probability <= 0.0 || config_.stop_duration <= 0) return 0;
-    std::scoped_lock lock(mutex_);
-    if (!stop_rng_.bernoulli(config_.stop_probability)) return 0;
-    ++stats_.process_stops;
-    stats_.total_stop += config_.stop_duration;
-    obs::note_fault(obs::FaultKind::kProcStop, config_.stop_duration);
-    return config_.stop_duration;
-  }
-
-  /// Delay to impose before this shm attach attempt (0 = none).
-  SimDuration attach_delay() {
-    if (config_.attach_delay_probability <= 0.0 || config_.attach_delay <= 0) return 0;
-    std::scoped_lock lock(mutex_);
-    if (!attach_rng_.bernoulli(config_.attach_delay_probability)) return 0;
-    ++stats_.attach_delays;
-    stats_.total_attach_delay += config_.attach_delay;
-    obs::note_fault(obs::FaultKind::kAttachDelay, config_.attach_delay);
-    return config_.attach_delay;
-  }
-
   /// Multiplicative load factor at `now` (1.0 when the swing is off).
   /// A pure function of (seed, now) — safe to evaluate from any thread,
   /// at any cadence, without perturbing other fault streams.  The lock
@@ -286,8 +243,6 @@ class FaultInjector {
   Rng handler_rng_;
   Rng jitter_rng_;
   Rng kill_rng_;
-  Rng stop_rng_;
-  Rng attach_rng_;
   Rng swing_rng_;
   double swing_phase_;
   FaultStats stats_;

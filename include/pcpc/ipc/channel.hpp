@@ -6,21 +6,21 @@
 // documented there; this header adds the process-facing machinery:
 //
 //   - registry join/leave with per-peer heartbeats,
-//   - the reaper (dead-peer detection, counter folds, slot reuse),
+//   - the reaper (dead-peer detection, trace-ring salvage, slot reuse),
 //   - the futex doorbell with *exact* paid-wakeup accounting: a producer
 //     pays a futex_wake only after winning the kConsumerSleeping ->
-//     kConsumerWoken CAS, so every increment of ChannelHeader::futex_wakes
+//     kConsumerWoken CAS, so every bump of a slot's paid-wake cell
 //     creates exactly one kConsumerWoken token, and the consumer consumes
 //     each token exactly once (its wake-side exchange back to awake).
-//     The obs ledger's paid-wakeup total therefore equals the shm futex
-//     wake counter identically, not statistically.
+//     The obs ledger's paid-wakeup total therefore equals the sum of the
+//     paid-wake cells identically, not statistically.
 //
 // Failure semantics (the contract the kill-chaos harness checks):
 //   - SIGKILLed producer: everything it published is delivered, nothing
 //     it had not published is ever visible; the consumer keeps draining
-//     and never wedges.  The reaper folds its counters and frees its
-//     registry slot; the next producer there resumes at the lane's
-//     published cursors.
+//     and never wedges.  The reaper drains its trace ring and frees its
+//     registry slot; the next producer there resumes the lane's
+//     published cursors and the slot's counter cells.
 //   - SIGSTOPped producer: alive by definition; it stalls only its own
 //     lane, and its write completes after SIGCONT.
 //   - Dead consumer: producers observe it via the registry (a stale
@@ -36,6 +36,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "pcpc/common/assert.hpp"
 #include "pcpc/ipc/futex.hpp"
@@ -86,8 +87,6 @@ struct ChannelConfig {
 /// Producer-side retry policy for a full lane / slow consumer.
 struct ProducerConfig {
   int full_retries = 64;
-  std::int64_t initial_backoff_ns = 2'000;
-  std::int64_t max_backoff_ns = 1'000'000;
   AttachOptions attach;
 };
 
@@ -119,16 +118,19 @@ inline constexpr std::uint64_t span_item_id(std::size_t lane, std::uint64_t pos)
 /// item fields count items on an item channel and records on a record
 /// channel; they are sums of lane cursors, so
 ///   admitted == consumed + residue
-/// holds at every point, SIGKILL included.
+/// holds at every point, SIGKILL included.  The producer-counted fields
+/// are sums of the slots' counter cells (telemetry.hpp), exact at every
+/// point too.
 struct ConservationReport {
   std::uint64_t admitted = 0;   ///< published into the lanes
   std::uint64_t consumed = 0;   ///< drained out of the lanes
   std::uint64_t reclaimed = 0;  ///< always 0: lanes never reclaim (kept for callers that check it)
   std::uint64_t residue = 0;    ///< admitted - consumed: published, not yet drained
-  std::uint64_t acked_pushes = 0;  ///< producer-counted successful publishes
-  std::uint64_t dropped = 0;       ///< producer-counted rejects (full / dead)
-  std::uint64_t futex_wakes = 0;   ///< paid wakes (producer-side count)
-  std::uint64_t doorbell = 0;
+  std::uint64_t acked_pushes = 0;    ///< producer-counted successful publishes
+  std::uint64_t dropped = 0;         ///< producer-counted rejects (full / dead)
+  std::uint64_t futex_wakes = 0;     ///< paid wakes (producer-side count)
+  std::uint64_t doorbells_free = 0;  ///< doorbell rings that found the consumer awake
+  std::uint64_t span_stages = 0;     ///< lifecycle stage events producers published
   std::uint64_t peers_reaped = 0;
   // Record channel, byte-granular (all zero on an item channel):
   //   var_admitted_bytes == var_consumed_bytes + var_padding_bytes
@@ -219,11 +221,11 @@ class Consumer {
   WakeKind wait(std::int64_t timeout_ns);
 
   /// Dead-peer detection: producers with stale heartbeats whose pid is
-  /// gone are marked dead, their telemetry rings drained, their counters
-  /// (including telemetry cells) folded into the retired tallies, and
-  /// their registry slots freed for reuse.  Their lanes need nothing:
-  /// what they published is still delivered, what they had not published
-  /// was never visible.  Returns the number of peers reaped.
+  /// gone are marked dead, their telemetry rings drained and their
+  /// registry slots freed for reuse.  Their lanes and counter cells need
+  /// nothing: what they published is still delivered, what they had not
+  /// published was never visible, and the slot's next owner resumes the
+  /// cells.  Returns the number of peers reaped.
   std::size_t reap();
 
   /// Drains every producer's shm trace ring into the local obs::Session
@@ -231,8 +233,9 @@ class Consumer {
   /// no session is installed.  Returns events merged.
   std::size_t drain_telemetry();
 
-  /// Merged cross-process metric totals (live peer cells + retired).
-  TelemetrySnapshot telemetry() const { return merged_telemetry(*hdr_); }
+  /// One row per producer registry slot below lanes_in_use: the counts
+  /// of every producer that ever held the slot.
+  std::vector<SlotRow> slots() const;
 
   void heartbeat();
 
@@ -340,7 +343,6 @@ class Producer {
   }
 
   ConservationReport report() const { return read_report(*hdr_); }
-  TelemetrySnapshot telemetry() const { return merged_telemetry(*hdr_); }
   const ChannelHeader& header() const { return *hdr_; }
   std::size_t registry_index() const { return index_; }
   bool valid() const { return hdr_ != nullptr; }
@@ -363,6 +365,7 @@ class Producer {
   }
   void beat(std::int64_t now);
   void ring_doorbell();
+  PeerTelemetry& slot_tel() const { return hdr_->producer_tel[index_]; }
 
   ShmSegment segment_;
   ChannelHeader* hdr_ = nullptr;

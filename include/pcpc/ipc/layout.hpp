@@ -3,7 +3,8 @@
 // One channel = one shm segment holding, in order: a ChannelHeader
 // (immutable geometry + the shared atomics, a peer registry of 1
 // consumer + kMaxProducers producer slots with heartbeats, and the
-// per-peer telemetry blocks), then one *lane* per producer registry slot.
+// per-slot telemetry blocks that hold every per-peer count), then one
+// *lane* per producer registry slot.
 // Everything is addressed by offset from the mapping base — no pointers —
 // so every process resolves its own local addresses (queue/placement.hpp).
 //
@@ -46,13 +47,16 @@
 namespace pcpc::ipc {
 
 // v2: telemetry plane — epoch_mono_ns shared trace clock, span sampling
-// period, per-peer PeerTelemetry blocks + retired_tel fold counters.
+// period, per-peer PeerTelemetry blocks + header fold counters.
 // v3: varlen payload plane — per-producer in-segment VarSpscRing regions.
 // v4: per-producer lanes replace the shared slot ring and the record
 // announcements; the telemetry event ring is an SpscRing.
 // v5: VarSpscRing is one class (the CRTP base and the multi-producer
 // ring are gone) and releases with release_claimed().
-inline constexpr std::uint32_t kLayoutVersion = 5;
+// v6: one tally — the per-slot telemetry cells hold pushed/dropped and
+// the paid wakes too; the PeerSlot counters, the header's futex_wakes,
+// epoch counter and retired tallies are gone.
+inline constexpr std::uint32_t kLayoutVersion = 6;
 
 /// Registry capacity; bounded so the header has a fixed size.
 inline constexpr std::size_t kMaxProducers = 16;
@@ -62,20 +66,18 @@ enum PeerState : std::uint32_t {
   kPeerFree = 0,
   kPeerJoining = 1,  ///< attach in progress (slot claimed, fields not final)
   kPeerActive = 2,
-  kPeerDead = 3,  ///< gone: the reaper is folding its counters, or the consumer left
+  kPeerDead = 3,  ///< gone: the reaper is draining its trace ring, or the consumer left
 };
 
 /// One peer (producer or consumer) in the registry.  `heartbeat_ns` is
 /// CLOCK_MONOTONIC and refreshed by the peer's own loop; the reaper
 /// declares a peer dead only when the heartbeat is stale AND the pid is
 /// gone (a SIGSTOPped peer is stale but alive — suspended, not dead).
+/// A producer slot's counts live in its PeerTelemetry block.
 struct alignas(64) PeerSlot {
   std::atomic<std::uint32_t> state{kPeerFree};
   std::atomic<std::int32_t> pid{0};
-  std::atomic<std::uint64_t> epoch{0};  ///< incarnation counter (diagnostics)
   std::atomic<std::int64_t> heartbeat_ns{0};
-  std::atomic<std::uint64_t> pushed{0};   ///< completed (acknowledged) publishes
-  std::atomic<std::uint64_t> dropped{0};  ///< counted rejects (full / consumer dead)
 };
 
 /// Consumer sleep states for the futex doorbell (see channel.hpp).
@@ -114,27 +116,17 @@ struct alignas(64) ChannelHeader {
   // -- futex doorbell -----------------------------------------------------
   alignas(64) std::atomic<std::uint32_t> doorbell{0};
   std::atomic<std::uint32_t> consumer_state{kConsumerAwake};
-  std::atomic<std::uint64_t> futex_wakes{0};  ///< paid wakes, producer-counted
 
   // -- registry accounting ------------------------------------------------
-  alignas(64) std::atomic<std::uint64_t> epoch_counter{1};
-  std::atomic<std::uint64_t> peers_reaped{0};
-  // Retired-peer tallies: a registry slot's per-peer counters are folded
-  // in here when the slot is freed (clean detach or reap), *before* a
-  // later joiner's join_peer() zeroes them — conservation reports must
-  // survive registry-slot reuse.
-  std::atomic<std::uint64_t> retired_pushed{0};
-  std::atomic<std::uint64_t> retired_dropped{0};
-  /// Telemetry cells folded from retiring peers, indexed by TelCounter;
-  /// same exactly-once exchange/add protocol as the two above.
-  std::atomic<std::uint64_t> retired_tel[kTelCounterCount] = {};
+  alignas(64) std::atomic<std::uint64_t> peers_reaped{0};
 
   // -- peer registry ------------------------------------------------------
   PeerSlot consumer_peer;
   PeerSlot producers[kMaxProducers];
 
   // -- telemetry plane ----------------------------------------------------
-  /// producer_tel[i] belongs to producers[i]'s current owner.
+  /// producer_tel[i] belongs to producers[i]'s current owner, and its
+  /// counters to every owner the slot ever had.
   PeerTelemetry producer_tel[kMaxProducers];
   // The lanes follow at lanes_offset(), lane_stride bytes apart.
 };

@@ -76,10 +76,8 @@ enum class FaultKind : std::uint8_t {
   kSlowHandler = 2,
   kDeadlineJitter = 3,
   kPoolPressure = 4,
-  kProcKill = 5,     ///< producer process SIGKILLed mid-protocol (pcpc::ipc)
-  kProcStop = 6,     ///< producer process SIGSTOP/SIGCONT suspended
-  kAttachDelay = 7,  ///< shm attach artificially delayed
-  kLoadSwing = 8,    ///< seeded utilization swing crossed a period boundary
+  kProcKill = 5,   ///< producer process SIGKILLed mid-protocol (pcpc::ipc)
+  kLoadSwing = 8,  ///< seeded utilization swing crossed a period boundary
 };
 
 /// Sentinel consumer id for events not tied to one consumer.

@@ -77,35 +77,29 @@ std::uint64_t channel_fill(const ChannelHeader& hdr) {
   return fill;
 }
 
+/// Full-lane retry backoff: doubles from the first to the cap.
+constexpr std::int64_t kInitialBackoffNs = 2'000;
+constexpr std::int64_t kMaxBackoffNs = 1'000'000;
+
 ChannelHeader* header_of(const ShmSegment& seg) {
   return reinterpret_cast<ChannelHeader*>(seg.payload());
 }
 
-/// Folds a retiring peer's counters into the header's durable tallies
-/// and zeroes them, so a later joiner reusing the registry slot cannot
-/// erase history the conservation report depends on.  The exchange keeps
-/// the fold exactly-once; a report racing the fold can transiently
-/// undercount but settles exact (the harness reads reports only after
-/// waitpid, which orders after a clean child's own detach fold).
-void retire_peer_counters(ChannelHeader& hdr, std::size_t idx) {
-  PeerSlot& peer = hdr.producers[idx];
-  hdr.retired_pushed.fetch_add(
-      peer.pushed.exchange(0, std::memory_order_acq_rel), std::memory_order_relaxed);
-  hdr.retired_dropped.fetch_add(
-      peer.dropped.exchange(0, std::memory_order_acq_rel), std::memory_order_relaxed);
-  PeerTelemetry& tel = hdr.producer_tel[idx];
-  for (std::size_t c = 0; c < kTelCounterCount; ++c) {
-    hdr.retired_tel[c].fetch_add(tel.counters[c].exchange(0, std::memory_order_acq_rel),
-                                 std::memory_order_relaxed);
+/// Cell `which` summed over the registry slots in use.  A slot's cells
+/// hold the counts of every owner it had, so the sum is exact at every
+/// point, across SIGKILL and slot reuse.
+std::uint64_t sum_cell(const ChannelHeader& hdr, TelCounter which) {
+  const std::size_t lanes = hdr.lanes_in_use.load(std::memory_order_acquire);
+  std::uint64_t sum = 0;
+  for (std::size_t idx = 0; idx < lanes; ++idx) {
+    sum += hdr.producer_tel[idx].counters[which].load(std::memory_order_acquire);
   }
+  return sum;
 }
 
-void join_peer(PeerSlot& peer, std::uint64_t epoch) {
+void join_peer(PeerSlot& peer) {
   peer.pid.store(static_cast<std::int32_t>(::getpid()), std::memory_order_relaxed);
-  peer.epoch.store(epoch, std::memory_order_relaxed);
   peer.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-  peer.pushed.store(0, std::memory_order_relaxed);
-  peer.dropped.store(0, std::memory_order_relaxed);
   peer.state.store(kPeerActive, std::memory_order_release);
 }
 
@@ -148,15 +142,12 @@ ConservationReport read_report(const ChannelHeader& hdr) {
     r.var_delivered_bytes += c.consumed_payload_bytes;
   }
   r.residue = r.admitted - r.consumed;
-  r.futex_wakes = hdr.futex_wakes.load(std::memory_order_acquire);
-  r.doorbell = hdr.doorbell.load(std::memory_order_acquire);
+  r.acked_pushes = sum_cell(hdr, kTelPushed);
+  r.dropped = sum_cell(hdr, kTelDropped);
+  r.futex_wakes = sum_cell(hdr, kTelPaidWakes);
+  r.doorbells_free = sum_cell(hdr, kTelDoorbellFree);
+  r.span_stages = sum_cell(hdr, kTelSpanStages);
   r.peers_reaped = hdr.peers_reaped.load(std::memory_order_acquire);
-  r.acked_pushes = hdr.retired_pushed.load(std::memory_order_acquire);
-  r.dropped = hdr.retired_dropped.load(std::memory_order_acquire);
-  for (const PeerSlot& p : hdr.producers) {
-    r.acked_pushes += p.pushed.load(std::memory_order_acquire);
-    r.dropped += p.dropped.load(std::memory_order_acquire);
-  }
   return r;
 }
 
@@ -233,7 +224,7 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
           ItemLane(config.capacity, config.capacity, lane_storage<ItemLane>(*hdr, idx));
     }
   }
-  join_peer(hdr->consumer_peer, hdr->epoch_counter.load(std::memory_order_relaxed));
+  join_peer(hdr->consumer_peer);
   seg.mark_ready();
 
   c.segment_ = std::move(seg);
@@ -254,6 +245,21 @@ void Consumer::maybe_heartbeat() {
 }
 
 bool Consumer::has_visible_work() const { return channel_fill(*hdr_) != 0; }
+
+std::vector<SlotRow> Consumer::slots() const {
+  std::vector<SlotRow> rows(hdr_->lanes_in_use.load(std::memory_order_acquire));
+  for (std::size_t idx = 0; idx < rows.size(); ++idx) {
+    const PeerTelemetry& tel = hdr_->producer_tel[idx];
+    SlotRow& row = rows[idx];
+    row.active = hdr_->producers[idx].state.load(std::memory_order_acquire) == kPeerActive;
+    for (std::size_t c = 0; c < kTelCounterCount; ++c) {
+      row.counters[c] = tel.counters[c].load(std::memory_order_acquire);
+    }
+    row.ring_pushed = tel.ring.tail_index();
+    row.ring_dropped = tel.ring_dropped.load(std::memory_order_acquire);
+  }
+  return rows;
+}
 
 std::size_t Consumer::drain_peer_telemetry(std::size_t idx) {
   obs::Session* session = obs::Session::current();
@@ -292,13 +298,12 @@ std::size_t Consumer::reap() {
 
     // Provably dead: stale heartbeat AND the pid is gone.  Its lane keeps
     // what it published (drained like any other lane) and never showed
-    // what it had not.  Salvage the trace events it published before the
-    // slot's ring inherits a new owner, then fold its metric cells into
-    // the retired tallies — no counts are lost to SIGKILL.
+    // what it had not, and its counter cells stay for the slot's next
+    // owner to resume.  Salvage the trace events it published before the
+    // slot's ring inherits a new owner.
     peer.state.store(kPeerDead, std::memory_order_release);
     PCPC_WARN << "ipc: reaped dead producer idx=" << idx << " pid=" << pid;
     drain_peer_telemetry(idx);
-    retire_peer_counters(*hdr_, idx);
     peer.pid.store(0, std::memory_order_relaxed);
     peer.state.store(kPeerFree, std::memory_order_release);
     hdr_->peers_reaped.fetch_add(1, std::memory_order_relaxed);
@@ -372,7 +377,6 @@ void Producer::detach() {
     return;
   }
   PeerSlot& peer = hdr_->producers[index_];
-  retire_peer_counters(*hdr_, index_);
   peer.pid.store(0, std::memory_order_relaxed);
   peer.state.store(kPeerFree, std::memory_order_release);
   hdr_ = nullptr;
@@ -417,7 +421,17 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
 
   // Take over the slot's lane and trace ring at their published cursors
   // (a predecessor may have died mid-write; what it never published is
-  // overwritten), and widen the consumer's scan to cover this lane.
+  // overwritten), and its counter cells where the last owner left them:
+  // an RMW reads the last value in a cell's modification order, so this
+  // owner's relaxed bumps continue from the last value any predecessor
+  // wrote, even one that was SIGKILLed.  Then widen the consumer's scan
+  // to cover this lane.
+  PeerTelemetry& tel = hdr->producer_tel[index];
+  for (std::atomic<std::uint64_t>& cell : tel.counters) {
+    cell.fetch_add(0, std::memory_order_relaxed);
+  }
+  tel.ring_dropped.fetch_add(0, std::memory_order_relaxed);
+  tel.ring.producer_attach();
   Producer p;
   p.item_lane_ = item_lane_at(*hdr, index);
   p.record_lane_ = record_lane_at(*hdr, index);
@@ -428,13 +442,12 @@ std::optional<Producer> Producer::attach(const std::string& shm_name,
   } else {
     p.record_lane_->producer_attach();
   }
-  hdr->producer_tel[index].ring.producer_attach();
   std::uint32_t in_use = hdr->lanes_in_use.load(std::memory_order_acquire);
   while (in_use <= index && !hdr->lanes_in_use.compare_exchange_weak(
                                 in_use, static_cast<std::uint32_t>(index + 1),
                                 std::memory_order_acq_rel)) {
   }
-  join_peer(hdr->producers[index], hdr->epoch_counter.fetch_add(1, std::memory_order_acq_rel));
+  join_peer(hdr->producers[index]);
 
   p.hdr_ = hdr;
   p.segment_ = std::move(seg);
@@ -478,13 +491,10 @@ void Producer::ring_doorbell() {
                                                    std::memory_order_acq_rel)) {
     // We won the right to wake: count the paid wake at the exact point it
     // costs a syscall (the identity the obs ledger is checked against).
-    // The per-peer telemetry cell is bumped in the same branch, so the
-    // merged cross-process paid-wake total equals futex_wakes identically.
-    hdr_->futex_wakes.fetch_add(1, std::memory_order_relaxed);
-    telemetry_bump(hdr_->producer_tel[index_], kTelPaidWakes);
+    telemetry_bump(slot_tel(), kTelPaidWakes);
     futex_wake(&hdr_->doorbell, 1);
   } else {
-    telemetry_bump(hdr_->producer_tel[index_], kTelDoorbellFree);
+    telemetry_bump(slot_tel(), kTelDoorbellFree);
   }
 }
 
@@ -493,32 +503,32 @@ PushResult Producer::admit(std::int64_t now, TryPut&& try_put) {
   // Admission is the lane's own full check against its cached head; a
   // rejected push leaves no trace in the lane.  The clock is read again
   // only after a backoff sleep.
-  std::int64_t backoff_ns = config_.initial_backoff_ns;
+  std::int64_t backoff_ns = kInitialBackoffNs;
   for (int attempt = 0;; ++attempt) {
     if (now - last_heartbeat_ns_ >= hdr_->heartbeat_period_ns) beat(now);
     if (consumer_gone(now)) {
-      owner_add(hdr_->producers[index_].dropped);
+      telemetry_bump(slot_tel(), kTelDropped);
       return PushResult::kConsumerDead;
     }
     if (try_put()) return PushResult::kOk;
     if (attempt >= config_.full_retries) {
-      owner_add(hdr_->producers[index_].dropped);
+      telemetry_bump(slot_tel(), kTelDropped);
       return PushResult::kFull;
     }
     std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-    backoff_ns = std::min(backoff_ns * 2, config_.max_backoff_ns);
+    backoff_ns = std::min(backoff_ns * 2, kMaxBackoffNs);
     now = now_ns();
   }
 }
 
 PushResult Producer::published(std::uint64_t pos, std::int64_t enter_ns) {
-  owner_add(hdr_->producers[index_].pushed);
+  PeerTelemetry& tel = slot_tel();
+  telemetry_bump(tel, kTelPushed);
   if (span_every_ != 0 && pos % span_every_ == 0) {
     // Sampled item: publish produce/enqueue stages into this peer's shm
     // trace ring, in the segment-epoch clock domain.  The lane position
     // is the item id — the consumer derives the same id for its stages
     // without any payload tagging.
-    PeerTelemetry& tel = hdr_->producer_tel[index_];
     obs::Event e;
     e.ts_ns = enter_ns - hdr_->epoch_mono_ns;
     e.arg0 = static_cast<std::int64_t>(span_item_id(index_, pos));

@@ -91,8 +91,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kDeadlineJitter: return "deadline_jitter";
     case FaultKind::kPoolPressure: return "pool_pressure";
     case FaultKind::kProcKill: return "proc_kill";
-    case FaultKind::kProcStop: return "proc_stop";
-    case FaultKind::kAttachDelay: return "attach_delay";
     case FaultKind::kLoadSwing: return "load_swing";
   }
   return "?";

@@ -53,9 +53,13 @@ struct ThreadPbpl::ItemPlane {
   static constexpr std::size_t unit = 1;
   static constexpr std::uint64_t payload = 0;
   queue::Handoff<Clock::time_point>& buffer;
+  const queue::BufferPool& pool;
   Clock::time_point stamp;
 
   bool admit() { return buffer.try_push(stamp); }
+  /// A borrow grows the ring by free pool segments: with none free, the
+  /// resize would re-set the same capacity and the admit fail again.
+  bool can_borrow() const { return pool.free_slots() > 0; }
   std::size_t capacity() const { return buffer.capacity(); }
   void resize(std::size_t target) { buffer.resize(target); }
   std::optional<std::uint64_t> evict() {
@@ -86,6 +90,7 @@ struct ThreadPbpl::RecordPlane {
     admitted = consumer.var->try_reserve(record_bytes, res);
     return admitted;
   }
+  bool can_borrow() const { return true; }
   std::size_t capacity() const { return consumer.var->capacity_bytes(); }
   void resize(std::size_t target) { consumer.var->resize_bytes(target); }
   std::optional<std::uint64_t> evict() {
@@ -293,7 +298,7 @@ void ThreadPbpl::produce(std::size_t consumer_index) {
     items -= n;
     produced_.fetch_add(n, std::memory_order_relaxed);
     const ProducerSpans spans(*this, consumer, n);
-    ItemPlane plane{*consumer.buffer, Clock::now()};
+    ItemPlane plane{*consumer.buffer, pool_, Clock::now()};
     // Lock-free fast path: with an SPSC/MPSC backend a successful push
     // never touches any runtime lock — this is the whole point of the
     // pluggable backends.  A chunk of one is one try_push, a longer one
@@ -335,7 +340,7 @@ bool ThreadPbpl::admit_slow_locked(Core& core, Consumer& consumer, Plane& plane,
 
   // Pre-emptive borrow: emergency_borrow grows the buffer once, by a
   // quarter and at least one unit, before any overflow policy acts.
-  if (config_.emergency_borrow) {
+  if (config_.emergency_borrow && plane.can_borrow()) {
     const std::size_t cap = plane.capacity();
     plane.resize(cap + std::max(plane.unit, cap / 4));
     if (plane.admit()) {

@@ -504,6 +504,13 @@ TEST(IpcCrash, RegistrySlotReusableAfterReap) {
   rep = consumer->report();
   EXPECT_EQ(rep.admitted, 2u);
   EXPECT_EQ(rep.admitted, rep.consumed);
+  // The counts survive the reuse too: item 1 from the SIGKILLed owner,
+  // item 7 from its successor, which resumed the slot's cells.
+  EXPECT_EQ(rep.acked_pushes, 2u);
+  const std::vector<SlotRow> slots = consumer->slots();
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_TRUE(slots[0].active);
+  EXPECT_EQ(slots[0].counters[kTelPushed], 2u);
 }
 
 // ---------------------------------------------------------------------------

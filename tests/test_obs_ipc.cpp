@@ -1,14 +1,13 @@
-// Cross-process telemetry plane: merge identities, crash-safe folds,
+// Cross-process telemetry plane: merge identities, crash-safe counts,
 // span joins and attribution conservation.
 //
 // The properties pinned here are the telemetry plane's contract:
 //
-//   - merge identity: the shm-merged counter totals equal the sum of the
+//   - merge identity: the shm counter totals equal the sum of the
 //     per-process locals exactly — including a producer that was
-//     SIGKILLed mid-run and folded into the retired tallies by the
-//     reaper (counts are never lost to slot reuse);
-//   - paid-wake exactness, cross-process: merged telemetry paid_wakes ==
-//     the channel's futex_wakes == the consumer session ledger's Σ w(τ);
+//     SIGKILLed mid-run and reaped (its slot's cells keep its counts);
+//   - paid-wake exactness, cross-process: the slots' paid-wake cells sum
+//     to the channel's futex_wakes == the consumer session ledger's Σ w(τ);
 //   - span join soundness: sampled item lifecycles drained out of the
 //     producers' shm rings fold into complete spans on the shared
 //     segment-epoch clock (no negative or re-ordered stage timestamps),
@@ -121,6 +120,13 @@ ProducerConfig child_config() {
   _exit(0);
 }
 
+/// Cell `which` summed over the consumer's slot rows.
+std::uint64_t row_sum(const Consumer& consumer, TelCounter which) {
+  std::uint64_t sum = 0;
+  for (const SlotRow& row : consumer.slots()) sum += row.counters[which];
+  return sum;
+}
+
 /// Drains until `expected` items were consumed and all `children` exited
 /// (reaping them), with a deadline.  Calls wait() on idle edges so the
 /// consumer actually sleeps and pays for wakes.
@@ -185,14 +191,15 @@ TEST(ObsIpc, MergedTotalsEqualSumOfPerProcessLocals) {
   ::close(pipe_fd[0]);
   consumer->drain_telemetry();
 
-  const TelemetrySnapshot tel = consumer->telemetry();
   const ConservationReport rep = consumer->report();
   EXPECT_EQ(local_sum, kChildren * kItems);
-  EXPECT_EQ(tel.pushed, local_sum);  // merged == Σ per-process locals, exact
+  EXPECT_EQ(rep.acked_pushes, local_sum);  // merged == Σ per-process locals, exact
+  EXPECT_EQ(row_sum(*consumer, kTelPushed), local_sum);
   EXPECT_EQ(consumed, local_sum);
-  // Cross-process paid-wake chain: merged telemetry == futex doorbell
-  // counter == the consumer session ledger's Σ w(τ), identically.
-  EXPECT_EQ(tel.paid_wakes, rep.futex_wakes);
+  // Cross-process paid-wake chain: the slots' paid-wake cells == the
+  // channel's futex_wakes == the consumer session ledger's Σ w(τ),
+  // identically.
+  EXPECT_EQ(row_sum(*consumer, kTelPaidWakes), rep.futex_wakes);
   EXPECT_EQ(session.ledger().paid_total(), rep.futex_wakes);
 }
 
@@ -245,7 +252,7 @@ TEST(ObsIpc, SigkilledProducerFoldsIntoRetiredTotals) {
   ASSERT_EQ(::waitpid(pid, nullptr, 0), pid);
 
   // The reaper needs the heartbeat stale AND the pid gone; loop until it
-  // fires, folding the dead peer's counters into the retired totals.
+  // fires and frees the dead peer's slot.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (consumer->report().peers_reaped == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "reaper never fired";
@@ -255,17 +262,21 @@ TEST(ObsIpc, SigkilledProducerFoldsIntoRetiredTotals) {
   }
   consumed += consumer->drain([](std::uint64_t) {});
 
-  const TelemetrySnapshot tel = consumer->telemetry();
+  const std::vector<SlotRow> slots = consumer->slots();
   const ConservationReport rep = consumer->report();
-  EXPECT_TRUE(tel.live.empty());          // the slot was freed...
-  EXPECT_EQ(tel.pushed, kItems);          // ...but no counts were lost
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_FALSE(slots[0].active);                     // the slot was freed...
+  EXPECT_EQ(slots[0].counters[kTelPushed], kItems);  // ...but no counts were lost
+  EXPECT_EQ(rep.acked_pushes, kItems);
   EXPECT_EQ(consumed, kItems);
   EXPECT_EQ(rep.admitted, rep.consumed + rep.reclaimed + rep.residue);
-  // The span-stage counter folds exactly too: the child published two
+  // The span-stage counter survives exactly too: the child published two
   // stages (produce, enqueue) per sampled position before it died.
   const std::uint64_t sampled_positions = (kItems + kSpanEvery - 1) / kSpanEvery;
-  EXPECT_EQ(tel.span_stages, 2 * sampled_positions);
-  EXPECT_EQ(tel.paid_wakes, rep.futex_wakes);
+  EXPECT_EQ(rep.span_stages, 2 * sampled_positions);
+  // Each stage event either entered the slot's ring or was counted lost.
+  EXPECT_EQ(slots[0].ring_pushed + slots[0].ring_dropped, rep.span_stages);
+  EXPECT_EQ(slots[0].counters[kTelPaidWakes], rep.futex_wakes);
   EXPECT_EQ(session.ledger().paid_total(), rep.futex_wakes);
 }
 
