@@ -2,7 +2,10 @@
 // track, the reservation table and the ρ-minimizing slot search.  The
 // paper argues its per-invocation overhead must stay negligible next to
 // item processing; these benches quantify that.  BM_LatencyRecord prices
-// what every drained item pays for its latency sample.  BM_ReplayArrivals
+// what every drained item pays for its latency sample, and the BM_Note*
+// and BM_SessionLife benches what a recording obs session adds to the
+// sim host's invocations (per call, with the trace ring taking events
+// and with it full) and to its setup.  BM_ReplayArrivals
 // prices the sim host's dominant event, one workload arrival, without
 // any consumer behind it.  BM_TimedWakeFloor
 // measures what a decision is compared against: the CPU one timed wake
@@ -12,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include "pcpc/core/rate_predictor.hpp"
 #include "pcpc/core/reservation.hpp"
 #include "pcpc/core/slot_track.hpp"
+#include "pcpc/obs/obs.hpp"
 #include "pcpc/sim/event_queue.hpp"
 #include "pcpc/sim/replay.hpp"
 #include "pcpc/sim/simulator.hpp"
@@ -201,6 +206,96 @@ void BM_LatencyRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_LatencyRecord);
+
+/// Notes per timed batch of the armed-recording benches: a batch of
+/// note_invocation() calls writes 2·kNoteBatch events, well inside the
+/// default 32768-event ring.
+constexpr std::size_t kNoteBatch = 1024;
+
+/// Times `note(i)` with a session armed, kNoteBatch calls per iteration.
+/// Arg 0 ("ring:0") drains the thread's trace ring after each batch,
+/// outside the timing, so every push lands in a ring whose pages are
+/// already touched; arg 1 ("ring:1") fills the ring first, so every push
+/// is counted as a drop, as in a long run that nobody drains.  items/s
+/// counts calls; its inverse is the cost of one call.
+template <typename Note>
+void run_armed(benchmark::State& state, Note&& note) {
+  obs::SessionOptions options;
+  options.archive_capacity = 0;  // a drain only frees the ring
+  obs::Session session(options);
+  const bool full = state.range(0) == 1;
+  std::uint64_t i = 0;
+  if (full) {
+    while (session.ring_dropped() == 0) note(i++);
+  } else {
+    note(i++);  // take this thread's shard and ring before timing
+    session.archive_now();
+  }
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t k = 0; k < kNoteBatch; ++k) note(i++);
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+    if (!full) session.archive_now();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kNoteBatch));
+}
+
+/// The consumer, core and slot of the i-th note: the sim_fig9 shape of
+/// 5 consumers placed over 2 cores.
+std::uint32_t note_consumer(std::uint64_t i) { return static_cast<std::uint32_t>(i % 5); }
+std::uint16_t note_core(std::uint64_t i) { return static_cast<std::uint16_t>(i % 5 % 2); }
+std::int64_t note_slot(std::uint64_t i) { return static_cast<std::int64_t>(i / 5); }
+
+void BM_NoteWakeup(benchmark::State& state) {
+  run_armed(state, [](std::uint64_t i) {
+    obs::note_wakeup(note_core(i), note_consumer(i), note_slot(i), /*paid=*/i % 3 == 0,
+                     /*scheduled=*/true, static_cast<std::int64_t>(i) * 1000);
+  });
+}
+BENCHMARK(BM_NoteWakeup)->ArgName("ring")->Arg(0)->Arg(1)->UseManualTime();
+
+void BM_NoteInvocation(benchmark::State& state) {
+  run_armed(state, [](std::uint64_t i) {
+    obs::note_invocation(note_core(i), note_consumer(i), note_slot(i),
+                         /*batch=*/1 + i % 31, static_cast<std::int64_t>(i) * 1000,
+                         /*dur_ns=*/static_cast<std::int64_t>(200 + i % 4096),
+                         note_slot(i) + 2, /*latched=*/i % 3 != 0);
+  });
+}
+BENCHMARK(BM_NoteInvocation)->ArgName("ring")->Arg(0)->Arg(1)->UseManualTime();
+
+void BM_NoteOverflow(benchmark::State& state) {
+  run_armed(state, [](std::uint64_t i) {
+    obs::note_overflow(note_core(i), note_consumer(i), obs::OverflowAction::kForcedDrain,
+                       static_cast<std::int64_t>(i) * 1000);
+  });
+}
+BENCHMARK(BM_NoteOverflow)->ArgName("ring")->Arg(0)->Arg(1)->UseManualTime();
+
+void BM_NoteItemStages(benchmark::State& state) {
+  // One sampled item's drain-time stamps, as the sim host passes them.
+  run_armed(state, [](std::uint64_t i) {
+    const auto ts = static_cast<std::int64_t>(i) * 1000;
+    const std::array<obs::ItemStamp, 3> stamps{{{i, ts - 500, obs::ItemStage::kProduce},
+                                                {i, ts - 500, obs::ItemStage::kEnqueue},
+                                                {i, ts, obs::ItemStage::kDrainStart}}};
+    obs::note_item_stages(note_consumer(i), note_core(i), stamps);
+  });
+}
+BENCHMARK(BM_NoteItemStages)->ArgName("ring")->Arg(0)->Arg(1)->UseManualTime();
+
+void BM_SessionLife(benchmark::State& state) {
+  // What a recording session costs apart from its notes: the session
+  // made and armed, the thread's trace ring and ledger shard taken at its
+  // first note (the ring's pages faulted in), and all of it torn down.
+  for (auto _ : state) {
+    obs::Session session;
+    obs::note_wakeup(0, 0, 0, /*paid=*/true, /*scheduled=*/true, 0);
+    benchmark::DoNotOptimize(session.total_events_recorded());
+  }
+}
+BENCHMARK(BM_SessionLife)->Unit(benchmark::kMicrosecond);
 
 void BM_EventQueueScheduleFire(benchmark::State& state) {
   sim::EventQueue queue;

@@ -2,9 +2,10 @@
 # Telemetry smoke gate.
 #
 # Runs the instrumented overhead bench: the identical sim-host workload
-# with and without a recording pcpc::obs session, timed in back-to-back
-# pairs on process CPU time.  Fails when recording costs more than 5%
-# (median paired ratio), when the wakeup ledger's Σ w(τ) disagrees with
+# with and without a recording pcpc::obs session (timed from the
+# session's construction to its teardown), in back-to-back pairs on
+# process CPU time.  Fails when recording costs more than 5% (median
+# paired ratio), when the wakeup ledger's Σ w(τ) disagrees with
 # the simulator's own paid-wakeup counter, or when the exported
 # metrics.json does not hold a consistent metrics document (see
 # metrics_ok in ci/reports.py).  Then runs the queue_floor backend
@@ -105,9 +106,9 @@ gate obs_overhead 3 "${build}/bench/obs_overhead" \
 # metrics.json must be a pcpc.metrics/1 document whose wakeups.paid /
 # wakeups.free counters equal the ledger section's paid / free.
 python3 ci/reports.py metrics "${out}/metrics.json" || fail obs_overhead
-# The record of the last attempt: the gated estimates that decide pass,
-# both estimators behind each, the min/max of the paired ratios and the
-# repeat count.
+# The record of the last attempt: each mode's median paired ratio, which
+# alone decides pass, its ratio of minimums as a diagnostic, the min/max
+# of the paired ratios and the repeat count.
 record obs_overhead "attempts=${attempts_run}"
 
 require queue_floor

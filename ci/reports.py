@@ -202,8 +202,9 @@ def cli(pcpc_cli, out_dir):
 
 def ipc(pcpc_cli, out_dir):
     """Two producer processes of 20000 items each: the SLO report's
-    totals hold their identities against the metrics document, and each
-    producer's registry slot is one pair row carrying all of its items."""
+    totals hold their identities against the metrics document (its paid
+    and free wakes are the ledger's), and each producer's registry slot
+    is one pair row carrying all of its items."""
     pairs, per_pair = 2, 20000
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.json")
@@ -224,14 +225,16 @@ def ipc(pcpc_cli, out_dir):
     if totals["produced"] != totals["items"] + totals["drops"]:
         raise Invalid(f"{slo_path}: produced {totals['produced']} != items "
                       f"{totals['items']} + drops {totals['drops']}")
-    if totals["paid_wakes"] != metrics["wakeups"]["paid"]:
-        raise Invalid(f"{slo_path}: paid_wakes {totals['paid_wakes']} != metrics "
-                      f"wakeups.paid {metrics['wakeups']['paid']}")
+    for key in ("paid", "free"):
+        if totals[f"{key}_wakes"] != metrics["wakeups"][key]:
+            raise Invalid(f"{slo_path}: {key}_wakes {totals[f'{key}_wakes']} != metrics "
+                          f"wakeups.{key} {metrics['wakeups'][key]}")
     rows = [(row["pair"], row["items"]) for row in slo["pairs"]]
     expected = [(pair, per_pair) for pair in range(pairs)]
     if rows != expected:
         raise Invalid(f"{slo_path}: pair rows (pair, items) are {rows}, expected {expected}")
-    print(f"reports: ipc rows {rows}, paid wakes {totals['paid_wakes']}")
+    print(f"reports: ipc rows {rows}, paid wakes {totals['paid_wakes']}, "
+          f"free wakes {totals['free_wakes']}")
     return 0
 
 

@@ -522,13 +522,15 @@ int run_ipc(const CliOptions& options) {
   const ipc::ConservationReport rep = consumer->report();
   std::printf(
       "[pcpc ipc] drained %llu items in %.2f s (%.2f Mitems/s): "
-      "%llu peers reaped, %llu paid wakes (%.4f/item)\n",
+      "%llu peers reaped, %llu paid wakes (%.4f/item), "
+      "%llu doorbells found the consumer awake\n",
       ull(consumed_items), elapsed,
       static_cast<double>(consumed_items) / elapsed / 1e6,
       ull(rep.peers_reaped), ull(rep.futex_wakes),
       consumed_items > 0
           ? static_cast<double>(rep.futex_wakes) / static_cast<double>(consumed_items)
-          : 0.0);
+          : 0.0,
+      ull(rep.doorbells_free));
   if (rep.admitted != rep.consumed + rep.residue) {
     std::fprintf(stderr, "[pcpc ipc] conservation identity broken\n");
     return 1;
@@ -561,7 +563,7 @@ int run_ipc(const CliOptions& options) {
         row.items = slots[idx].counters[ipc::kTelPushed];
         row.drops = slots[idx].counters[ipc::kTelDropped];
         row.paid = slots[idx].counters[ipc::kTelPaidWakes];
-        row.free = slots[idx].counters[ipc::kTelDoorbellFree];
+        row.free = slots[idx].free_wakes;
         report.pairs.push_back(row);
       }
       const exp::ExperimentSpec spec =

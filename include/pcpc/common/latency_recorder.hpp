@@ -1,10 +1,17 @@
-// Latency recording with both moments and tail percentiles.
+// Latency recording with exact moments and tail percentiles.
 //
-// OnlineStats gives mean/min/max in O(1) memory; tails need a histogram.
-// Latencies are stored on a true log scale: the histogram bins log10 of
-// the value over 100 ns .. 10 s (2000 bins, ~0.9% ratio per bin), so a
-// 2 µs tail resolves as sharply as a 2 s one.  Merging is still exact —
-// the binning is fixed, only the stored domain changed.
+// The moments are integers: the count, Σns, min and max of the samples,
+// so a sample costs an add and two compares, with no divide, and
+// merge() adds integers: a merged recorder's mean equals the mean of the
+// same samples recorded in one, bit for bit.  Σ is a signed 128-bit
+// integer.  Every sample is an int64, so |Σ| < 2^63 · n, and for any
+// count n a 64-bit count can hold (n < 2^64) that is below 2^127: Σ
+// cannot overflow, however long a host records.
+//
+// Tails need a histogram.  Latencies are stored on a true log scale: the
+// histogram bins log10 of the value over 100 ns .. 10 s (2000 bins, ~0.9%
+// ratio per bin), so a 2 µs tail resolves as sharply as a 2 s one.
+// Merging is exact here too — the binning is fixed.
 //
 // Samples arrive as integer nanoseconds, and the bin is found by table,
 // not by log10.  Over integers the bin formula is monotone: adjacent
@@ -22,6 +29,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "pcpc/common/stats.hpp"
 #include "pcpc/common/types.hpp"
@@ -82,41 +90,53 @@ class LatencyRecorder {
       : histogram_(detail::LatencyBins::kLogLo, detail::LatencyBins::kLogHi,
                    detail::LatencyBins::kBins) {}
 
-  /// Records one latency in nanoseconds (non-negative).  Values below
-  /// 1 ns bin as 1 ns, so zero latencies land in the underflow bin.
+  /// Records one latency in nanoseconds.  Values below 1 ns bin as 1 ns,
+  /// so zero latencies land in the underflow bin.
   void add(SimDuration ns) {
-    stats_.add(to_seconds(ns));
+    sum_ns_ += ns;
+    min_ns_ = std::min(min_ns_, ns);
+    max_ns_ = std::max(max_ns_, ns);
     histogram_.add_binned(bin_of(ns));
   }
 
   /// The histogram bin of `ns`: -1 is underflow, 2000 overflow.
   static int bin_of(SimDuration ns) { return detail::latency_bins().bin_of(ns); }
 
-  /// Merges another recorder (the binning is fixed, so this is exact).
+  /// Merges another recorder: integer sums and fixed bins, so exact.
   void merge(const LatencyRecorder& other) {
-    stats_.merge(other.stats_);
+    sum_ns_ += other.sum_ns_;
+    min_ns_ = std::min(min_ns_, other.min_ns_);
+    max_ns_ = std::max(max_ns_, other.max_ns_);
     histogram_.merge(other.histogram_);
   }
 
-  const OnlineStats& stats() const { return stats_; }
-  double mean() const { return stats_.mean(); }
-  double max() const { return stats_.count() ? stats_.max() : 0.0; }
-  double min() const { return stats_.count() ? stats_.min() : 0.0; }
+  /// Σ/n in seconds; 0 when empty.
+  double mean() const {
+    if (count() == 0) return 0.0;
+    return static_cast<double>(sum_ns_) / static_cast<double>(count()) * 1e-9;
+  }
+  double max() const { return count() ? to_seconds(max_ns_) : 0.0; }
+  double min() const { return count() ? to_seconds(min_ns_) : 0.0; }
 
   /// Approximate quantile in seconds (bin ratio ~1.009, i.e. <1% relative
   /// error anywhere in 100 ns .. 10 s).
   double quantile(double q) const {
-    if (stats_.count() == 0) return 0.0;
+    if (count() == 0) return 0.0;
     return std::pow(10.0, histogram_.quantile(q));
   }
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  std::size_t count() const { return stats_.count(); }
+  /// Samples recorded: the histogram counts each one once.
+  std::size_t count() const { return histogram_.total(); }
 
  private:
-  OnlineStats stats_;
+  __extension__ using Sum = __int128;
+
+  Sum sum_ns_ = 0;
+  SimDuration min_ns_ = std::numeric_limits<SimDuration>::max();
+  SimDuration max_ns_ = std::numeric_limits<SimDuration>::min();
   Histogram histogram_;
 };
 

@@ -216,8 +216,10 @@ class Consumer {
 
   /// Parks on the futex doorbell for up to `timeout_ns` once the lanes
   /// look empty, attributing the wake through pcpc::obs (paid when a
-  /// producer futex_wake'd us, free/scheduled on timeout).  Returns
-  /// immediately with kPoll when work is already visible.
+  /// producer futex_wake'd us, free/scheduled on timeout).  A free wake
+  /// is charged to the registry slot whose lane the next drain serves
+  /// first (SlotRow::free_wakes).  Returns immediately with kPoll when
+  /// work is already visible.
   WakeKind wait(std::int64_t timeout_ns);
 
   /// Dead-peer detection: producers with stale heartbeats whose pid is
@@ -234,7 +236,8 @@ class Consumer {
   std::size_t drain_telemetry();
 
   /// One row per producer registry slot below lanes_in_use: the counts
-  /// of every producer that ever held the slot.
+  /// of every producer that ever held the slot, and the free wakes of
+  /// this consumer charged to it.
   std::vector<SlotRow> slots() const;
 
   void heartbeat();
@@ -297,6 +300,8 @@ class Consumer {
   std::array<ItemLane*, kMaxProducers> item_lanes_{};
   std::array<RecordLane*, kMaxProducers> record_lanes_{};
   std::size_t next_lane_ = 0;  ///< round-robin cursor of drain_lanes
+  /// Free wakes of wait() by the slot each was charged to.
+  std::array<std::uint64_t, kMaxProducers> free_wakes_{};
   std::int64_t last_heartbeat_ns_ = 0;
   std::uint64_t span_every_ = 0;  ///< cached hdr_->span_sample_every
 };

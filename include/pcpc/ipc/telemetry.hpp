@@ -87,6 +87,11 @@ struct SlotRow {
   std::uint64_t counters[kTelCounterCount] = {};  ///< indexed by TelCounter
   std::uint64_t ring_pushed = 0;   ///< trace events published to the slot's ring
   std::uint64_t ring_dropped = 0;  ///< trace events its owners found no room for
+  /// The consumer's free wakes (timeout and poll returns of
+  /// Consumer::wait) charged to the slot.  While a session records all
+  /// of the consumer's waits, the slots' counts sum to its ledger's
+  /// free wakes.
+  std::uint64_t free_wakes = 0;
 };
 
 }  // namespace pcpc::ipc

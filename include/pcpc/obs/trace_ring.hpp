@@ -13,8 +13,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <span>
 #include <type_traits>
 
@@ -24,29 +22,41 @@
 namespace pcpc::obs {
 
 namespace detail {
-/// Slot storage for trace rings: left uninitialized, where HeapSlots
-/// zeroes it.  Every slot is written whole (push_with() starts from a
-/// default Event) before it is read, and Event is trivially copyable, so
-/// the storage holds valid Events from the start (implicit object
-/// creation).  A session ring is 1.5 MiB: zeroing it up front cost a
-/// pass over memory whose lines were evicted again before the first
-/// events reached them; untouched pages instead fault in, zeroed and
-/// cache-hot, as the ring fills.
+/// Maps `bytes` of private, zeroed memory for a trace ring's slots with
+/// every page faulted in; a mapping of 1 MiB or more starts on a 2 MiB
+/// boundary and asks for transparent huge pages.  Throws std::bad_alloc
+/// when the mapping fails.
+void* map_ring(std::size_t bytes);
+/// Unmaps what map_ring(`bytes`) returned.
+void unmap_ring(void* p, std::size_t bytes);
+
+/// Slot storage for trace rings: a mapping of its own, faulted in when
+/// the ring is made, at the thread's first note.  A session ring is
+/// 1.5 MiB.  As 384 pages faulted one at a time while the first events
+/// reach them, it cost about 2 µs a fault on a 4-vCPU KVM guest, more
+/// than the events written into them, and again on unmapping; as one
+/// huge page it is one fault and one unmap.  Where the kernel gives no
+/// huge page, the pages are still faulted in by one call.  Every slot is
+/// written whole (push_with() sets every field) before it is read, and
+/// Event is trivially copyable, so the storage holds valid Events from
+/// the start (implicit object creation).
 template <typename E>
-class UninitSlots {
+class MappedSlots {
   static_assert(std::is_trivially_copyable_v<E>);
 
  public:
-  explicit UninitSlots(std::size_t count, queue::Placement = {})
-      : slots_(static_cast<E*>(::operator new(count * sizeof(E)))) {}
-  E* data() { return slots_.get(); }
-  const E* data() const { return slots_.get(); }
+  explicit MappedSlots(std::size_t count, queue::Placement = {})
+      : bytes_(count * sizeof(E)), slots_(static_cast<E*>(map_ring(bytes_))) {}
+  ~MappedSlots() { unmap_ring(slots_, bytes_); }
+  MappedSlots(const MappedSlots&) = delete;
+  MappedSlots& operator=(const MappedSlots&) = delete;
+
+  E* data() { return slots_; }
+  const E* data() const { return slots_; }
 
  private:
-  struct Free {
-    void operator()(E* p) const { ::operator delete(p); }
-  };
-  std::unique_ptr<E, Free> slots_;
+  std::size_t bytes_;
+  E* slots_;
 };
 }  // namespace detail
 
@@ -67,27 +77,37 @@ class TraceRing {
     return push_with([&event](Event& slot) { slot = event; });
   }
 
-  /// push() that builds the event in its slot: `fill(Event&)` gets a
-  /// default Event to set fields on.  A full ring only counts the drop;
+  /// push() that builds the event in its slot: `fill(Event&)` gets the
+  /// slot, which still holds whatever a previous lap left there, and must
+  /// set every field.  No default Event is built first: a temporary
+  /// merged into the slot's fields stalls on store forwarding, which cost
+  /// more than the rest of the push.  A full ring only counts the drop;
   /// nothing is built.  A ring stays full until the consumer moves, so
   /// once full, a push reads only the consumer's index: a session whose
   /// ring fills early (nobody drains until export) drops most of its
   /// events this way.
   template <typename Fill>
-  bool push_with(Fill&& fill) {
+  [[gnu::always_inline]] bool push_with(Fill&& fill) {
     // Read before the push: a full ring seen at a later consumer index
     // is full at this one too, and an equal index next time means the
     // consumer has not moved since.
     const std::uint64_t head = ring_.head_index();
-    if (head != full_at_head_ && ring_.try_push_with([&fill](Event& slot) {
-          slot = Event{};
-          fill(slot);
-        })) {
+    if (head != full_at_head_ && ring_.try_push_with(fill)) {
       return true;
     }
     full_at_head_ = head;
-    dropped_.store(dropped_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    drop(1);
     return false;
+  }
+
+  /// True when a push is dropped for certain: a push already found the
+  /// ring full at the consumer's current index.  A caller with several
+  /// events checks once and counts them all with drop().
+  bool full() const { return ring_.head_index() == full_at_head_; }
+
+  /// Counts `n` events dropped without pushing them.
+  void drop(std::uint64_t n) {
+    dropped_.store(dropped_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
   /// Consumer side: invokes `fn(const Event&)` on everything buffered when
@@ -118,7 +138,7 @@ class TraceRing {
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
-  using Ring = queue::SpscRing<Event, detail::UninitSlots>;
+  using Ring = queue::SpscRing<Event, detail::MappedSlots>;
   Ring ring_;
   std::atomic<std::uint64_t> dropped_{0};
   /// Consumer index when a push last found the ring full; producer-only.

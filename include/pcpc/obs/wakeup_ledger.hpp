@@ -3,18 +3,23 @@
 //
 // Section IV's objective is Σ_i Σ_j w(τ_{i,j}) — each consumer invocation
 // charges ω only when its core had to leave idle.  The ledger keeps it
-// per consumer and per core, beside each row's work (items, batches,
-// drops), so "which pair is burning the wakeups" is a query, not a guess.
-// A total is the sum of its rows; the counts no row holds (reservations,
-// overflow actions, faults, fleet actions, ...) and the batch histograms
-// are fixed cells of the same shard.  So every count is written once.
+// per (core, consumer) row, beside the row's work (items, batches, drops)
+// and reservations, so "which pair is burning the wakeups" is a query,
+// not a guess.  Per-core and per-consumer totals, like every other
+// total, are sums of rows; the counts no row holds (overflow actions,
+// faults, fleet actions, ...) and the batch histograms are fixed cells
+// of the same shard.  So every count is written once.
 //
-// Recording sits on the wakeup hot path of every host: one fixed-size
-// shard per writing thread (single-writer cells, relaxed load+store — no
-// lock, no lock-prefixed RMW), merged under a mutex only when somebody
-// reads.  A writing thread takes its shard once, as a Writer (the obs hot
-// path keeps it beside the thread's trace ring), so a record is a few
-// stores with no lookup.
+// Recording sits on the wakeup hot path of every host: one shard per
+// writing thread (single-writer cells, relaxed load+store — no lock, no
+// lock-prefixed RMW), merged under a mutex only when somebody reads.  A
+// writing thread takes its shard once, as a Writer (the obs hot path
+// keeps it beside the thread's trace ring), so a record is a few stores
+// with no lookup: one invocation's batch and reservation land in one
+// 64-byte row, and its wakeup in the same row.  A consumer's row is the
+// one it last recorded into; a consumer seen on another core (a
+// migration) takes a row of its own there once, so rows never move
+// counts between cores.
 #pragma once
 
 #include <array>
@@ -22,7 +27,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "pcpc/common/assert.hpp"
@@ -35,11 +42,12 @@ class WakeupLedger {
  public:
   static constexpr std::size_t kMaxConsumers = 1024;
   static constexpr std::size_t kMaxCores = 256;
+  /// (core, consumer) rows one shard holds: every consumer id on four
+  /// cores.
+  static constexpr std::size_t kMaxRows = 4 * kMaxConsumers;
 
   /// Counts no ledger row holds: one cell each per shard.
   enum class Counter : std::uint8_t {
-    kReservations,
-    kLatchedReservations,
     kEmergencyBorrows,
     kForcedDrains,
     kQueueResizes,
@@ -51,7 +59,7 @@ class WakeupLedger {
     kSimEvents,
     kSpanStages,
   };
-  static constexpr std::size_t kCounters = 12;
+  static constexpr std::size_t kCounters = 10;
   static_assert(static_cast<std::size_t>(Counter::kSpanStages) + 1 == kCounters);
 
   /// Histograms of every recorded batch, binned by log2_bin().
@@ -101,6 +109,9 @@ class WakeupLedger {
     std::vector<Work> per_core_work;
     /// Work by consumer id, trimmed likewise.
     std::vector<Work> per_consumer_work;
+    /// Reservations booked, and those that latched, over every row.
+    std::uint64_t reservations = 0;
+    std::uint64_t latched_reservations = 0;
     std::array<std::uint64_t, kCounters> counter_cells{};
     std::array<Bins, kHistograms> histogram_bins{};
 
@@ -148,22 +159,52 @@ class WakeupLedger {
  private:
   using Cell = std::atomic<std::uint64_t>;
 
-  /// One consumer's (or core's) wakeups and work side by side, so the
-  /// wakeup and the batch of one invocation touch the same 40 bytes, and
-  /// a handful of pairs share a few hot lines.
-  struct Row {
+  /// The core of a row whose records name no core: a thread that only
+  /// drops items for a consumer.
+  static constexpr std::uint16_t kNoCore = 0xffff;
+
+  /// One consumer's wakeups, work and reservations on one core: all that
+  /// one invocation writes, in one cache line.  The key is written before
+  /// the row is published and never changes.
+  struct alignas(64) Row {
+    Row(std::uint16_t core_id, std::uint32_t consumer_id)
+        : consumer(consumer_id), core(core_id) {}
+
+    std::uint32_t consumer;
+    std::uint16_t core;
     Cell paid{0};
     Cell free{0};
     Cell items{0};
     Cell batches{0};
     Cell drops{0};
+    Cell reservations{0};
+    Cell latched{0};
   };
+  static_assert(sizeof(Row) == 64);
+
+  /// Storage for kMaxRows rows, each constructed when a writer takes it:
+  /// untaken rows are never written, so fresh pages behind them are
+  /// never faulted in.
+  struct RowBlock {
+    RowBlock()
+        : rows(static_cast<Row*>(::operator new(kMaxRows * sizeof(Row),
+                                                std::align_val_t{alignof(Row)}))) {}
+    ~RowBlock() { ::operator delete(rows, std::align_val_t{alignof(Row)}); }
+    RowBlock(const RowBlock&) = delete;
+    RowBlock& operator=(const RowBlock&) = delete;
+    Row* rows;
+  };
+  static_assert(std::is_trivially_destructible_v<Row>);
 
   struct Shard {
     std::array<Cell, kCounters> counters{};
     std::array<std::array<Cell, kHistogramBins>, kHistograms> histograms{};
-    std::array<Row, kMaxCores> cores{};
-    std::array<Row, kMaxConsumers> consumers{};
+    /// Rows taken so far; a reader reads rows [0, used).
+    std::atomic<std::uint32_t> used{0};
+    /// Writer only: the row each consumer recorded into last; null when
+    /// it has none in this shard.
+    std::array<Row*, kMaxConsumers> current{};
+    RowBlock block;
   };
 
   /// Single-writer increment: each shard belongs to one thread, so a
@@ -183,34 +224,37 @@ class WakeupLedger::Writer {
   /// One consumer invocation at a core wakeup.  `paid` follows the
   /// paper's w: true iff this invocation woke an idle core.
   void record(std::uint16_t core, std::uint32_t consumer, bool paid) {
-    PCPC_ASSERT(core < kMaxCores);
-    Row& core_row = shard_->cores[core];
-    bump(paid ? core_row.paid : core_row.free);
-    if (consumer != kNoConsumer) {
-      PCPC_ASSERT(consumer < kMaxConsumers);
-      Row& row = shard_->consumers[consumer];
-      bump(paid ? row.paid : row.free);
-    }
+    Row& r = row(core, consumer);
+    bump(paid ? r.paid : r.free);
   }
 
   /// One drained batch: `items` popped in one invocation of `consumer`
-  /// on `core`, in `dur_ns`.  Feeds both rows and the batch histograms.
+  /// on `core`, in `dur_ns`.  Feeds the row and the batch histograms.
   void record_batch(std::uint16_t core, std::uint32_t consumer, std::uint64_t items,
                     std::int64_t dur_ns) {
-    PCPC_ASSERT(core < kMaxCores);
-    add_batch(shard_->cores[core], items);
-    if (consumer != kNoConsumer) {
-      PCPC_ASSERT(consumer < kMaxConsumers);
-      add_batch(shard_->consumers[consumer], items);
-    }
-    bump(bins(Histogram::kBatchNs)[log2_bin(dur_ns)]);
-    bump(bins(Histogram::kBatchItems)[log2_bin(static_cast<std::int64_t>(items))]);
+    add_batch(row(core, consumer), items, dur_ns);
   }
 
-  /// One dropped item charged to `consumer` (core unknown at drop time).
+  /// One reservation of `consumer` on `core`; `latched` when it joined a
+  /// slot another consumer had booked.
+  void record_reservation(std::uint16_t core, std::uint32_t consumer, bool latched) {
+    add_reservation(row(core, consumer), latched);
+  }
+
+  /// record_batch() and record_reservation() of one invocation: one row.
+  void record_invocation(std::uint16_t core, std::uint32_t consumer, std::uint64_t items,
+                         std::int64_t dur_ns, bool latched) {
+    Row& r = row(core, consumer);
+    add_reservation(r, latched);
+    add_batch(r, items, dur_ns);
+  }
+
+  /// One dropped item charged to `consumer` (core unknown at drop time):
+  /// counted in the consumer's current row, whatever its core.
   void record_drop(std::uint32_t consumer) {
     PCPC_ASSERT(consumer < kMaxConsumers);
-    bump(shard_->consumers[consumer].drops);
+    Row* r = shard_->current[consumer];
+    bump((r != nullptr ? *r : take_row(kNoCore, consumer)).drops);
   }
 
   /// `n` more of a count no row holds.
@@ -222,9 +266,29 @@ class WakeupLedger::Writer {
   friend class WakeupLedger;
   explicit Writer(Shard* shard) : shard_(shard) {}
 
-  static void add_batch(Row& row, std::uint64_t items) {
-    if (items != 0) bump(row.items, items);
-    bump(row.batches);
+  /// The row of (`core`, `consumer`): the consumer's current row unless
+  /// it moved to another core.
+  Row& row(std::uint16_t core, std::uint32_t consumer) {
+    PCPC_ASSERT(consumer < kMaxConsumers);
+    Row* r = shard_->current[consumer];
+    if (r != nullptr && r->core == core) [[likely]] return *r;
+    return take_row(core, consumer);
+  }
+
+  /// Makes (`core`, `consumer`) the consumer's current row: the row the
+  /// pair had before, or a new one.
+  [[gnu::noinline]] Row& take_row(std::uint16_t core, std::uint32_t consumer);
+
+  void add_batch(Row& r, std::uint64_t items, std::int64_t dur_ns) {
+    bump(r.items, items);
+    bump(r.batches);
+    bump(bins(Histogram::kBatchNs)[log2_bin(dur_ns)]);
+    bump(bins(Histogram::kBatchItems)[log2_bin(static_cast<std::int64_t>(items))]);
+  }
+
+  static void add_reservation(Row& r, bool latched) {
+    bump(r.reservations);
+    bump(r.latched, latched ? 1 : 0);
   }
 
   std::array<Cell, kHistogramBins>& bins(Histogram histogram) {

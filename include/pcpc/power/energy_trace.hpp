@@ -48,14 +48,4 @@ struct Residency {
 std::vector<Residency> idle_residency(const CoreTimeline& timeline,
                                       const CStateModel& ladder);
 
-/// Distribution of idle-gap lengths (log-ish fixed buckets), for the
-/// "contiguous idle" analysis: count of gaps in [0,100µs), [100µs,1ms),
-/// [1ms,10ms), [10ms,100ms), [100ms,∞).
-struct GapBucket {
-  std::string label;
-  std::size_t count = 0;
-  SimDuration total = 0;
-};
-std::vector<GapBucket> idle_gap_distribution(const CoreTimeline& timeline);
-
 }  // namespace pcpc::power

@@ -31,9 +31,6 @@ Trace jitter(const Trace& t, SimDuration magnitude, Rng& rng);
 /// burst structure).
 std::vector<Trace> split_round_robin(const Trace& t, std::size_t ways);
 
-/// Deals items into `ways` traces by independent uniform choice.
-std::vector<Trace> split_random(const Trace& t, std::size_t ways, Rng& rng);
-
 /// Repeats the trace end-to-end until `total` is covered (cyclic replay,
 /// the standard way to stretch a short log over a long experiment).
 Trace repeat(const Trace& t, SimDuration period, SimDuration total);

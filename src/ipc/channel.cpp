@@ -165,7 +165,8 @@ Consumer::~Consumer() {
 Consumer::Consumer(Consumer&& other) noexcept
     : segment_(std::move(other.segment_)), hdr_(other.hdr_),
       item_lanes_(other.item_lanes_), record_lanes_(other.record_lanes_),
-      next_lane_(other.next_lane_), last_heartbeat_ns_(other.last_heartbeat_ns_),
+      next_lane_(other.next_lane_), free_wakes_(other.free_wakes_),
+      last_heartbeat_ns_(other.last_heartbeat_ns_),
       span_every_(other.span_every_) {
   other.hdr_ = nullptr;
   other.item_lanes_.fill(nullptr);
@@ -257,6 +258,7 @@ std::vector<SlotRow> Consumer::slots() const {
     }
     row.ring_pushed = tel.ring.tail_index();
     row.ring_dropped = tel.ring_dropped.load(std::memory_order_acquire);
+    row.free_wakes = free_wakes_[idx];
   }
   return rows;
 }
@@ -341,6 +343,8 @@ WakeKind Consumer::wait(std::int64_t timeout_ns) {
   obs::note_wakeup(/*core=*/0, /*consumer=*/0, obs::kNoSlot, paid,
                    /*scheduled=*/!paid, now_ns() - hdr_->epoch_mono_ns);
   if (paid) return WakeKind::kDoorbell;
+  const std::size_t in_use = hdr_->lanes_in_use.load(std::memory_order_acquire);
+  ++free_wakes_[next_lane_ < in_use ? next_lane_ : 0];
   return wr == WaitResult::kTimeout ? WakeKind::kTimeout : WakeKind::kPoll;
 }
 

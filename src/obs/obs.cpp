@@ -1,8 +1,13 @@
 #include "pcpc/obs/obs.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
 #include <ctime>
+#include <new>
 #include <optional>
 
 #include "pcpc/common/assert.hpp"
@@ -12,6 +17,44 @@ namespace pcpc::obs {
 namespace detail {
 std::atomic<bool> g_enabled{false};
 std::atomic<std::uint64_t> g_span_every{0};
+
+namespace {
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
+/// The length map_ring() maps for `bytes`: whole huge pages from 1 MiB
+/// up, whole pages below.
+std::size_t ring_mapping(std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t unit = bytes >= kHugePage / 2 ? kHugePage : page;
+  return (bytes + unit - 1) / unit * unit;
+}
+}  // namespace
+
+void* map_ring(std::size_t bytes) {
+  const std::size_t len = ring_mapping(bytes);
+  const bool huge = len % kHugePage == 0;
+  // A huge mapping is made one huge page longer, then trimmed to start
+  // on a huge-page boundary.
+  const std::size_t slack = huge ? kHugePage : 0;
+  void* raw = ::mmap(nullptr, len + slack, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  char* const base = static_cast<char*>(raw);
+  char* p = base;
+  if (huge) {
+    p = reinterpret_cast<char*>((reinterpret_cast<std::uintptr_t>(base) + kHugePage - 1) &
+                                ~(kHugePage - 1));
+    if (p != base) ::munmap(base, static_cast<std::size_t>(p - base));
+    ::munmap(p + len, static_cast<std::size_t>(base + slack - p));
+    (void)::madvise(p, len, MADV_HUGEPAGE);
+  }
+  // Kernels before 5.14 refuse the populate; their pages fault in as the
+  // ring fills.
+  (void)::madvise(p, len, MADV_POPULATE_WRITE);
+  return p;
+}
+
+void unmap_ring(void* p, std::size_t bytes) { ::munmap(p, ring_mapping(bytes)); }
 }  // namespace detail
 
 namespace {
@@ -256,35 +299,22 @@ inline HotPath* hot_path() {
   return HotPath::resolve(generation);
 }
 
-/// The records behind note_slot_batch() and note_reservation(), on a
-/// resolved hot path, so that the fused note_invocation() resolves it
-/// once.
-void record_slot_batch(HotPath* h, std::uint16_t core, std::uint32_t consumer,
-                       std::int64_t slot, std::uint64_t batch, std::int64_t ts_ns,
-                       std::int64_t dur_ns) {
-  h->ledger->record_batch(core, consumer, batch, dur_ns);
+/// Writes one event into the thread's ring, setting every field.  Always
+/// inlined, so the fields go from registers straight into the slot.
+[[gnu::always_inline]] inline void push_event(HotPath* h, EventKind kind, std::uint16_t core,
+                                              std::uint32_t consumer, std::int64_t ts_ns,
+                                              std::int64_t arg0, std::int64_t arg1 = 0,
+                                              std::int64_t dur_ns = 0, std::uint8_t flags = 0) {
   h->ring->push_with([&](Event& e) {
     e.ts_ns = ts_ns;
     e.dur_ns = dur_ns;
-    e.arg0 = slot;
-    e.arg1 = static_cast<std::int64_t>(batch);
+    e.arg0 = arg0;
+    e.arg1 = arg1;
     e.consumer = consumer;
     e.core = core;
-    e.kind = EventKind::kSlotBatch;
-  });
-}
-
-void record_reservation(HotPath* h, std::uint16_t core, std::uint32_t consumer,
-                        std::int64_t slot, bool latched, std::int64_t ts_ns) {
-  h->ledger->add(Counter::kReservations);
-  if (latched) h->ledger->add(Counter::kLatchedReservations);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = slot;
-    e.arg1 = latched ? 1 : 0;
-    e.consumer = consumer;
-    e.core = core;
-    e.kind = EventKind::kReservation;
+    e.kind = kind;
+    e.flags = flags;
+    e.origin = kOriginLocal;
   });
 }
 
@@ -309,29 +339,25 @@ void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t s
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->record(core, consumer, paid);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = slot;
-    e.consumer = consumer;
-    e.core = core;
-    e.kind = EventKind::kWakeup;
-    e.flags = static_cast<std::uint8_t>((paid ? kFlagPaid : 0) |
-                                        (scheduled ? kFlagScheduled : 0));
-  });
+  push_event(h, EventKind::kWakeup, core, consumer, ts_ns, slot, 0, 0,
+             static_cast<std::uint8_t>((paid ? kFlagPaid : 0) | (scheduled ? kFlagScheduled : 0)));
 }
 
 void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                           std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  record_slot_batch(h, core, consumer, slot, batch, ts_ns, dur_ns);
+  h->ledger->record_batch(core, consumer, batch, dur_ns);
+  push_event(h, EventKind::kSlotBatch, core, consumer, ts_ns, slot,
+             static_cast<std::int64_t>(batch), dur_ns);
 }
 
 void note_reservation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                            bool latched, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  record_reservation(h, core, consumer, slot, latched, ts_ns);
+  h->ledger->record_reservation(core, consumer, latched);
+  push_event(h, EventKind::kReservation, core, consumer, ts_ns, slot, latched ? 1 : 0);
 }
 
 void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
@@ -339,8 +365,11 @@ void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, std::int64
                           std::int64_t next_slot, bool latched) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  record_reservation(h, core, consumer, next_slot, latched, ts_ns);
-  record_slot_batch(h, core, consumer, slot, batch, ts_ns, dur_ns);
+  h->ledger->record_invocation(core, consumer, batch, dur_ns, latched);
+  if (h->ring->full()) return h->ring->drop(2);
+  push_event(h, EventKind::kReservation, core, consumer, ts_ns, next_slot, latched ? 1 : 0);
+  push_event(h, EventKind::kSlotBatch, core, consumer, ts_ns, slot,
+             static_cast<std::int64_t>(batch), dur_ns);
 }
 
 void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowAction action,
@@ -349,49 +378,29 @@ void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowActi
   if (h == nullptr) return;
   h->ledger->add(action == OverflowAction::kEmergencyBorrow ? Counter::kEmergencyBorrows
                                                            : Counter::kForcedDrains);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = static_cast<std::int64_t>(action);
-    e.consumer = consumer;
-    e.core = core;
-    e.kind = EventKind::kOverflow;
-  });
+  push_event(h, EventKind::kOverflow, core, consumer, ts_ns, static_cast<std::int64_t>(action));
 }
 
 void note_watchdog_impl(std::uint16_t core, std::int64_t overrun_ns, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->add(Counter::kWatchdogEscalations);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = overrun_ns;
-    e.core = core;
-    e.kind = EventKind::kWatchdog;
-  });
+  push_event(h, EventKind::kWatchdog, core, kNoConsumer, ts_ns, overrun_ns);
 }
 
 void note_fault_impl(FaultKind kind, std::int64_t magnitude) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->add(Counter::kFaultsInjected);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = h->session->now_ns();
-    e.arg0 = static_cast<std::int64_t>(kind);
-    e.arg1 = magnitude;
-    e.kind = EventKind::kFault;
-  });
+  push_event(h, EventKind::kFault, 0, kNoConsumer, h->session->now_ns(),
+             static_cast<std::int64_t>(kind), magnitude);
 }
 
 void note_drop_impl(std::uint32_t consumer, DropPath path, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->record_drop(consumer);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = static_cast<std::int64_t>(path);
-    e.consumer = consumer;
-    e.kind = EventKind::kDrop;
-  });
+  push_event(h, EventKind::kDrop, 0, consumer, ts_ns, static_cast<std::int64_t>(path));
 }
 
 void note_queue_resize_impl(std::uint32_t consumer, std::size_t old_slots,
@@ -399,13 +408,8 @@ void note_queue_resize_impl(std::uint32_t consumer, std::size_t old_slots,
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->add(Counter::kQueueResizes);
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = h->session->now_ns();
-    e.arg0 = static_cast<std::int64_t>(old_slots);
-    e.arg1 = static_cast<std::int64_t>(new_slots);
-    e.consumer = consumer;
-    e.kind = EventKind::kQueueResize;
-  });
+  push_event(h, EventKind::kQueueResize, 0, consumer, h->session->now_ns(),
+             static_cast<std::int64_t>(old_slots), static_cast<std::int64_t>(new_slots));
 }
 
 void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_core,
@@ -417,14 +421,8 @@ void note_fleet_impl(FleetAction action, std::uint32_t pair, std::uint16_t from_
     case FleetAction::kPark: h->ledger->add(Counter::kFleetParks); break;
     case FleetAction::kUnpark: h->ledger->add(Counter::kFleetUnparks); break;
   }
-  h->ring->push_with([&](Event& e) {
-    e.ts_ns = ts_ns;
-    e.arg0 = static_cast<std::int64_t>(action);
-    e.arg1 = static_cast<std::int64_t>(to_core);
-    e.consumer = pair;
-    e.core = from_core;
-    e.kind = EventKind::kFleet;
-  });
+  push_event(h, EventKind::kFleet, from_core, pair, ts_ns, static_cast<std::int64_t>(action),
+             static_cast<std::int64_t>(to_core));
 }
 
 void count_sim_events_impl(std::uint64_t n) {
@@ -444,15 +442,10 @@ void note_item_stages_impl(std::uint32_t consumer, std::uint16_t core,
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->add(Counter::kSpanStages, stamps.size());
+  if (h->ring->full()) return h->ring->drop(stamps.size());
   for (const ItemStamp& stamp : stamps) {
-    h->ring->push_with([&](Event& e) {
-      e.ts_ns = stamp.ts_ns;
-      e.arg0 = static_cast<std::int64_t>(stamp.item_id);
-      e.arg1 = static_cast<std::int64_t>(stamp.stage);
-      e.consumer = consumer;
-      e.core = core;
-      e.kind = EventKind::kItemStage;
-    });
+    push_event(h, EventKind::kItemStage, core, consumer, stamp.ts_ns,
+               static_cast<std::int64_t>(stamp.item_id), static_cast<std::int64_t>(stamp.stage));
   }
 }
 

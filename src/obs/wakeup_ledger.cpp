@@ -12,6 +12,22 @@ void trim(std::vector<T>& rows, Empty empty) {
 
 }  // namespace
 
+WakeupLedger::Row& WakeupLedger::Writer::take_row(std::uint16_t core,
+                                                  std::uint32_t consumer) {
+  PCPC_ASSERT(core < kMaxCores || core == kNoCore);
+  Row* const rows = shard_->block.rows;
+  const std::uint32_t used = shard_->used.load(std::memory_order_relaxed);
+  std::uint32_t at = 0;
+  while (at < used && (rows[at].core != core || rows[at].consumer != consumer)) ++at;
+  if (at == used) {
+    PCPC_ASSERT_MSG(used < kMaxRows, "a ledger shard ran out of (core, consumer) rows");
+    new (&rows[at]) Row(core, consumer);
+    shard_->used.store(used + 1, std::memory_order_release);
+  }
+  shard_->current[consumer] = &rows[at];
+  return rows[at];
+}
+
 WakeupLedger::Snapshot WakeupLedger::snapshot() const {
   Snapshot s;
   s.per_core.resize(kMaxCores);
@@ -19,21 +35,31 @@ WakeupLedger::Snapshot WakeupLedger::snapshot() const {
   s.per_core_work.resize(kMaxCores);
   s.per_consumer_work.resize(kMaxConsumers);
   const auto load = [](const Cell& cell) { return cell.load(std::memory_order_relaxed); };
-  const auto merge = [&load](const auto& rows, std::vector<Attribution>& wakes,
-                             std::vector<Work>& work) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      wakes[i].paid += load(rows[i].paid);
-      wakes[i].free += load(rows[i].free);
-      work[i].items += load(rows[i].items);
-      work[i].batches += load(rows[i].batches);
-      work[i].drops += load(rows[i].drops);
-    }
-  };
   {
     std::scoped_lock lock(mutex_);
     for (const auto& shard : shards_) {
-      merge(shard->cores, s.per_core, s.per_core_work);
-      merge(shard->consumers, s.per_consumer, s.per_consumer_work);
+      const std::uint32_t used = shard->used.load(std::memory_order_acquire);
+      for (std::uint32_t i = 0; i < used; ++i) {
+        const Row& row = shard->block.rows[i];
+        const Attribution wakes{load(row.paid), load(row.free)};
+        const Work work{load(row.items), load(row.batches), load(row.drops)};
+        s.reservations += load(row.reservations);
+        s.latched_reservations += load(row.latched);
+        Attribution& consumer_wakes = s.per_consumer[row.consumer];
+        consumer_wakes.paid += wakes.paid;
+        consumer_wakes.free += wakes.free;
+        Work& consumer_work = s.per_consumer_work[row.consumer];
+        consumer_work.items += work.items;
+        consumer_work.batches += work.batches;
+        consumer_work.drops += work.drops;
+        if (row.core == kNoCore) continue;
+        // A drop names no core, so a core's rows count no drops.
+        Attribution& core_wakes = s.per_core[row.core];
+        core_wakes.paid += wakes.paid;
+        core_wakes.free += wakes.free;
+        s.per_core_work[row.core].items += work.items;
+        s.per_core_work[row.core].batches += work.batches;
+      }
       for (std::size_t c = 0; c < kCounters; ++c) {
         s.counter_cells[c] += load(shard->counters[c]);
       }
@@ -83,8 +109,8 @@ std::vector<WakeupLedger::NamedCounter> WakeupLedger::Snapshot::counters() const
       {"wakeups.free", wakes.free},
       {"consumer.items", done.items},
       {"consumer.batches", done.batches},
-      {"consumer.reservations", cell(Counter::kReservations)},
-      {"consumer.latched_reservations", cell(Counter::kLatchedReservations)},
+      {"consumer.reservations", reservations},
+      {"consumer.latched_reservations", latched_reservations},
       {"overflow.emergency_borrows", cell(Counter::kEmergencyBorrows)},
       {"overflow.forced_drains", cell(Counter::kForcedDrains)},
       {"drops.items", done.drops},

@@ -100,23 +100,4 @@ std::vector<Residency> idle_residency(const CoreTimeline& timeline,
   return result;
 }
 
-std::vector<GapBucket> idle_gap_distribution(const CoreTimeline& timeline) {
-  PCPC_ASSERT_MSG(timeline.finalized(), "distribution requires a finalized timeline");
-  std::vector<GapBucket> buckets{
-      {"< 100 us", 0, 0}, {"100 us - 1 ms", 0, 0}, {"1 - 10 ms", 0, 0},
-      {"10 - 100 ms", 0, 0}, {">= 100 ms", 0, 0}};
-  for (const auto& interval : timeline.intervals()) {
-    if (interval.state != CoreState::Idle) continue;
-    const SimDuration gap = interval.length();
-    std::size_t idx = 4;
-    if (gap < microseconds(100)) idx = 0;
-    else if (gap < milliseconds(1)) idx = 1;
-    else if (gap < milliseconds(10)) idx = 2;
-    else if (gap < milliseconds(100)) idx = 3;
-    ++buckets[idx].count;
-    buckets[idx].total += gap;
-  }
-  return buckets;
-}
-
 }  // namespace pcpc::power

@@ -52,18 +52,6 @@ std::vector<Trace> split_round_robin(const Trace& t, std::size_t ways) {
   return out;
 }
 
-std::vector<Trace> split_random(const Trace& t, std::size_t ways, Rng& rng) {
-  PCPC_ASSERT_MSG(ways > 0, "need at least one output");
-  std::vector<std::vector<SimTime>> buckets(ways);
-  for (const SimTime ts : t.timestamps()) {
-    buckets[rng.next_below(ways)].push_back(ts);
-  }
-  std::vector<Trace> out;
-  out.reserve(ways);
-  for (auto& bucket : buckets) out.emplace_back(std::move(bucket));
-  return out;
-}
-
 Trace repeat(const Trace& t, SimDuration period, SimDuration total) {
   PCPC_ASSERT_MSG(period > 0, "repeat period must be positive");
   PCPC_ASSERT_MSG(total >= 0, "total duration must be non-negative");

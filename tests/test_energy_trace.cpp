@@ -111,23 +111,5 @@ TEST(Residency, FragmentedIdleNeverReachesDeepStates) {
   EXPECT_EQ(residency[4].time, 0);
 }
 
-TEST(GapDistribution, BucketsByLength) {
-  CoreTimeline t;
-  t.wake(microseconds(50));          // 50 µs gap before
-  t.sleep(microseconds(60));
-  t.wake(microseconds(560));         // 500 µs gap
-  t.sleep(microseconds(600));
-  t.wake(milliseconds(5));           // ~4.4 ms gap
-  t.sleep(milliseconds(6));
-  t.finalize(seconds(1));            // ~994 ms tail gap
-  const auto buckets = idle_gap_distribution(t);
-  ASSERT_EQ(buckets.size(), 5u);
-  EXPECT_EQ(buckets[0].count, 1u);  // < 100 µs
-  EXPECT_EQ(buckets[1].count, 1u);  // 100 µs – 1 ms
-  EXPECT_EQ(buckets[2].count, 1u);  // 1 – 10 ms
-  EXPECT_EQ(buckets[3].count, 0u);
-  EXPECT_EQ(buckets[4].count, 1u);  // ≥ 100 ms
-}
-
 }  // namespace
 }  // namespace pcpc::power

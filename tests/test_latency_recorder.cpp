@@ -56,9 +56,34 @@ TEST(LatencyRecorder, MergeIsExact) {
   }
   a.merge(b);
   EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.p95(), all.p95(), 1e-12);
-  EXPECT_NEAR(a.max(), all.max(), 1e-12);
+  EXPECT_EQ(a.mean(), all.mean());
+  EXPECT_EQ(a.p95(), all.p95());
+  EXPECT_EQ(a.min(), all.min());
+  EXPECT_EQ(a.max(), all.max());
+}
+
+TEST(LatencyRecorder, SumHoldsAtTheInt64Bound) {
+  // The header's bound: Σ is 128 bits wide, so samples at the int64
+  // limit neither overflow one recorder nor a merge of two.  A 64-bit Σ
+  // would overflow at the second sample.
+  constexpr SimDuration kMax = std::numeric_limits<SimDuration>::max();
+  LatencyRecorder a, b, all;
+  for (int i = 0; i < 4; ++i) {
+    (i % 2 == 0 ? a : b).add(kMax);
+    all.add(kMax);
+  }
+  a.merge(b);
+  EXPECT_EQ(all.count(), 4u);
+  EXPECT_EQ(all.mean(), to_seconds(kMax));
+  EXPECT_EQ(a.mean(), all.mean());
+  EXPECT_EQ(all.min(), to_seconds(kMax));
+  EXPECT_EQ(all.max(), to_seconds(kMax));
+  // The most negative samples cancel the largest exactly: Σ = -4 ns.
+  all.add(std::numeric_limits<SimDuration>::min());
+  all.add(std::numeric_limits<SimDuration>::min());
+  all.add(std::numeric_limits<SimDuration>::min());
+  all.add(std::numeric_limits<SimDuration>::min());
+  EXPECT_EQ(all.mean(), -4.0 / 8.0 * 1e-9);
 }
 
 TEST(LatencyRecorder, QuantilesMonotone) {

@@ -83,18 +83,6 @@ TEST(SplitRoundRobin, ConservesItems) {
   EXPECT_EQ(total, base.size());
 }
 
-TEST(SplitRandom, ConservesItemsAndBalances) {
-  const Trace base = uniform_trace(8000, microseconds(10));
-  Rng rng(3);
-  const auto parts = split_random(base, 4, rng);
-  std::size_t total = 0;
-  for (const auto& p : parts) {
-    total += p.size();
-    EXPECT_NEAR(static_cast<double>(p.size()), 2000.0, 200.0);
-  }
-  EXPECT_EQ(total, base.size());
-}
-
 TEST(Repeat, CyclicReplay) {
   const Trace base({milliseconds(1), milliseconds(3)});
   const Trace repeated = repeat(base, milliseconds(10), milliseconds(35));
