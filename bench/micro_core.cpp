@@ -7,7 +7,8 @@
 // sim host's invocations (per call, with the trace ring taking events
 // and with it full) and to its setup.  BM_ReplayArrivals
 // prices the sim host's dominant event, one workload arrival, without
-// any consumer behind it.  BM_TimedWakeFloor
+// any consumer behind it, and BM_ReplayArrivalsWithTimers the same with
+// the two slot timers the heap holds on the sim host.  BM_TimedWakeFloor
 // measures what a decision is compared against: the CPU one timed wake
 // costs a thread that does nothing else.  The *Cold variants run the
 // same decisions with their data evicted from L1 and L2 before each
@@ -208,7 +209,7 @@ void BM_LatencyRecord(benchmark::State& state) {
 BENCHMARK(BM_LatencyRecord);
 
 /// Notes per timed batch of the armed-recording benches: a batch of
-/// note_invocation() calls writes 2·kNoteBatch events, well inside the
+/// note_invocation() calls writes 3·kNoteBatch events, well inside the
 /// default 32768-event ring.
 constexpr std::size_t kNoteBatch = 1024;
 
@@ -256,11 +257,18 @@ void BM_NoteWakeup(benchmark::State& state) {
 BENCHMARK(BM_NoteWakeup)->ArgName("ring")->Arg(0)->Arg(1)->UseManualTime();
 
 void BM_NoteInvocation(benchmark::State& state) {
+  // One served consumer's wake, reservation and batch in one call.
   run_armed(state, [](std::uint64_t i) {
-    obs::note_invocation(note_core(i), note_consumer(i), note_slot(i),
-                         /*batch=*/1 + i % 31, static_cast<std::int64_t>(i) * 1000,
-                         /*dur_ns=*/static_cast<std::int64_t>(200 + i % 4096),
-                         note_slot(i) + 2, /*latched=*/i % 3 != 0);
+    obs::note_invocation(note_core(i), note_consumer(i),
+                         {.wake_slot = note_slot(i),
+                          .slot = note_slot(i),
+                          .next_slot = note_slot(i) + 2,
+                          .ts_ns = static_cast<std::int64_t>(i) * 1000,
+                          .dur_ns = static_cast<std::int64_t>(200 + i % 4096),
+                          .batch = 1 + i % 31,
+                          .paid = i % 3 == 0,
+                          .scheduled = true,
+                          .latched = i % 3 != 0});
   });
 }
 BENCHMARK(BM_NoteInvocation)->ArgName("ring")->Arg(0)->Arg(1)->UseManualTime();
@@ -357,6 +365,62 @@ void BM_ReplayArrivals(benchmark::State& state) {
                           static_cast<std::int64_t>(streams * per_stream));
 }
 BENCHMARK(BM_ReplayArrivals)->Args({5, 20000})->Args({64, 2000});
+
+void BM_ReplayArrivalsWithTimers(benchmark::State& state) {
+  // BM_ReplayArrivals' 5 streams, with the heap the sim host keeps beside
+  // them: two timers (a core manager's slot event on each of two cores),
+  // each re-armed 5 ms on when it fires, and moved by a cancel and a
+  // reschedule every 64 arrivals as a reservation moves a slot event.
+  // An arrival is compared against the earliest timer, so this prices
+  // that compare.  items/s counts arrivals.
+  constexpr std::size_t kStreams = 5;
+  constexpr std::size_t kPerStream = 20000;
+  constexpr SimDuration kPeriod = milliseconds(5);
+  std::vector<std::vector<SimTime>> traces(kStreams);
+  Rng rng(0x5eed);
+  SimTime horizon = 0;
+  for (auto& trace : traces) {
+    double t = 0.0;
+    for (std::size_t i = 0; i < kPerStream; ++i) {
+      t += rng.exponential(2000.0) * 1e9;
+      trace.push_back(static_cast<SimTime>(t));
+    }
+    horizon = std::max(horizon, trace.back() + 1);
+  }
+  struct Timer {
+    sim::Simulator* simulator;
+    sim::EventId id;
+    SimTime at;
+    SimTime horizon;
+    void arm(SimTime t) {
+      at = t;
+      if (at < horizon) id = simulator->at(at, [this](SimTime now) { arm(now + kPeriod); });
+    }
+    void move() {
+      if (at >= horizon || !simulator->cancel(id)) return;
+      arm(at);
+    }
+  };
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    std::array<Timer, 2> timers{};
+    for (std::size_t c = 0; c < timers.size(); ++c) {
+      timers[c] = Timer{&simulator, 0, 0, horizon};
+      timers[c].arm(kPeriod + static_cast<SimDuration>(c) * kPeriod / 2);
+    }
+    std::uint64_t arrivals = 0;
+    for (const auto& trace : traces) {
+      sim::replay(simulator, trace, horizon, [&](SimTime) {
+        if ((++arrivals & 63) == 0) timers[arrivals / 64 % 2].move();
+      });
+    }
+    simulator.run_until(horizon);
+    benchmark::DoNotOptimize(simulator.dispatched());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kStreams * kPerStream));
+}
+BENCHMARK(BM_ReplayArrivalsWithTimers);
 
 void BM_TimedWakeFloor(benchmark::State& state) {
   // The wake floor of the thread host: one condition-variable timed wait

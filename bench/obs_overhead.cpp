@@ -26,7 +26,12 @@
 // minimums, the spread (min/max) of the paired ratios, the repeat count,
 // the computed pass, and the ratio's denominator and numerator as CPU ns
 // per item (min-of-repeats bare and recorded CPU over the run's items),
-// so a moving ratio shows whether obs or the bare loop moved.
+// so a moving ratio shows whether obs or the bare loop moved.  Each
+// mode's median minor page faults per run (getrusage ru_minflt around
+// the timed run) ride along as diagnostics, not gated: a fault costs
+// about as much as a few hundred items on a small KVM guest.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -78,12 +83,33 @@ core::PbplConfig bench_config() {
   return config;
 }
 
-/// CPU seconds `fn` takes.
+/// Minor page faults of this process so far.
+long minor_faults() {
+  rusage usage{};
+  return getrusage(RUSAGE_SELF, &usage) == 0 ? usage.ru_minflt : 0;
+}
+
+/// What one timed run cost.
+struct Cost {
+  double cpu_s = 0.0;  ///< process CPU seconds
+  long minflt = 0;     ///< minor page faults
+};
+
+/// What `fn` costs.  The fault count is read outside the CPU timing.
 template <typename Fn>
-double timed(Fn&& fn) {
+Cost timed(Fn&& fn) {
+  const long faults = minor_faults();
   const double start = cpu_seconds();
   fn();
-  return cpu_seconds() - start;
+  const double cpu_s = cpu_seconds() - start;
+  return {cpu_s, minor_faults() - faults};
+}
+
+/// The median of `values` (sorted in place).
+template <typename T>
+T median(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -134,13 +160,16 @@ int main(int argc, char** argv) {
   // rounds a daemon stomped on.
   std::vector<double> ratios;
   std::vector<double> span_ratios;
+  std::vector<long> bare_faults;
+  std::vector<long> traced_faults;
+  std::vector<long> span_faults;
   double min_bare = 1e300;
   double min_traced = 1e300;
   double min_spans = 1e300;
   for (std::size_t i = 0; i < repeats; ++i) {
-    double bare = 0.0;
-    double traced = 0.0;
-    double spans = 0.0;
+    Cost bare;
+    Cost traced;
+    Cost spans;
     // A fresh capture each repeat, made and torn down inside the timing.
     const auto bare_once = [&] { bare = timed(run); };
     const auto traced_once = [&] {
@@ -161,16 +190,17 @@ int main(int argc, char** argv) {
       else spans_once();
     };
     for (std::size_t k = 0; k < 3; ++k) run_mode((i + k) % 3);
-    ratios.push_back(traced / bare);
-    span_ratios.push_back(spans / bare);
-    min_bare = std::min(min_bare, bare);
-    min_traced = std::min(min_traced, traced);
-    min_spans = std::min(min_spans, spans);
+    ratios.push_back(traced.cpu_s / bare.cpu_s);
+    span_ratios.push_back(spans.cpu_s / bare.cpu_s);
+    bare_faults.push_back(bare.minflt);
+    traced_faults.push_back(traced.minflt);
+    span_faults.push_back(spans.minflt);
+    min_bare = std::min(min_bare, bare.cpu_s);
+    min_traced = std::min(min_traced, traced.cpu_s);
+    min_spans = std::min(min_spans, spans.cpu_s);
   }
-  std::sort(ratios.begin(), ratios.end());
-  std::sort(span_ratios.begin(), span_ratios.end());
-  const double overhead = ratios[ratios.size() / 2];
-  const double span_overhead = span_ratios[span_ratios.size() / 2];
+  const double overhead = median(ratios);
+  const double span_overhead = median(span_ratios);
   // Accounting run: one session, one run, so the ledger's Σ w(τ) must
   // equal the simulator's own paid-wakeup counter exactly.
   bool ledger_ok = true;
@@ -209,6 +239,8 @@ int main(int argc, char** argv) {
               "ratio of minimums %.2f%% (gate: %.2f%%)\n",
               repeats, (span_overhead - 1.0) * 1e2, (min_spans / min_bare - 1.0) * 1e2,
               (max_overhead - 1.0) * 1e2);
+  std::printf("minor faults per run (median): bare %ld, recorded %ld, spans %ld\n",
+              median(bare_faults), median(traced_faults), median(span_faults));
   std::printf("paid wakeups: ledger %llu, simulator %llu -> %s\n",
               static_cast<unsigned long long>(paid_ledger),
               static_cast<unsigned long long>(paid_sim),
@@ -228,6 +260,9 @@ int main(int argc, char** argv) {
   json.key("span_ratio_max_pct").value(pct(span_ratios.back()));
   json.key("gate_pct").value(pct(max_overhead)).key("bare_ns_per_item").value(ns_per_item(min_bare));
   json.key("recorded_ns_per_item").value(ns_per_item(min_traced));
+  json.key("bare_minflt").value(median(bare_faults));
+  json.key("recorded_minflt").value(median(traced_faults));
+  json.key("span_minflt").value(median(span_faults));
   json.key("ledger_match").value(ledger_ok).key("pass").value(pass).end_object();
   std::cout << std::endl;
 

@@ -31,13 +31,4 @@ TestResult correlation_significance(std::span<const double> xs,
 TestResult paired_t_test(std::span<const double> a, std::span<const double> b,
                          double level = 0.95);
 
-/// Ordinary-least-squares slope of y on x with its standard error;
-/// exposed for the wakeups→power effect-size estimates in reports.
-struct Slope {
-  double value = 0.0;
-  double stderr_value = 0.0;
-  double intercept = 0.0;
-};
-Slope linear_slope(std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace pcpc

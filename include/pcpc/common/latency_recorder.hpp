@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "pcpc/common/stats.hpp"
 #include "pcpc/common/types.hpp"
@@ -96,7 +97,26 @@ class LatencyRecorder {
     sum_ns_ += ns;
     min_ns_ = std::min(min_ns_, ns);
     max_ns_ = std::max(max_ns_, ns);
-    histogram_.add_binned(bin_of(ns));
+    bin(detail::latency_bins(), ns);
+  }
+
+  /// add(now − t) for every arrival stamp t: one drained chunk in one
+  /// call, its Σ, min and max kept in registers until the end.
+  void add_since(SimTime now, std::span<const SimTime> arrivals) {
+    const detail::LatencyBins& bins = detail::latency_bins();
+    Sum sum = 0;
+    SimDuration lo = min_ns_;
+    SimDuration hi = max_ns_;
+    for (const SimTime t : arrivals) {
+      const SimDuration ns = now - t;
+      sum += ns;
+      lo = std::min(lo, ns);
+      hi = std::max(hi, ns);
+      bin(bins, ns);
+    }
+    sum_ns_ += sum;
+    min_ns_ = lo;
+    max_ns_ = hi;
   }
 
   /// The histogram bin of `ns`: -1 is underflow, 2000 overflow.
@@ -133,6 +153,11 @@ class LatencyRecorder {
 
  private:
   __extension__ using Sum = __int128;
+
+  /// Counts `ns` in its histogram bin, found in `bins`.
+  void bin(const detail::LatencyBins& bins, SimDuration ns) {
+    histogram_.add_binned(bins.bin_of(ns));
+  }
 
   Sum sum_ns_ = 0;
   SimDuration min_ns_ = std::numeric_limits<SimDuration>::max();

@@ -53,7 +53,7 @@ class PbplConsumer final : public Invocable {
   void produce(SimTime now);
 
   // Invocable:
-  SimDuration on_invoked(SimTime now, bool scheduled) override;
+  SimDuration on_invoked(const Wake& wake, bool paid) override;
   bool has_pending() const override { return !buffer_->empty(); }
 
   ConsumerId id() const { return id_; }
@@ -82,7 +82,8 @@ class PbplConsumer final : public Invocable {
 
  private:
   /// Books the next slot (and resizes the buffer for it); the caller
-  /// records it, on its own or fused with the batch (obs::note_invocation).
+  /// records it, on its own or fused with the wake and the batch
+  /// (obs::note_invocation).
   SlotChoice make_reservation(SimTime now);
   void note_reservation(const SlotChoice& choice, SimTime now) const;
 
@@ -103,7 +104,8 @@ class PbplConsumer final : public Invocable {
   /// (bench/obs_overhead).
   std::uint64_t span_seq_ = 0;
   std::uint64_t span_next_ = 0;
-  /// Stage stamps of one invocation's sampled items; grown, never
+  /// Stage stamps of one invocation's sampled items: three per item
+  /// from the drain, then each item's handler-done.  Grown, never
   /// shrunk, so an invocation writes into it without allocating.
   std::vector<obs::ItemStamp> span_stamps_;
 };

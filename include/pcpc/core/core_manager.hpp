@@ -4,8 +4,10 @@
 // shared core::ManagerStep.  This class keeps the simulator's part: one
 // pending event at the next slot with at least one reservation — never
 // an empty slot, "ensuring that the CPU is not activated needlessly" —
-// the invocations, the SimCore charge that decides "paid", and the obs
-// notes.  Overflow invocations run synchronously in the producer's event.
+// the invocations and the SimCore charge.  Whether the wake is paid is
+// the core's idle state at the wake, known before any consumer runs, so
+// each consumer notes its wake together with its batch.  Overflow
+// invocations run synchronously in the producer's event.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,10 @@ class Invocable {
 
   /// Activation: drain the buffer, update predictions, reserve the next
   /// slot (Figure 7's consumer pipeline).  Returns the CPU time consumed.
-  /// `scheduled` is false for overflow-triggered invocations.
-  virtual SimDuration on_invoked(SimTime now, bool scheduled) = 0;
+  /// `wake` is the manager's wake serving this consumer at `wake.now`
+  /// (not scheduled() for an overflow drain); `paid` is true when this
+  /// invocation carries the wake's ω (ManagerStep's Wake::paid).
+  virtual SimDuration on_invoked(const Wake& wake, bool paid) = 0;
 
   /// True when the consumer still has unprocessed buffered items.
   virtual bool has_pending() const = 0;
@@ -87,7 +91,8 @@ class CoreManager {
  private:
   void ensure_scheduled();
   void on_slot_event(SimTime t);
-  /// Invokes the wake's consumers, charges the core and notes the wake.
+  /// Invokes the wake's consumers, telling each whether it pays, then
+  /// charges the core.
   void serve(const Wake& wake);
 
   sim::Simulator& simulator_;

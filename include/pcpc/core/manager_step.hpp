@@ -108,7 +108,10 @@ class ManagerStep {
   std::optional<SimDuration> watchdog_limit_;
   ReservationTable reservations_;
   std::set<ConsumerId> roster_;
-  std::set<ConsumerId> requests_;
+  /// Consumers with an overflow request outstanding, sorted by id: a
+  /// forced drain serves them in id order.  A vector, so a request
+  /// allocates nothing once the core's consumers have all asked once.
+  std::vector<ConsumerId> requests_;
   std::vector<ConsumerId> served_;  ///< the last wake's consumers
 };
 

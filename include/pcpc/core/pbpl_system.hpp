@@ -76,8 +76,9 @@ class PbplSystem {
   /// running the simulator.
   void start();
 
-  /// Ends the experiment: drains leftovers, lets pending busy windows
-  /// close, finalizes the core timelines and aggregates every counter.
+  /// Ends the experiment: drains leftovers, finalizes the core timelines
+  /// once the last busy window has drained (at `end` or later) and
+  /// aggregates every counter.
   PbplResult finish(SimTime end);
 
  private:

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/cost.hpp"
@@ -40,6 +41,13 @@ class ReservationPlanner {
   /// Feeds one drained item's response time to the latency guard, if any.
   void observe_latency(SimDuration latency) {
     if (guard_) guard_->observe(latency);
+  }
+
+  /// observe_latency(now − t) for every arrival stamp t of a drained
+  /// chunk; without a guard, no per-item work.
+  void observe_latencies(SimTime now, std::span<const SimTime> arrivals) {
+    if (!guard_) return;
+    for (const SimTime t : arrivals) guard_->observe(now - t);
   }
 
   /// Closes one drained batch: the guard rescales its horizon, the rate

@@ -56,6 +56,21 @@ struct ItemStamp {
   ItemStage stage;
 };
 
+/// Everything one served consumer records at a wake, all at `ts_ns`
+/// (obs::note_invocation()): the wake it rode, the slot it booked next
+/// and the batch it drained.
+struct Invocation {
+  std::int64_t wake_slot;  ///< the wake's slot: its kWakeup event's arg0
+  std::int64_t slot;       ///< the slot holding ts_ns: the batch's arg0
+  std::int64_t next_slot;  ///< the slot booked next: the reservation's arg0
+  std::int64_t ts_ns;
+  std::int64_t dur_ns;  ///< the batch's service time
+  std::uint64_t batch;  ///< items drained
+  bool paid;            ///< this invocation woke the idle core (ω)
+  bool scheduled;       ///< a slot wake, not an overflow drain
+  bool latched;         ///< the next slot was already booked
+};
+
 /// Which overflow-handling path fired.
 enum class OverflowAction : std::uint8_t {
   kEmergencyBorrow = 0,  ///< pool segments absorbed the overflow

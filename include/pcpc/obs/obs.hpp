@@ -158,9 +158,8 @@ void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64
                           std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns);
 void note_reservation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                            bool latched, std::int64_t ts_ns);
-void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
-                          std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns,
-                          std::int64_t next_slot, bool latched);
+void note_invocation_impl(std::uint16_t core, std::uint32_t consumer,
+                          const Invocation& invocation);
 void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowAction action,
                         std::int64_t ts_ns);
 void note_watchdog_impl(std::uint16_t core, std::int64_t overrun_ns, std::int64_t ts_ns);
@@ -201,14 +200,14 @@ inline void note_reservation(std::uint16_t core, std::uint32_t consumer,
   detail::note_reservation_impl(core, consumer, slot, latched, ts_ns);
 }
 
-/// One sim-host invocation in one call: note_reservation() of the slot
-/// the consumer booked next (`next_slot`, `latched`), then
-/// note_slot_batch() of the batch it drained.
-inline void note_invocation(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
-                            std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns,
-                            std::int64_t next_slot, bool latched) {
+/// One sim-host invocation in one call: note_wakeup() of the wake that
+/// served the consumer, note_reservation() of the slot it booked next,
+/// then note_slot_batch() of the batch it drained — one ledger row and
+/// one full-ring check for the three.
+inline void note_invocation(std::uint16_t core, std::uint32_t consumer,
+                            const Invocation& invocation) {
   if (!enabled()) return;
-  detail::note_invocation_impl(core, consumer, slot, batch, ts_ns, dur_ns, next_slot, latched);
+  detail::note_invocation_impl(core, consumer, invocation);
 }
 
 /// An overflow-policy action fired.

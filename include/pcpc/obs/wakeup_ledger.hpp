@@ -15,8 +15,8 @@
 // lock-prefixed RMW), merged under a mutex only when somebody reads.  A
 // writing thread takes its shard once, as a Writer (the obs hot path
 // keeps it beside the thread's trace ring), so a record is a few stores
-// with no lookup: one invocation's batch and reservation land in one
-// 64-byte row, and its wakeup in the same row.  A consumer's row is the
+// with no lookup: one invocation's wakeup, batch and reservation land in
+// one 64-byte row.  A consumer's row is the
 // one it last recorded into; a consumer seen on another core (a
 // migration) takes a row of its own there once, so rows never move
 // counts between cores.
@@ -241,10 +241,12 @@ class WakeupLedger::Writer {
     add_reservation(row(core, consumer), latched);
   }
 
-  /// record_batch() and record_reservation() of one invocation: one row.
-  void record_invocation(std::uint16_t core, std::uint32_t consumer, std::uint64_t items,
-                         std::int64_t dur_ns, bool latched) {
+  /// record(), record_reservation() and record_batch() of one
+  /// invocation: one row.
+  void record_invocation(std::uint16_t core, std::uint32_t consumer, bool paid,
+                         std::uint64_t items, std::int64_t dur_ns, bool latched) {
     Row& r = row(core, consumer);
+    bump(paid ? r.paid : r.free);
     add_reservation(r, latched);
     add_batch(r, items, dur_ns);
   }

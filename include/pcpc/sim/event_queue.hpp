@@ -14,6 +14,12 @@
 // amortized, and the array resets entirely whenever the queue drains, so
 // memory stays proportional to the live+recently-retired window rather
 // than to all ids ever issued.
+//
+// The earliest live key is cached: schedule() lowers it, pop() and
+// cancel() mark it stale and clear() resets it, so next_key() goes to the
+// heap only after a pop or a cancel.  The simulator asks for it before
+// every replayed arrival, and between two slot events the heap rarely
+// changes.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +58,7 @@ class EventQueue {
   std::size_t size() const { return live_; }
 
   /// Time of the earliest live event; kNever when empty.
-  SimTime next_time() const;
+  SimTime next_time() const { return next_key().time; }
 
   /// Firing order of an event: time, then scheduling order.
   struct Key {
@@ -64,7 +70,10 @@ class EventQueue {
   static constexpr Key kNoKey{kNever, std::numeric_limits<std::uint64_t>::max()};
 
   /// Key of the earliest live event; kNoKey when empty.
-  Key next_key() const;
+  Key next_key() const {
+    if (head_stale_) refresh_head();
+    return head_;
+  }
 
   /// Draws the next sequence number without scheduling anything.  An
   /// entry kept outside the heap (a replay stream's next arrival) takes
@@ -112,6 +121,7 @@ class EventQueue {
 
   void retire(EventId id, State to);
   void drop_cancelled() const;
+  void refresh_head() const;
   void compact();
 
   mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
@@ -122,6 +132,9 @@ class EventQueue {
   std::size_t retired_ = 0;  ///< retirements since the last compact()
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
+  /// The earliest live key, exact unless head_stale_.
+  mutable Key head_ = kNoKey;
+  mutable bool head_stale_ = false;
 };
 
 }  // namespace pcpc::sim

@@ -44,35 +44,4 @@ TestResult paired_t_test(std::span<const double> a, std::span<const double> b,
   return result;
 }
 
-Slope linear_slope(std::span<const double> xs, std::span<const double> ys) {
-  PCPC_ASSERT(xs.size() == ys.size());
-  Slope slope;
-  const std::size_t n = xs.size();
-  if (n < 2) return slope;
-  double mx = 0.0, my = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mx += xs[i];
-    my += ys[i];
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    sxy += (xs[i] - mx) * (ys[i] - my);
-  }
-  if (sxx == 0.0) return slope;
-  slope.value = sxy / sxx;
-  slope.intercept = my - slope.value * mx;
-  if (n > 2) {
-    double sse = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double e = ys[i] - (slope.intercept + slope.value * xs[i]);
-      sse += e * e;
-    }
-    slope.stderr_value = std::sqrt(sse / static_cast<double>(n - 2) / sxx);
-  }
-  return slope;
-}
-
 }  // namespace pcpc

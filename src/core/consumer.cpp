@@ -52,22 +52,20 @@ void PbplConsumer::produce(SimTime now) {
   PCPC_ASSERT_MSG(stored, "buffer still full after an overflow drain");
 }
 
-SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
-  (void)scheduled;
+SimDuration PbplConsumer::on_invoked(const Wake& wake, bool paid) {
+  const SimTime now = wake.now;
   // 1. Consume: drain the whole buffer as one batch (chunked bulk pops —
-  //    same item order and stats as the old per-item try_pop loop).  A
-  //    lifecycle-sampled item has every stage stamped here: the buffer
-  //    holds its arrival time, and in virtual time admission is
-  //    instantaneous, so produce and enqueue both fall at that tick.  The
-  //    samples are picked per chunk by position, not tested per item.
+  //    same item order and stats as the old per-item try_pop loop), each
+  //    chunk's latencies recorded in one call.  A lifecycle-sampled item
+  //    has every stage stamped here: the buffer holds its arrival time,
+  //    and in virtual time admission is instantaneous, so produce and
+  //    enqueue both fall at that tick.  The samples are picked per chunk
+  //    by position, not tested per item.
   const std::uint64_t span_every = obs::span_sample_every();
   std::size_t stamps = 0;  // span_stamps_ in use: three per sampled item
   const std::size_t batch = buffer_->drain_chunks([&](std::span<SimTime> items) {
-    for (const SimTime item : items) {
-      const SimDuration latency = now - item;
-      stats_.latency_s.add(latency);
-      planner_.observe_latency(latency);
-    }
+    stats_.latency_s.add_since(now, items);
+    planner_.observe_latencies(now, items);
     if (span_every == 0) return;
     const std::uint64_t end = span_seq_ + items.size();
     for (; span_next_ < end; span_next_ += span_every) {
@@ -81,9 +79,6 @@ SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
     }
     span_seq_ = end;
   });
-  const auto core = manager_->core_id();
-  const auto pair = static_cast<std::uint32_t>(id_);
-  obs::note_item_stages(pair, core, std::span(span_stamps_).first(stamps));
   stats_.items += batch;
   stats_.batch_sizes.add(static_cast<double>(batch));
   ++stats_.invocations;
@@ -97,17 +92,27 @@ SimDuration PbplConsumer::on_invoked(SimTime now, bool scheduled) {
 
   SimDuration service = config_.service.batch_time(batch);
   if (injector_ != nullptr && batch > 0) service += injector_->handler_delay();
-  obs::note_invocation(core, pair, manager_->track().index_of(now), batch, now, service,
-                       next.slot, next.latched);
-  // In virtual time the handler completes when the service model says so.
-  // Item k's stamps start at 3k >= k, so rewriting front to back reads
-  // each id before it is overwritten.
+  const auto core = manager_->core_id();
+  const auto pair = static_cast<std::uint32_t>(id_);
+  obs::note_invocation(core, pair,
+                       {.wake_slot = wake.slot,
+                        .slot = manager_->track().index_of(now),
+                        .next_slot = next.slot,
+                        .ts_ns = now,
+                        .dur_ns = service,
+                        .batch = batch,
+                        .paid = paid,
+                        .scheduled = wake.scheduled(),
+                        .latched = next.latched});
+  // The sampled items' stamps follow the wakeup they rode on.  In virtual
+  // time the handler completes when the service model says so.
   const std::size_t sampled = stamps / 3;
+  if (span_stamps_.size() < stamps + sampled) span_stamps_.resize(stamps + sampled);
   for (std::size_t k = 0; k < sampled; ++k) {
-    span_stamps_[k] = {span_stamps_[3 * k].item_id, now + service,
-                       obs::ItemStage::kHandlerDone};
+    span_stamps_[stamps + k] = {span_stamps_[3 * k].item_id, now + service,
+                                obs::ItemStage::kHandlerDone};
   }
-  obs::note_item_stages(pair, core, std::span(span_stamps_).first(sampled));
+  obs::note_item_stages(pair, core, std::span(span_stamps_).first(stamps + sampled));
   return service;
 }
 

@@ -1,7 +1,6 @@
 #include "pcpc/core/core_manager.hpp"
 
 #include "pcpc/common/assert.hpp"
-#include "pcpc/obs/obs.hpp"
 
 namespace pcpc::core {
 
@@ -51,9 +50,10 @@ void CoreManager::drain_all(SimTime now) {
 }
 
 void CoreManager::serve(const Wake& wake) {
+  const bool idle = core_.idle_at(wake.now);
   SimDuration busy = overhead_;
-  for (const ConsumerId id : wake.consumers) {
-    busy += consumers_.at(id)->on_invoked(wake.now, wake.scheduled());
+  for (std::size_t i = 0; i < wake.consumers.size(); ++i) {
+    busy += consumers_.at(wake.consumers[i])->on_invoked(wake, wake.paid(i, idle));
   }
   if (wake.scheduled()) {
     ++scheduled_wakeups_;
@@ -62,10 +62,7 @@ void CoreManager::serve(const Wake& wake) {
     unscheduled_invocations_ += wake.consumers.size();
   }
   const bool paid = core_.run_for(busy);
-  for (std::size_t i = 0; i < wake.consumers.size(); ++i) {
-    obs::note_wakeup(core_id_, wake.consumers[i], wake.slot, wake.paid(i, paid),
-                     wake.scheduled(), wake.now);
-  }
+  PCPC_ASSERT_MSG(paid == idle, "the core's idle state moved during a wake");
 }
 
 void CoreManager::ensure_scheduled() {

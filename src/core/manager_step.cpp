@@ -1,5 +1,7 @@
 #include "pcpc/core/manager_step.hpp"
 
+#include <algorithm>
+
 #include "pcpc/common/assert.hpp"
 
 namespace pcpc::core {
@@ -17,12 +19,13 @@ void ManagerStep::add(ConsumerId id) {
 
 void ManagerStep::remove(ConsumerId id) {
   PCPC_ASSERT_MSG(roster_.erase(id) == 1, "unregistering unknown consumer");
-  requests_.erase(id);
+  const auto it = std::lower_bound(requests_.begin(), requests_.end(), id);
+  if (it != requests_.end() && *it == id) requests_.erase(it);
   reservations_.cancel(id);
 }
 
 void ManagerStep::move_to(ConsumerId id, ManagerStep& to) {
-  const bool requested = requests_.contains(id);
+  const bool requested = std::binary_search(requests_.begin(), requests_.end(), id);
   remove(id);
   to.add(id);
   if (requested) to.request_overflow(id);
@@ -35,7 +38,10 @@ void ManagerStep::reserve(ConsumerId id, SlotIndex slot) {
 
 bool ManagerStep::request_overflow(ConsumerId id) {
   PCPC_ASSERT_MSG(roster_.contains(id), "overflow request from unknown consumer");
-  return requests_.insert(id).second;
+  const auto it = std::lower_bound(requests_.begin(), requests_.end(), id);
+  if (it != requests_.end() && *it == id) return false;
+  requests_.insert(it, id);
+  return true;
 }
 
 std::optional<Wake> ManagerStep::wake(SimTime now, std::optional<SlotIndex> due) {

@@ -57,11 +57,11 @@ PbplResult PbplSystem::finish(SimTime end) {
   PCPC_ASSERT_MSG(simulator_.now() <= end, "finish() before the simulator reached end");
 
   // Final sweep: one wakeup per core with leftovers, then cancel the slot
-  // machinery so only core-sleep events remain.
+  // machinery.  The run ends when the last busy window drains.
   for (auto& manager : managers_) manager->drain_all(end);
-  simulator_.run();
+  SimTime final_time = std::max(end, simulator_.now());
+  for (const auto& core : cores_) final_time = std::max(final_time, core->busy_until());
 
-  const SimTime final_time = std::max(end, simulator_.now());
   PbplResult result;
   for (auto& core : cores_) {
     core->finalize(final_time);

@@ -1,7 +1,5 @@
 #include "pcpc/core/sim_core.hpp"
 
-#include <algorithm>
-
 #include "pcpc/common/assert.hpp"
 
 namespace pcpc::core {
@@ -12,46 +10,30 @@ SimCore::SimCore(sim::Simulator& simulator, SimTime start)
 bool SimCore::run_for(SimDuration busy) {
   PCPC_ASSERT_MSG(busy >= 0, "negative busy time");
   const SimTime now = simulator_.now();
-  bool paid = false;
-  if (now > busy_until_) {
-    paid = timeline_.wake(now);
-    busy_until_ = now + busy;
-  } else if (now == busy_until_) {
-    // Back-to-back work at the exact end of the busy window: whether the
-    // sleep event already fired at this instant or not, the core never
-    // accumulated idle time, so no ω is charged.
+  const bool paid = idle_at(now);
+  if (paid) {
+    // The core went idle when its last window drained: close that window
+    // there, then charge ω for leaving idle now.  (A core that never ran
+    // is idle already, and sleep() is a no-op on it.)
+    timeline_.sleep(busy_until_);
+    timeline_.wake(now);
+    busy_until_ = now;
+  } else if (!timeline_.is_active()) {
+    // A core that never ran, asked at its start: no idle time passed, so
+    // it activates for free.
     timeline_.resume(now);
-    busy_until_ = now + busy;
-  } else {
-    // Work arrived while the core is still active: it queues behind the
-    // current busy window with no wakeup cost — this is the latching
-    // discount the reservation cost function banks on.
-    busy_until_ += busy;
   }
-  schedule_sleep();
+  // Work that finds the core active, or at the exact end of its window,
+  // queues behind the current window with no wakeup cost — the latching
+  // discount the reservation cost function banks on.
+  busy_until_ += busy;
   return paid;
 }
 
 void SimCore::finalize(SimTime end) {
   PCPC_ASSERT_MSG(end >= busy_until_, "cannot finalize a busy core");
-  if (timeline_.is_active()) timeline_.sleep(busy_until_);
+  timeline_.sleep(busy_until_);
   timeline_.finalize(end);
-}
-
-void SimCore::schedule_sleep() {
-  if (sleep_scheduled_) return;  // the pending event re-checks on fire
-  sleep_scheduled_ = true;
-  simulator_.at(busy_until_, [this](SimTime t) { on_sleep(t); });
-}
-
-void SimCore::on_sleep(SimTime t) {
-  sleep_scheduled_ = false;
-  if (t >= busy_until_) {
-    if (timeline_.is_active()) timeline_.sleep(t);
-  } else {
-    // The busy window was extended after this event was scheduled.
-    schedule_sleep();
-  }
 }
 
 }  // namespace pcpc::core

@@ -67,8 +67,11 @@ struct Rig {
 
   /// Finalizes cores and stamps the shared result fields.
   RunResult finish(SimTime horizon, std::string name) {
-    simulator.run();  // let pending core-sleep events close busy windows
-    const SimTime end = std::max(horizon, simulator.now());
+    // The run ends when the last busy window drains.  A continuation
+    // still pending past the horizon would find its buffer emptied by the
+    // final drain, so none is run.
+    SimTime end = std::max(horizon, simulator.now());
+    for (const auto& core : cores) end = std::max(end, core->busy_until());
     for (auto& core : cores) {
       core->finalize(end);
       result.paid_wakeups += core->wakeups();

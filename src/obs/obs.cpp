@@ -334,13 +334,18 @@ HotPath* HotPath::resolve(std::uint64_t generation) {
   return &tls;
 }
 
+/// Event::flags of a wakeup.
+std::uint8_t wake_flags(bool paid, bool scheduled) {
+  return static_cast<std::uint8_t>((paid ? kFlagPaid : 0) | (scheduled ? kFlagScheduled : 0));
+}
+
 void note_wakeup_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
                       bool paid, bool scheduled, std::int64_t ts_ns) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
   h->ledger->record(core, consumer, paid);
   push_event(h, EventKind::kWakeup, core, consumer, ts_ns, slot, 0, 0,
-             static_cast<std::uint8_t>((paid ? kFlagPaid : 0) | (scheduled ? kFlagScheduled : 0)));
+             wake_flags(paid, scheduled));
 }
 
 void note_slot_batch_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
@@ -360,16 +365,17 @@ void note_reservation_impl(std::uint16_t core, std::uint32_t consumer, std::int6
   push_event(h, EventKind::kReservation, core, consumer, ts_ns, slot, latched ? 1 : 0);
 }
 
-void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, std::int64_t slot,
-                          std::uint64_t batch, std::int64_t ts_ns, std::int64_t dur_ns,
-                          std::int64_t next_slot, bool latched) {
+void note_invocation_impl(std::uint16_t core, std::uint32_t consumer, const Invocation& in) {
   HotPath* h = hot_path();
   if (h == nullptr) return;
-  h->ledger->record_invocation(core, consumer, batch, dur_ns, latched);
-  if (h->ring->full()) return h->ring->drop(2);
-  push_event(h, EventKind::kReservation, core, consumer, ts_ns, next_slot, latched ? 1 : 0);
-  push_event(h, EventKind::kSlotBatch, core, consumer, ts_ns, slot,
-             static_cast<std::int64_t>(batch), dur_ns);
+  h->ledger->record_invocation(core, consumer, in.paid, in.batch, in.dur_ns, in.latched);
+  if (h->ring->full()) return h->ring->drop(3);
+  push_event(h, EventKind::kWakeup, core, consumer, in.ts_ns, in.wake_slot, 0, 0,
+             wake_flags(in.paid, in.scheduled));
+  push_event(h, EventKind::kReservation, core, consumer, in.ts_ns, in.next_slot,
+             in.latched ? 1 : 0);
+  push_event(h, EventKind::kSlotBatch, core, consumer, in.ts_ns, in.slot,
+             static_cast<std::int64_t>(in.batch), in.dur_ns);
 }
 
 void note_overflow_impl(std::uint16_t core, std::uint32_t consumer, OverflowAction action,

@@ -16,7 +16,12 @@ EventId EventQueue::schedule(SimTime t, EventFn fn) {
   const EventId id = next_id_++;
   states_.push_back(State::Pending);
   ++live_;
-  heap_.push(Entry{t, next_seq_++, id, std::move(fn)});
+  const std::uint64_t seq = next_seq_++;
+  heap_.push(Entry{t, seq, id, std::move(fn)});
+  // A stale head is recomputed from the heap, this entry included.
+  if (!head_stale_ && (t < head_.time || (t == head_.time && seq < head_.seq))) {
+    head_ = {t, seq};
+  }
   return id;
 }
 
@@ -24,19 +29,14 @@ bool EventQueue::cancel(EventId id) {
   // The heap entry stays behind and is skipped by drop_cancelled().
   if (!is_pending(id)) return false;
   retire(id, State::Cancelled);
+  head_stale_ = true;
   return true;
 }
 
-SimTime EventQueue::next_time() const {
+void EventQueue::refresh_head() const {
   drop_cancelled();
-  if (heap_.empty()) return kNever;
-  return heap_.top().time;
-}
-
-EventQueue::Key EventQueue::next_key() const {
-  drop_cancelled();
-  if (heap_.empty()) return kNoKey;
-  return {heap_.top().time, heap_.top().seq};
+  head_ = heap_.empty() ? kNoKey : Key{heap_.top().time, heap_.top().seq};
+  head_stale_ = false;
 }
 
 EventQueue::Fired EventQueue::pop() {
@@ -46,6 +46,7 @@ EventQueue::Fired EventQueue::pop() {
   Fired fired{top.time, top.id, std::move(top.fn)};
   heap_.pop();
   retire(fired.id, State::Fired);
+  head_stale_ = true;
   return fired;
 }
 
@@ -55,6 +56,8 @@ void EventQueue::clear() {
   base_ = next_id_;
   live_ = 0;
   retired_ = 0;
+  head_ = kNoKey;
+  head_stale_ = false;
 }
 
 void EventQueue::retire(EventId id, State to) {

@@ -14,9 +14,9 @@ namespace {
 /// (used to re-reserve, as the real consumer does).
 class FakeConsumer final : public Invocable {
  public:
-  SimDuration on_invoked(SimTime now, bool scheduled) override {
-    invocations.push_back({now, scheduled});
-    if (hook) hook(now);
+  SimDuration on_invoked(const Wake& wake, bool paid) override {
+    invocations.push_back({wake.now, wake.scheduled(), paid});
+    if (hook) hook(wake.now);
     return busy;
   }
   bool has_pending() const override { return pending; }
@@ -24,6 +24,7 @@ class FakeConsumer final : public Invocable {
   struct Invocation {
     SimTime time;
     bool scheduled;
+    bool paid;
   };
   std::vector<Invocation> invocations;
   std::function<void(SimTime)> hook;
@@ -55,7 +56,8 @@ TEST_F(ManagerFixture, SkipsEmptySlots) {
   manager.register_consumer(1, &consumer);
   manager.reserve(1, 5);  // slots 1-4 have no reservations
   sim.run();
-  EXPECT_EQ(sim.now(), milliseconds(50) + microseconds(13));  // one wakeup only
+  EXPECT_EQ(sim.now(), milliseconds(50));  // nothing fires after the slot-5 wake
+  EXPECT_EQ(core.busy_until(), milliseconds(50) + microseconds(13));  // one wakeup only
   EXPECT_EQ(manager.scheduled_wakeups(), 1u);
 }
 
@@ -73,6 +75,29 @@ TEST_F(ManagerFixture, GroupsConsumersOnOneSlot) {
   EXPECT_EQ(core.wakeups(), 1u);
   ASSERT_EQ(a.invocations.size(), 1u);
   EXPECT_EQ(a.invocations[0].time, milliseconds(30));
+  // The first consumer carries the wake's ω, and knows it when invoked;
+  // the others latch on for free.
+  EXPECT_TRUE(a.invocations[0].paid);
+  ASSERT_EQ(b.invocations.size(), 1u);
+  EXPECT_FALSE(b.invocations[0].paid);
+  ASSERT_EQ(c.invocations.size(), 1u);
+  EXPECT_FALSE(c.invocations[0].paid);
+}
+
+TEST_F(ManagerFixture, WakeInsideABusyWindowIsFree) {
+  FakeConsumer a;
+  a.busy = milliseconds(15);  // the slot-1 batch runs past slot 2's start
+  manager.register_consumer(1, &a);
+  a.hook = [&](SimTime now) {
+    if (a.invocations.size() == 1) manager.reserve(1, track.next_after(now));
+  };
+  manager.reserve(1, 1);
+  sim.run();
+  ASSERT_EQ(a.invocations.size(), 2u);
+  EXPECT_TRUE(a.invocations[0].paid);
+  EXPECT_EQ(a.invocations[1].time, milliseconds(20));
+  EXPECT_FALSE(a.invocations[1].paid);
+  EXPECT_EQ(core.wakeups(), 1u);
 }
 
 TEST_F(ManagerFixture, EarlierReservationRetargetsPendingWakeup) {
@@ -170,7 +195,9 @@ TEST_F(ManagerFixture, ChargesCoreForManagerOverheadPlusBatches) {
   manager.reserve(1, 1);
   manager.reserve(2, 1);
   sim.run();
-  core.finalize(sim.now());
+  EXPECT_EQ(core.busy_until(), milliseconds(10) + microseconds(33));
+  core.finalize(core.busy_until());
+  EXPECT_EQ(core.wakeups(), 1u);
   EXPECT_EQ(core.timeline().active_time(), microseconds(33));  // 3 overhead + 10 + 20
 }
 

@@ -79,32 +79,5 @@ TEST(PairedTTest, NoisyOverlapIsNotSignificant) {
   EXPECT_FALSE(paired_t_test(a, b).significant);
 }
 
-TEST(LinearSlope, ExactLine) {
-  const std::vector<double> xs{0, 1, 2, 3};
-  const std::vector<double> ys{1, 3, 5, 7};
-  const Slope s = linear_slope(xs, ys);
-  EXPECT_NEAR(s.value, 2.0, 1e-12);
-  EXPECT_NEAR(s.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(s.stderr_value, 0.0, 1e-9);
-}
-
-TEST(LinearSlope, NoisyLineHasPositiveStderr) {
-  std::vector<double> xs, ys;
-  Rng rng(12);
-  for (int i = 0; i < 30; ++i) {
-    xs.push_back(i);
-    ys.push_back(2.0 * i + rng.normal(0.0, 3.0));
-  }
-  const Slope s = linear_slope(xs, ys);
-  EXPECT_NEAR(s.value, 2.0, 0.3);
-  EXPECT_GT(s.stderr_value, 0.0);
-}
-
-TEST(LinearSlope, DegenerateX) {
-  const std::vector<double> xs{5, 5, 5};
-  const std::vector<double> ys{1, 2, 3};
-  EXPECT_EQ(linear_slope(xs, ys).value, 0.0);
-}
-
 }  // namespace
 }  // namespace pcpc

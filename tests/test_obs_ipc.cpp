@@ -436,10 +436,16 @@ TEST(ObsAttribution, SimHostSpansFoldAndLedgerMatchesSimulator) {
   EXPECT_GT(report.items, 0u);
   EXPECT_GT(report.slo_samples, 0u);
   std::set<std::int64_t> joined_paid;
+  std::size_t joined_elsewhere = 0;
   for (const obs::ItemSpan& span : report.spans.items) {
     if (span.wake_ns >= 0 && span.wake_paid) joined_paid.insert(span.wake_ns);
+    // A consumer's wakeup is recorded before its sampled items' stages,
+    // and in virtual time the drain starts at the wake's instant, so
+    // every item joins the wakeup it rode on.
+    if (span.wake_ns != span.drain_start_ns) ++joined_elsewhere;
   }
   EXPECT_LE(joined_paid.size(), session.ledger().paid_total());
+  EXPECT_EQ(joined_elsewhere, 0u);
 
   // The report serializes as one JSON object with the documented keys.
   std::ostringstream out;

@@ -95,6 +95,44 @@ TEST(EventQueue, Clear) {
   EXPECT_EQ(q.next_time(), kNever);
 }
 
+TEST(EventQueue, NextKeyFollowsEveryChange) {
+  // The head key is cached; after every schedule, cancel, pop and clear
+  // it must be the smallest (time, seq) among the live events.  Without
+  // take_seq(), ids and seqs are drawn together: seq = id − 1.
+  EventQueue q;
+  Rng rng(0x6eed);
+  std::vector<std::pair<SimTime, EventId>> live;  // (time, id)
+  for (int op = 0; op < 5000; ++op) {
+    const std::uint64_t pick = rng.next_below(10);
+    if (pick < 5 || live.empty()) {
+      const auto t = static_cast<SimTime>(rng.next_below(50));  // many ties
+      live.push_back({t, q.schedule(t, [](SimTime) {})});
+    } else if (pick < 8) {
+      const auto k = static_cast<std::ptrdiff_t>(rng.next_below(live.size()));
+      EXPECT_TRUE(q.cancel(live[static_cast<std::size_t>(k)].second));
+      live.erase(live.begin() + k);
+    } else if (pick < 9) {
+      const EventQueue::Fired fired = q.pop();
+      const auto first = std::min_element(live.begin(), live.end());
+      EXPECT_EQ(fired.id, first->second);
+      live.erase(first);
+    } else {
+      q.clear();
+      live.clear();
+    }
+    const EventQueue::Key key = q.next_key();
+    const auto first = std::min_element(live.begin(), live.end());
+    if (first == live.end()) {
+      EXPECT_EQ(key.time, EventQueue::kNoKey.time);
+      EXPECT_EQ(key.seq, EventQueue::kNoKey.seq);
+    } else {
+      EXPECT_EQ(key.time, first->first);
+      EXPECT_EQ(key.seq, first->second - 1);
+    }
+    ASSERT_EQ(q.size(), live.size());
+  }
+}
+
 TEST(Simulator, AdvancesTimeMonotonically) {
   Simulator sim;
   std::vector<SimTime> times;
