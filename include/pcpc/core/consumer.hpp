@@ -11,8 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "pcpc/common/latency_recorder.hpp"
-#include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/core_manager.hpp"
 #include "pcpc/core/reservation_planner.hpp"
@@ -21,19 +19,6 @@
 #include "pcpc/queue/handoff.hpp"
 
 namespace pcpc::core {
-
-/// Counters one consumer accumulates over a run.
-struct ConsumerStats {
-  std::uint64_t items = 0;               ///< items consumed
-  std::uint64_t invocations = 0;         ///< batches processed (paper's k_i)
-  std::uint64_t overflow_wakeups = 0;    ///< unscheduled invocations raised
-  std::uint64_t emergency_borrows = 0;   ///< overflows absorbed by the pool
-  std::uint64_t reservations = 0;        ///< slots reserved
-  std::uint64_t latched_reservations = 0;  ///< reservations on occupied slots
-  std::uint64_t latency_violations = 0;  ///< items past their bound (guard on)
-  OnlineStats batch_sizes;               ///< items per invocation
-  LatencyRecorder latency_s;             ///< item response times, seconds
-};
 
 /// One producer-consumer pair's consumer on the simulation host.
 class PbplConsumer final : public Invocable {

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "pcpc/common/latency_recorder.hpp"
 #include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/consumer.hpp"
@@ -19,23 +18,14 @@
 
 namespace pcpc::core {
 
-/// Aggregated outcome of one PBPL run.
-struct PbplResult {
+/// Aggregated outcome of one PBPL run: every consumer's counters summed,
+/// plus the cores' and managers' own.
+struct PbplResult : ConsumerStats {
   /// Finalized activity of every core (input to the energy ledger).
   std::vector<power::CoreTimeline> timelines;
 
   std::uint64_t scheduled_wakeups = 0;   ///< slot-triggered core activations
-  std::uint64_t overflow_wakeups = 0;    ///< unscheduled (buffer-full) ones
   std::uint64_t paid_wakeups = 0;        ///< actual idle→active transitions
-  std::uint64_t items = 0;               ///< total items consumed
-  std::uint64_t invocations = 0;         ///< total consumer activations
-  std::uint64_t reservations = 0;        ///< total slots reserved
-  std::uint64_t latched_reservations = 0;  ///< reservations that latched
-  std::uint64_t emergency_borrows = 0;   ///< overflows absorbed by the pool
-  std::uint64_t latency_violations = 0;  ///< items past their bound (guard on)
-
-  OnlineStats batch_sizes;       ///< items per invocation
-  LatencyRecorder latency_s;     ///< item response times, seconds
   OnlineStats buffer_capacity;   ///< capacity samples → "average buffer size"
 };
 

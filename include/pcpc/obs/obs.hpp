@@ -50,15 +50,6 @@ inline std::uint64_t span_sample_every() {
   return detail::g_span_every.load(std::memory_order_relaxed);
 }
 
-/// True iff item sequence number `seq` is lifecycle-sampled.  Every host
-/// uses the same rule (seq % N == 0) on a per-item sequence that both
-/// sides of the hand-off can derive, so producer-side and consumer-side
-/// stages of the same item agree without tagging the payload.
-inline bool span_sampled(std::uint64_t seq) {
-  const std::uint64_t every = span_sample_every();
-  return every != 0 && seq % every == 0;
-}
-
 /// Session tuning knobs.
 struct SessionOptions {
   /// Events per thread ring; rounded up to a power of two.
@@ -268,12 +259,19 @@ inline void count_sim_events(std::uint64_t n) {
 /// One simulator event dispatched.
 inline void count_sim_event() { count_sim_events(1); }
 
+/// Span item id on the in-process hosts: the pair in the high half, the
+/// item's per-pair position in the low half.  Producer and consumer
+/// derive it independently, without tagging payloads.
+inline constexpr std::uint64_t pair_item_id(std::uint64_t consumer, std::uint64_t seq) {
+  return (consumer << 32) | (seq & 0xffffffffu);
+}
+
 /// One lifecycle stage of a sampled item.  `item_id` must be identical
 /// across all stages of the same item (ipc host: lane << 48 | lane
-/// position; thread and sim hosts: consumer << 32 | per-pair
-/// sequence).  Callers guard
-/// with span_sampled(seq) so the per-item cost when spans are disarmed is
-/// the one relaxed load inside span_sampled().
+/// position; thread and sim hosts: pair_item_id).  Every host samples
+/// position seq iff seq % span_sample_every() == 0, on a per-item
+/// sequence both sides of the hand-off derive; callers read the period
+/// once per batch or admission, not once per item.
 inline void note_item_stage(std::uint32_t consumer, std::uint16_t core,
                             std::uint64_t item_id, ItemStage stage,
                             std::int64_t ts_ns) {

@@ -47,8 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "pcpc/common/latency_recorder.hpp"
-#include "pcpc/common/stats.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/core/cost.hpp"
 #include "pcpc/core/manager_step.hpp"
@@ -63,37 +61,29 @@ namespace pcpc::runtime {
 
 using Clock = std::chrono::steady_clock;
 
-/// Aggregate counters of one ThreadPbpl run.  Each core accumulates its
+/// Aggregate counters of one ThreadPbpl run: the pair counters of
+/// core::ConsumerStats plus the host's own.  Each core accumulates its
 /// own shard under its own lock; stats() merges the shards on demand.
-struct ThreadPbplStats {
+struct ThreadPbplStats : core::ConsumerStats {
   std::uint64_t produced = 0;            ///< items offered by producers
-  std::uint64_t items = 0;               ///< items drained (consumed)
   /// Varlen payload plane (config.payload_max_bytes > 0): records count
-  /// as items in the identities above; these byte counters run alongside
-  /// them with their own identity produced_bytes == consumed_bytes +
+  /// as items in produced == items + dropped(); these byte counters run
+  /// alongside with their own identity produced_bytes == consumed_bytes +
   /// dropped_bytes (payload bytes as offered by producers — the in-ring
   /// stamp word is excluded).
   std::uint64_t produced_bytes = 0;      ///< payload bytes offered
   std::uint64_t consumed_bytes = 0;      ///< payload bytes drained to handlers
   std::uint64_t dropped_bytes = 0;       ///< payload bytes lost to any drop path
-  std::uint64_t invocations = 0;
   std::uint64_t scheduled_wakeups = 0;   ///< slot timeouts taken by managers
-  std::uint64_t overflow_wakeups = 0;    ///< forced unscheduled drains
-  std::uint64_t emergency_borrows = 0;
-  std::uint64_t reservations = 0;
-  std::uint64_t latched_reservations = 0;
   std::uint64_t dropped_oldest = 0;      ///< evictions under DropOldest
   std::uint64_t dropped_newest = 0;      ///< rejections under DropNewest
   std::uint64_t dropped_on_stop = 0;     ///< items lost to a stop() race (counted!)
   std::uint64_t missed_deadlines = 0;    ///< watchdog escalations (slot overrun > k·Δ)
-  std::uint64_t latency_violations = 0;  ///< guard-observed items past the bound
   std::uint64_t pool_exhausted = 0;      ///< pool emergency over-commits
   std::uint64_t migrations = 0;          ///< fleet consumer moves completed
   std::uint64_t core_parks = 0;          ///< manager threads retired (core empty)
   std::uint64_t core_unparks = 0;        ///< parked manager threads respawned
   std::int64_t manager_cpu_ns = 0;       ///< CPU time of all manager threads
-  OnlineStats batch_sizes;
-  LatencyRecorder latency_s;
 
   /// All items that did not reach a consumer, by any drop path.
   std::uint64_t dropped() const {
@@ -103,29 +93,21 @@ struct ThreadPbplStats {
   /// Folds another shard into this one (exact: counters add, the batch
   /// and latency distributions merge losslessly).
   void merge(const ThreadPbplStats& other) {
+    ConsumerStats::merge(other);
     produced += other.produced;
-    items += other.items;
     produced_bytes += other.produced_bytes;
     consumed_bytes += other.consumed_bytes;
     dropped_bytes += other.dropped_bytes;
-    invocations += other.invocations;
     scheduled_wakeups += other.scheduled_wakeups;
-    overflow_wakeups += other.overflow_wakeups;
-    emergency_borrows += other.emergency_borrows;
-    reservations += other.reservations;
-    latched_reservations += other.latched_reservations;
     dropped_oldest += other.dropped_oldest;
     dropped_newest += other.dropped_newest;
     dropped_on_stop += other.dropped_on_stop;
     missed_deadlines += other.missed_deadlines;
-    latency_violations += other.latency_violations;
     pool_exhausted += other.pool_exhausted;
     migrations += other.migrations;
     core_parks += other.core_parks;
     core_unparks += other.core_unparks;
     manager_cpu_ns += other.manager_cpu_ns;
-    batch_sizes.merge(other.batch_sizes);
-    latency_s.merge(other.latency_s);
   }
 };
 

@@ -44,7 +44,6 @@ void PbplConsumer::produce(SimTime now) {
   // Unscheduled wakeup: the buffer genuinely cannot hold the item, so the
   // batch is processed immediately (Section V-A calls this the case where
   // "a buffer overflow can occur at any time").
-  ++stats_.overflow_wakeups;
   obs::note_overflow(manager_->core_id(), static_cast<std::uint32_t>(id_),
                      obs::OverflowAction::kForcedDrain, now);
   manager_->unscheduled_invoke(id_, now);
@@ -64,14 +63,12 @@ SimDuration PbplConsumer::on_invoked(const Wake& wake, bool paid) {
   const std::uint64_t span_every = obs::span_sample_every();
   std::size_t stamps = 0;  // span_stamps_ in use: three per sampled item
   const std::size_t batch = buffer_->drain_chunks([&](std::span<SimTime> items) {
-    stats_.latency_s.add_since(now, items);
-    planner_.observe_latencies(now, items);
+    planner_.observe_latencies(stats_, now, items);
     if (span_every == 0) return;
     const std::uint64_t end = span_seq_ + items.size();
     for (; span_next_ < end; span_next_ += span_every) {
       if (span_stamps_.size() < stamps + 3) span_stamps_.resize(2 * (stamps + 3));
-      const std::uint64_t id =
-          (static_cast<std::uint64_t>(id_) << 32) | (span_next_ & 0xffffffffu);
+      const std::uint64_t id = obs::pair_item_id(id_, span_next_);
       const SimTime arrival = items[static_cast<std::size_t>(span_next_ - span_seq_)];
       span_stamps_[stamps++] = {id, arrival, obs::ItemStage::kProduce};
       span_stamps_[stamps++] = {id, arrival, obs::ItemStage::kEnqueue};
@@ -79,13 +76,9 @@ SimDuration PbplConsumer::on_invoked(const Wake& wake, bool paid) {
     }
     span_seq_ = end;
   });
-  stats_.items += batch;
-  stats_.batch_sizes.add(static_cast<double>(batch));
-  ++stats_.invocations;
 
-  // 2. Update the prediction (and the latency guard) with this batch.
-  planner_.observe_batch(now, batch);
-  stats_.latency_violations = planner_.latency_violations();
+  // 2. Count the batch and update the prediction (and the latency guard).
+  planner_.close(stats_, wake, batch);
 
   // 3. Reserve the next slot (and resize the buffer for it).
   const SlotChoice next = make_reservation(now);
@@ -134,11 +127,9 @@ SlotChoice PbplConsumer::make_reservation(SimTime now) {
   std::size_t capacity = buffer_->capacity();
   if (config_.dynamic_resize) capacity += pool_.free_slots();
   const SlotChoice choice =
-      planner_.plan(now, manager_->track(), manager_->reservations(), capacity,
+      planner_.plan(stats_, now, manager_->track(), manager_->reservations(), capacity,
                     [this](std::size_t want) { return buffer_->resize(want); });
   manager_->reserve(id_, choice.slot);
-  ++stats_.reservations;
-  if (choice.latched) ++stats_.latched_reservations;
   return choice;
 }
 

@@ -72,16 +72,7 @@ PbplResult PbplSystem::finish(SimTime end) {
     result.scheduled_wakeups += manager->scheduled_wakeups();
   }
   for (auto& consumer : consumers_) {
-    const auto& s = consumer->stats();
-    result.items += s.items;
-    result.invocations += s.invocations;
-    result.overflow_wakeups += s.overflow_wakeups;
-    result.emergency_borrows += s.emergency_borrows;
-    result.latency_violations += s.latency_violations;
-    result.reservations += s.reservations;
-    result.latched_reservations += s.latched_reservations;
-    result.batch_sizes.merge(s.batch_sizes);
-    result.latency_s.merge(s.latency_s);
+    result.merge(consumer->stats());
     result.buffer_capacity.merge(consumer->buffer().capacity_samples());
   }
   return result;

@@ -5,17 +5,37 @@
 
 namespace pcpc::core {
 
+void ConsumerStats::merge(const ConsumerStats& other) {
+  items += other.items;
+  invocations += other.invocations;
+  overflow_wakeups += other.overflow_wakeups;
+  emergency_borrows += other.emergency_borrows;
+  reservations += other.reservations;
+  latched_reservations += other.latched_reservations;
+  latency_violations += other.latency_violations;
+  batch_sizes.merge(other.batch_sizes);
+  latency_s.merge(other.latency_s);
+}
+
 ReservationPlanner::ReservationPlanner(const PbplConfig& config)
     : config_(&config), predictor_(make_predictor(config.predictor, config.predictor_window)) {
   if (config.latency_guard) guard_.emplace(config.max_latency);
 }
 
-void ReservationPlanner::observe_batch(SimTime now, std::size_t batch) {
-  if (guard_) guard_->end_batch();
+void ReservationPlanner::close(ConsumerStats& stats, const Wake& wake, std::size_t batch) {
+  stats.items += batch;
+  stats.batch_sizes.add(static_cast<double>(batch));
+  ++stats.invocations;
+  if (wake.kind == WakeKind::kOverflow) ++stats.overflow_wakeups;
+  if (guard_) {
+    guard_->end_batch();
+    stats.latency_violations += guard_->violations() - violations_closed_;
+    violations_closed_ = guard_->violations();
+  }
   if (batch > 0) last_batch_ = batch;
-  if (now > last_invocation_) {
-    predictor_->observe(static_cast<double>(batch) / to_seconds(now - last_invocation_));
-    last_invocation_ = now;
+  if (wake.now > last_invocation_) {
+    predictor_->observe(static_cast<double>(batch) / to_seconds(wake.now - last_invocation_));
+    last_invocation_ = wake.now;
   }
 }
 

@@ -17,14 +17,6 @@ namespace {
 /// latency account.  Handlers see the payload AFTER this word.
 constexpr std::size_t kStampBytes = 8;
 
-/// Sampled-span item id: the pair in the high half, the item's admission
-/// position in the low half.  The drain side reconstructs the same id
-/// from its own drained-position counter (positional sampling — the
-/// buffer carries timestamps only, no per-item tags).
-std::uint64_t span_item_id(std::size_t consumer, std::uint64_t seq) {
-  return (static_cast<std::uint64_t>(consumer) << 32) | (seq & 0xffffffffu);
-}
-
 /// Reads the stamp word a committed record carries in its first 8
 /// payload bytes back into a clock point (see commit_record).
 Clock::time_point record_stamp(const std::byte* data) {
@@ -135,7 +127,7 @@ class ThreadPbpl::ProducerSpans {
     const SimTime ts = host_.now_ns();
     for (std::uint64_t seq = first_; seq < end_; seq += every_) {
       obs::note_item_stage(static_cast<std::uint32_t>(consumer_.index), core_,
-                           span_item_id(consumer_.index, seq), stage, ts);
+                           obs::pair_item_id(consumer_.index, seq), stage, ts);
     }
   }
 
@@ -664,11 +656,7 @@ void ThreadPbpl::manager_loop(Core& core) {
     const ScopedCpuTimer timer(core.stats.manager_cpu_ns);
     const auto wake = core.step.wake(now_ns(), due);
     if (!wake.has_value()) continue;
-    if (wake->kind == core::WakeKind::kOverflow) {
-      core.stats.overflow_wakeups += wake->consumers.size();
-    } else {
-      ++core.stats.scheduled_wakeups;
-    }
+    if (wake->scheduled()) ++core.stats.scheduled_wakeups;
     if (wake->kind == core::WakeKind::kWatchdog) {
       // A slow handler, a fault or the scheduler stalled this manager.
       ++core.stats.missed_deadlines;
@@ -688,8 +676,8 @@ void ThreadPbpl::manager_loop(Core& core) {
 
 void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& wake,
                               bool paid) {
-  // The final sweep only accounts leftovers: no ledger wake, and the
-  // schedule is over.
+  // The final sweep counts and closes the leftovers like any batch, but
+  // notes no ledger wake and books nothing: the schedule is over.
   const bool final_sweep = wake.kind == core::WakeKind::kFinal;
   const SimTime now = wake.now;
   if (!final_sweep) {
@@ -698,7 +686,6 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
                      wake.scheduled(), now);
   }
   const auto drained_at = Clock::now();
-  const std::uint64_t violations_before = consumer.planner.latency_violations();
   // Positional span sampling, consumer side: count drained positions and
   // reconstruct the sampled producer ids.  The drain-start stamp shares
   // `now` with the note_wakeup above, so the fold's wake join (inclusive
@@ -708,13 +695,12 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
   // One drained unit, item or record (a record passes its stamp word):
   // the latency account and the drained-position count.
   const auto take = [&](Clock::time_point stamp) {
-    const SimDuration latency =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(drained_at - stamp).count();
-    core.stats.latency_s.add(latency);
-    consumer.planner.observe_latency(latency);
+    consumer.planner.observe_latency(
+        core.stats,
+        std::chrono::duration_cast<std::chrono::nanoseconds>(drained_at - stamp).count());
     if (span_every != 0) {
       const std::uint64_t seq = consumer.span_drain_seq++;
-      if (seq % span_every == 0) sampled.push_back(span_item_id(consumer.index, seq));
+      if (seq % span_every == 0) sampled.push_back(obs::pair_item_id(consumer.index, seq));
     }
   };
   // Bulk drain: chunked pop_bulk instead of one virtual try_pop per item
@@ -742,19 +728,11 @@ void ThreadPbpl::drain_locked(Core& core, Consumer& consumer, const core::Wake& 
                          static_cast<std::uint16_t>(core.index), id,
                          obs::ItemStage::kDrainStart, now);
   }
-  core.stats.items += total;
   core.stats.consumed_bytes += record_payload;
-  core.stats.batch_sizes.add(static_cast<double>(total));
-  ++core.stats.invocations;
+  consumer.planner.close(core.stats, wake, total);
   // Lock-free view for the fleet thread's rate measurement.
   consumer.drained_items.fetch_add(total, std::memory_order_relaxed);
-
-  if (!final_sweep) {
-    consumer.planner.observe_batch(now, total);
-    core.stats.latency_violations +=
-        consumer.planner.latency_violations() - violations_before;
-    make_reservation_locked(core, consumer, now);
-  }
+  if (!final_sweep) make_reservation_locked(core, consumer, now);
   core.pending.push_back({&consumer, total, wake.slot, now, drained_at, std::move(sampled),
                           std::move(records)});
 }
@@ -828,14 +806,12 @@ void ThreadPbpl::make_reservation_locked(Core& core, Consumer& consumer, SimTime
     if (config_.dynamic_resize) capacity += pool_.free_slots();
   }
   const core::SlotChoice choice = consumer.planner.plan(
-      now, track_, core.step.reservations(), capacity, [&](std::size_t want) {
+      core.stats, now, track_, core.step.reservations(), capacity, [&](std::size_t want) {
         return consumer.var != nullptr
                    ? consumer.var->resize_bytes(want * record_budget_) / record_budget_
                    : consumer.buffer->resize(want);
       });
   core.step.reserve(static_cast<core::ConsumerId>(consumer.index), choice.slot);
-  ++core.stats.reservations;
-  if (choice.latched) ++core.stats.latched_reservations;
   obs::note_reservation(static_cast<std::uint16_t>(core.index),
                         static_cast<std::uint32_t>(consumer.index), choice.slot,
                         choice.latched, now);

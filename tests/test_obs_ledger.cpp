@@ -228,6 +228,56 @@ TEST(WakeupLedger, ThreadHostRecordsEveryReservation) {
             stats.latched_reservations);
 }
 
+// Every invocation the ledger notes as a wake, paid or free, books the
+// next slot, and so does each pair's start and each migration; the
+// thread host's final sweep notes no wake and books nothing.  So on both
+// hosts reservations == pairs + paid + free + migrations.  Forced drains
+// are among the noted wakes: each host counts one per consumer it
+// served.
+TEST(WakeupLedger, SimHostBooksOneSlotPerNotedWake) {
+  const SimDuration horizon = seconds(2);
+  const auto traces = poisson_traces(5, horizon, 0x5107);
+  core::PbplConfig config = small_config();
+  config.latency_guard = true;
+  obs::Session session;
+  const auto result = core::run_pbpl(traces, horizon, config);
+  EXPECT_GT(result.overflow_wakeups, 0u);
+  EXPECT_GT(result.latency_violations, 0u);
+  EXPECT_EQ(result.reservations,
+            traces.size() + session.ledger().paid_total() + session.ledger().free_total());
+}
+
+TEST(WakeupLedger, ThreadHostBooksOneSlotPerNotedWake) {
+  // A burst of 80 items is more than the whole pool (Bg = 4 · 16), so
+  // every burst forces a drain.
+  fault::FaultConfig fault_config;
+  fault_config.seed = 11;
+  fault_config.burst_probability = 0.02;
+  fault_config.burst_factor = 80;
+  fault::FaultInjector injector(fault_config);
+  obs::Session session;
+  runtime::ThreadPbplStats stats;
+  {
+    runtime::ThreadPbpl runtime(4, small_config(), {}, &injector);
+    for (int round = 0; round < 100; ++round) {
+      for (std::size_t consumer = 0; consumer < 4; ++consumer) runtime.produce(consumer);
+      if (round == 30) {
+        EXPECT_TRUE(runtime.migrate(0, 1));
+      } else if (round == 60) {
+        EXPECT_TRUE(runtime.migrate(0, 0));
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    runtime.stop();
+    stats = runtime.stats();
+  }
+  EXPECT_EQ(stats.migrations, 2u);
+  EXPECT_GT(stats.overflow_wakeups, 0u);
+  EXPECT_EQ(stats.reservations, 4 + session.ledger().paid_total() +
+                                    session.ledger().free_total() + stats.migrations);
+}
+
 TEST(WakeupLedger, BaselinesPayEveryWakeup) {
   // One thread per pair means no latching: the baseline hosts tag every
   // wakeup paid — this is exactly the cost PBPL amortises away.

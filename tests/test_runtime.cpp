@@ -176,6 +176,48 @@ TEST(ThreadPbpl, ForcedDrainWakeServesTwoConsumersAtOneInstant) {
   EXPECT_FALSE(drains[2].paid());
 }
 
+TEST(ThreadPbpl, FinalSweepCountsLateItemsAsViolations) {
+  // The handler's first call holds the only manager while ten items
+  // queue and age past the 20 ms bound; stop() then begins, and the
+  // items are left to its final sweep, which must count them late.
+  auto config = quick_config();
+  config.cores = 1;
+  config.latency_guard = true;
+  config.max_latency = milliseconds(20);
+
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool held = false;
+  bool released = false;
+  const auto handler = [&](std::size_t, std::size_t) {
+    std::unique_lock lock(latch_mutex);
+    if (held) return;
+    held = true;
+    latch_cv.notify_all();
+    latch_cv.wait(lock, [&] { return released; });
+  };
+  ThreadPbpl runtime(1, config, handler);
+  {
+    std::unique_lock lock(latch_mutex);
+    latch_cv.wait(lock, [&] { return held; });
+  }
+  for (int i = 0; i < 10; ++i) runtime.produce(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  std::thread stopper([&runtime] { runtime.stop(); });
+  // Give stop() time to end the run before the manager is let go.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard lock(latch_mutex);
+    released = true;
+  }
+  latch_cv.notify_all();
+  stopper.join();
+
+  const auto stats = runtime.stats();
+  EXPECT_EQ(stats.items, 10u);
+  EXPECT_GE(stats.latency_violations, 10u);
+}
+
 TEST(ThreadPbpl, GroupsInvocationsAcrossConsumers) {
   auto config = quick_config();
   config.cores = 1;  // all four consumers share one slot track
