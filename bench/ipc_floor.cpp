@@ -19,10 +19,15 @@
 //     probe once per heartbeat period, never once per push.
 //
 // The saturating trials report their median throughput with the min and
-// max, so the record (the last line of stdout) carries its spread.
+// max, so the record (the last line of stdout) carries its spread.  The
+// record also carries set-up diagnostics, gated by nothing: the median
+// time of Consumer::create and of Producer::attach over kSetupReps fresh
+// channels of the trials' geometry, and create's median minor faults
+// (create_us, attach_us, create_minflt).
 //
 // Usage: ipc_floor [--items=N] [--producers=N] [--trials=N]
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -51,6 +56,8 @@ using pcpc::ipc::PushResult;
 
 constexpr double kFloorItemsPerSec = 100e3;
 constexpr double kMaxWakesPerItem = 0.5;
+constexpr std::size_t kCapacity = 1024;  ///< items per lane in the trials
+constexpr int kSetupReps = 41;
 
 // Sleeping-consumer phase.
 constexpr std::int64_t kSleepWaitNs = 50'000'000;  ///< past the default 8 ms timeout
@@ -75,7 +82,7 @@ TrialResult run_trial(const Options& options, std::size_t trial) {
   const std::string name = "/pcpc_ipc_floor_" + std::to_string(::getpid()) + "_" +
                            std::to_string(trial);
   ChannelConfig cfg;
-  cfg.capacity = 1024;
+  cfg.capacity = kCapacity;
   auto consumer = Consumer::create(name, cfg);
   if (!consumer.has_value()) {
     std::fprintf(stderr, "ipc_floor: channel create failed\n");
@@ -197,6 +204,55 @@ SleepingResult run_sleeping_consumer() {
   return result;
 }
 
+struct SetupResult {
+  double create_us = 0.0;
+  double attach_us = 0.0;
+  double create_minflt = 0.0;
+  bool ok = false;
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+long minor_faults() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+/// Creates kSetupReps channels of the trials' geometry, one at a time,
+/// and attaches one producer to each, in this process.
+SetupResult run_setup() {
+  SetupResult result;
+  std::vector<double> create_us, attach_us, minflt;
+  for (int r = 0; r < kSetupReps; ++r) {
+    const std::string name = "/pcpc_ipc_floor_setup_" + std::to_string(::getpid()) + "_" +
+                             std::to_string(r);
+    ChannelConfig cfg;
+    cfg.capacity = kCapacity;
+    const long faults = minor_faults();
+    const std::int64_t t0 = now_ns();
+    auto consumer = Consumer::create(name, cfg);
+    const std::int64_t t1 = now_ns();
+    minflt.push_back(static_cast<double>(minor_faults() - faults));
+    auto producer = Producer::attach(name);
+    const std::int64_t t2 = now_ns();
+    if (!consumer.has_value() || !producer.has_value()) {
+      std::fprintf(stderr, "ipc_floor: set-up create/attach failed\n");
+      return result;
+    }
+    create_us.push_back(static_cast<double>(t1 - t0) * 1e-3);
+    attach_us.push_back(static_cast<double>(t2 - t1) * 1e-3);
+  }
+  result.create_us = median_of(create_us);
+  result.attach_us = median_of(attach_us);
+  result.create_minflt = median_of(minflt);
+  result.ok = true;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -233,6 +289,7 @@ int main(int argc, char** argv) {
   const double wakes_per_item =
       static_cast<double>(median.report.futex_wakes) / static_cast<double>(total);
   const SleepingResult sleeping = run_sleeping_consumer();
+  const SetupResult setup = run_setup();
 
   std::printf("ipc_floor (median of %zu trials, %zu producers x %llu items)\n",
               options.trials, options.producers,
@@ -250,6 +307,8 @@ int main(int argc, char** argv) {
               "%llu paid wakes\n",
               sleeping.push_ns_p50, kMaxSleepingPushP50Ns, sleeping.push_ns_p99,
               static_cast<unsigned long long>(sleeping.futex_wakes));
+  std::printf("  set-up (medians of %d): create %.1f us, %.0f minor faults; attach %.1f us\n",
+              kSetupReps, setup.create_us, setup.create_minflt, setup.attach_us);
 
   int failures = 0;
   if (median.items_per_sec < kFloorItemsPerSec) {
@@ -271,6 +330,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ipc_floor: FAIL — push against a sleeping consumer too slow\n");
     ++failures;
   }
+  if (!setup.ok) {
+    std::fprintf(stderr, "ipc_floor: FAIL — set-up phase did not complete\n");
+    ++failures;
+  }
 
   if (failures == 0) std::printf("ipc_floor: floors hold\n");
 
@@ -285,6 +348,8 @@ int main(int argc, char** argv) {
   json.key("sleeping_push_ns_p50").value(sleeping.push_ns_p50);
   json.key("sleeping_push_ns_p99").value(sleeping.push_ns_p99);
   json.key("sleeping_push_p50_gate_ns").value(kMaxSleepingPushP50Ns);
+  json.key("create_us").value(setup.create_us).key("attach_us").value(setup.attach_us);
+  json.key("create_minflt").value(setup.create_minflt);
   json.key("pass").value(failures == 0).end_object();
   std::cout << std::endl;
   return failures == 0 ? 0 : 1;

@@ -11,8 +11,8 @@ else.
       Appends one trajectory line to BENCH_<GATE>.json: the stamp, the
       gate's record (the last line of its tee'd STDOUT) without its own
       "pass", the extra KEY=INT fields, and the computed "pass" (PASS,
-      and false when the record is missing or unparseable).  Exits 1
-      when the record is missing or unparseable.
+      and false when the record is missing, unparseable or lacks a key
+      RECORD_KEYS requires of the gate).  Exits 1 when it is.
   reports.py trajectory FILE...
       Every non-empty line of each trajectory FILE (BENCH_*.json) parses
       as one JSON object carrying at least the utc, git and pass keys.
@@ -33,6 +33,10 @@ METRICS_SCHEMA = "pcpc.metrics/1"
 SLO_SCHEMA = "pcpc.slo_report/1"
 FLEET_SCHEMA = "pcpc.fleet_report/1"
 BENCH_SCHEMA = "pcpc.bench/1"
+# Keys a gate's record must carry besides schema and bench.
+RECORD_KEYS = {
+    "ipc_floor": ("create_us", "attach_us", "create_minflt"),
+}
 
 
 class Invalid(Exception):
@@ -75,7 +79,7 @@ def metrics_ok(path):
 
 def gate_record(gate, stdout_path):
     """The gate's record: the last line of its stdout, a pcpc.bench/1
-    object naming the gate."""
+    object naming the gate and carrying its RECORD_KEYS."""
     try:
         with open(stdout_path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -90,6 +94,9 @@ def gate_record(gate, stdout_path):
     require_schema(stdout_path, record, BENCH_SCHEMA)
     if record.get("bench") != gate:
         raise Invalid(f"{stdout_path}: bench is {record.get('bench')!r}, expected {gate!r}")
+    missing = [key for key in RECORD_KEYS.get(gate, ()) if key not in record]
+    if missing:
+        raise Invalid(f"{stdout_path}: {gate} record lacks {missing}")
     return record
 
 

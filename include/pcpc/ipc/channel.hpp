@@ -218,8 +218,11 @@ class Consumer {
   /// look empty, attributing the wake through pcpc::obs (paid when a
   /// producer futex_wake'd us, free/scheduled on timeout).  A free wake
   /// is charged to the registry slot whose lane the next drain serves
-  /// first (SlotRow::free_wakes).  Returns immediately with kPoll when
-  /// work is already visible.
+  /// first (SlotRow::free_wakes).  Returns kPoll without sleeping, noting
+  /// and charging nothing, when work is already visible, before or just
+  /// after it announces sleep — unless a producer paid to wake it
+  /// meanwhile, which is a kDoorbell like any other.  kTimeout means the
+  /// full `timeout_ns` elapsed.
   WakeKind wait(std::int64_t timeout_ns);
 
   /// Dead-peer detection: producers with stale heartbeats whose pid is

@@ -1,12 +1,23 @@
 // Shared-memory layout of one pcpc::ipc channel.
 //
-// One channel = one shm segment holding, in order: a ChannelHeader
-// (immutable geometry + the shared atomics, a peer registry of 1
-// consumer + kMaxProducers producer slots with heartbeats, and the
-// per-slot telemetry blocks that hold every per-peer count), then one
-// *lane* per producer registry slot.
+// One channel = one shm segment holding, in order:
+//
+//   - the *control block*: a ChannelHeader (immutable geometry + the
+//     shared atomics, a peer registry of 1 consumer + kMaxProducers
+//     producer slots with heartbeats, and the per-slot telemetry blocks
+//     with every per-peer count and the trace rings' cursors), then one
+//     lane ring object per producer registry slot, lane_stride bytes
+//     apart;
+//   - the *telemetry region*: each slot's trace-ring event array;
+//   - the *storage region*: each lane's slots, lane_storage_bytes apart.
+//
+// Every cursor and count sits in the control block (about 15 KB on an
+// item channel), so creating a channel writes only its first pages: the
+// ring objects are constructed there, and the slots in the two trailing
+// regions never are (queue/placement.hpp, OffsetSlots).  A slot's page
+// becomes resident when a ring first writes it.
 // Everything is addressed by offset from the mapping base — no pointers —
-// so every process resolves its own local addresses (queue/placement.hpp).
+// so every process resolves its own local addresses.
 //
 // ## Lanes: one single-writer ring per producer
 //
@@ -56,7 +67,10 @@ namespace pcpc::ipc {
 // v6: one tally — the per-slot telemetry cells hold pushed/dropped and
 // the paid wakes too; the PeerSlot counters, the header's futex_wakes,
 // epoch counter and retired tallies are gone.
-inline constexpr std::uint32_t kLayoutVersion = 6;
+// v7: one dense control block — the lane ring objects follow the header
+// and the event arrays and lane slots move to trailing regions; slots
+// are never constructed.
+inline constexpr std::uint32_t kLayoutVersion = 7;
 
 /// Registry capacity; bounded so the header has a fixed size.
 inline constexpr std::size_t kMaxProducers = 16;
@@ -107,7 +121,8 @@ struct alignas(64) ChannelHeader {
   /// record lane, 0 on an item channel.
   std::uint64_t payload_ring_bytes = 0;
   std::uint32_t payload_max_record = 0;  ///< max payload bytes per record
-  std::uint64_t lane_stride = 0;  ///< segment bytes per lane (ring object + storage)
+  std::uint64_t lane_stride = 0;         ///< control-block bytes per lane ring object
+  std::uint64_t lane_storage_bytes = 0;  ///< storage-region bytes per lane
 
   /// One past the highest registry slot any producer ever joined: lanes
   /// at or above it were never written, so scans stop here.
@@ -128,7 +143,8 @@ struct alignas(64) ChannelHeader {
   /// producer_tel[i] belongs to producers[i]'s current owner, and its
   /// counters to every owner the slot ever had.
   PeerTelemetry producer_tel[kMaxProducers];
-  // The lanes follow at lanes_offset(), lane_stride bytes apart.
+  // The lane ring objects follow at lanes_offset(), lane_stride bytes
+  // apart.
 };
 
 /// The lane of an item channel, and of a record channel.
@@ -139,28 +155,61 @@ inline constexpr std::size_t align64(std::size_t n) { return (n + 63) / 64 * 64;
 
 inline constexpr std::size_t lanes_offset() { return align64(sizeof(ChannelHeader)); }
 
-/// Bytes one lane occupies: the ring object followed by its storage.
-inline std::size_t item_lane_stride(std::size_t capacity) {
-  return align64(sizeof(ItemLane)) + align64(ItemLane::placement_bytes(capacity));
-}
-inline std::size_t record_lane_stride(std::size_t ring_bytes, std::uint32_t max_record) {
-  return align64(sizeof(RecordLane)) + RecordLane::placement_bytes(ring_bytes, max_record);
-}
-
-/// Registry slot `idx`'s lane region inside a mapped segment (the header
-/// sits at payload offset 0, so the lane is pure offset arithmetic from
-/// it).  The region's first bytes hold the ring object, the rest its
-/// storage (lane_storage()).
-inline char* lane_region(const ChannelHeader& hdr, std::size_t idx) {
-  return const_cast<char*>(reinterpret_cast<const char*>(&hdr)) + lanes_offset() +
-         idx * static_cast<std::size_t>(hdr.lane_stride);
-}
-
+/// Control-block bytes per lane ring object (ChannelHeader::lane_stride).
 template <typename Lane>
-queue::Placement lane_storage(const ChannelHeader& hdr, std::size_t idx) {
-  const std::size_t object = align64(sizeof(Lane));
-  return queue::Placement{lane_region(hdr, idx) + object,
-                          static_cast<std::size_t>(hdr.lane_stride) - object};
+constexpr std::size_t lane_stride() {
+  return align64(sizeof(Lane));
+}
+
+/// Storage-region bytes per lane (ChannelHeader::lane_storage_bytes).
+inline std::size_t item_lane_storage_bytes(std::size_t capacity) {
+  return align64(ItemLane::placement_bytes(capacity));
+}
+inline std::size_t record_lane_storage_bytes(std::size_t ring_bytes,
+                                             std::uint32_t max_record) {
+  return align64(RecordLane::placement_bytes(ring_bytes, max_record));
+}
+
+/// Payload bytes of the control block: the header and the lane ring
+/// objects, where every cursor and count of the channel lives.
+inline constexpr std::size_t control_block_bytes(std::size_t lane_stride) {
+  return lanes_offset() + kMaxProducers * lane_stride;
+}
+
+/// Payload offset of the storage region, past the telemetry region.
+inline constexpr std::size_t storage_region_offset(std::size_t lane_stride) {
+  return control_block_bytes(lane_stride) + kMaxProducers * kTelemetryRingBytes;
+}
+
+inline std::size_t segment_payload_bytes(std::size_t lane_stride,
+                                         std::size_t lane_storage_bytes) {
+  return storage_region_offset(lane_stride) + kMaxProducers * lane_storage_bytes;
+}
+
+/// The byte at payload offset `offset` of a mapped segment (the header
+/// sits at payload offset 0, so every region is pure offset arithmetic
+/// from it).
+inline char* payload_at(const ChannelHeader& hdr, std::size_t offset) {
+  return const_cast<char*>(reinterpret_cast<const char*>(&hdr)) + offset;
+}
+
+/// Registry slot `idx`'s lane ring object, in the control block.
+inline char* lane_region(const ChannelHeader& hdr, std::size_t idx) {
+  return payload_at(hdr, lanes_offset() + idx * static_cast<std::size_t>(hdr.lane_stride));
+}
+
+/// Registry slot `idx`'s lane slots, in the storage region.
+inline queue::Placement lane_storage(const ChannelHeader& hdr, std::size_t idx) {
+  const auto bytes = static_cast<std::size_t>(hdr.lane_storage_bytes);
+  return queue::Placement{
+      payload_at(hdr, storage_region_offset(hdr.lane_stride) + idx * bytes), bytes};
+}
+
+/// Registry slot `idx`'s trace-ring events, in the telemetry region.
+inline queue::Placement telemetry_storage(const ChannelHeader& hdr, std::size_t idx) {
+  return queue::Placement{
+      payload_at(hdr, control_block_bytes(hdr.lane_stride) + idx * kTelemetryRingBytes),
+      kTelemetryRingBytes};
 }
 
 inline ItemLane* item_lane_at(const ChannelHeader& hdr, std::size_t idx) {
@@ -172,16 +221,13 @@ inline RecordLane* record_lane_at(const ChannelHeader& hdr, std::size_t idx) {
   return reinterpret_cast<RecordLane*>(lane_region(hdr, idx));
 }
 
-inline std::size_t segment_payload_bytes(std::size_t lane_stride) {
-  return lanes_offset() + kMaxProducers * lane_stride;
-}
-
 /// Compile-time ABI fingerprint the attacher checks against the creator.
 inline constexpr std::uint32_t abi_fingerprint() {
   return static_cast<std::uint32_t>(sizeof(ChannelHeader) * 1000003u +
                                     sizeof(ItemLane) * 10007u +
                                     sizeof(PeerSlot) * 101u +
                                     sizeof(PeerTelemetry) * 13u +
+                                    sizeof(obs::Event) * 11u +
                                     sizeof(RecordLane) * 7u + kLayoutVersion);
 }
 

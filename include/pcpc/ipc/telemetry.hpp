@@ -1,8 +1,10 @@
 // Cross-process telemetry region of a pcpc::ipc channel.
 //
-// Each producer registry slot owns one PeerTelemetry block inside the
-// shm segment: the slot's counter cells plus a trace ring of obs::Event
-// records.  The discipline mirrors the in-process obs layer exactly:
+// Each producer registry slot owns one PeerTelemetry block in the shm
+// segment's control block: the slot's counter cells plus the cursors of
+// a trace ring of obs::Event records, whose events lie in the segment's
+// telemetry region (layout.hpp).  The discipline mirrors the in-process
+// obs layer exactly:
 //
 //   - the counter cells are the channel's only per-peer tally: written by
 //     exactly one live peer (the slot's current owner) and read by
@@ -13,7 +15,7 @@
 //     included, and a channel total is the sum of the slots' cells, exact
 //     at every point;
 //   - the trace ring is the same SPSC engine as the channel's lanes
-//     (queue::SpscRing over the block's inline storage): the owning
+//     (queue::SpscRing over the slot's event array): the owning
 //     producer pushes, the channel consumer drains into its local
 //     obs::Session (stamping the event's `origin` with the registry
 //     index so exporters can reconstruct per-process tracks), and a full
@@ -51,20 +53,23 @@ enum TelCounter : std::size_t {
 
 /// Events per peer trace ring; power of two.
 inline constexpr std::size_t kTelemetryRingCap = 512;
+/// Bytes of one peer trace ring's event array.
+inline constexpr std::size_t kTelemetryRingBytes = kTelemetryRingCap * sizeof(obs::Event);
 
 using TelemetryRing = queue::SpscRing<obs::Event, queue::OffsetSlots>;
 
 /// One producer registry slot's telemetry block.
 struct alignas(64) PeerTelemetry {
-  PeerTelemetry()
-      : ring(kTelemetryRingCap, kTelemetryRingCap,
-             queue::Placement{events, sizeof(events)}) {}
+  /// Leaves `ring` unbuilt: Consumer::create places it over the slot's
+  /// event array, which the block cannot know.
+  PeerTelemetry() {}
 
   std::atomic<std::uint64_t> counters[kTelCounterCount] = {};
   std::atomic<std::uint64_t> ring_dropped{0};  ///< events the owner found no room for
 
-  TelemetryRing ring;
-  alignas(64) unsigned char events[kTelemetryRingCap * sizeof(obs::Event)];  ///< the ring's slots
+  union {
+    TelemetryRing ring;
+  };
 };
 
 /// Bump of a cell only the slot's current owner writes: the counter

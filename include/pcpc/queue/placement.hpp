@@ -9,21 +9,24 @@
 // storage policy:
 //
 //   - HeapSlots<E>: the seed behaviour, an owned value-initialized array;
-//   - OffsetSlots<E>: a non-owning view of caller-placed slots, stored as
-//     a byte offset relative to the policy object itself.  As long as the
-//     queue object and its slot array live in the same mapping (the shm
+//   - OffsetSlots<E>: a non-owning view of caller-placed storage, stored
+//     as a byte offset relative to the policy object itself.  As long as
+//     the queue object and its storage live in the same mapping (the shm
 //     layout guarantees this), every process reads the same offset and
-//     resolves its own local address.
+//     resolves its own local address.  The slots are never constructed:
+//     no ring reads a slot before writing it whole, so the storage may
+//     hold anything when the ring is built (the rule
+//     obs::detail::MappedSlots relies on too).
 //
 // The policy is a *storage* decision only: admission, handshake and
 // index arithmetic are identical across placements, which is what the
-// differential test (heap vs shm, bit-identical trajectories) pins down.
+// differential test (heap vs shm, scribbled shm included, bit-identical
+// trajectories) pins down.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <type_traits>
 
 #include "pcpc/common/assert.hpp"
@@ -32,9 +35,9 @@ namespace pcpc::queue {
 
 /// Where a queue's slot array should live.  Default (base == nullptr)
 /// means "allocate on the heap"; a non-null base means "the caller has
-/// reserved `bytes_available` bytes at `base` — construct the slots
-/// there".  The base must be suitably aligned for the slot type (the shm
-/// layout aligns regions to cache lines).
+/// reserved `bytes_available` bytes at `base` for the slots".  The base
+/// must be suitably aligned for the slot type (the shm layout aligns
+/// regions to cache lines).
 struct Placement {
   void* base = nullptr;
   std::size_t bytes_available = 0;
@@ -59,35 +62,31 @@ class HeapSlots {
   std::unique_ptr<E[]> slots_;
 };
 
-/// Non-owning, self-relative view of externally placed slots.  The slots
-/// are value-constructed in place at construction; the policy stores only
-/// the byte distance from itself to the array, so the pair (queue object,
-/// slot array) can be memcpy'd or mapped at any address — in particular a
+/// Non-owning, self-relative view of caller-placed slots.  It writes
+/// nothing into the region: a slot holds whatever the region held until
+/// the ring first writes it (a fresh shm segment: zeros), so creating a
+/// ring costs no page of its storage.  Only trivially copyable slots,
+/// which need no construction, qualify.  The policy stores only the
+/// byte distance from itself to the slots, so the pair (queue object,
+/// slot array) can be mapped at any address — in particular a
 /// shared-memory segment mapped at different addresses per process.
 template <typename E>
 class OffsetSlots {
+  static_assert(std::is_trivially_copyable_v<E>,
+                "OffsetSlots never constructs its slots");
+
  public:
   explicit OffsetSlots(std::size_t count, Placement placement) {
-    PCPC_ASSERT_MSG(placement.base != nullptr, "OffsetSlots needs a placement base");
+    const auto base = reinterpret_cast<std::uintptr_t>(placement.base);
+    PCPC_ASSERT_MSG(base != 0, "OffsetSlots needs a placement base");
     PCPC_ASSERT_MSG(placement.bytes_available >= count * sizeof(E),
                     "placement region too small for slot array");
-    PCPC_ASSERT_MSG(reinterpret_cast<std::uintptr_t>(placement.base) % alignof(E) == 0,
-                    "placement base misaligned for slot type");
-    E* base = static_cast<E*>(placement.base);
-    for (std::size_t i = 0; i < count; ++i) ::new (static_cast<void*>(base + i)) E();
-    count_ = count;
-    offset_ = reinterpret_cast<const char*>(base) - reinterpret_cast<const char*>(this);
+    PCPC_ASSERT_MSG(base % alignof(E) == 0, "placement base misaligned for slot type");
+    offset_ = static_cast<std::ptrdiff_t>(base - reinterpret_cast<std::uintptr_t>(this));
   }
 
   OffsetSlots(const OffsetSlots&) = delete;
   OffsetSlots& operator=(const OffsetSlots&) = delete;
-
-  ~OffsetSlots() {
-    if constexpr (!std::is_trivially_destructible_v<E>) {
-      E* base = data();
-      for (std::size_t i = 0; i < count_; ++i) base[i].~E();
-    }
-  }
 
   // Through an integer: the slots lie outside this object, and pointer
   // arithmetic from `this` would make the compiler's object-size checks
@@ -103,7 +102,6 @@ class OffsetSlots {
 
  private:
   std::ptrdiff_t offset_ = 0;
-  std::size_t count_ = 0;
 };
 
 }  // namespace pcpc::queue

@@ -71,8 +71,8 @@ inline constexpr std::size_t kVarAlign = 8;
 inline constexpr std::size_t kVarHeaderBytes = 8;
 
 /// Record lifecycle, stored in the low byte of the header word.  kFree
-/// must be 0: freshly value-initialized storage reads as "nothing
-/// published here".
+/// is 0, what value-initialized heap cells read; no header word is read
+/// before a producer writes it, so placed storage needs no clearing.
 enum class VarState : std::uint8_t {
   kFree = 0,       ///< no record starts here (yet)
   kReserved = 1,   ///< claimed, payload being written
@@ -369,8 +369,8 @@ class VarSpscRing {
   // -- capacity -----------------------------------------------------------
 
   /// Raises or lowers the logical capacity (record footprint bytes),
-  /// clamped into [kVarHeaderBytes, max_capacity_bytes()].  Returns the
-  /// capacity actually set.
+  /// clamped into [kVarHeaderBytes, max_bytes].  Returns the capacity
+  /// actually set.
   std::size_t set_capacity_bytes(std::size_t n) {
     const std::size_t clamped =
         n < kVarHeaderBytes ? kVarHeaderBytes : (n > max_bytes_ ? max_bytes_ : n);
@@ -381,7 +381,6 @@ class VarSpscRing {
   std::size_t capacity_bytes() const {
     return logical_bytes_.load(std::memory_order_acquire);
   }
-  std::size_t max_capacity_bytes() const { return max_bytes_; }
   std::uint32_t max_record_payload() const { return max_record_payload_; }
 
   // -- either side --------------------------------------------------------

@@ -186,14 +186,19 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
                                          std::string* error) {
   PCPC_ASSERT_MSG(config.capacity > 0, "ipc channel capacity must be positive");
   const bool records = config.payload_ring_bytes > 0;
-  const std::size_t stride =
-      records ? record_lane_stride(config.payload_ring_bytes, config.payload_max_record)
-              : item_lane_stride(config.capacity);
-  ShmSegment seg = ShmSegment::create(shm_name, segment_payload_bytes(stride), error);
+  const std::size_t stride = records ? lane_stride<RecordLane>() : lane_stride<ItemLane>();
+  const std::size_t storage =
+      records ? record_lane_storage_bytes(config.payload_ring_bytes, config.payload_max_record)
+              : item_lane_storage_bytes(config.capacity);
+  ShmSegment seg =
+      ShmSegment::create(shm_name, segment_payload_bytes(stride, storage), error);
   if (!seg.valid()) return std::nullopt;
 
-  // Default-initialised: every member has an initialiser, and () would
-  // first zero the whole header, trace-ring storage included, once more.
+  // Only the control block is written: the header is default-initialised
+  // (every member has an initialiser, and () would zero it once more),
+  // then the ring objects are built in place over their regions' slots,
+  // which the freshly sized segment already holds as zeros and no ring
+  // reads before writing.
   auto* hdr = new (seg.payload()) ChannelHeader;
   hdr->abi_guard = abi_fingerprint();
   hdr->capacity = config.capacity;
@@ -207,22 +212,27 @@ std::optional<Consumer> Consumer::create(const std::string& shm_name,
   hdr->epoch_mono_ns = now_ns();
   hdr->span_sample_every = config.span_sample_every;
   hdr->lane_stride = stride;
+  hdr->lane_storage_bytes = storage;
 
-  // One lane per registry slot, constructed in place so its cursors are
-  // shm state every process reaches by offset.
+  // One trace ring and one lane per registry slot, constructed in place
+  // so their cursors are shm state every process reaches by offset.
   Consumer c;
+  for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
+    new (&hdr->producer_tel[idx].ring)
+        TelemetryRing(kTelemetryRingCap, kTelemetryRingCap, telemetry_storage(*hdr, idx));
+  }
   if (records) {
     hdr->payload_ring_bytes = config.payload_ring_bytes;
     hdr->payload_max_record = config.payload_max_record;
     for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
       c.record_lanes_[idx] = new (lane_region(*hdr, idx))
           RecordLane(config.payload_ring_bytes, /*max_bytes=*/0, config.payload_max_record,
-                     lane_storage<RecordLane>(*hdr, idx));
+                     lane_storage(*hdr, idx));
     }
   } else {
     for (std::size_t idx = 0; idx < kMaxProducers; ++idx) {
       c.item_lanes_[idx] = new (lane_region(*hdr, idx))
-          ItemLane(config.capacity, config.capacity, lane_storage<ItemLane>(*hdr, idx));
+          ItemLane(config.capacity, config.capacity, lane_storage(*hdr, idx));
     }
   }
   join_peer(hdr->consumer_peer);
@@ -327,16 +337,18 @@ WakeKind Consumer::wait(std::int64_t timeout_ns) {
   // Recheck after announcing sleep: a producer that published before the
   // store above may not have rung (below threshold), so we must not park
   // past visible work.
-  WaitResult wr = WaitResult::kTimeout;
-  if (!has_visible_work()) {
-    wr = futex_wait(&hdr_->doorbell, ticket, timeout_ns);
-  }
+  const bool slept = !has_visible_work();
+  const WaitResult wr =
+      slept ? futex_wait(&hdr_->doorbell, ticket, timeout_ns) : WaitResult::kWoken;
   // Consume the wake token (if any): every producer-side futex_wakes
   // increment created exactly one kConsumerWoken, and this exchange is
   // its unique consumption point — paid wakeups tally exactly.
   const std::uint32_t prev =
       hdr_->consumer_state.exchange(kConsumerAwake, std::memory_order_acq_rel);
   const bool paid = prev == kConsumerWoken;
+  // A recheck that found work never slept: unless a producer paid for a
+  // wake meanwhile, that is a poll, and no wake is noted or charged.
+  if (!slept && !paid) return WakeKind::kPoll;
   // Timestamp in the segment-epoch clock domain, like every other event
   // any peer of this channel records — merged traces must not mix
   // absolute CLOCK_MONOTONIC with per-process epochs.

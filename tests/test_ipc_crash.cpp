@@ -898,5 +898,25 @@ TEST(IpcCrash, AttachRejectsAbiMismatch) {
   EXPECT_NE(error.find("ABI"), std::string::npos) << error;
 }
 
+TEST(IpcCrash, AttachRejectsAnOlderLayoutVersion) {
+  PCPC_SKIP_UNDER_TSAN();
+  const std::string name = unique_name("v6");
+  auto consumer = Consumer::create(name, chaos_config());
+  ASSERT_TRUE(consumer.has_value());
+  // Version 6 kept each lane's ring object beside its slots and each
+  // telemetry ring's events inline: a v6 segment read with the v7
+  // offsets would be misread, so its version alone must refuse it.
+  auto* hdr = const_cast<ChannelHeader*>(&consumer->header());
+  ASSERT_EQ(hdr->version, kLayoutVersion);
+  hdr->version = 6;
+  std::string error;
+  ProducerConfig pcfg;
+  pcfg.attach.attempts = 2;
+  pcfg.attach.initial_backoff_ms = 1;
+  auto producer = Producer::attach(name, pcfg, &error);
+  EXPECT_FALSE(producer.has_value());
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace pcpc::ipc

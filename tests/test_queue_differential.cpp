@@ -16,6 +16,11 @@
 //   - the overflow counter, and
 //   - the conservation identity produced == consumed + dropped + residue.
 //
+// The rings placed in shared memory are diffed against their heap runs,
+// also over storage scribbled before the ring is built: a placed ring
+// never constructs its slots, so an outcome that moved would show a slot
+// read before it was written.
+//
 // A second tier runs the real thread host (ThreadPbpl) per backend ×
 // overflow policy and checks the identity the runtime keeps exactly even
 // under racy stop(): produced == items + dropped().
@@ -39,6 +44,7 @@
 #include "pcpc/common/rng.hpp"
 #include "pcpc/core/config.hpp"
 #include "pcpc/ipc/shm.hpp"
+#include "pcpc/ipc/telemetry.hpp"
 #include "pcpc/queue/handoff.hpp"
 #include "pcpc/runtime/thread_baselines.hpp"
 #include "pcpc/runtime/thread_pbpl.hpp"
@@ -266,11 +272,25 @@ Outcome drive_reference(Overflow policy, std::uint64_t seed) {
   return out;
 }
 
+/// Fills placed storage before a ring is built over it, in the scribbled
+/// runs: every word reads as a committed 8-byte record header and as a
+/// nonzero item, where the heap's value-initialized slots read as an
+/// empty record cell and item 0.  A ring that read a slot before writing
+/// it would deliver the scribble and part from its heap run.
+void scribble(void* base, std::size_t bytes) {
+  auto* words = static_cast<std::uint64_t*>(base);
+  for (std::size_t i = 0; i < bytes / sizeof(std::uint64_t); ++i) {
+    words[i] = var_word(VarState::kCommitted, 8);
+  }
+}
+
 /// Same workload, but the ring's slot array lives in a real MAP_SHARED
 /// shared-memory mapping (OffsetSlots placement) — the storage the
-/// pcpc::ipc host uses.  Placement must be semantically invisible: heap
-/// and shm runs must produce bit-identical outcomes.
-Outcome drive_in_shm(BackendKind kind, Overflow policy, std::uint64_t seed) {
+/// pcpc::ipc host uses, left zero as created or `scribbled` first.
+/// Placement must be semantically invisible: heap and shm runs must
+/// produce bit-identical outcomes.
+Outcome drive_in_shm(BackendKind kind, Overflow policy, std::uint64_t seed,
+                     bool scribbled) {
   BufferPool pool = driver_pool();
   // Max capacity saturates at Bg; one extra segment covers the
   // emergency-overcommit corner where a base grant exceeds the pool.
@@ -284,6 +304,7 @@ Outcome drive_in_shm(BackendKind kind, Overflow policy, std::uint64_t seed) {
   EXPECT_TRUE(segment.valid()) << error;
   if (!segment.valid()) return out;
   const Placement placement{segment.payload(), bytes};
+  if (scribbled) scribble(placement.base, bytes);
   std::unique_ptr<Handoff<std::uint64_t>> queue;
   if (kind == BackendKind::Mutex) {
     queue = std::make_unique<MutexHandoff<std::uint64_t, OffsetSlots>>(pool, 0, placement);
@@ -291,7 +312,7 @@ Outcome drive_in_shm(BackendKind kind, Overflow policy, std::uint64_t seed) {
     queue = std::make_unique<SpscHandoff<std::uint64_t, OffsetSlots>>(pool, 0, placement);
   }
   drive_handoff(*queue, policy, seed, out);
-  queue.reset();  // destroy slots before the mapping goes away
+  queue.reset();  // drop the ring before its mapping goes away
   segment.unlink();
   return out;
 }
@@ -331,11 +352,13 @@ TEST(QueueDifferential, HeapAndShmPlacementsAgreeBitForBit) {
   for (const auto kind : kPlacedBackends) {
     for (const auto policy : kPolicies) {
       for (const std::uint64_t seed : kSeeds) {
-        std::ostringstream label;
-        label << backend_name(kind) << " heap vs shm, " << policy_name(policy)
-              << ", seed " << seed;
-        expect_same(drive(kind, policy, seed), drive_in_shm(kind, policy, seed),
-                    label.str());
+        const Outcome heap = drive(kind, policy, seed);
+        for (const bool scribbled : {false, true}) {
+          std::ostringstream label;
+          label << backend_name(kind) << " heap vs " << (scribbled ? "scribbled " : "")
+                << "shm, " << policy_name(policy) << ", seed " << seed;
+          expect_same(heap, drive_in_shm(kind, policy, seed, scribbled), label.str());
+        }
       }
     }
   }
@@ -538,9 +561,10 @@ VarOutcome var_drive(BackendKind kind, Overflow policy, std::uint64_t seed) {
   return out;
 }
 
-/// Same workload with the ring storage in a real MAP_SHARED mapping.
-VarOutcome var_drive_in_shm(BackendKind kind, Overflow policy,
-                            std::uint64_t seed) {
+/// Same workload with the ring storage in a real MAP_SHARED mapping,
+/// left zero as created or `scribbled` first.
+VarOutcome var_drive_in_shm(BackendKind kind, Overflow policy, std::uint64_t seed,
+                            bool scribbled) {
   using PlacedRing = VarSpscRing<OffsetSlots>;
   const std::size_t bytes =
       PlacedRing::placement_bytes(/*max_bytes=*/4 << 10, /*max_record_payload=*/256);
@@ -552,6 +576,7 @@ VarOutcome var_drive_in_shm(BackendKind kind, Overflow policy,
   EXPECT_TRUE(segment.valid()) << error;
   if (!segment.valid()) return out;
   const Placement placement{segment.payload(), bytes};
+  if (scribbled) scribble(placement.base, bytes);
   std::unique_ptr<VarHandoff> handoff;
   if (kind == BackendKind::Mutex) {
     handoff = std::make_unique<VarRingHandoff<PlacedRing, BackendKind::Mutex, false>>(
@@ -562,7 +587,7 @@ VarOutcome var_drive_in_shm(BackendKind kind, Overflow policy,
   }
   drive_var_handoff(*handoff, policy, seed, out);
   EXPECT_EQ(handoff->overflows(), out.rejected_reserves);
-  handoff.reset();  // destroy the ring before the mapping goes away
+  handoff.reset();  // drop the ring before its mapping goes away
   segment.unlink();
   return out;
 }
@@ -611,14 +636,65 @@ TEST(QueueDifferential, VarlenHeapAndShmPlacementsAgreeBitForBit) {
   for (const auto kind : kPlacedBackends) {
     for (const auto policy : kPolicies) {
       for (const std::uint64_t seed : kSeeds) {
-        std::ostringstream label;
-        label << "varlen " << backend_name(kind) << " heap vs shm, "
-              << policy_name(policy) << ", seed " << seed;
-        expect_same_var(var_drive(kind, policy, seed),
-                        var_drive_in_shm(kind, policy, seed), label.str());
+        const VarOutcome heap = var_drive(kind, policy, seed);
+        for (const bool scribbled : {false, true}) {
+          std::ostringstream label;
+          label << "varlen " << backend_name(kind) << " heap vs "
+                << (scribbled ? "scribbled " : "") << "shm, " << policy_name(policy)
+                << ", seed " << seed;
+          expect_same_var(heap, var_drive_in_shm(kind, policy, seed, scribbled),
+                          label.str());
+        }
       }
     }
   }
+}
+
+TEST(QueueDifferential, TelemetryRingOverScribbledStorageAgreesWithHeap) {
+  // The ipc host's trace ring over its event array, scribbled first,
+  // against the same ring on the heap: random bursts of events, some
+  // refused by a full ring, drained in random chunks over many laps.
+  constexpr std::size_t kCap = ipc::kTelemetryRingCap;
+  std::vector<std::uint64_t> events(ipc::kTelemetryRingBytes / sizeof(std::uint64_t));
+  scribble(events.data(), ipc::kTelemetryRingBytes);
+  ipc::TelemetryRing placed(kCap, kCap, Placement{events.data(), ipc::kTelemetryRingBytes});
+  SpscRing<obs::Event> heap(kCap, kCap);
+  Rng rng(0x7e1e);
+  std::int64_t seq = 0;
+  obs::Event from_placed[97];
+  obs::Event from_heap[97];
+  std::size_t drained = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::uint64_t burst = rng.next_below(160);
+    for (std::uint64_t i = 0; i < burst; ++i, ++seq) {
+      obs::Event e;
+      e.ts_ns = seq;
+      e.dur_ns = seq * 3;
+      e.arg0 = -seq;
+      e.arg1 = static_cast<std::int64_t>(rng.next_u64() >> 1);
+      e.consumer = static_cast<std::uint32_t>(seq % 7);
+      e.core = static_cast<std::uint16_t>(seq % 3);
+      e.kind = obs::EventKind::kItemStage;
+      e.flags = static_cast<std::uint8_t>(seq & 3);
+      e.origin = static_cast<std::uint16_t>(seq % 5);
+      ASSERT_EQ(placed.try_push(e), heap.try_push(e)) << "event " << seq;
+    }
+    const auto chunk = static_cast<std::size_t>(1 + rng.next_below(97));
+    const std::size_t got = placed.pop_bulk(std::span<obs::Event>(from_placed, chunk));
+    ASSERT_EQ(got, heap.pop_bulk(std::span<obs::Event>(from_heap, chunk)));
+    for (std::size_t i = 0; i < got; ++i) {
+      const obs::Event& a = from_placed[i];
+      const obs::Event& b = from_heap[i];
+      ASSERT_TRUE(a.ts_ns == b.ts_ns && a.dur_ns == b.dur_ns && a.arg0 == b.arg0 &&
+                  a.arg1 == b.arg1 && a.consumer == b.consumer && a.core == b.core &&
+                  a.kind == b.kind && a.flags == b.flags && a.origin == b.origin)
+          << "drained event " << drained + i;
+    }
+    drained += got;
+  }
+  EXPECT_GT(drained, 4 * kCap);  // many laps over every slot
+  EXPECT_EQ(placed.tail_index(), heap.tail_index());
+  EXPECT_EQ(placed.head_index(), heap.head_index());
 }
 
 TEST(QueueDifferential, VarlenLosslessPoliciesDropNothing) {
